@@ -8,17 +8,23 @@
 // denies target library and binary code.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::BTreeSet;
+
 use dssddi_core::{
     CheckPrescriptionRequest, DrugId, Explanation, InteractionReport, PairInteraction, PatientId,
     ScoredDrug, SignedEdge, SuggestFilters, SuggestRequest, SuggestResponse,
 };
 use dssddi_graph::{Community, Interaction};
 use dssddi_kb::{AlertPolicy, KbInfo, Severity};
+use dssddi_obs::trace::STAGE_COUNT;
 use dssddi_serving::wire::{
     decode_request, decode_response, encode_request, encode_request_ref_traced, encode_response,
     encode_response_traced, open_wire_frame, open_wire_frame_traced, WireError,
 };
-use dssddi_serving::{ErrorCode, ModelKey, ModelStats, Request, Response};
+use dssddi_serving::{
+    ErrorCode, GatewayStats, KeyVersions, ModelInfo, ModelKey, ModelStats, ReplicaStats, Request,
+    Response, StatsReport, SyncArtifact, TraceExemplar,
+};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -229,48 +235,77 @@ fn arb_report() -> impl Strategy<Value = InteractionReport> {
         )
 }
 
-fn arb_request() -> impl Strategy<Value = Request> {
+fn arb_container() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec((0u32..256).prop_map(|v| v as u8), 0..64)
+}
+
+fn arb_check_request() -> impl Strategy<Value = CheckPrescriptionRequest> {
     (
-        0u8..9,
-        arb_model_key(),
-        arb_suggest_request(),
-        proptest::collection::vec(arb_suggest_request(), 0..4),
         (any::<bool>(), 0usize..10_000),
         arb_drug_ids(),
         arb_alert_policy(),
-        proptest::collection::vec((0u32..256).prop_map(|v| v as u8), 0..64),
     )
-        .prop_map(
-            |(
-                variant,
-                model,
-                request,
-                requests,
-                (has_patient, patient),
-                drugs,
-                policy,
-                container,
-            )| match variant {
-                0 => Request::Suggest { model, request },
-                1 => Request::SuggestBatch { model, requests },
-                2 => {
-                    let mut check = CheckPrescriptionRequest::new(drugs).with_policy(policy);
-                    if has_patient {
-                        check = check.for_patient(PatientId::new(patient));
-                    }
-                    Request::CheckPrescription {
-                        model,
-                        request: check,
-                    }
-                }
-                3 => Request::ReloadModel { model, container },
-                4 => Request::ReloadKb { model, container },
-                5 => Request::KbInfo { model },
-                6 => Request::ListModels,
-                7 => Request::Stats,
-                _ => Request::Shutdown,
-            },
+        .prop_map(|((has_patient, patient), drugs, policy)| {
+            let check = CheckPrescriptionRequest::new(drugs).with_policy(policy);
+            if has_patient {
+                check.for_patient(PatientId::new(patient))
+            } else {
+                check
+            }
+        })
+}
+
+fn arb_key_versions() -> impl Strategy<Value = Vec<KeyVersions>> {
+    proptest::collection::vec((arb_model_key(), any::<u64>(), any::<u64>()), 0..4).prop_map(
+        |entries| {
+            entries
+                .into_iter()
+                .map(|(key, model_version, kb_version)| KeyVersions {
+                    key,
+                    model_version,
+                    kb_version,
+                })
+                .collect()
+        },
+    )
+}
+
+fn arb_sync_artifact() -> impl Strategy<Value = SyncArtifact> {
+    any::<bool>().prop_map(|kb| {
+        if kb {
+            SyncArtifact::Kb
+        } else {
+            SyncArtifact::Model
+        }
+    })
+}
+
+/// One arm per request variant, drawn with equal probability.
+fn arb_request() -> impl Strategy<Value = Request> {
+    prop_oneof![
+        (arb_model_key(), arb_suggest_request())
+            .prop_map(|(model, request)| Request::Suggest { model, request }),
+        (
+            arb_model_key(),
+            proptest::collection::vec(arb_suggest_request(), 0..4)
         )
+            .prop_map(|(model, requests)| Request::SuggestBatch { model, requests }),
+        (arb_model_key(), arb_check_request())
+            .prop_map(|(model, request)| Request::CheckPrescription { model, request }),
+        (arb_model_key(), arb_container())
+            .prop_map(|(model, container)| Request::ReloadModel { model, container }),
+        (arb_model_key(), arb_container())
+            .prop_map(|(model, container)| Request::ReloadKb { model, container }),
+        arb_model_key().prop_map(|model| Request::KbInfo { model }),
+        any::<bool>().prop_map(|_| Request::ListModels),
+        any::<bool>().prop_map(|_| Request::Stats),
+        any::<bool>().prop_map(|_| Request::Ping),
+        arb_key_versions().prop_map(|versions| Request::PeerStatus { versions }),
+        (arb_model_key(), arb_sync_artifact())
+            .prop_map(|(model, artifact)| Request::PeerSync { model, artifact }),
+        any::<u64>().prop_map(|limit| Request::TraceDump { limit }),
+        any::<bool>().prop_map(|_| Request::Shutdown),
+    ]
 }
 
 fn arb_error_code() -> impl Strategy<Value = ErrorCode> {
@@ -316,93 +351,99 @@ fn arb_model_stats() -> impl Strategy<Value = ModelStats> {
         )
 }
 
-fn arb_model_info() -> impl Strategy<Value = dssddi_serving::ModelInfo> {
-    (arb_model_key(), arb_model_stats(), any::<u64>()).prop_map(|(key, s, kb_version)| {
-        dssddi_serving::ModelInfo {
-            key,
-            fitted: s.requests % 2 == 0,
-            n_drugs: (s.errors % 100) as usize,
-            n_features: (s.cache_hits % 2 == 0).then_some((s.cache_hits % 50) as usize),
-            registry_digest: s.cache_misses,
-            backbone: "SGCN".to_string(),
-            kb_version,
-        }
+fn arb_model_info() -> impl Strategy<Value = ModelInfo> {
+    (arb_model_key(), arb_model_stats(), any::<u64>()).prop_map(|(key, s, kb_version)| ModelInfo {
+        key,
+        fitted: s.requests % 2 == 0,
+        n_drugs: (s.errors % 100) as usize,
+        n_features: (s.cache_hits % 2 == 0).then_some((s.cache_hits % 50) as usize),
+        registry_digest: s.cache_misses,
+        backbone: "SGCN".to_string(),
+        kb_version,
     })
 }
 
-fn arb_response() -> impl Strategy<Value = Response> {
+fn arb_stats_report() -> impl Strategy<Value = StatsReport> {
     (
-        0u8..10,
-        arb_suggest_response(),
-        proptest::collection::vec(arb_suggest_response(), 0..3),
-        arb_report(),
         proptest::collection::vec((arb_model_key(), arb_model_stats()), 0..4),
-        proptest::collection::vec(arb_model_info(), 0..4),
-        arb_kb_info(),
-        (
-            (arb_error_code(), 0usize..40),
-            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        ),
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        (any::<bool>(), 0usize..5, any::<u64>(), arb_key_versions()),
     )
-        .prop_map(
-            |(
-                variant,
-                response,
-                responses,
-                report,
-                stats,
+        .prop_map(|(models, gateway, (replicated, peers, lag, versions))| {
+            StatsReport {
                 models,
-                kb_info,
-                ((code, msg_len), gateway),
-            )| {
-                match variant {
-                    0 => Response::Suggest(response),
-                    1 => Response::SuggestBatch(responses),
-                    2 => Response::CheckPrescription(report),
-                    3 => Response::ListModels(models),
-                    4 => Response::Stats(dssddi_serving::StatsReport {
-                        models: stats,
-                        gateway: dssddi_serving::GatewayStats {
-                            connections_accepted: gateway.0,
-                            connections_active: gateway.1,
-                            connections_shed: gateway.2,
-                            stalled_reaped: gateway.3,
-                        },
-                        // Half the generated reports are replicated so the
-                        // optional trailer roundtrips in both states.
-                        replica: (gateway.0 % 2 == 1).then(|| dssddi_serving::ReplicaStats {
-                            peers: (gateway.1 % 5) as usize,
-                            syncs: gateway.2,
-                            bytes_shipped: gateway.3,
-                            max_lag: gateway.0 % 17,
-                            versions: vec![dssddi_serving::KeyVersions {
-                                key: ModelKey::new("chronic").expect("valid key"),
-                                model_version: gateway.2.wrapping_add(1),
-                                kb_version: gateway.3.wrapping_add(1),
-                            }],
-                        }),
-                    }),
-                    5 => Response::ModelReloaded(models.into_iter().next().unwrap_or_else(|| {
-                        dssddi_serving::ModelInfo {
-                            key: ModelKey::new("m").expect("valid key"),
-                            fitted: true,
-                            n_drugs: 1,
-                            n_features: None,
-                            registry_digest: 0,
-                            backbone: "SGCN".to_string(),
-                            kb_version: 0,
-                        }
-                    })),
-                    6 => Response::KbReloaded(kb_info),
-                    7 => Response::KbInfo(kb_info),
-                    8 => Response::ShuttingDown,
-                    _ => Response::Error {
-                        code,
-                        message: "e".repeat(msg_len),
-                    },
-                }
-            },
+                gateway: GatewayStats {
+                    connections_accepted: gateway.0,
+                    connections_active: gateway.1,
+                    connections_shed: gateway.2,
+                    stalled_reaped: gateway.3,
+                },
+                // Half the generated reports are replicated so the optional
+                // trailer round-trips in both states.
+                replica: replicated.then_some(ReplicaStats {
+                    peers,
+                    syncs: gateway.2,
+                    bytes_shipped: gateway.3,
+                    max_lag: lag,
+                    versions,
+                }),
+            }
+        })
+}
+
+fn arb_trace_exemplar() -> impl Strategy<Value = TraceExemplar> {
+    (
+        any::<u64>(),
+        arb_model_key(),
+        0usize..20,
+        any::<u64>(),
+        proptest::collection::vec(any::<u64>(), STAGE_COUNT),
+    )
+        .prop_map(|(trace_id, model, op_len, total_micros, stages)| {
+            let mut stage_micros = [0u64; STAGE_COUNT];
+            stage_micros.copy_from_slice(&stages);
+            TraceExemplar {
+                trace_id,
+                model: model.as_str().to_string(),
+                op: "op-".chars().cycle().take(op_len).collect(),
+                total_micros,
+                stage_micros,
+            }
+        })
+}
+
+/// One arm per response variant, drawn with equal probability.
+fn arb_response() -> impl Strategy<Value = Response> {
+    prop_oneof![
+        arb_suggest_response().prop_map(Response::Suggest),
+        proptest::collection::vec(arb_suggest_response(), 0..3).prop_map(Response::SuggestBatch),
+        arb_report().prop_map(Response::CheckPrescription),
+        proptest::collection::vec(arb_model_info(), 0..4).prop_map(Response::ListModels),
+        arb_stats_report().prop_map(Response::Stats),
+        arb_model_info().prop_map(Response::ModelReloaded),
+        arb_kb_info().prop_map(Response::KbReloaded),
+        arb_kb_info().prop_map(Response::KbInfo),
+        any::<bool>().prop_map(|_| Response::Pong),
+        arb_key_versions().prop_map(|versions| Response::PeerStatus { versions }),
+        (
+            arb_model_key(),
+            arb_sync_artifact(),
+            any::<u64>(),
+            arb_container()
         )
+            .prop_map(|(model, artifact, version, container)| Response::PeerSync {
+                model,
+                artifact,
+                version,
+                container,
+            }),
+        proptest::collection::vec(arb_trace_exemplar(), 0..3).prop_map(Response::TraceDump),
+        any::<bool>().prop_map(|_| Response::ShuttingDown),
+        (arb_error_code(), 0usize..40).prop_map(|(code, msg_len)| Response::Error {
+            code,
+            message: "e".repeat(msg_len),
+        }),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -532,6 +573,24 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// The generators draw every message variant, so the round trips above
+    /// cover the whole protocol rather than a subset of it.
+    #[test]
+    fn generators_draw_every_variant(
+        requests in proptest::collection::vec(arb_request(), 256),
+        responses in proptest::collection::vec(arb_response(), 256),
+    ) {
+        let tags = |frames: Vec<Vec<u8>>| -> BTreeSet<u8> {
+            frames.iter().map(|f| open_wire_frame(f).expect("validates")[0]).collect()
+        };
+        prop_assert_eq!(tags(requests.iter().map(encode_request).collect()).len(), 13);
+        prop_assert_eq!(tags(responses.iter().map(encode_response).collect()).len(), 14);
     }
 }
 
