@@ -1,9 +1,8 @@
-//! The checked-in baseline: a per-file, per-code finding ratchet plus the
-//! registry of retired wire values.
+//! The checked-in baseline: a per-file, per-code finding ratchet.
 //!
 //! `analysis/baseline.toml` is parsed with a small hand-rolled reader for
-//! the TOML subset the file actually uses (table headers, `key = value`
-//! with integer, string and integer-array values). The baseline is a
+//! the TOML subset the file actually uses (`[[allow]]` table headers and
+//! `key = value` with integer and string values). The baseline is a
 //! *ratchet*: for each `(file, code)` pair it records how many findings are
 //! tolerated. Fewer findings than baselined is a *stale* entry (tighten the
 //! baseline); more is a *new* finding (fix it or consciously raise the
@@ -17,25 +16,11 @@ use std::path::Path;
 
 use crate::findings::{sort_findings, Finding, FindingCode};
 
-/// Registry values that were once assigned and must never be reused
-/// (checked by the wire pass, WIRE002).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct RetiredValues {
-    /// Retired request-tag values.
-    pub request_tags: Vec<u64>,
-    /// Retired response-tag values.
-    pub response_tags: Vec<u64>,
-    /// Retired error-code values.
-    pub error_codes: Vec<u64>,
-}
-
 /// The parsed baseline file.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Baseline {
     /// Tolerated finding counts keyed by `(file, code)`.
     pub allow: BTreeMap<(String, FindingCode), u32>,
-    /// Retired wire-registry values.
-    pub retired: RetiredValues,
 }
 
 /// A baseline parse error with its line number.
@@ -70,7 +55,6 @@ impl Baseline {
     /// Parses the baseline TOML subset.
     pub fn parse(text: &str) -> Result<Baseline, BaselineError> {
         let mut baseline = Baseline::default();
-        let mut section = Section::None;
         let mut entry: Option<AllowEntry> = None;
 
         for (idx, raw) in text.lines().enumerate() {
@@ -82,12 +66,6 @@ impl Baseline {
             if line == "[[allow]]" {
                 flush_entry(&mut baseline, entry.take(), lineno)?;
                 entry = Some(AllowEntry::default());
-                section = Section::Allow;
-                continue;
-            }
-            if line == "[retired.wire]" {
-                flush_entry(&mut baseline, entry.take(), lineno)?;
-                section = Section::Retired;
                 continue;
             }
             if line.starts_with('[') {
@@ -104,50 +82,26 @@ impl Baseline {
             };
             let key = key.trim();
             let value = value.trim();
-            match section {
-                Section::Allow => {
-                    let Some(e) = entry.as_mut() else {
-                        return Err(BaselineError {
-                            line: lineno,
-                            message: "key outside [[allow]] entry".to_string(),
-                        });
-                    };
-                    match key {
-                        "file" => e.file = Some(parse_string(value, lineno)?),
-                        "code" => {
-                            let s = parse_string(value, lineno)?;
-                            e.code = Some(FindingCode::parse(&s).ok_or(BaselineError {
-                                line: lineno,
-                                message: format!("unknown finding code {s:?}"),
-                            })?);
-                        }
-                        "count" => e.count = Some(parse_int(value, lineno)? as u32),
-                        _ => {
-                            return Err(BaselineError {
-                                line: lineno,
-                                message: format!("unknown [[allow]] key {key:?}"),
-                            })
-                        }
-                    }
+            let Some(e) = entry.as_mut() else {
+                return Err(BaselineError {
+                    line: lineno,
+                    message: format!("key {key:?} outside an [[allow]] entry"),
+                });
+            };
+            match key {
+                "file" => e.file = Some(parse_string(value, lineno)?),
+                "code" => {
+                    let s = parse_string(value, lineno)?;
+                    e.code = Some(FindingCode::parse(&s).ok_or(BaselineError {
+                        line: lineno,
+                        message: format!("unknown finding code {s:?}"),
+                    })?);
                 }
-                Section::Retired => {
-                    let list = parse_int_array(value, lineno)?;
-                    match key {
-                        "request_tags" => baseline.retired.request_tags = list,
-                        "response_tags" => baseline.retired.response_tags = list,
-                        "error_codes" => baseline.retired.error_codes = list,
-                        _ => {
-                            return Err(BaselineError {
-                                line: lineno,
-                                message: format!("unknown [retired.wire] key {key:?}"),
-                            })
-                        }
-                    }
-                }
-                Section::None => {
+                "count" => e.count = Some(parse_int(value, lineno)? as u32),
+                _ => {
                     return Err(BaselineError {
                         line: lineno,
-                        message: format!("key {key:?} before any section"),
+                        message: format!("unknown [[allow]] key {key:?}"),
                     })
                 }
             }
@@ -167,24 +121,8 @@ impl Baseline {
              # Counts may only go DOWN: fewer findings than baselined fails the run\n\
              # as a stale entry (run `dssddi-analyze --update-baseline`), more fails\n\
              # it as new findings. Raising a count is a reviewed decision — do it in\n\
-             # the commit that adds the finding and justify it there.\n\
-             #\n\
-             # [retired.wire] lists registry values that were once assigned and must\n\
-             # never be reused (WIRE002), even though no constant carries them now.\n\n",
+             # the commit that adds the finding and justify it there.\n",
         );
-        out.push_str("[retired.wire]\n");
-        out.push_str(&format!(
-            "request_tags = {}\n",
-            fmt_int_array(&self.retired.request_tags)
-        ));
-        out.push_str(&format!(
-            "response_tags = {}\n",
-            fmt_int_array(&self.retired.response_tags)
-        ));
-        out.push_str(&format!(
-            "error_codes = {}\n",
-            fmt_int_array(&self.retired.error_codes)
-        ));
         for ((file, code), count) in &self.allow {
             if *count == 0 {
                 continue;
@@ -197,14 +135,13 @@ impl Baseline {
         out
     }
 
-    /// Builds a baseline that exactly covers `findings`, preserving the
-    /// current retired lists.
-    pub fn from_findings(findings: &[Finding], retired: RetiredValues) -> Baseline {
+    /// Builds a baseline that exactly covers `findings`.
+    pub fn from_findings(findings: &[Finding]) -> Baseline {
         let mut allow: BTreeMap<(String, FindingCode), u32> = BTreeMap::new();
         for f in findings {
             *allow.entry((f.file.clone(), f.code)).or_insert(0) += 1;
         }
-        Baseline { allow, retired }
+        Baseline { allow }
     }
 }
 
@@ -250,13 +187,6 @@ pub fn apply_baseline(findings: &[Finding], baseline: &Baseline) -> Ratchet {
     sort_findings(&mut ratchet.baselined);
     ratchet.stale.sort();
     ratchet
-}
-
-#[derive(PartialEq)]
-enum Section {
-    None,
-    Allow,
-    Retired,
 }
 
 #[derive(Default)]
@@ -323,26 +253,6 @@ fn parse_int(value: &str, line: u32) -> Result<u64, BaselineError> {
     })
 }
 
-fn parse_int_array(value: &str, line: u32) -> Result<Vec<u64>, BaselineError> {
-    let v = value.trim();
-    if !v.starts_with('[') || !v.ends_with(']') {
-        return Err(BaselineError {
-            line,
-            message: format!("expected [n, n, ...], got {v}"),
-        });
-    }
-    let inner = v[1..v.len() - 1].trim();
-    if inner.is_empty() {
-        return Ok(Vec::new());
-    }
-    inner.split(',').map(|part| parse_int(part, line)).collect()
-}
-
-fn fmt_int_array(values: &[u64]) -> String {
-    let parts: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-    format!("[{}]", parts.join(", "))
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
@@ -350,15 +260,11 @@ mod tests {
 
     const SAMPLE: &str = r#"
 # comment
-[retired.wire]
-request_tags = [11, 12]
-response_tags = []
-error_codes = [9] # trailing comment
 
 [[allow]]
 file = "crates/experiments/src/lib.rs"
 code = "PANIC001"
-count = 3
+count = 3 # trailing comment
 
 [[allow]]
 file = "crates/ml/src/ecc.rs"
@@ -369,8 +275,6 @@ count = 1
     #[test]
     fn parse_and_serialize_round_trip() {
         let b = Baseline::parse(SAMPLE).unwrap();
-        assert_eq!(b.retired.request_tags, vec![11, 12]);
-        assert_eq!(b.retired.error_codes, vec![9]);
         assert_eq!(
             b.allow.get(&(
                 "crates/experiments/src/lib.rs".to_string(),

@@ -144,7 +144,7 @@ fn main() -> ExitCode {
     };
 
     if opts.update_baseline {
-        let updated = Baseline::from_findings(&analysis.findings, base.retired.clone());
+        let updated = Baseline::from_findings(&analysis.findings);
         if let Some(parent) = baseline_path.parent() {
             if let Err(e) = std::fs::create_dir_all(parent) {
                 eprintln!("dssddi-analyze: cannot create {}: {e}", parent.display());

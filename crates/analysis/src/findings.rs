@@ -22,17 +22,6 @@ pub enum FindingCode {
     /// Two structs in the scanned crates share a lock field name, making
     /// name-based acquisition attribution ambiguous.
     Lock006,
-    /// Two registry constants in the same value space share a value.
-    Wire001,
-    /// A registry constant reuses a retired value.
-    Wire002,
-    /// Encode and decode sides of a wire registry cover different tag sets.
-    Wire003,
-    /// A module-doc claim (tag number, magic, version) disagrees with the
-    /// constant it documents.
-    Wire004,
-    /// `ErrorCode::to_u8`, `from_u8` and `ALL` are mutually inconsistent.
-    Wire005,
     /// `.unwrap()` in non-test library/binary code.
     Panic001,
     /// `.expect(...)` in non-test library/binary code.
@@ -49,18 +38,13 @@ pub enum FindingCode {
 }
 
 /// All codes, in report order.
-pub const ALL_CODES: [FindingCode; 17] = [
+pub const ALL_CODES: [FindingCode; 12] = [
     FindingCode::Lock001,
     FindingCode::Lock002,
     FindingCode::Lock003,
     FindingCode::Lock004,
     FindingCode::Lock005,
     FindingCode::Lock006,
-    FindingCode::Wire001,
-    FindingCode::Wire002,
-    FindingCode::Wire003,
-    FindingCode::Wire004,
-    FindingCode::Wire005,
     FindingCode::Panic001,
     FindingCode::Panic002,
     FindingCode::Panic003,
@@ -70,7 +54,7 @@ pub const ALL_CODES: [FindingCode; 17] = [
 ];
 
 impl FindingCode {
-    /// The stable textual code (`LOCK001`, `WIRE003`, ...).
+    /// The stable textual code (`LOCK001`, `PANIC004`, ...).
     pub fn as_str(self) -> &'static str {
         match self {
             FindingCode::Lock001 => "LOCK001",
@@ -79,11 +63,6 @@ impl FindingCode {
             FindingCode::Lock004 => "LOCK004",
             FindingCode::Lock005 => "LOCK005",
             FindingCode::Lock006 => "LOCK006",
-            FindingCode::Wire001 => "WIRE001",
-            FindingCode::Wire002 => "WIRE002",
-            FindingCode::Wire003 => "WIRE003",
-            FindingCode::Wire004 => "WIRE004",
-            FindingCode::Wire005 => "WIRE005",
             FindingCode::Panic001 => "PANIC001",
             FindingCode::Panic002 => "PANIC002",
             FindingCode::Panic003 => "PANIC003",
@@ -107,11 +86,6 @@ impl FindingCode {
             FindingCode::Lock004 => "LOCK ORDER entry names a field that does not exist",
             FindingCode::Lock005 => "acquisition edge contradicts the documented canonical order",
             FindingCode::Lock006 => "lock field name shared by two structs; attribution ambiguous",
-            FindingCode::Wire001 => "two registry constants in one value space share a value",
-            FindingCode::Wire002 => "registry constant reuses a retired value",
-            FindingCode::Wire003 => "encode/decode sides cover different tag sets",
-            FindingCode::Wire004 => "module-doc claim disagrees with the constant it documents",
-            FindingCode::Wire005 => "ErrorCode to_u8/from_u8/ALL are mutually inconsistent",
             FindingCode::Panic001 => ".unwrap() in non-test library/binary code",
             FindingCode::Panic002 => ".expect(...) in non-test library/binary code",
             FindingCode::Panic003 => "panic!-family macro in non-test library/binary code",
@@ -191,60 +165,6 @@ impl FindingCode {
                  name, so shared names make every report about either lock suspect.\n\
                  \n\
                  Fix: rename one of the fields."
-            }
-            FindingCode::Wire001 => {
-                "WIRE001: duplicate registry value.\n\
-                 \n\
-                 Two constants in the same value space (request tags, response tags,\n\
-                 error codes, or container magics across files) share a value. A\n\
-                 decoder match would silently route one message kind into another's\n\
-                 arm — or fail to compile — depending on arm order.\n\
-                 \n\
-                 Fix: allocate the next free value for the newer constant; never renumber\n\
-                 an existing one (old peers still send it)."
-            }
-            FindingCode::Wire002 => {
-                "WIRE002: retired value reused.\n\
-                 \n\
-                 The value was once assigned, then retired (listed under [retired] in\n\
-                 analysis/baseline.toml). Old peers may still emit it; reusing it\n\
-                 changes the meaning of bytes already in the wild.\n\
-                 \n\
-                 Fix: allocate a fresh value; retired values stay dead forever."
-            }
-            FindingCode::Wire003 => {
-                "WIRE003: encode/decode coverage mismatch.\n\
-                 \n\
-                 The encode function writes a tag the decode function has no arm for,\n\
-                 or the decoder accepts a tag the encoder never produces. Either way\n\
-                 one side of the protocol disagrees with the other about the message\n\
-                 set.\n\
-                 \n\
-                 Fix: add the missing arm (decoders) or the missing variant emit\n\
-                 (encoders); keep the two functions textually adjacent so drift is\n\
-                 visible in review."
-            }
-            FindingCode::Wire004 => {
-                "WIRE004: documentation drift.\n\
-                 \n\
-                 A module-doc claim — `SomeTag` (N), magic bytes \"XXXX\", or a\n\
-                 `currently N` version statement — disagrees with the constant it\n\
-                 documents. The doc tables are the wire-format reference; they must\n\
-                 not lie.\n\
-                 \n\
-                 Fix: update the doc (or the constant, if the doc was right and the\n\
-                 code regressed)."
-            }
-            FindingCode::Wire005 => {
-                "WIRE005: ErrorCode mapping inconsistency.\n\
-                 \n\
-                 `ErrorCode::to_u8`, `ErrorCode::from_u8` and `ErrorCode::ALL` must\n\
-                 describe the same bijection: from_u8(to_u8(c)) == c for every\n\
-                 variant, and ALL must list every variant exactly once in ascending\n\
-                 tag order (index() relies on it).\n\
-                 \n\
-                 Fix: make the three definitions agree; they sit adjacent in wire.rs\n\
-                 precisely so one review sees all three."
             }
             FindingCode::Panic001 | FindingCode::Panic002 | FindingCode::Panic003 => {
                 "PANIC001/002/003: panic in library/binary code.\n\

@@ -4,7 +4,7 @@
 //! dependency (syn) or a project (a parser) — it *lexes* it: comments,
 //! strings, char/lifetime disambiguation, raw strings and numbers are
 //! stripped into a flat token stream with line numbers, so passes can match
-//! token patterns (`.field.lock()`, `const NAME: u8 = N;`, `TAG_X =>`)
+//! token patterns (`.field.lock()`, `.unwrap()`, `fn name_into(`)
 //! without ever being fooled by a string literal or a comment that happens
 //! to contain the same characters.
 //!
@@ -57,8 +57,7 @@ impl Token {
 }
 
 /// One comment, kept out of the token stream but preserved for the passes
-/// that read documentation (lock-order blocks, wire doc tables, kernel
-/// markers).
+/// that read documentation (lock-order blocks, kernel markers).
 #[derive(Debug, Clone)]
 pub struct Comment {
     /// 1-based line the comment starts on.

@@ -1,11 +1,10 @@
 //! `dssddi-analyze` — the workspace's own static-analysis gate.
 //!
 //! The serving path has invariants no compiler checks: locks must nest in
-//! one documented order, wire tags must never collide or come back from
-//! the dead, production code must not panic, and `*_into` kernels must
-//! honor the scratch-pool contract. This crate walks the workspace's Rust
-//! sources with a small hand-rolled lexer ([`lexer`]) — no `syn`, no
-//! dependencies — and enforces four passes:
+//! one documented order, production code must not panic, and `*_into`
+//! kernels must honor the scratch-pool contract. This crate walks the
+//! workspace's Rust sources with a small hand-rolled lexer ([`lexer`]) — no
+//! `syn`, no dependencies — and enforces three passes:
 //!
 //! 1. **Lock order** ([`locks`]) — extracts every `.read()`/`.write()`/
 //!    `.lock()` acquisition on named `RwLock`/`Mutex` fields in
@@ -13,16 +12,19 @@
 //!    calls between workspace functions, and checks the resulting
 //!    acquisition graph for cycles, read→write upgrades and violations of
 //!    the canonical `LOCK ORDER:` block in `router.rs`.
-//! 2. **Wire registries** ([`wire_check`]) — re-derives the `DSWR` tag
-//!    spaces, `ErrorCode` mappings and the `DSWR`/`DSSD`/`DSKB` container
-//!    magics from the token stream and checks uniqueness, retired-value
-//!    reuse, encode/decode coverage and module-doc agreement.
-//! 3. **Panic policy** ([`panics`]) — flags `.unwrap()`, `.expect()`,
+//! 2. **Panic policy** ([`panics`]) — flags `.unwrap()`, `.expect()`,
 //!    panic!-family macros and slice indexing in non-test library/binary
 //!    code, ratcheted by `analysis/baseline.toml`.
-//! 4. **Kernel conventions** ([`kernels`]) — every `*_into` kernel in
+//! 3. **Kernel conventions** ([`kernels`]) — every `*_into` kernel in
 //!    `crates/tensor`/`crates/gnn` takes its output buffer first and
 //!    carries the `fully overwrites` doc marker.
+//!
+//! The wire registries need no pass: the `DSWR` message tags, error codes
+//! and sync artifacts are `#[repr(u8)]` enums in `crates/serving/src/wire.rs`,
+//! so rustc rejects a duplicate value (E0081) and the encoder and decoder
+//! match on them exhaustively. The serving crate's tests pin the rest: the
+//! retired request tag, distinct container magics, golden frames and
+//! full-variant round trips.
 //!
 //! ## Finding codes
 //!
@@ -34,11 +36,6 @@
 //! | `LOCK004` | `LOCK ORDER:` entry names a nonexistent field |
 //! | `LOCK005` | acquisition edge contradicts the documented order |
 //! | `LOCK006` | lock field name shared by two structs (ambiguous) |
-//! | `WIRE001` | two registry constants in one value space collide |
-//! | `WIRE002` | retired registry value reused |
-//! | `WIRE003` | encode/decode tag coverage mismatch |
-//! | `WIRE004` | module-doc claim disagrees with its constant |
-//! | `WIRE005` | `ErrorCode` `to_u8`/`from_u8`/`ALL` inconsistent |
 //! | `PANIC001` | `.unwrap()` in non-test code |
 //! | `PANIC002` | `.expect()` in non-test code |
 //! | `PANIC003` | panic!-family macro in non-test code |
@@ -62,7 +59,6 @@ pub mod kernels;
 pub mod lexer;
 pub mod locks;
 pub mod panics;
-pub mod wire_check;
 pub mod workspace;
 
 use std::path::Path;
@@ -71,11 +67,10 @@ use baseline::{apply_baseline, Baseline, Ratchet};
 use findings::{sort_findings, Finding};
 use workspace::SourceTree;
 
-/// Runs all four passes over a source tree, returning sorted findings.
-pub fn analyze(tree: &SourceTree, base: &Baseline) -> Vec<Finding> {
+/// Runs all three passes over a source tree, returning sorted findings.
+pub fn analyze(tree: &SourceTree) -> Vec<Finding> {
     let mut findings = Vec::new();
     findings.extend(locks::check(tree));
-    findings.extend(wire_check::check(tree, &base.retired));
     findings.extend(panics::check(tree));
     findings.extend(kernels::check(tree));
     sort_findings(&mut findings);
@@ -93,7 +88,7 @@ pub struct Analysis {
 /// Loads the tree rooted at `root`, runs every pass and applies `base`.
 pub fn analyze_root(root: &Path, base: &Baseline) -> std::io::Result<Analysis> {
     let tree = SourceTree::load(root)?;
-    let findings = analyze(&tree, base);
+    let findings = analyze(&tree);
     let ratchet = apply_baseline(&findings, base);
     Ok(Analysis { findings, ratchet })
 }

@@ -98,11 +98,6 @@ impl SourceTree {
             .iter()
             .filter(move |f| prefixes.iter().any(|p| f.rel.starts_with(p)))
     }
-
-    /// Looks up one file by relative path.
-    pub fn get(&self, rel: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.rel == rel)
-    }
 }
 
 /// Recursively collects `.rs` files under `dir`, skipping excluded
@@ -158,7 +153,7 @@ mod tests {
             ("crates/a/src/lib.rs", "fn a() {}"),
         ]);
         assert_eq!(tree.files[0].rel, "crates/a/src/lib.rs");
-        assert!(tree.get("crates/b/src/lib.rs").is_some());
+        assert_eq!(tree.files[1].rel, "crates/b/src/lib.rs");
         assert_eq!(
             tree.with_prefixes(&["crates/a/"]).count(),
             1,

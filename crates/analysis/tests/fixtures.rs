@@ -8,7 +8,7 @@
 use dssddi_analyze::baseline::{apply_baseline, Baseline};
 use dssddi_analyze::findings::FindingCode;
 use dssddi_analyze::workspace::SourceTree;
-use dssddi_analyze::{analyze, kernels, locks, panics, wire_check};
+use dssddi_analyze::{analyze, kernels, locks, panics};
 
 fn codes(findings: &[dssddi_analyze::findings::Finding]) -> Vec<FindingCode> {
     findings.iter().map(|f| f.code).collect()
@@ -83,51 +83,7 @@ fn lock_fixture_cycle_is_flagged() {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2: wire registry
-// ---------------------------------------------------------------------------
-
-fn wire_source(predict_tag: &str) -> String {
-    format!(
-        r#"
-pub const MAGIC: &[u8; 4] = b"DSWR";
-pub const TAG_PREDICT: u8 = {predict_tag};
-pub const TAG_RELOAD: u8 = 2;
-
-pub fn encode_request_ref(out: &mut Vec<u8>, req: &Request) {{
-    match req {{
-        Request::Predict => out.put_u8(TAG_PREDICT),
-        Request::Reload => out.put_u8(TAG_RELOAD),
-    }}
-}}
-
-pub fn decode_request(tag: u8) -> Option<Request> {{
-    match tag {{
-        TAG_PREDICT => Some(Request::Predict),
-        TAG_RELOAD => Some(Request::Reload),
-        _ => None,
-    }}
-}}
-"#
-    )
-}
-
-#[test]
-fn wire_fixture_good_tree_is_clean() {
-    let tree = SourceTree::from_parts(&[("crates/serving/src/wire.rs", &wire_source("1"))]);
-    let findings = wire_check::check(&tree, &Default::default());
-    assert!(findings.is_empty(), "unexpected: {findings:?}");
-}
-
-#[test]
-fn wire_fixture_duplicate_tag_is_flagged() {
-    // TAG_PREDICT collides with TAG_RELOAD inside the request space.
-    let tree = SourceTree::from_parts(&[("crates/serving/src/wire.rs", &wire_source("2"))]);
-    let findings = wire_check::check(&tree, &Default::default());
-    assert_eq!(codes(&findings), vec![FindingCode::Wire001], "{findings:?}");
-}
-
-// ---------------------------------------------------------------------------
-// Pass 3: panic policy (through the baseline ratchet)
+// Pass 2: panic policy (through the baseline ratchet)
 // ---------------------------------------------------------------------------
 
 const PANIC_BAD: &str = r#"
@@ -156,13 +112,13 @@ fn panic_fixture_unbaselined_unwrap_is_new() {
     );
 
     // Through the ratchet with an empty baseline, it surfaces as NEW.
-    let all = analyze(&tree, &Baseline::default());
+    let all = analyze(&tree);
     let ratchet = apply_baseline(&all, &Baseline::default());
     assert_eq!(ratchet.new.len(), 1);
     assert!(ratchet.baselined.is_empty());
 
     // With a matching baseline entry it is tolerated.
-    let base = Baseline::from_findings(&all, Default::default());
+    let base = Baseline::from_findings(&all);
     let rebaselined = apply_baseline(&all, &base);
     assert!(rebaselined.new.is_empty());
     assert_eq!(rebaselined.baselined.len(), 1);
@@ -170,7 +126,7 @@ fn panic_fixture_unbaselined_unwrap_is_new() {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 4: kernel convention
+// Pass 3: kernel convention
 // ---------------------------------------------------------------------------
 
 const KERNEL_BAD: &str = r#"

@@ -487,16 +487,15 @@ impl Client {
             });
         };
         wire::write_frame(stream, &wire::encode_request_ref_traced(request, trace))?;
-        let (_trace, payload) =
-            wire::read_frame_traced(stream, 1, frame_deadline).map_err(|e| {
-                match e {
-                    // For a client a frame is always in flight once the
-                    // request is written, so "idle" timeouts are the server
-                    // failing to answer.
-                    WireError::IdleTimeout => WireError::Timeout,
-                    other => other,
-                }
-            })?;
+        let (_trace, payload) = wire::read_frame(stream, 1, frame_deadline).map_err(|e| {
+            match e {
+                // For a client a frame is always in flight once the
+                // request is written, so "idle" timeouts are the server
+                // failing to answer.
+                WireError::IdleTimeout => WireError::Timeout,
+                other => other,
+            }
+        })?;
         let response = wire::decode_response(&payload).map_err(WireError::Decode)?;
         match response {
             Response::Error { code, message } => Err(ServingError::Remote { code, message }),

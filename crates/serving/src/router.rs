@@ -1181,8 +1181,16 @@ impl Router {
     }
 
     /// Records one latency sample against the shard a data-plane request
-    /// routed to (control-plane messages are not clinical serving latency).
-    fn record_request_latency(&self, request: &Request, start: Instant) {
+    /// was admitted to. Control-plane messages are not clinical serving
+    /// latency, and a call admission control shed never reached the shard.
+    fn record_request_latency(&self, request: &Request, response: &Response, start: Instant) {
+        if let Response::Error {
+            code: ErrorCode::Overloaded,
+            ..
+        } = response
+        {
+            return;
+        }
         let model = match request {
             Request::Suggest { model, .. }
             | Request::SuggestBatch { model, .. }
@@ -1204,22 +1212,23 @@ impl Router {
     }
 
     /// Maps one decoded request to its response, converting routing/service
-    /// errors into typed error frames. Data-plane requests record exactly
-    /// one latency sample covering the routed call.
+    /// errors into typed error frames. Admitted data-plane requests record
+    /// exactly one latency sample covering the routed call.
     pub fn serve(&self, request: &Request) -> Response {
         let start = Instant::now();
         let response = self.dispatch_core(request);
-        self.record_request_latency(request, start);
+        self.record_request_latency(request, &response, start);
         response
     }
 
     /// [`Router::serve`] plus response encoding, returning the sealed frame.
     ///
     /// This is the network server's entry point, and where the shard's
-    /// latency sample is taken — exactly one per request, covering the
-    /// routed call *and* the wire encode, so the p50/p99 a `Stats` caller
-    /// sees is the time a client actually waits between frames: encoding a
-    /// batch of explanation subgraphs is real serving cost, not free.
+    /// latency sample is taken — exactly one per admitted request,
+    /// covering the routed call *and* the wire encode, so the p50/p99 a
+    /// `Stats` caller sees is the time a client actually waits between
+    /// frames: encoding a batch of explanation subgraphs is real serving
+    /// cost, not free.
     pub fn serve_framed(&self, request: &Request) -> Vec<u8> {
         self.serve_framed_traced(request, None, 0)
     }
@@ -1248,7 +1257,7 @@ impl Router {
         let encode_start = Instant::now();
         let frame = wire::encode_response_traced(&response, trace);
         span.record(Stage::Encode, elapsed_micros(encode_start));
-        self.record_request_latency(request, start);
+        self.record_request_latency(request, &response, start);
         let admission = span
             .stage_micros(Stage::Admit)
             .saturating_add(span.stage_micros(Stage::Queue));

@@ -287,8 +287,7 @@ fn handle_connection(
     stream.set_read_timeout(Some(IDLE_POLL_INTERVAL)).ok();
     loop {
         let (trace, payload) =
-            match wire::read_frame_traced(&mut stream, MID_FRAME_STALL_POLLS, Some(frame_deadline))
-            {
+            match wire::read_frame(&mut stream, MID_FRAME_STALL_POLLS, Some(frame_deadline)) {
                 Ok(traced) => traced,
                 Err(WireError::IdleTimeout) => {
                     if shutdown.load(Ordering::SeqCst) {

@@ -6,128 +6,61 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic bytes "DSWR"
-//! 4       2     protocol version (little-endian u16, currently 1)
+//! 0       4     magic bytes WIRE_MAGIC
+//! 4       2     protocol version (little-endian u16): WIRE_VERSION, or
+//!               WIRE_VERSION_TRACED for a traced frame
 //! 6       8     payload length in bytes (little-endian u64)
-//! 14      n     payload (tagged message body)
+//! 14      n     payload: the extension block (traced frames only), then
+//!               the tagged message
 //! 14+n    4     CRC-32 (IEEE) of the payload (little-endian u32)
 //! ```
 //!
-//! The payload opens with a one-byte message tag followed by the message
+//! The tagged message opens with a one-byte tag followed by the message
 //! body, encoded with the same bounds-checked `ByteWriter`/`ByteReader`
-//! primitives the model container uses. `f32`/`f64` values travel as their
-//! IEEE-754 bit patterns, so scores and suggestion-satisfaction values are
-//! **bit-identical** after a round trip — a remote client sees exactly the
-//! numbers an in-process caller would.
+//! primitives the model container uses. [`RequestTag`] and [`ResponseTag`]
+//! are the tag registry: each value is written once, as an enum
+//! discriminant, so the compiler rejects a duplicate, and the encoder and
+//! decoder both match exhaustively on the enum. `f32`/`f64` values travel
+//! as their IEEE-754 bit patterns, so scores and suggestion-satisfaction
+//! values are **bit-identical** after a round trip — a remote client sees
+//! exactly the numbers an in-process caller would.
 //!
-//! The knowledge-base subsystem extended the protocol *within* version 1:
-//! new message tags — `ReloadModel` (8), `ReloadKb` (9) and `KbInfo` (10)
-//! requests with matching responses — plus appended fields in existing
-//! bodies (alert policy on `CheckPrescription` requests; severity grades,
-//! management hints and the KB version on reports; `kb_version` on model
-//! listings; the error breakdown on stats). The tag space grew backwards-
-//! compatibly, but the grown bodies did not: a pre-KB peer exchanging those
-//! messages with a current one sees `Malformed` decode errors, not a
-//! version mismatch — both ends of a deployment must ship the same build,
-//! which is how this workspace's server, client and binary are always
-//! built. A future change that wants true mixed-version interop should
-//! bump `WIRE_VERSION` instead of growing bodies again. Reload requests
-//! ship the complete `DSSD`/`DSKB` container in the frame, so the artifact
-//! the gateway validates is exactly the artifact the operator built.
+//! Message bodies have grown appended fields without a version bump, so a
+//! peer from an older build reports `Malformed` decode errors rather than
+//! a version mismatch: both ends of a deployment run the same build. A
+//! change that needs mixed-version interop bumps the version instead.
 //!
-//! The admission-control subsystem extended the protocol the same way:
-//! a new error code `Overloaded` (8) — the typed load-shed reply a gateway
-//! under its configured rate limits, quotas or queue bound sends instead of
-//! stalling or dropping the connection (the request was never executed, so
-//! a backoff-and-retry is always safe) — and three appended fields in the
-//! `Stats` body (`shed_requests`, `in_flight`, `queue_depth_hwm`). The
-//! same single-build compatibility caveat applies.
+//! ## Traced frames
 //!
-//! The resilience subsystem extended the protocol once more: a `Ping` (11)
-//! request with a matching `Pong` (11) response — the control-plane health
-//! check behind `Client::ping`, which bypasses admission control so
-//! liveness probes answer even while the data plane sheds load — plus the
-//! gateway transport counters appended to the `Stats` body (connections
-//! accepted/active/shed and mid-frame stall reaps). Mid-frame timeout
-//! semantics also hardened: a server read deadline now applies *per frame*
-//! ([`read_frame_with_limits`]), so a slow-loris peer trickling bytes just
-//! under the idle timeout is reaped with a typed [`WireError::Timeout`]
-//! once the whole frame overstays its deadline, instead of holding a
-//! handler thread forever. The same single-build caveat applies.
-//!
-//! The replication subsystem extended the protocol once more: a
-//! `PeerStatus` (12) request/response pair exchanging per-key
-//! `(model_version, kb_version)` version vectors between replicas (the
-//! requester sends its own vector, the responder answers with its — one
-//! round trip doubles as a gossip exchange), and a `PeerSync` (13)
-//! request/response pair through which a lagging replica pulls one shard's
-//! complete `DSSD` or `DSKB` container, tagged with the version it
-//! certifies, from a peer that is ahead. Both are idempotent reads: the
-//! anti-entropy loop may retry them freely across connection faults. The
-//! `Stats` body also grew an optional replica section (peer count, sync and
-//! byte counters, per-key versions, observed lag) appended after the
-//! gateway transport counters. The same single-build caveat applies.
-//!
-//! The observability subsystem extended the protocol with the first real
-//! version bump: **traced frames**. An untraced frame still seals exactly
-//! as version 1 above — byte-identical, so old peers interoperate with
-//! clients that never enable tracing. A frame carrying a trace seals as
-//! version 2 ([`WIRE_VERSION_TRACED`]), whose payload opens with an
-//! *extension block* before the tagged message:
+//! A frame carrying a request trace ID seals under [`WIRE_VERSION_TRACED`]
+//! and its payload opens with an *extension block* before the tagged
+//! message. Untraced frames are byte-identical to builds without tracing.
 //!
 //! ```text
 //! offset  size  field
 //! 0       1     extension count (u8)
 //! —  per extension, repeated `count` times —
-//! +0      1     extension type (u8)
+//! +0      1     extension type (u8), e.g. EXT_TRACE_ID
 //! +1      1     extension value length in bytes (u8)
 //! +2      len   extension value
 //! ```
 //!
 //! Unknown extension types are skipped on decode, so the block can grow
-//! without another version bump. The only type assigned so far is
-//! `TraceId` (1): an 8-byte little-endian u64 request trace ID, minted at
-//! the client edge (or by the gateway when absent) and threaded through
-//! the serving pipeline into per-stage [`SpanRecorder`] breakdowns. A new
-//! `TraceDump` (14) request/response pair dumps the gateway's ring of
-//! slowest-request exemplars so operators can ask a live deployment where
-//! its tail latency lives.
-//!
-//! [`SpanRecorder`]: dssddi_obs::SpanRecorder
-//!
-//! ## Tag registry
-//!
-//! The complete message-tag space of protocol version 1, by direction.
-//! Tags are assigned once and never reused: a value dropped from either
-//! direction's registry moves to `analysis/baseline.toml`'s
-//! `[retired.wire]` list, which `dssddi-analyze`'s wire pass enforces
-//! against the constants in this module.
-//!
-//! | Tag | Request             | Response            |
-//! |----:|---------------------|---------------------|
-//! |   0 | —                   | `Error`             |
-//! |   1 | `Suggest`           | `Suggest`           |
-//! |   2 | `SuggestBatch`      | `SuggestBatch`      |
-//! |   3 | `CheckPrescription` | `CheckPrescription` |
-//! |   4 | `ListModels`        | `ListModels`        |
-//! |   5 | `Stats`             | `Stats`             |
-//! |   6 | `Shutdown`          | —                   |
-//! |   7 | *retired*           | `ShuttingDown`      |
-//! |   8 | `ReloadModel`       | `ModelReloaded`     |
-//! |   9 | `ReloadKb`          | `KbReloaded`        |
-//! |  10 | `KbInfo`            | `KbInfo`            |
-//! |  11 | `Ping`              | `Pong`              |
-//! |  12 | `PeerStatus`        | `PeerStatus`        |
-//! |  13 | `PeerSync`          | `PeerSync`          |
-//! |  14 | `TraceDump`         | `TraceDump`         |
+//! without another version bump. [`EXT_TRACE_ID`] carries the request
+//! trace ID, minted at the client edge (or by the gateway when absent) and
+//! threaded through the serving pipeline into per-stage [`SpanRecorder`]
+//! breakdowns.
 //!
 //! Decoding is fully defensive: truncated frames, flipped bits (caught by
 //! the CRC), foreign magic bytes, future protocol versions, unknown message
 //! tags and oversized declared lengths all produce typed [`WireError`]s —
 //! never a panic, and never an allocation sized from an unvalidated length.
+//!
+//! [`SpanRecorder`]: dssddi_obs::SpanRecorder
 
 use std::fmt;
 use std::io::{Read, Write};
+use std::time::{Duration, Instant};
 
 use dssddi_core::{
     CheckPrescriptionRequest, DrugId, Explanation, InteractionReport, PairInteraction, PatientId,
@@ -149,9 +82,7 @@ use crate::ServingError;
 /// Magic bytes opening every wire frame ("DSsddi WiRe").
 pub const WIRE_MAGIC: [u8; 4] = *b"DSWR";
 
-/// Current wire protocol version. Untraced frames — the default — always
-/// seal under this version, bit-identical to every build since the
-/// protocol shipped.
+/// Wire protocol version of untraced frames — the default.
 pub const WIRE_VERSION: u16 = 1;
 
 /// Wire protocol version of *traced* frames: the payload opens with the
@@ -164,7 +95,7 @@ pub const WIRE_VERSION_TRACED: u16 = 2;
 const WIRE_SUPPORTED_VERSIONS: [u16; 2] = [WIRE_VERSION, WIRE_VERSION_TRACED];
 
 /// Frame-extension type carrying the 8-byte little-endian u64 request
-/// trace ID in a version-2 frame's extension block.
+/// trace ID in a traced frame's extension block.
 pub const EXT_TRACE_ID: u8 = 1;
 
 /// Upper bound on a frame's declared payload length. A 64-request batch
@@ -172,6 +103,112 @@ pub const EXT_TRACE_ID: u8 = 1;
 /// orders of magnitude of headroom while keeping a malicious length prefix
 /// from turning into a giant allocation.
 pub const MAX_FRAME_PAYLOAD: usize = 16 << 20;
+
+/// Declares a one-byte wire value space as a fieldless `#[repr(u8)]` enum
+/// whose discriminants are the wire bytes. Each value is written once, so
+/// rustc rejects a duplicate (E0081); `ALL` and `from_u8` are derived from
+/// the same declaration.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $( $(#[$variant_meta:meta])* $variant:ident = $value:literal, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum $name {
+            $( $(#[$variant_meta])* $variant = $value, )+
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: [$name; [$($value),+].len()] = [$($name::$variant),+];
+
+            /// The variant whose wire byte is `byte`, if one is assigned.
+            pub fn from_u8(byte: u8) -> Option<Self> {
+                match byte {
+                    $( $value => Some($name::$variant), )+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+wire_enum! {
+    /// The tag opening a request's tagged message. Tags are assigned once
+    /// and never reused. Tag 7 is retired: an early protocol draft assigned
+    /// it and never shipped it, so it stays unassigned and a stale build can
+    /// never misparse a current frame.
+    #[non_exhaustive]
+    pub enum RequestTag {
+        /// [`Request::Suggest`].
+        Suggest = 1,
+        /// [`Request::SuggestBatch`].
+        SuggestBatch = 2,
+        /// [`Request::CheckPrescription`].
+        CheckPrescription = 3,
+        /// [`Request::ListModels`].
+        ListModels = 4,
+        /// [`Request::Stats`].
+        Stats = 5,
+        /// [`Request::Shutdown`].
+        Shutdown = 6,
+        /// [`Request::ReloadModel`].
+        ReloadModel = 8,
+        /// [`Request::ReloadKb`].
+        ReloadKb = 9,
+        /// [`Request::KbInfo`].
+        KbInfo = 10,
+        /// [`Request::Ping`].
+        Ping = 11,
+        /// [`Request::PeerStatus`].
+        PeerStatus = 12,
+        /// [`Request::PeerSync`].
+        PeerSync = 13,
+        /// [`Request::TraceDump`].
+        TraceDump = 14,
+    }
+}
+
+wire_enum! {
+    /// The tag opening a response's tagged message. A response reuses the
+    /// value of the request it answers, except that `ShuttingDown` takes the
+    /// value after `Shutdown`'s; `Error` answers a failed request of any kind.
+    #[non_exhaustive]
+    pub enum ResponseTag {
+        /// [`Response::Error`].
+        Error = 0,
+        /// [`Response::Suggest`].
+        Suggest = 1,
+        /// [`Response::SuggestBatch`].
+        SuggestBatch = 2,
+        /// [`Response::CheckPrescription`].
+        CheckPrescription = 3,
+        /// [`Response::ListModels`].
+        ListModels = 4,
+        /// [`Response::Stats`].
+        Stats = 5,
+        /// [`Response::ShuttingDown`], the answer to [`Request::Shutdown`].
+        ShuttingDown = 7,
+        /// [`Response::ModelReloaded`], the answer to [`Request::ReloadModel`].
+        ModelReloaded = 8,
+        /// [`Response::KbReloaded`], the answer to [`Request::ReloadKb`].
+        KbReloaded = 9,
+        /// [`Response::KbInfo`].
+        KbInfo = 10,
+        /// [`Response::Pong`], the answer to [`Request::Ping`].
+        Pong = 11,
+        /// [`Response::PeerStatus`].
+        PeerStatus = 12,
+        /// [`Response::PeerSync`].
+        PeerSync = 13,
+        /// [`Response::TraceDump`].
+        TraceDump = 14,
+    }
+}
 
 /// Errors produced while reading, writing or decoding wire frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,53 +274,42 @@ impl From<SerdeError> for WireError {
     }
 }
 
-/// Machine-readable classification of a server-side failure, carried in
-/// [`Response::Error`] frames so remote callers can branch on the failure
-/// class without parsing messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum ErrorCode {
-    /// The request frame or payload could not be decoded.
-    Malformed,
-    /// The request named a model the gateway does not serve.
-    UnknownModel,
-    /// A drug reference fell outside the routed model's formulary.
-    UnknownDrug,
-    /// The routed service rejected the request's content.
-    InvalidInput,
-    /// The request needs a fitted model and the routed shard has none.
-    NotFitted,
-    /// A persisted artifact (`DSSD` model or `DSKB` knowledge base) was
-    /// damaged, version-mismatched or described the wrong formulary — the
-    /// reload failure class.
-    Persistence,
-    /// Admission control shed the request: the gateway (or the routed
-    /// shard) is at its configured rate limit, quota or queue bound. The
-    /// request was never executed — retrying after a backoff is safe and is
-    /// what `Client`'s opt-in retry policy does.
-    Overloaded,
-    /// Any other server-side failure.
-    Internal,
+wire_enum! {
+    /// Machine-readable classification of a server-side failure, carried in
+    /// [`Response::Error`] frames so remote callers can branch on the
+    /// failure class without parsing messages. The codes are numbered
+    /// densely from 1, and [`ErrorCode::ALL`] lists them in that order —
+    /// the per-model error breakdown iterates it.
+    #[non_exhaustive]
+    pub enum ErrorCode {
+        /// The request frame or payload could not be decoded.
+        Malformed = 1,
+        /// The request named a model the gateway does not serve.
+        UnknownModel = 2,
+        /// A drug reference fell outside the routed model's formulary.
+        UnknownDrug = 3,
+        /// The routed service rejected the request's content.
+        InvalidInput = 4,
+        /// The request needs a fitted model and the routed shard has none.
+        NotFitted = 5,
+        /// Any other server-side failure.
+        Internal = 6,
+        /// A persisted artifact (`DSSD` model or `DSKB` knowledge base) was
+        /// damaged, version-mismatched or described the wrong formulary —
+        /// the reload failure class.
+        Persistence = 7,
+        /// Admission control shed the request: the gateway (or the routed
+        /// shard) is at its configured rate limit, quota or queue bound.
+        /// The request was never executed — retrying after a backoff is
+        /// safe and is what `Client`'s opt-in retry policy does.
+        Overloaded = 8,
+    }
 }
 
 impl ErrorCode {
-    /// Every error code, in tag order — the stats breakdown iterates this.
-    /// (`Persistence` and `Overloaded` were added after `Internal` and keep
-    /// earlier tag values stable, so they sort last.)
-    pub const ALL: [ErrorCode; 8] = [
-        ErrorCode::Malformed,
-        ErrorCode::UnknownModel,
-        ErrorCode::UnknownDrug,
-        ErrorCode::InvalidInput,
-        ErrorCode::NotFitted,
-        ErrorCode::Internal,
-        ErrorCode::Persistence,
-        ErrorCode::Overloaded,
-    ];
-
     /// Position of this code in [`ErrorCode::ALL`] (dense counter index).
     pub(crate) fn index(self) -> usize {
-        self.to_u8() as usize - 1
+        self as usize - 1
     }
 
     /// The error class a [`ServingError`] reports as — what `Error` frames
@@ -303,37 +329,6 @@ impl ErrorCode {
             _ => ErrorCode::Internal,
         }
     }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            ErrorCode::Malformed => 1,
-            ErrorCode::UnknownModel => 2,
-            ErrorCode::UnknownDrug => 3,
-            ErrorCode::InvalidInput => 4,
-            ErrorCode::NotFitted => 5,
-            ErrorCode::Internal => 6,
-            ErrorCode::Persistence => 7,
-            ErrorCode::Overloaded => 8,
-        }
-    }
-
-    fn from_u8(tag: u8) -> Result<Self, SerdeError> {
-        Ok(match tag {
-            1 => ErrorCode::Malformed,
-            2 => ErrorCode::UnknownModel,
-            3 => ErrorCode::UnknownDrug,
-            4 => ErrorCode::InvalidInput,
-            5 => ErrorCode::NotFitted,
-            6 => ErrorCode::Internal,
-            7 => ErrorCode::Persistence,
-            8 => ErrorCode::Overloaded,
-            other => {
-                return Err(SerdeError::Corrupt {
-                    what: format!("unknown error code {other}"),
-                })
-            }
-        })
-    }
 }
 
 impl fmt::Display for ErrorCode {
@@ -352,35 +347,15 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// Which replicated artifact a [`Request::PeerSync`] pull targets: the
-/// trained model (`DSSD` container) or the knowledge base (`DSKB`
-/// container) behind a shard key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SyncArtifact {
-    /// The shard's trained model, shipped as a complete `DSSD` container.
-    Model,
-    /// The shard's knowledge base, shipped as a complete `DSKB` container.
-    Kb,
-}
-
-impl SyncArtifact {
-    fn to_u8(self) -> u8 {
-        match self {
-            SyncArtifact::Model => 0,
-            SyncArtifact::Kb => 1,
-        }
-    }
-
-    fn from_u8(tag: u8) -> Result<Self, SerdeError> {
-        Ok(match tag {
-            0 => SyncArtifact::Model,
-            1 => SyncArtifact::Kb,
-            other => {
-                return Err(SerdeError::Corrupt {
-                    what: format!("unknown sync artifact {other}"),
-                })
-            }
-        })
+wire_enum! {
+    /// Which replicated artifact a [`Request::PeerSync`] pull targets: the
+    /// trained model (`DSSD` container) or the knowledge base (`DSKB`
+    /// container) behind a shard key.
+    pub enum SyncArtifact {
+        /// The shard's trained model, shipped as a complete `DSSD` container.
+        Model = 0,
+        /// The shard's knowledge base, shipped as a complete `DSKB` container.
+        Kb = 1,
     }
 }
 
@@ -540,6 +515,21 @@ pub enum Response {
 // `SerdeError` from the primitive it failed in.
 // ---------------------------------------------------------------------------
 
+/// Reads one registry byte, rejecting values the registry does not assign:
+/// a missing byte is truncation at `field`, an unassigned one is reported
+/// as an unknown `kind`.
+fn take_enum<T>(
+    r: &mut ByteReader<'_>,
+    field: &'static str,
+    kind: &str,
+    from_u8: fn(u8) -> Option<T>,
+) -> Result<T, SerdeError> {
+    let byte = r.take_u8(field)?;
+    from_u8(byte).ok_or_else(|| SerdeError::Corrupt {
+        what: format!("unknown {kind} {byte}"),
+    })
+}
+
 fn put_interaction(w: &mut ByteWriter, i: Interaction) {
     w.put_u8(match i {
         Interaction::None => 0,
@@ -566,10 +556,7 @@ fn put_severity(w: &mut ByteWriter, severity: Severity) {
 }
 
 fn take_severity(r: &mut ByteReader<'_>) -> Result<Severity, SerdeError> {
-    let tag = r.take_u8("severity")?;
-    Severity::from_u8(tag).ok_or_else(|| SerdeError::Corrupt {
-        what: format!("unknown severity byte {tag}"),
-    })
+    take_enum(r, "severity", "severity byte", Severity::from_u8)
 }
 
 fn put_alert_policy(w: &mut ByteWriter, policy: &AlertPolicy) {
@@ -584,40 +571,53 @@ fn take_alert_policy(r: &mut ByteReader<'_>) -> Result<AlertPolicy, SerdeError> 
     })
 }
 
-fn put_opt_str(w: &mut ByteWriter, value: Option<&str>) {
-    match value {
-        Some(s) => {
-            w.put_bool(true);
-            w.put_str(s);
-        }
-        None => w.put_bool(false),
+/// Writes an optional field: a presence flag, then the value if present.
+fn put_opt<T>(w: &mut ByteWriter, value: Option<T>, put: impl FnOnce(&mut ByteWriter, T)) {
+    w.put_bool(value.is_some());
+    if let Some(value) = value {
+        put(w, value);
     }
 }
 
-fn take_opt_str(r: &mut ByteReader<'_>, what: &'static str) -> Result<Option<String>, SerdeError> {
+/// Reads an optional field written by [`put_opt`].
+fn take_opt<'a, T>(
+    r: &mut ByteReader<'a>,
+    what: &'static str,
+    take: impl FnOnce(&mut ByteReader<'a>) -> Result<T, SerdeError>,
+) -> Result<Option<T>, SerdeError> {
     if r.take_bool(what)? {
-        Ok(Some(r.take_str(what)?))
+        take(r).map(Some)
     } else {
         Ok(None)
     }
 }
 
-fn put_opt_u64(w: &mut ByteWriter, value: Option<u64>) {
-    match value {
-        Some(v) => {
-            w.put_bool(true);
-            w.put_u64(v);
-        }
-        None => w.put_bool(false),
+/// Writes a sequence: its length, then each item.
+fn put_seq<T>(w: &mut ByteWriter, items: &[T], mut put: impl FnMut(&mut ByteWriter, &T)) {
+    w.put_usize(items.len());
+    for item in items {
+        put(w, item);
     }
 }
 
-fn take_opt_u64(r: &mut ByteReader<'_>, what: &'static str) -> Result<Option<u64>, SerdeError> {
-    if r.take_bool(what)? {
-        Ok(Some(r.take_u64(what)?))
-    } else {
-        Ok(None)
+/// Reads a sequence written by [`put_seq`]; `what` labels its length.
+/// The length is not trusted for allocation: items are pushed as they
+/// decode, so a lying length fails on truncation instead.
+fn take_seq<'a, T>(
+    r: &mut ByteReader<'a>,
+    what: &'static str,
+    mut take: impl FnMut(&mut ByteReader<'a>) -> Result<T, SerdeError>,
+) -> Result<Vec<T>, SerdeError> {
+    let len = r.take_usize(what)?;
+    let mut items = Vec::new();
+    for _ in 0..len {
+        items.push(take(r)?);
     }
+    Ok(items)
+}
+
+fn take_sync_artifact(r: &mut ByteReader<'_>) -> Result<SyncArtifact, SerdeError> {
+    take_enum(r, "sync.artifact", "sync artifact", SyncArtifact::from_u8)
 }
 
 fn put_kb_info(w: &mut ByteWriter, info: &KbInfo) {
@@ -657,31 +657,29 @@ fn take_model_key(r: &mut ByteReader<'_>) -> Result<ModelKey, SerdeError> {
     })
 }
 
+fn put_drug_ids(w: &mut ByteWriter, drugs: &[DrugId]) {
+    let ids: Vec<usize> = drugs.iter().map(|d| d.index()).collect();
+    w.put_usize_slice(&ids);
+}
+
+fn take_drug_ids(r: &mut ByteReader<'_>, what: &'static str) -> Result<Vec<DrugId>, SerdeError> {
+    Ok(r.take_usize_vec(what)?
+        .into_iter()
+        .map(DrugId::new)
+        .collect())
+}
+
 fn put_suggest_filters(w: &mut ByteWriter, filters: &SuggestFilters) {
-    let exclude: Vec<usize> = filters.exclude.iter().map(|d| d.index()).collect();
-    let avoid: Vec<usize> = filters
-        .avoid_antagonists_of
-        .iter()
-        .map(|d| d.index())
-        .collect();
-    let contraindicated: Vec<usize> = filters
-        .exclude_contraindicated_with
-        .iter()
-        .map(|d| d.index())
-        .collect();
-    w.put_usize_slice(&exclude);
-    w.put_usize_slice(&avoid);
-    w.put_usize_slice(&contraindicated);
+    put_drug_ids(w, &filters.exclude);
+    put_drug_ids(w, &filters.avoid_antagonists_of);
+    put_drug_ids(w, &filters.exclude_contraindicated_with);
 }
 
 fn take_suggest_filters(r: &mut ByteReader<'_>) -> Result<SuggestFilters, SerdeError> {
-    let exclude = r.take_usize_vec("filters.exclude")?;
-    let avoid = r.take_usize_vec("filters.avoid_antagonists_of")?;
-    let contraindicated = r.take_usize_vec("filters.exclude_contraindicated_with")?;
     Ok(SuggestFilters {
-        exclude: exclude.into_iter().map(DrugId::new).collect(),
-        avoid_antagonists_of: avoid.into_iter().map(DrugId::new).collect(),
-        exclude_contraindicated_with: contraindicated.into_iter().map(DrugId::new).collect(),
+        exclude: take_drug_ids(r, "filters.exclude")?,
+        avoid_antagonists_of: take_drug_ids(r, "filters.avoid_antagonists_of")?,
+        exclude_contraindicated_with: take_drug_ids(r, "filters.exclude_contraindicated_with")?,
     })
 }
 
@@ -714,43 +712,25 @@ fn take_scored_drug(r: &mut ByteReader<'_>) -> Result<ScoredDrug, SerdeError> {
     })
 }
 
-fn put_scored_drugs(w: &mut ByteWriter, drugs: &[ScoredDrug]) {
-    w.put_usize(drugs.len());
-    for drug in drugs {
-        put_scored_drug(w, drug);
-    }
-}
-
-fn take_scored_drugs(r: &mut ByteReader<'_>) -> Result<Vec<ScoredDrug>, SerdeError> {
-    let len = r.take_usize("drugs.len")?;
-    let mut drugs = Vec::new();
-    for _ in 0..len {
-        drugs.push(take_scored_drug(r)?);
-    }
-    Ok(drugs)
-}
-
 fn put_community(w: &mut ByteWriter, community: &Community) {
     let nodes: Vec<usize> = community.nodes.iter().copied().collect();
     w.put_usize_slice(&nodes);
-    w.put_usize(community.edges.len());
-    for &(u, v) in &community.edges {
+    put_seq(w, &community.edges, |w, &(u, v)| {
         w.put_usize(u);
         w.put_usize(v);
-    }
+    });
     w.put_usize(community.trussness);
     w.put_usize(community.diameter);
 }
 
 fn take_community(r: &mut ByteReader<'_>) -> Result<Community, SerdeError> {
     let nodes = r.take_usize_vec("community.nodes")?;
-    let n_edges = r.take_usize("community.edges.len")?;
-    let mut edges = Vec::new();
-    for _ in 0..n_edges {
-        let u = r.take_usize("community.edge.u")?;
-        let v = r.take_usize("community.edge.v")?;
-        edges.push((u, v));
-    }
+    let edges = take_seq(r, "community.edges.len", |r| {
+        Ok((
+            r.take_usize("community.edge.u")?,
+            r.take_usize("community.edge.v")?,
+        ))
+    })?;
     Ok(Community {
         nodes: nodes.into_iter().collect(),
         edges,
@@ -762,12 +742,11 @@ fn take_community(r: &mut ByteReader<'_>) -> Result<Community, SerdeError> {
 fn put_explanation(w: &mut ByteWriter, explanation: &Explanation) {
     w.put_usize_slice(&explanation.suggested);
     put_community(w, &explanation.community);
-    w.put_usize(explanation.edges.len());
-    for edge in &explanation.edges {
+    put_seq(w, &explanation.edges, |w, edge| {
         w.put_usize(edge.u);
         w.put_usize(edge.v);
         put_interaction(w, edge.interaction);
-    }
+    });
     w.put_usize(explanation.internal_synergy);
     w.put_usize(explanation.internal_antagonism);
     w.put_usize(explanation.external_antagonism);
@@ -777,15 +756,13 @@ fn put_explanation(w: &mut ByteWriter, explanation: &Explanation) {
 fn take_explanation(r: &mut ByteReader<'_>) -> Result<Explanation, SerdeError> {
     let suggested = r.take_usize_vec("explanation.suggested")?;
     let community = take_community(r)?;
-    let n_edges = r.take_usize("explanation.edges.len")?;
-    let mut edges = Vec::new();
-    for _ in 0..n_edges {
-        edges.push(SignedEdge {
+    let edges = take_seq(r, "explanation.edges.len", |r| {
+        Ok(SignedEdge {
             u: r.take_usize("explanation.edge.u")?,
             v: r.take_usize("explanation.edge.v")?,
             interaction: take_interaction(r)?,
-        });
-    }
+        })
+    })?;
     Ok(Explanation {
         suggested,
         community,
@@ -799,7 +776,7 @@ fn take_explanation(r: &mut ByteReader<'_>) -> Result<Explanation, SerdeError> {
 
 fn put_suggest_response(w: &mut ByteWriter, response: &SuggestResponse) {
     w.put_usize(response.patient.index());
-    put_scored_drugs(w, &response.drugs);
+    put_seq(w, &response.drugs, put_scored_drug);
     put_explanation(w, &response.explanation);
     w.put_f64(response.suggestion_satisfaction);
 }
@@ -807,43 +784,33 @@ fn put_suggest_response(w: &mut ByteWriter, response: &SuggestResponse) {
 fn take_suggest_response(r: &mut ByteReader<'_>) -> Result<SuggestResponse, SerdeError> {
     Ok(SuggestResponse {
         patient: PatientId::new(r.take_usize("response.patient")?),
-        drugs: take_scored_drugs(r)?,
+        drugs: take_seq(r, "drugs.len", take_scored_drug)?,
         explanation: take_explanation(r)?,
         suggestion_satisfaction: r.take_f64("response.ss")?,
     })
 }
 
 fn put_opt_patient(w: &mut ByteWriter, patient: Option<PatientId>) {
-    match patient {
-        Some(p) => {
-            w.put_bool(true);
-            w.put_usize(p.index());
-        }
-        None => w.put_bool(false),
-    }
+    put_opt(w, patient, |w, p| w.put_usize(p.index()));
 }
 
 fn take_opt_patient(r: &mut ByteReader<'_>) -> Result<Option<PatientId>, SerdeError> {
-    if r.take_bool("patient.present")? {
-        Ok(Some(PatientId::new(r.take_usize("patient.id")?)))
-    } else {
-        Ok(None)
-    }
+    take_opt(r, "patient.present", |r| {
+        r.take_usize("patient.id").map(PatientId::new)
+    })
 }
 
 fn put_check_request(w: &mut ByteWriter, request: &CheckPrescriptionRequest) {
     put_opt_patient(w, request.patient);
-    let drugs: Vec<usize> = request.drugs.iter().map(|d| d.index()).collect();
-    w.put_usize_slice(&drugs);
+    put_drug_ids(w, &request.drugs);
     put_alert_policy(w, &request.policy);
 }
 
 fn take_check_request(r: &mut ByteReader<'_>) -> Result<CheckPrescriptionRequest, SerdeError> {
     let patient = take_opt_patient(r)?;
-    let drugs = r.take_usize_vec("check.drugs")?;
+    let drugs = take_drug_ids(r, "check.drugs")?;
     let policy = take_alert_policy(r)?;
-    let mut request = CheckPrescriptionRequest::new(drugs.into_iter().map(DrugId::new).collect())
-        .with_policy(policy);
+    let mut request = CheckPrescriptionRequest::new(drugs).with_policy(policy);
     if let Some(p) = patient {
         request = request.for_patient(p);
     }
@@ -857,7 +824,7 @@ fn put_pair(w: &mut ByteWriter, pair: &PairInteraction) {
     w.put_str(&pair.b_name);
     put_interaction(w, pair.interaction);
     put_severity(w, pair.severity);
-    put_opt_str(w, pair.management.as_deref());
+    put_opt(w, pair.management.as_deref(), ByteWriter::put_str);
 }
 
 fn take_pair(r: &mut ByteReader<'_>) -> Result<PairInteraction, SerdeError> {
@@ -868,45 +835,29 @@ fn take_pair(r: &mut ByteReader<'_>) -> Result<PairInteraction, SerdeError> {
         b_name: r.take_str("pair.b_name")?,
         interaction: take_interaction(r)?,
         severity: take_severity(r)?,
-        management: take_opt_str(r, "pair.management")?,
+        management: take_opt(r, "pair.management", |r| r.take_str("pair.management"))?,
     })
-}
-
-fn put_pairs(w: &mut ByteWriter, pairs: &[PairInteraction]) {
-    w.put_usize(pairs.len());
-    for pair in pairs {
-        put_pair(w, pair);
-    }
-}
-
-fn take_pairs(r: &mut ByteReader<'_>) -> Result<Vec<PairInteraction>, SerdeError> {
-    let len = r.take_usize("pairs.len")?;
-    let mut pairs = Vec::new();
-    for _ in 0..len {
-        pairs.push(take_pair(r)?);
-    }
-    Ok(pairs)
 }
 
 fn put_report(w: &mut ByteWriter, report: &InteractionReport) {
     put_opt_patient(w, report.patient);
-    put_scored_drugs(w, &report.drugs);
-    put_pairs(w, &report.antagonistic);
-    put_pairs(w, &report.synergistic);
+    put_seq(w, &report.drugs, put_scored_drug);
+    put_seq(w, &report.antagonistic, put_pair);
+    put_seq(w, &report.synergistic, put_pair);
     put_explanation(w, &report.explanation);
     w.put_f64(report.suggestion_satisfaction);
-    put_opt_u64(w, report.kb_version);
+    put_opt(w, report.kb_version, ByteWriter::put_u64);
 }
 
 fn take_report(r: &mut ByteReader<'_>) -> Result<InteractionReport, SerdeError> {
     Ok(InteractionReport {
         patient: take_opt_patient(r)?,
-        drugs: take_scored_drugs(r)?,
-        antagonistic: take_pairs(r)?,
-        synergistic: take_pairs(r)?,
+        drugs: take_seq(r, "drugs.len", take_scored_drug)?,
+        antagonistic: take_seq(r, "pairs.len", take_pair)?,
+        synergistic: take_seq(r, "pairs.len", take_pair)?,
         explanation: take_explanation(r)?,
         suggestion_satisfaction: r.take_f64("report.ss")?,
-        kb_version: take_opt_u64(r, "report.kb_version")?,
+        kb_version: take_opt(r, "report.kb_version", |r| r.take_u64("report.kb_version"))?,
     })
 }
 
@@ -914,32 +865,20 @@ fn put_model_info(w: &mut ByteWriter, info: &ModelInfo) {
     put_model_key(w, &info.key);
     w.put_bool(info.fitted);
     w.put_usize(info.n_drugs);
-    match info.n_features {
-        Some(n) => {
-            w.put_bool(true);
-            w.put_usize(n);
-        }
-        None => w.put_bool(false),
-    }
+    put_opt(w, info.n_features, ByteWriter::put_usize);
     w.put_u64(info.registry_digest);
     w.put_str(&info.backbone);
     w.put_u64(info.kb_version);
 }
 
 fn take_model_info(r: &mut ByteReader<'_>) -> Result<ModelInfo, SerdeError> {
-    let key = take_model_key(r)?;
-    let fitted = r.take_bool("model.fitted")?;
-    let n_drugs = r.take_usize("model.n_drugs")?;
-    let n_features = if r.take_bool("model.n_features.present")? {
-        Some(r.take_usize("model.n_features")?)
-    } else {
-        None
-    };
     Ok(ModelInfo {
-        key,
-        fitted,
-        n_drugs,
-        n_features,
+        key: take_model_key(r)?,
+        fitted: r.take_bool("model.fitted")?,
+        n_drugs: r.take_usize("model.n_drugs")?,
+        n_features: take_opt(r, "model.n_features.present", |r| {
+            r.take_usize("model.n_features")
+        })?,
         registry_digest: r.take_u64("model.registry_digest")?,
         backbone: r.take_str("model.backbone")?,
         kb_version: r.take_u64("model.kb_version")?,
@@ -949,11 +888,10 @@ fn take_model_info(r: &mut ByteReader<'_>) -> Result<ModelInfo, SerdeError> {
 fn put_model_stats(w: &mut ByteWriter, stats: &ModelStats) {
     w.put_u64(stats.requests);
     w.put_u64(stats.errors);
-    w.put_usize(stats.errors_by_code.len());
-    for &(code, count) in &stats.errors_by_code {
-        w.put_u8(code.to_u8());
+    put_seq(w, &stats.errors_by_code, |w, &(code, count)| {
+        w.put_u8(code as u8);
         w.put_u64(count);
-    }
+    });
     w.put_u64(stats.cache_hits);
     w.put_u64(stats.cache_misses);
     w.put_f64(stats.p50_ms);
@@ -970,13 +908,10 @@ fn put_model_stats(w: &mut ByteWriter, stats: &ModelStats) {
 fn take_model_stats(r: &mut ByteReader<'_>) -> Result<ModelStats, SerdeError> {
     let requests = r.take_u64("stats.requests")?;
     let errors = r.take_u64("stats.errors")?;
-    let n_codes = r.take_usize("stats.errors_by_code.len")?;
-    let mut errors_by_code = Vec::new();
-    for _ in 0..n_codes {
-        let code = ErrorCode::from_u8(r.take_u8("stats.error_code")?)?;
-        let count = r.take_u64("stats.error_count")?;
-        errors_by_code.push((code, count));
-    }
+    let errors_by_code = take_seq(r, "stats.errors_by_code.len", |r| {
+        let code = take_enum(r, "stats.error_code", "error code", ErrorCode::from_u8)?;
+        Ok((code, r.take_u64("stats.error_count")?))
+    })?;
     Ok(ModelStats {
         requests,
         errors,
@@ -1037,25 +972,21 @@ fn take_gateway_stats(r: &mut ByteReader<'_>) -> Result<GatewayStats, SerdeError
 }
 
 fn put_key_versions(w: &mut ByteWriter, versions: &[KeyVersions]) {
-    w.put_usize(versions.len());
-    for entry in versions {
+    put_seq(w, versions, |w, entry| {
         put_model_key(w, &entry.key);
         w.put_u64(entry.model_version);
         w.put_u64(entry.kb_version);
-    }
+    });
 }
 
 fn take_key_versions(r: &mut ByteReader<'_>) -> Result<Vec<KeyVersions>, SerdeError> {
-    let len = r.take_usize("versions.len")?;
-    let mut versions = Vec::new();
-    for _ in 0..len {
-        versions.push(KeyVersions {
+    take_seq(r, "versions.len", |r| {
+        Ok(KeyVersions {
             key: take_model_key(r)?,
             model_version: r.take_u64("versions.model_version")?,
             kb_version: r.take_u64("versions.kb_version")?,
-        });
-    }
-    Ok(versions)
+        })
+    })
 }
 
 fn put_replica_stats(w: &mut ByteWriter, replica: &ReplicaStats) {
@@ -1079,36 +1010,6 @@ fn take_replica_stats(r: &mut ByteReader<'_>) -> Result<ReplicaStats, SerdeError
 // ---------------------------------------------------------------------------
 // Message codecs.
 // ---------------------------------------------------------------------------
-
-const TAG_SUGGEST: u8 = 1;
-const TAG_SUGGEST_BATCH: u8 = 2;
-const TAG_CHECK_PRESCRIPTION: u8 = 3;
-const TAG_LIST_MODELS: u8 = 4;
-const TAG_STATS: u8 = 5;
-const TAG_SHUTDOWN: u8 = 6;
-const TAG_SHUTTING_DOWN: u8 = 7;
-// Knowledge-base and hot-reload messages, added after protocol version 1
-// shipped: new tags extend the tag space without renumbering the existing
-// messages. (Several existing bodies also grew appended fields — see the
-// module docs for the compatibility caveat.)
-const TAG_RELOAD_MODEL: u8 = 8;
-const TAG_RELOAD_KB: u8 = 9;
-const TAG_KB_INFO: u8 = 10;
-const TAG_MODEL_RELOADED: u8 = 8;
-const TAG_KB_RELOADED: u8 = 9;
-const TAG_KB_INFO_RESPONSE: u8 = 10;
-// Resilience messages: the control-plane liveness check (request and
-// response share tag 11, like every paired message above).
-const TAG_PING: u8 = 11;
-const TAG_PONG: u8 = 11;
-// Replication messages: the peer-to-peer version-vector exchange and the
-// artifact pull (request and response share a tag, like Ping/Pong).
-const TAG_PEER_STATUS: u8 = 12;
-const TAG_PEER_SYNC: u8 = 13;
-// Observability: the slow-request exemplar dump (request and response
-// share tag 14, like every paired message above).
-const TAG_TRACE_DUMP: u8 = 14;
-const TAG_ERROR: u8 = 0;
 
 /// A borrowed view of a [`Request`], so callers holding the pieces (a key,
 /// a slice of requests) can encode a frame without cloning them into an
@@ -1242,203 +1143,193 @@ impl Request {
     }
 }
 
-/// Encodes a borrowed request view into a complete, sealed wire frame.
-pub fn encode_request_ref(request: RequestRef<'_>) -> Vec<u8> {
+/// Starts a frame payload. A traced frame's payload opens with the
+/// extension block carrying `trace`; the returned version is the one the
+/// frame seals under.
+fn start_payload(trace: Option<u64>) -> (ByteWriter, u16) {
     let mut w = ByteWriter::new();
-    match request {
-        RequestRef::Suggest { model, request } => {
-            w.put_u8(TAG_SUGGEST);
-            put_model_key(&mut w, model);
-            put_suggest_request(&mut w, request);
+    match trace {
+        None => (w, WIRE_VERSION),
+        Some(id) => {
+            w.put_u8(1); // extension count
+            w.put_u8(EXT_TRACE_ID);
+            w.put_u8(8); // extension value length
+            w.put_u64(id);
+            (w, WIRE_VERSION_TRACED)
         }
-        RequestRef::SuggestBatch { model, requests } => {
-            w.put_u8(TAG_SUGGEST_BATCH);
-            put_model_key(&mut w, model);
-            w.put_usize(requests.len());
-            for request in requests {
-                put_suggest_request(&mut w, request);
-            }
-        }
-        RequestRef::CheckPrescription { model, request } => {
-            w.put_u8(TAG_CHECK_PRESCRIPTION);
-            put_model_key(&mut w, model);
-            put_check_request(&mut w, request);
-        }
-        RequestRef::ReloadModel { model, container } => {
-            w.put_u8(TAG_RELOAD_MODEL);
-            put_model_key(&mut w, model);
-            w.put_u8_slice(container);
-        }
-        RequestRef::ReloadKb { model, container } => {
-            w.put_u8(TAG_RELOAD_KB);
-            put_model_key(&mut w, model);
-            w.put_u8_slice(container);
-        }
-        RequestRef::KbInfo { model } => {
-            w.put_u8(TAG_KB_INFO);
-            put_model_key(&mut w, model);
-        }
-        RequestRef::ListModels => w.put_u8(TAG_LIST_MODELS),
-        RequestRef::Stats => w.put_u8(TAG_STATS),
-        RequestRef::Ping => w.put_u8(TAG_PING),
-        RequestRef::PeerStatus { versions } => {
-            w.put_u8(TAG_PEER_STATUS);
-            put_key_versions(&mut w, versions);
-        }
-        RequestRef::PeerSync { model, artifact } => {
-            w.put_u8(TAG_PEER_SYNC);
-            put_model_key(&mut w, model);
-            w.put_u8(artifact.to_u8());
-        }
-        RequestRef::TraceDump { limit } => {
-            w.put_u8(TAG_TRACE_DUMP);
-            w.put_u64(limit);
-        }
-        RequestRef::Shutdown => w.put_u8(TAG_SHUTDOWN),
     }
-    seal_frame(WIRE_MAGIC, WIRE_VERSION, w.as_bytes())
 }
 
-/// [`encode_request_ref`] with an optional trace ID. `None` produces the
-/// version-1 frame unchanged (bit-identical to [`encode_request_ref`], so
-/// untraced clients interoperate with old peers); `Some` re-seals the same
-/// payload as a version-2 frame whose extension block carries the ID.
-pub fn encode_request_ref_traced(request: RequestRef<'_>, trace: Option<u64>) -> Vec<u8> {
-    let frame = encode_request_ref(request);
-    match trace {
-        None => frame,
-        Some(id) => reseal_traced(&frame, id),
+/// Rejects bytes left over after a message body.
+fn expect_end(r: &ByteReader<'_>, message: &str) -> Result<(), SerdeError> {
+    if r.is_exhausted() {
+        Ok(())
+    } else {
+        Err(SerdeError::Corrupt {
+            what: format!("{} trailing bytes after the {message} body", r.remaining()),
+        })
     }
 }
 
 /// Encodes a request into a complete, sealed wire frame.
 pub fn encode_request(request: &Request) -> Vec<u8> {
-    encode_request_ref(request.as_request_ref())
+    encode_request_ref_traced(request.as_request_ref(), None)
+}
+
+/// Encodes a borrowed request view into a complete, sealed wire frame,
+/// traced when `trace` is set. `None` produces the version-1 frame
+/// [`encode_request`] does, so untraced clients interoperate with old peers.
+pub fn encode_request_ref_traced(request: RequestRef<'_>, trace: Option<u64>) -> Vec<u8> {
+    let (mut w, version) = start_payload(trace);
+    match request {
+        RequestRef::Suggest { model, request } => {
+            w.put_u8(RequestTag::Suggest as u8);
+            put_model_key(&mut w, model);
+            put_suggest_request(&mut w, request);
+        }
+        RequestRef::SuggestBatch { model, requests } => {
+            w.put_u8(RequestTag::SuggestBatch as u8);
+            put_model_key(&mut w, model);
+            put_seq(&mut w, requests, put_suggest_request);
+        }
+        RequestRef::CheckPrescription { model, request } => {
+            w.put_u8(RequestTag::CheckPrescription as u8);
+            put_model_key(&mut w, model);
+            put_check_request(&mut w, request);
+        }
+        RequestRef::ReloadModel { model, container } => {
+            w.put_u8(RequestTag::ReloadModel as u8);
+            put_model_key(&mut w, model);
+            w.put_u8_slice(container);
+        }
+        RequestRef::ReloadKb { model, container } => {
+            w.put_u8(RequestTag::ReloadKb as u8);
+            put_model_key(&mut w, model);
+            w.put_u8_slice(container);
+        }
+        RequestRef::KbInfo { model } => {
+            w.put_u8(RequestTag::KbInfo as u8);
+            put_model_key(&mut w, model);
+        }
+        RequestRef::ListModels => w.put_u8(RequestTag::ListModels as u8),
+        RequestRef::Stats => w.put_u8(RequestTag::Stats as u8),
+        RequestRef::Ping => w.put_u8(RequestTag::Ping as u8),
+        RequestRef::PeerStatus { versions } => {
+            w.put_u8(RequestTag::PeerStatus as u8);
+            put_key_versions(&mut w, versions);
+        }
+        RequestRef::PeerSync { model, artifact } => {
+            w.put_u8(RequestTag::PeerSync as u8);
+            put_model_key(&mut w, model);
+            w.put_u8(artifact as u8);
+        }
+        RequestRef::TraceDump { limit } => {
+            w.put_u8(RequestTag::TraceDump as u8);
+            w.put_u64(limit);
+        }
+        RequestRef::Shutdown => w.put_u8(RequestTag::Shutdown as u8),
+    }
+    seal_frame(WIRE_MAGIC, version, w.as_bytes())
 }
 
 /// Decodes a request from a validated frame payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request, SerdeError> {
     let mut r = ByteReader::new(payload);
-    let request = match r.take_u8("request.tag")? {
-        TAG_SUGGEST => Request::Suggest {
+    let request = match take_enum(&mut r, "request.tag", "request tag", RequestTag::from_u8)? {
+        RequestTag::Suggest => Request::Suggest {
             model: take_model_key(&mut r)?,
             request: take_suggest_request(&mut r)?,
         },
-        TAG_SUGGEST_BATCH => {
-            let model = take_model_key(&mut r)?;
-            let len = r.take_usize("batch.len")?;
-            let mut requests = Vec::new();
-            for _ in 0..len {
-                requests.push(take_suggest_request(&mut r)?);
-            }
-            Request::SuggestBatch { model, requests }
-        }
-        TAG_CHECK_PRESCRIPTION => Request::CheckPrescription {
+        RequestTag::SuggestBatch => Request::SuggestBatch {
+            model: take_model_key(&mut r)?,
+            requests: take_seq(&mut r, "batch.len", take_suggest_request)?,
+        },
+        RequestTag::CheckPrescription => Request::CheckPrescription {
             model: take_model_key(&mut r)?,
             request: take_check_request(&mut r)?,
         },
-        TAG_RELOAD_MODEL => Request::ReloadModel {
+        RequestTag::ReloadModel => Request::ReloadModel {
             model: take_model_key(&mut r)?,
             container: r.take_u8_vec("reload.container")?,
         },
-        TAG_RELOAD_KB => Request::ReloadKb {
+        RequestTag::ReloadKb => Request::ReloadKb {
             model: take_model_key(&mut r)?,
             container: r.take_u8_vec("reload.container")?,
         },
-        TAG_KB_INFO => Request::KbInfo {
+        RequestTag::KbInfo => Request::KbInfo {
             model: take_model_key(&mut r)?,
         },
-        TAG_LIST_MODELS => Request::ListModels,
-        TAG_STATS => Request::Stats,
-        TAG_PING => Request::Ping,
-        TAG_PEER_STATUS => Request::PeerStatus {
+        RequestTag::ListModels => Request::ListModels,
+        RequestTag::Stats => Request::Stats,
+        RequestTag::Ping => Request::Ping,
+        RequestTag::PeerStatus => Request::PeerStatus {
             versions: take_key_versions(&mut r)?,
         },
-        TAG_PEER_SYNC => Request::PeerSync {
+        RequestTag::PeerSync => Request::PeerSync {
             model: take_model_key(&mut r)?,
-            artifact: SyncArtifact::from_u8(r.take_u8("sync.artifact")?)?,
+            artifact: take_sync_artifact(&mut r)?,
         },
-        TAG_TRACE_DUMP => Request::TraceDump {
+        RequestTag::TraceDump => Request::TraceDump {
             limit: r.take_u64("trace.limit")?,
         },
-        TAG_SHUTDOWN => Request::Shutdown,
-        other => {
-            return Err(SerdeError::Corrupt {
-                what: format!("unknown request tag {other}"),
-            })
-        }
+        RequestTag::Shutdown => Request::Shutdown,
     };
-    if !r.is_exhausted() {
-        return Err(SerdeError::Corrupt {
-            what: format!("{} trailing bytes after the request body", r.remaining()),
-        });
-    }
+    expect_end(&r, "request")?;
     Ok(request)
 }
 
 /// Encodes a response into a complete, sealed wire frame.
 pub fn encode_response(response: &Response) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    encode_response_traced(response, None)
+}
+
+/// [`encode_response`], traced when `trace` is set, mirroring
+/// [`encode_request_ref_traced`].
+pub fn encode_response_traced(response: &Response, trace: Option<u64>) -> Vec<u8> {
+    let (mut w, version) = start_payload(trace);
     match response {
         Response::Suggest(response) => {
-            w.put_u8(TAG_SUGGEST);
+            w.put_u8(ResponseTag::Suggest as u8);
             put_suggest_response(&mut w, response);
         }
         Response::SuggestBatch(responses) => {
-            w.put_u8(TAG_SUGGEST_BATCH);
-            w.put_usize(responses.len());
-            for response in responses {
-                put_suggest_response(&mut w, response);
-            }
+            w.put_u8(ResponseTag::SuggestBatch as u8);
+            put_seq(&mut w, responses, put_suggest_response);
         }
         Response::CheckPrescription(report) => {
-            w.put_u8(TAG_CHECK_PRESCRIPTION);
+            w.put_u8(ResponseTag::CheckPrescription as u8);
             put_report(&mut w, report);
         }
         Response::ListModels(models) => {
-            w.put_u8(TAG_LIST_MODELS);
-            w.put_usize(models.len());
-            for info in models {
-                put_model_info(&mut w, info);
-            }
+            w.put_u8(ResponseTag::ListModels as u8);
+            put_seq(&mut w, models, put_model_info);
         }
         Response::Stats(report) => {
-            w.put_u8(TAG_STATS);
-            w.put_usize(report.models.len());
-            for (key, stats) in &report.models {
-                put_model_key(&mut w, key);
-                put_model_stats(&mut w, stats);
-            }
-            // Gateway transport counters, appended after the per-model
-            // entries when the resilience work landed (same single-build
-            // compatibility caveat as every other grown body).
+            w.put_u8(ResponseTag::Stats as u8);
+            put_seq(&mut w, &report.models, |w, (key, stats)| {
+                put_model_key(w, key);
+                put_model_stats(w, stats);
+            });
             put_gateway_stats(&mut w, &report.gateway);
-            // Replica section, appended behind a presence flag when the
-            // replication work landed: absent on gateways that run without
-            // a replica agent.
-            match &report.replica {
-                Some(replica) => {
-                    w.put_bool(true);
-                    put_replica_stats(&mut w, replica);
-                }
-                None => w.put_bool(false),
-            }
+            // The replica section is absent on gateways that run without a
+            // replica agent.
+            put_opt(&mut w, report.replica.as_ref(), put_replica_stats);
         }
         Response::ModelReloaded(info) => {
-            w.put_u8(TAG_MODEL_RELOADED);
+            w.put_u8(ResponseTag::ModelReloaded as u8);
             put_model_info(&mut w, info);
         }
         Response::KbReloaded(info) => {
-            w.put_u8(TAG_KB_RELOADED);
+            w.put_u8(ResponseTag::KbReloaded as u8);
             put_kb_info(&mut w, info);
         }
         Response::KbInfo(info) => {
-            w.put_u8(TAG_KB_INFO_RESPONSE);
+            w.put_u8(ResponseTag::KbInfo as u8);
             put_kb_info(&mut w, info);
         }
-        Response::Pong => w.put_u8(TAG_PONG),
+        Response::Pong => w.put_u8(ResponseTag::Pong as u8),
         Response::PeerStatus { versions } => {
-            w.put_u8(TAG_PEER_STATUS);
+            w.put_u8(ResponseTag::PeerStatus as u8);
             put_key_versions(&mut w, versions);
         }
         Response::PeerSync {
@@ -1447,178 +1338,111 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             version,
             container,
         } => {
-            w.put_u8(TAG_PEER_SYNC);
+            w.put_u8(ResponseTag::PeerSync as u8);
             put_model_key(&mut w, model);
-            w.put_u8(artifact.to_u8());
+            w.put_u8(*artifact as u8);
             w.put_u64(*version);
             w.put_u8_slice(container);
         }
         Response::TraceDump(exemplars) => {
-            w.put_u8(TAG_TRACE_DUMP);
-            w.put_usize(exemplars.len());
-            for exemplar in exemplars {
-                put_trace_exemplar(&mut w, exemplar);
-            }
+            w.put_u8(ResponseTag::TraceDump as u8);
+            put_seq(&mut w, exemplars, put_trace_exemplar);
         }
-        Response::ShuttingDown => w.put_u8(TAG_SHUTTING_DOWN),
+        Response::ShuttingDown => w.put_u8(ResponseTag::ShuttingDown as u8),
         Response::Error { code, message } => {
-            w.put_u8(TAG_ERROR);
-            w.put_u8(code.to_u8());
+            w.put_u8(ResponseTag::Error as u8);
+            w.put_u8(*code as u8);
             w.put_str(message);
         }
     }
-    seal_frame(WIRE_MAGIC, WIRE_VERSION, w.as_bytes())
-}
-
-/// [`encode_response`] with an optional trace ID, mirroring
-/// [`encode_request_ref_traced`]: `None` is the version-1 frame unchanged,
-/// `Some` re-seals as a version-2 traced frame.
-pub fn encode_response_traced(response: &Response, trace: Option<u64>) -> Vec<u8> {
-    let frame = encode_response(response);
-    match trace {
-        None => frame,
-        Some(id) => reseal_traced(&frame, id),
-    }
-}
-
-/// Re-seals a version-1 frame produced in this module as a version-2
-/// traced frame: the same tagged payload, prefixed with an extension block
-/// carrying `trace_id`.
-fn reseal_traced(frame: &[u8], trace_id: u64) -> Vec<u8> {
-    // The frame was just sealed by `seal_frame`, so the payload sits
-    // between the fixed header and the 4-byte CRC trailer.
-    let payload = frame
-        .get(FRAME_HEADER_LEN..frame.len().saturating_sub(4))
-        .unwrap_or(&[]);
-    let mut traced = Vec::with_capacity(payload.len() + 11);
-    traced.push(1); // extension count
-    traced.push(EXT_TRACE_ID);
-    traced.push(8); // extension value length
-    traced.extend_from_slice(&trace_id.to_le_bytes());
-    traced.extend_from_slice(payload);
-    seal_frame(WIRE_MAGIC, WIRE_VERSION_TRACED, &traced)
-}
-
-/// Splits a version-2 payload into its trace ID (if the block carries one)
-/// and the tagged message that follows. Unknown extension types — and
-/// known types with unexpected lengths — are skipped, so the block can
-/// grow without another version bump.
-fn strip_extensions(payload: &[u8]) -> Result<(Option<u64>, &[u8]), SerdeError> {
-    fn take_byte(payload: &[u8], pos: &mut usize) -> Result<u8, SerdeError> {
-        let byte = payload.get(*pos).copied().ok_or(SerdeError::Truncated {
-            what: "frame extension block",
-        })?;
-        *pos += 1;
-        Ok(byte)
-    }
-    let mut pos = 0usize;
-    let count = take_byte(payload, &mut pos)?;
-    let mut trace = None;
-    for _ in 0..count {
-        let ext_type = take_byte(payload, &mut pos)?;
-        let len = take_byte(payload, &mut pos)? as usize;
-        let end = pos.checked_add(len).ok_or(SerdeError::Truncated {
-            what: "frame extension value",
-        })?;
-        let value = payload.get(pos..end).ok_or(SerdeError::Truncated {
-            what: "frame extension value",
-        })?;
-        pos = end;
-        if ext_type == EXT_TRACE_ID && len == 8 {
-            let mut bytes = [0u8; 8];
-            bytes.copy_from_slice(value);
-            let id = u64::from_le_bytes(bytes);
-            if id != 0 {
-                trace = Some(id);
-            }
-        }
-    }
-    let rest = payload.get(pos..).ok_or(SerdeError::Truncated {
-        what: "frame extension block",
-    })?;
-    Ok((trace, rest))
+    seal_frame(WIRE_MAGIC, version, w.as_bytes())
 }
 
 /// Decodes a response from a validated frame payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, SerdeError> {
     let mut r = ByteReader::new(payload);
-    let response = match r.take_u8("response.tag")? {
-        TAG_SUGGEST => Response::Suggest(take_suggest_response(&mut r)?),
-        TAG_SUGGEST_BATCH => {
-            let len = r.take_usize("batch.len")?;
-            let mut responses = Vec::new();
-            for _ in 0..len {
-                responses.push(take_suggest_response(&mut r)?);
-            }
-            Response::SuggestBatch(responses)
+    let response = match take_enum(&mut r, "response.tag", "response tag", ResponseTag::from_u8)? {
+        ResponseTag::Suggest => Response::Suggest(take_suggest_response(&mut r)?),
+        ResponseTag::SuggestBatch => {
+            Response::SuggestBatch(take_seq(&mut r, "batch.len", take_suggest_response)?)
         }
-        TAG_CHECK_PRESCRIPTION => Response::CheckPrescription(take_report(&mut r)?),
-        TAG_LIST_MODELS => {
-            let len = r.take_usize("models.len")?;
-            let mut models = Vec::new();
-            for _ in 0..len {
-                models.push(take_model_info(&mut r)?);
-            }
-            Response::ListModels(models)
+        ResponseTag::CheckPrescription => Response::CheckPrescription(take_report(&mut r)?),
+        ResponseTag::ListModels => {
+            Response::ListModels(take_seq(&mut r, "models.len", take_model_info)?)
         }
-        TAG_STATS => {
-            let len = r.take_usize("stats.len")?;
-            let mut models = Vec::new();
-            for _ in 0..len {
-                let key = take_model_key(&mut r)?;
-                let stats = take_model_stats(&mut r)?;
-                models.push((key, stats));
-            }
+        ResponseTag::Stats => {
+            let models = take_seq(&mut r, "stats.len", |r| {
+                Ok((take_model_key(r)?, take_model_stats(r)?))
+            })?;
             let gateway = take_gateway_stats(&mut r)?;
-            let replica = if r.take_bool("stats.replica.present")? {
-                Some(take_replica_stats(&mut r)?)
-            } else {
-                None
-            };
+            let replica = take_opt(&mut r, "stats.replica.present", take_replica_stats)?;
             Response::Stats(StatsReport {
                 models,
                 gateway,
                 replica,
             })
         }
-        TAG_MODEL_RELOADED => Response::ModelReloaded(take_model_info(&mut r)?),
-        TAG_KB_RELOADED => Response::KbReloaded(take_kb_info(&mut r)?),
-        TAG_KB_INFO_RESPONSE => Response::KbInfo(take_kb_info(&mut r)?),
-        TAG_PONG => Response::Pong,
-        TAG_PEER_STATUS => Response::PeerStatus {
+        ResponseTag::ModelReloaded => Response::ModelReloaded(take_model_info(&mut r)?),
+        ResponseTag::KbReloaded => Response::KbReloaded(take_kb_info(&mut r)?),
+        ResponseTag::KbInfo => Response::KbInfo(take_kb_info(&mut r)?),
+        ResponseTag::Pong => Response::Pong,
+        ResponseTag::PeerStatus => Response::PeerStatus {
             versions: take_key_versions(&mut r)?,
         },
-        TAG_PEER_SYNC => Response::PeerSync {
+        ResponseTag::PeerSync => Response::PeerSync {
             model: take_model_key(&mut r)?,
-            artifact: SyncArtifact::from_u8(r.take_u8("sync.artifact")?)?,
+            artifact: take_sync_artifact(&mut r)?,
             version: r.take_u64("sync.version")?,
             container: r.take_u8_vec("sync.container")?,
         },
-        TAG_TRACE_DUMP => {
-            let len = r.take_usize("trace.len")?;
-            let mut exemplars = Vec::new();
-            for _ in 0..len {
-                exemplars.push(take_trace_exemplar(&mut r)?);
-            }
-            Response::TraceDump(exemplars)
+        ResponseTag::TraceDump => {
+            Response::TraceDump(take_seq(&mut r, "trace.len", take_trace_exemplar)?)
         }
-        TAG_SHUTTING_DOWN => Response::ShuttingDown,
-        TAG_ERROR => Response::Error {
-            code: ErrorCode::from_u8(r.take_u8("error.code")?)?,
+        ResponseTag::ShuttingDown => Response::ShuttingDown,
+        ResponseTag::Error => Response::Error {
+            code: take_enum(&mut r, "error.code", "error code", ErrorCode::from_u8)?,
             message: r.take_str("error.message")?,
         },
-        other => {
-            return Err(SerdeError::Corrupt {
-                what: format!("unknown response tag {other}"),
-            })
-        }
     };
-    if !r.is_exhausted() {
-        return Err(SerdeError::Corrupt {
-            what: format!("{} trailing bytes after the response body", r.remaining()),
+    expect_end(&r, "response")?;
+    Ok(response)
+}
+
+/// Splits a traced payload into its trace ID (if the block carries one)
+/// and the tagged message that follows. Unknown extension types — and
+/// known types with unexpected lengths — are skipped, so the block can
+/// grow without another version bump.
+fn strip_extensions(payload: &[u8]) -> Result<(Option<u64>, &[u8]), SerdeError> {
+    let mut r = ByteReader::new(payload);
+    let mut trace = None;
+    for _ in 0..r.take_u8("frame extension block")? {
+        let ext_type = r.take_u8("frame extension block")?;
+        let len = r.take_u8("frame extension block")?;
+        if ext_type == EXT_TRACE_ID && len == 8 {
+            let id = r.take_u64("frame extension value")?;
+            if id != 0 {
+                trace = Some(id);
+            }
+        } else {
+            for _ in 0..len {
+                r.take_u8("frame extension value")?;
+            }
+        }
+    }
+    let consumed = payload.len() - r.remaining();
+    Ok((trace, payload.get(consumed..).unwrap_or_default()))
+}
+
+/// Checks a frame header and returns its declared payload length.
+fn declared_payload_len(header: &[u8]) -> Result<usize, WireError> {
+    let (_, declared) = parse_frame_header_versions(WIRE_MAGIC, &WIRE_SUPPORTED_VERSIONS, header)?;
+    if declared > MAX_FRAME_PAYLOAD {
+        return Err(WireError::Oversized {
+            declared,
+            max: MAX_FRAME_PAYLOAD,
         });
     }
-    Ok(response)
+    Ok(declared)
 }
 
 /// Validates a complete frame (as produced by [`encode_request`] /
@@ -1629,16 +1453,10 @@ pub fn open_wire_frame(frame: &[u8]) -> Result<&[u8], WireError> {
     open_wire_frame_traced(frame).map(|(_, payload)| payload)
 }
 
-/// [`open_wire_frame`] keeping the trace ID a version-2 frame carries
-/// (`None` for version-1 frames and traced frames without a trace ID).
+/// [`open_wire_frame`] keeping the trace ID a traced frame carries (`None`
+/// for untraced frames and traced frames without a trace ID).
 pub fn open_wire_frame_traced(frame: &[u8]) -> Result<(Option<u64>, &[u8]), WireError> {
-    let (_, declared) = parse_frame_header_versions(WIRE_MAGIC, &WIRE_SUPPORTED_VERSIONS, frame)?;
-    if declared > MAX_FRAME_PAYLOAD {
-        return Err(WireError::Oversized {
-            declared,
-            max: MAX_FRAME_PAYLOAD,
-        });
-    }
+    declared_payload_len(frame)?;
     let (version, payload) = open_frame_versions(WIRE_MAGIC, &WIRE_SUPPORTED_VERSIONS, frame)?;
     if version == WIRE_VERSION_TRACED {
         Ok(strip_extensions(payload)?)
@@ -1657,175 +1475,91 @@ pub fn write_frame(stream: &mut impl Write, frame: &[u8]) -> Result<(), WireErro
     })
 }
 
-/// Reads one frame from a stream and returns its validated payload.
+/// Reads one frame from a stream and returns its trace ID (`None` for an
+/// untraced frame) and its validated tagged message.
 ///
 /// A clean end-of-stream *between* frames is [`WireError::ConnectionClosed`];
 /// end-of-stream *inside* a frame is a truncation error. The declared
 /// payload length is checked against [`MAX_FRAME_PAYLOAD`] before any
-/// allocation. The first read-timeout expiry mid-frame is a typed
-/// [`WireError::Timeout`] — the semantics a client wants, where the armed
-/// timeout *is* the response deadline; servers reading multi-megabyte
-/// reload frames over short idle-poll timeouts pass a larger stall budget
-/// via [`read_frame_with_stall_budget`].
-pub fn read_frame(stream: &mut impl Read) -> Result<Vec<u8>, WireError> {
-    read_frame_with_stall_budget(stream, 1)
-}
-
-/// [`read_frame`] tolerating up to `max_stalls` *consecutive* read-timeout
-/// expiries while a frame is mid-flight (the counter resets whenever bytes
-/// arrive). A timeout before the first frame byte is always
-/// [`WireError::IdleTimeout`] and never counts: idle polling stays cheap.
+/// allocation.
 ///
-/// This exists for servers whose read timeout doubles as a shutdown-poll
-/// interval: a 250 ms poll must not sever a peer mid-way through a
-/// multi-megabyte `ReloadModel` upload just because TCP stalled for one
-/// round of retransmission. `max_stalls` is clamped to at least 1.
+/// Read timeouts are interpreted against the stream's armed read timeout.
+/// One that fires before the first frame byte is [`WireError::IdleTimeout`]:
+/// the connection is idle, and servers use it to poll their shutdown flag.
+/// Mid-frame, up to `max_stalls` *consecutive* expiries are tolerated (the
+/// count resets whenever bytes arrive; clamped to at least 1) before a
+/// typed [`WireError::Timeout`]. A client passes 1, so its armed timeout is
+/// the response deadline; a server polling its shutdown flag every 250 ms
+/// passes more, so one TCP retransmission stall does not sever a
+/// multi-megabyte reload upload.
 ///
-/// The consecutive-stall budget alone cannot stop a slow-loris peer that
-/// trickles one byte per poll interval — every arrival resets the counter,
-/// so the frame never completes and the reader never times out. Servers
-/// therefore layer a wall-clock per-frame deadline on top via
-/// [`read_frame_with_limits`].
-pub fn read_frame_with_stall_budget(
+/// Because every arriving byte resets the stall count, a slow-loris peer
+/// trickling a byte per poll would never time out. `frame_deadline` bounds
+/// the whole frame instead: the clock starts at its first byte, and a frame
+/// still incomplete when it passes fails with [`WireError::Timeout`].
+pub fn read_frame(
     stream: &mut impl Read,
     max_stalls: u32,
-) -> Result<Vec<u8>, WireError> {
-    read_frame_with_limits(stream, max_stalls, None)
-}
-
-/// [`read_frame_with_stall_budget`] plus an optional wall-clock *per-frame
-/// deadline*: the clock starts when the first header byte arrives, and a
-/// frame still incomplete when the deadline passes fails with a typed
-/// [`WireError::Timeout`] — even if bytes are still trickling in. This is
-/// the slow-loris defense: progress that never finishes a frame is not
-/// progress. Idle waits before the first byte are unaffected and still
-/// surface as [`WireError::IdleTimeout`].
-pub fn read_frame_with_limits(
-    stream: &mut impl Read,
-    max_stalls: u32,
-    frame_deadline: Option<std::time::Duration>,
-) -> Result<Vec<u8>, WireError> {
-    read_frame_traced(stream, max_stalls, frame_deadline).map(|(_, payload)| payload)
-}
-
-/// [`read_frame_with_limits`] keeping the trace ID a version-2 frame
-/// carries (`None` for version-1 frames). This is the server's read path:
-/// the gateway threads the trace ID into the request's span breakdown.
-pub fn read_frame_traced(
-    stream: &mut impl Read,
-    max_stalls: u32,
-    frame_deadline: Option<std::time::Duration>,
+    frame_deadline: Option<Duration>,
 ) -> Result<(Option<u64>, Vec<u8>), WireError> {
     let max_stalls = max_stalls.max(1);
     let mut stalls = 0u32;
-    let mut deadline: Option<std::time::Instant> = None;
-    let check_deadline = |deadline: &Option<std::time::Instant>| -> Result<(), WireError> {
-        match deadline {
-            Some(at) if std::time::Instant::now() >= *at => Err(WireError::Timeout),
-            _ => Ok(()),
-        }
-    };
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    let mut filled = 0usize;
-    while filled < header.len() {
-        match stream.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Err(WireError::ConnectionClosed),
-            Ok(0) => {
-                return Err(WireError::Decode(SerdeError::Truncated {
-                    what: "frame header",
-                }))
-            }
-            Ok(n) => {
-                if filled == 0 {
-                    deadline = frame_deadline.map(|d| std::time::Instant::now() + d);
-                }
-                filled += n;
-                stalls = 0;
-                if filled < header.len() {
-                    check_deadline(&deadline)?;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            // A read timeout before the first frame byte means the
-            // connection is merely idle (WouldBlock on Unix SO_RCVTIMEO,
-            // TimedOut on Windows); a timeout mid-frame means the peer
-            // stalled, tolerated up to the stall budget.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if filled == 0 {
-                    return Err(WireError::IdleTimeout);
-                }
-                check_deadline(&deadline)?;
-                stalls += 1;
-                if stalls >= max_stalls {
-                    return Err(WireError::Timeout);
-                }
-            }
-            Err(e) => {
-                return Err(WireError::Io {
-                    what: format!("reading frame header: {e}"),
-                })
-            }
-        }
-    }
-    let (_, declared) = parse_frame_header_versions(WIRE_MAGIC, &WIRE_SUPPORTED_VERSIONS, &header)?;
-    if declared > MAX_FRAME_PAYLOAD {
-        return Err(WireError::Oversized {
-            declared,
-            max: MAX_FRAME_PAYLOAD,
-        });
-    }
-    // Reassemble the full frame so validation (length + CRC) is exactly the
-    // container code path.
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + declared + 4);
-    frame.extend_from_slice(&header);
-    frame.resize(FRAME_HEADER_LEN + declared + 4, 0);
-    let mut pos = FRAME_HEADER_LEN;
+    let mut deadline = None;
+    let overdue =
+        |deadline: Option<Instant>| deadline.is_some_and(|at: Instant| Instant::now() >= at);
+    // The buffer holds the header until it is complete, then grows to the
+    // whole frame, so validation (length + CRC) is the container code path.
+    let mut frame = vec![0u8; FRAME_HEADER_LEN];
+    let mut pos = 0usize;
     while pos < frame.len() {
-        match stream.read(&mut frame[pos..]) {
-            Ok(0) => {
-                return Err(WireError::Decode(SerdeError::Truncated {
-                    what: "frame payload",
-                }))
-            }
+        let part = if pos < FRAME_HEADER_LEN {
+            "frame header"
+        } else {
+            "frame payload"
+        };
+        match stream.read(frame.get_mut(pos..).unwrap_or_default()) {
+            Ok(0) if pos == 0 => return Err(WireError::ConnectionClosed),
+            Ok(0) => return Err(WireError::Decode(SerdeError::Truncated { what: part })),
             Ok(n) => {
+                if pos == 0 {
+                    deadline = frame_deadline.map(|d| Instant::now() + d);
+                }
                 pos += n;
                 stalls = 0;
-                if pos < frame.len() {
-                    check_deadline(&deadline)?;
+                if pos == FRAME_HEADER_LEN {
+                    let declared = declared_payload_len(&frame)?;
+                    frame.resize(FRAME_HEADER_LEN + declared + 4, 0);
+                }
+                if pos < frame.len() && overdue(deadline) {
+                    return Err(WireError::Timeout);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            // A read timeout surfaces as WouldBlock on Unix (SO_RCVTIMEO)
+            // and TimedOut on Windows.
             Err(e)
                 if matches!(
                     e.kind(),
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                check_deadline(&deadline)?;
+                if pos == 0 {
+                    return Err(WireError::IdleTimeout);
+                }
                 stalls += 1;
-                if stalls >= max_stalls {
+                if overdue(deadline) || stalls >= max_stalls {
                     return Err(WireError::Timeout);
                 }
             }
             Err(e) => {
                 return Err(WireError::Io {
-                    what: format!("reading frame payload: {e}"),
+                    what: format!("reading {part}: {e}"),
                 })
             }
         }
     }
-    let (version, payload) = open_frame_versions(WIRE_MAGIC, &WIRE_SUPPORTED_VERSIONS, &frame)?;
-    if version == WIRE_VERSION_TRACED {
-        let (trace, rest) = strip_extensions(payload)?;
-        Ok((trace, rest.to_vec()))
-    } else {
-        Ok((None, payload.to_vec()))
-    }
+    let (trace, payload) = open_wire_frame_traced(&frame)?;
+    Ok((trace, payload.to_vec()))
 }
 
 /// Maps a routing/service error to the typed error frame the server sends
@@ -1950,6 +1684,60 @@ mod tests {
     }
 
     #[test]
+    fn trace_dump_messages_round_trip() {
+        let request = Request::TraceDump { limit: 16 };
+        let frame = encode_request(&request);
+        assert_eq!(
+            decode_request(open_wire_frame(&frame).unwrap()).unwrap(),
+            request
+        );
+        let response = Response::TraceDump(vec![
+            TraceExemplar {
+                trace_id: 1,
+                model: "chronic".into(),
+                op: "suggest".into(),
+                total_micros: 900,
+                stage_micros: [1, 2, 3, 890, 4],
+            },
+            TraceExemplar {
+                trace_id: 2,
+                model: String::new(),
+                op: "stats".into(),
+                total_micros: 10,
+                stage_micros: [10, 0, 0, 0, 0],
+            },
+        ]);
+        let frame = encode_response(&response);
+        assert_eq!(
+            decode_response(open_wire_frame(&frame).unwrap()).unwrap(),
+            response
+        );
+    }
+
+    #[test]
+    fn borrowed_and_owned_request_encodings_are_identical() {
+        let request = sample_request();
+        let (model, suggest) = match &request {
+            Request::Suggest { model, request } => (model, request),
+            other => panic!("sample changed: {other:?}"),
+        };
+        assert_eq!(
+            encode_request(&request),
+            encode_request_ref_traced(
+                RequestRef::Suggest {
+                    model,
+                    request: suggest
+                },
+                None
+            )
+        );
+        assert_eq!(
+            encode_request(&Request::Stats),
+            encode_request_ref_traced(RequestRef::Stats, None)
+        );
+    }
+
+    #[test]
     fn foreign_and_future_frames_are_typed_errors() {
         let frame = encode_request(&Request::ListModels);
         // Foreign magic: a DSSD model file is not a wire frame.
@@ -2003,7 +1791,7 @@ mod tests {
         ));
         // Trailing bytes after a well-formed body are rejected.
         let mut w = ByteWriter::new();
-        w.put_u8(TAG_LIST_MODELS);
+        w.put_u8(RequestTag::ListModels as u8);
         w.put_u8(0);
         assert!(matches!(
             decode_request(w.as_bytes()),
@@ -2036,20 +1824,29 @@ mod tests {
             prefix: vec![],
             pos: 0,
         };
-        assert!(matches!(read_frame(&mut idle), Err(WireError::IdleTimeout)));
+        assert!(matches!(
+            read_frame(&mut idle, 1, None),
+            Err(WireError::IdleTimeout)
+        ));
         // A stall mid-frame is a stalled peer, not idleness: typed Timeout.
         let frame = encode_request(&Request::ListModels);
         let mut stalled = StallAfter {
             prefix: frame[..7].to_vec(),
             pos: 0,
         };
-        assert!(matches!(read_frame(&mut stalled), Err(WireError::Timeout)));
+        assert!(matches!(
+            read_frame(&mut stalled, 1, None),
+            Err(WireError::Timeout)
+        ));
         // A stall inside the payload (header complete) is a Timeout too.
         let mut stalled = StallAfter {
             prefix: frame[..FRAME_HEADER_LEN + 1].to_vec(),
             pos: 0,
         };
-        assert!(matches!(read_frame(&mut stalled), Err(WireError::Timeout)));
+        assert!(matches!(
+            read_frame(&mut stalled, 1, None),
+            Err(WireError::Timeout)
+        ));
         // A stall budget tolerates consecutive expiries mid-frame but still
         // terminates; before the first byte it is always IdleTimeout.
         let mut stalled = StallAfter {
@@ -2057,7 +1854,7 @@ mod tests {
             pos: 0,
         };
         assert!(matches!(
-            read_frame_with_stall_budget(&mut stalled, 5),
+            read_frame(&mut stalled, 5, None),
             Err(WireError::Timeout)
         ));
         let mut idle = StallAfter {
@@ -2065,7 +1862,7 @@ mod tests {
             pos: 0,
         };
         assert!(matches!(
-            read_frame_with_stall_budget(&mut idle, 5),
+            read_frame(&mut idle, 5, None),
             Err(WireError::IdleTimeout)
         ));
     }
@@ -2076,7 +1873,7 @@ mod tests {
         // No trace: the traced encoder is byte-for-byte the v1 encoder.
         assert_eq!(
             encode_request_ref_traced(request.as_request_ref(), None),
-            encode_request_ref(request.as_request_ref()),
+            encode_request(&request),
         );
         let response = Response::Pong;
         assert_eq!(
@@ -2095,7 +1892,7 @@ mod tests {
         // The trace-discarding entry point still opens the same frame.
         assert_eq!(open_wire_frame(&traced).unwrap(), payload);
         let mut stream = std::io::Cursor::new(traced.clone());
-        let (trace, streamed) = read_frame_traced(&mut stream, 1, None).unwrap();
+        let (trace, streamed) = read_frame(&mut stream, 1, None).unwrap();
         assert_eq!(trace, Some(0xDEAD_BEEF));
         assert_eq!(streamed, payload);
         // Traced responses too.
@@ -2151,73 +1948,60 @@ mod tests {
     }
 
     #[test]
-    fn trace_dump_messages_round_trip() {
-        let request = Request::TraceDump { limit: 16 };
-        let frame = encode_request(&request);
-        assert_eq!(
-            decode_request(open_wire_frame(&frame).unwrap()).unwrap(),
-            request
-        );
-        let response = Response::TraceDump(vec![
-            TraceExemplar {
-                trace_id: 1,
-                model: "chronic".into(),
-                op: "suggest".into(),
-                total_micros: 900,
-                stage_micros: [1, 2, 3, 890, 4],
-            },
-            TraceExemplar {
-                trace_id: 2,
-                model: String::new(),
-                op: "stats".into(),
-                total_micros: 10,
-                stage_micros: [10, 0, 0, 0, 0],
-            },
-        ]);
-        let frame = encode_response(&response);
-        assert_eq!(
-            decode_response(open_wire_frame(&frame).unwrap()).unwrap(),
-            response
-        );
-    }
-
-    #[test]
-    fn borrowed_and_owned_request_encodings_are_identical() {
-        let request = sample_request();
-        let (model, suggest) = match &request {
-            Request::Suggest { model, request } => (model, request),
-            other => panic!("sample changed: {other:?}"),
-        };
-        assert_eq!(
-            encode_request(&request),
-            encode_request_ref(RequestRef::Suggest {
-                model,
-                request: suggest
-            })
-        );
-        assert_eq!(
-            encode_request(&Request::Stats),
-            encode_request_ref(RequestRef::Stats)
-        );
-    }
-
-    #[test]
     fn streamed_frames_round_trip_through_read_frame() {
         let request = sample_request();
         let frame = encode_request(&request);
         let mut stream = std::io::Cursor::new(frame.clone());
-        let payload = read_frame(&mut stream).unwrap();
+        let (trace, payload) = read_frame(&mut stream, 1, None).unwrap();
+        assert_eq!(trace, None);
         assert_eq!(payload, open_wire_frame(&frame).unwrap());
         // A clean EOF between frames is ConnectionClosed ...
         assert!(matches!(
-            read_frame(&mut std::io::Cursor::new(Vec::<u8>::new())),
+            read_frame(&mut std::io::Cursor::new(Vec::<u8>::new()), 1, None),
             Err(WireError::ConnectionClosed)
         ));
         // ... but EOF inside a frame is a truncation error.
         let mut cut = std::io::Cursor::new(frame[..frame.len() - 2].to_vec());
         assert!(matches!(
-            read_frame(&mut cut),
+            read_frame(&mut cut, 1, None),
             Err(WireError::Decode(SerdeError::Truncated { .. }))
         ));
+    }
+
+    #[test]
+    fn error_codes_are_numbered_densely_in_all_order() {
+        // `index()` turns a code into a counter slot, which needs the codes
+        // to be exactly 1..=N in `ALL` order.
+        for (slot, &code) in ErrorCode::ALL.iter().enumerate() {
+            assert_eq!(code as usize, slot + 1, "{code:?}");
+            assert_eq!(code.index(), slot);
+            assert_eq!(ErrorCode::from_u8(code as u8), Some(code));
+        }
+        assert_eq!(ErrorCode::from_u8(0), None);
+        assert_eq!(ErrorCode::from_u8(ErrorCode::ALL.len() as u8 + 1), None);
+    }
+
+    #[test]
+    fn retired_request_tag_stays_unassigned() {
+        // Request tag 7 was assigned in an early protocol draft and never
+        // shipped; a stale build may still send it, so it must never come
+        // back as a new message.
+        assert_eq!(RequestTag::from_u8(7), None);
+        assert!(matches!(
+            decode_request(&[7]),
+            Err(SerdeError::Corrupt { what }) if what == "unknown request tag 7"
+        ));
+    }
+
+    #[test]
+    fn container_magics_are_distinct() {
+        // A model file, a knowledge base and a network frame must never be
+        // mistaken for one another.
+        let magics = [WIRE_MAGIC, dssddi_tensor::serde::MAGIC, dssddi_kb::KB_MAGIC];
+        for (i, a) in magics.iter().enumerate() {
+            for b in &magics[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
     }
 }

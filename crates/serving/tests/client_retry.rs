@@ -23,7 +23,7 @@ fn scripted_server(script: Vec<Response>) -> (SocketAddr, std::thread::JoinHandl
         let (mut stream, _) = listener.accept().expect("accept");
         let mut served = 0;
         for response in &script {
-            if read_frame(&mut stream).is_err() {
+            if read_frame(&mut stream, 1, None).is_err() {
                 break; // client gave up early; that's the test's business
             }
             write_frame(&mut stream, &encode_response(response)).expect("write response");

@@ -350,7 +350,7 @@ fn send_raw(addr: SocketAddr, bytes: &[u8]) -> Option<Response> {
     stream.flush().expect("flush raw");
     // Half-close so a server waiting for more header bytes sees EOF.
     stream.shutdown(std::net::Shutdown::Write).ok();
-    let payload = read_frame(&mut stream).ok()?;
+    let (_, payload) = read_frame(&mut stream, 1, None).ok()?;
     decode_response(&payload).ok()
 }
 
@@ -409,7 +409,7 @@ fn hostile_frames_get_typed_errors_and_the_server_stays_up() {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let bad_body = seal_frame(WIRE_MAGIC, WIRE_VERSION, &[0xEE, 1, 2, 3]);
     stream.write_all(&bad_body).expect("write");
-    let payload = read_frame(&mut stream).expect("error frame");
+    let (_, payload) = read_frame(&mut stream, 1, None).expect("error frame");
     match decode_response(&payload).expect("decodes") {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
         other => panic!("expected error frame, got {other:?}"),
@@ -417,7 +417,7 @@ fn hostile_frames_get_typed_errors_and_the_server_stays_up() {
     stream
         .write_all(&encode_request(&Request::ListModels))
         .expect("write valid request on the same connection");
-    let payload = read_frame(&mut stream).expect("list models frame");
+    let (_, payload) = read_frame(&mut stream, 1, None).expect("list models frame");
     match decode_response(&payload).expect("decodes") {
         Response::ListModels(models) => assert_eq!(models.len(), 1),
         other => panic!("expected ListModels, got {other:?}"),

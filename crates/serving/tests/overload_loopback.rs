@@ -158,6 +158,10 @@ fn rate_limited_gateway_sheds_typed_and_answers_admitted_within_bounds() {
     );
     assert_eq!(shard.requests, tally.ok, "only admitted requests count");
     assert_eq!(
+        shard.samples, tally.ok,
+        "only admitted requests feed the latency window"
+    );
+    assert_eq!(
         shard.errors, 0,
         "sheds are not errors — they never executed"
     );

@@ -19,7 +19,8 @@ use dssddi_kb::{AlertPolicy, KbInfo, Severity};
 use dssddi_obs::trace::STAGE_COUNT;
 use dssddi_serving::wire::{
     decode_request, decode_response, encode_request, encode_request_ref_traced, encode_response,
-    encode_response_traced, open_wire_frame, open_wire_frame_traced, WireError,
+    encode_response_traced, open_wire_frame, open_wire_frame_traced, RequestTag, ResponseTag,
+    WireError,
 };
 use dssddi_serving::{
     ErrorCode, GatewayStats, KeyVersions, ModelInfo, ModelKey, ModelStats, ReplicaStats, Request,
@@ -394,17 +395,17 @@ fn arb_stats_report() -> impl Strategy<Value = StatsReport> {
 fn arb_trace_exemplar() -> impl Strategy<Value = TraceExemplar> {
     (
         any::<u64>(),
-        arb_model_key(),
-        0usize..20,
+        (0usize..12, 0usize..20),
         any::<u64>(),
         proptest::collection::vec(any::<u64>(), STAGE_COUNT),
     )
-        .prop_map(|(trace_id, model, op_len, total_micros, stages)| {
+        .prop_map(|(trace_id, (model_len, op_len), total_micros, stages)| {
             let mut stage_micros = [0u64; STAGE_COUNT];
             stage_micros.copy_from_slice(&stages);
+            // Control-plane exemplars carry an empty model name.
             TraceExemplar {
                 trace_id,
-                model: model.as_str().to_string(),
+                model: "ck-".chars().cycle().take(model_len).collect(),
                 op: "op-".chars().cycle().take(op_len).collect(),
                 total_micros,
                 stage_micros,
@@ -461,7 +462,8 @@ fn response_bytes(r: &Response) -> Vec<u8> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    // About seven cases per message kind: the generators draw 13-14 kinds.
+    #![proptest_config(ProptestConfig::with_cases(92))]
 
     /// Requests survive encode→frame-validate→decode bit-exactly.
     #[test]
@@ -538,7 +540,7 @@ proptest! {
         prop_assert!(open_wire_frame(&frame[..cut]).is_err());
         // The streaming reader agrees with the buffer validator.
         let mut stream = std::io::Cursor::new(frame[..cut].to_vec());
-        prop_assert!(dssddi_serving::wire::read_frame(&mut stream).is_err());
+        prop_assert!(dssddi_serving::wire::read_frame(&mut stream, 1, None).is_err());
     }
 
     /// Flipping any single bit of a frame yields a typed error — the header
@@ -579,7 +581,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1))]
 
-    /// The generators draw every message variant, so the round trips above
+    /// The generators draw every registered tag, so the round trips above
     /// cover the whole protocol rather than a subset of it.
     #[test]
     fn generators_draw_every_variant(
@@ -589,8 +591,15 @@ proptest! {
         let tags = |frames: Vec<Vec<u8>>| -> BTreeSet<u8> {
             frames.iter().map(|f| open_wire_frame(f).expect("validates")[0]).collect()
         };
-        prop_assert_eq!(tags(requests.iter().map(encode_request).collect()).len(), 13);
-        prop_assert_eq!(tags(responses.iter().map(encode_response).collect()).len(), 14);
+        let registry = |bytes: &[u8]| bytes.iter().copied().collect::<BTreeSet<u8>>();
+        prop_assert_eq!(
+            tags(requests.iter().map(encode_request).collect()),
+            registry(&RequestTag::ALL.map(|tag| tag as u8))
+        );
+        prop_assert_eq!(
+            tags(responses.iter().map(encode_response).collect()),
+            registry(&ResponseTag::ALL.map(|tag| tag as u8))
+        );
     }
 }
 
@@ -624,7 +633,7 @@ fn oversized_declared_lengths_error_before_allocation() {
     ));
     let mut stream = std::io::Cursor::new(bad);
     assert!(matches!(
-        dssddi_serving::wire::read_frame(&mut stream),
+        dssddi_serving::wire::read_frame(&mut stream, 1, None),
         Err(WireError::Oversized { .. })
     ));
 }

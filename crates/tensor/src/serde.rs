@@ -6,17 +6,18 @@
 //! writer/reader pair plus a checked container format, with no external
 //! crates involved.
 //!
-//! ## Container layout (`DSSD` format, version 1)
+//! ## Container layout
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic bytes "DSSD"
-//! 4       2     format version (little-endian u16, currently 1)
+//! 0       4     magic bytes MAGIC
+//! 4       2     format version (little-endian u16), FORMAT_VERSION
 //! 6       8     payload length in bytes (little-endian u64)
 //! 14      n     payload
 //! 14+n    4     CRC-32 (IEEE) of the payload (little-endian u32)
 //! ```
 //!
+//! [`MAGIC`] and [`FORMAT_VERSION`] are the values a container carries.
 //! All integers are little-endian; `f32`/`f64` are stored as their IEEE-754
 //! bit patterns, so values (including NaNs) round-trip bit-exactly. Reading
 //! is fully bounds-checked: truncated, corrupted or version-mismatched input

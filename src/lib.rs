@@ -417,18 +417,24 @@
 //! ```
 //!
 //! It walks the workspace sources with a dependency-free lexer and
-//! enforces four invariant families no compiler checks: the canonical lock
+//! enforces three invariant families no compiler checks: the canonical lock
 //! nesting order of the serving path (`LOCK00x` — acquisition-graph cycles,
 //! read→write upgrades, drift against the `LOCK ORDER:` block in
-//! `crates/serving/src/router.rs`), wire/container registry consistency
-//! (`WIRE00x` — duplicate or resurrected `DSWR` tags, encode/decode arm
-//! coverage, doc-table agreement, `ErrorCode` bijection), the panic policy
-//! (`PANIC00x` — `unwrap`/`expect`/`panic!`/indexing outside tests,
-//! ratcheted per file in `analysis/baseline.toml`), and the scratch-pool
-//! kernel convention (`KERNEL00x` — `*_into` kernels take their output
-//! first and declare `fully overwrites`). `dssddi-analyze --list`
-//! enumerates the codes; `--explain CODE` prints the rationale and the fix;
-//! `--update-baseline` tightens the ratchet after cleanups.
+//! `crates/serving/src/router.rs`), the panic policy (`PANIC00x` —
+//! `unwrap`/`expect`/`panic!`/indexing outside tests, ratcheted per file in
+//! `analysis/baseline.toml`), and the scratch-pool kernel convention
+//! (`KERNEL00x` — `*_into` kernels take their output first and declare
+//! `fully overwrites`). `dssddi-analyze --list` enumerates the codes;
+//! `--explain CODE` prints the rationale and the fix; `--update-baseline`
+//! tightens the ratchet after cleanups.
+//!
+//! The wire registry is checked by the compiler instead: `DSWR` message
+//! tags, error codes and sync artifacts are `#[repr(u8)]` enums
+//! ([`serving::wire::RequestTag`], [`serving::wire::ResponseTag`],
+//! [`serving::ErrorCode`]), so a duplicate value does not compile and the
+//! encoder and decoder match on them exhaustively. The serving crate's
+//! tests pin what the compiler cannot see: golden frames, the retired
+//! request tag and distinct container magics.
 //!
 //! ## Migrating from the research facade
 //!
