@@ -1684,60 +1684,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_dump_messages_round_trip() {
-        let request = Request::TraceDump { limit: 16 };
-        let frame = encode_request(&request);
-        assert_eq!(
-            decode_request(open_wire_frame(&frame).unwrap()).unwrap(),
-            request
-        );
-        let response = Response::TraceDump(vec![
-            TraceExemplar {
-                trace_id: 1,
-                model: "chronic".into(),
-                op: "suggest".into(),
-                total_micros: 900,
-                stage_micros: [1, 2, 3, 890, 4],
-            },
-            TraceExemplar {
-                trace_id: 2,
-                model: String::new(),
-                op: "stats".into(),
-                total_micros: 10,
-                stage_micros: [10, 0, 0, 0, 0],
-            },
-        ]);
-        let frame = encode_response(&response);
-        assert_eq!(
-            decode_response(open_wire_frame(&frame).unwrap()).unwrap(),
-            response
-        );
-    }
-
-    #[test]
-    fn borrowed_and_owned_request_encodings_are_identical() {
-        let request = sample_request();
-        let (model, suggest) = match &request {
-            Request::Suggest { model, request } => (model, request),
-            other => panic!("sample changed: {other:?}"),
-        };
-        assert_eq!(
-            encode_request(&request),
-            encode_request_ref_traced(
-                RequestRef::Suggest {
-                    model,
-                    request: suggest
-                },
-                None
-            )
-        );
-        assert_eq!(
-            encode_request(&Request::Stats),
-            encode_request_ref_traced(RequestRef::Stats, None)
-        );
-    }
-
-    #[test]
     fn foreign_and_future_frames_are_typed_errors() {
         let frame = encode_request(&Request::ListModels);
         // Foreign magic: a DSSD model file is not a wire frame.
@@ -1945,6 +1891,60 @@ mod tests {
         let (trace, payload) = open_wire_frame_traced(&frame).unwrap();
         assert_eq!(trace, None);
         assert_eq!(decode_request(payload).unwrap(), Request::ListModels);
+    }
+
+    #[test]
+    fn trace_dump_messages_round_trip() {
+        let request = Request::TraceDump { limit: 16 };
+        let frame = encode_request(&request);
+        assert_eq!(
+            decode_request(open_wire_frame(&frame).unwrap()).unwrap(),
+            request
+        );
+        let response = Response::TraceDump(vec![
+            TraceExemplar {
+                trace_id: 1,
+                model: "chronic".into(),
+                op: "suggest".into(),
+                total_micros: 900,
+                stage_micros: [1, 2, 3, 890, 4],
+            },
+            TraceExemplar {
+                trace_id: 2,
+                model: String::new(),
+                op: "stats".into(),
+                total_micros: 10,
+                stage_micros: [10, 0, 0, 0, 0],
+            },
+        ]);
+        let frame = encode_response(&response);
+        assert_eq!(
+            decode_response(open_wire_frame(&frame).unwrap()).unwrap(),
+            response
+        );
+    }
+
+    #[test]
+    fn borrowed_and_owned_request_encodings_are_identical() {
+        let request = sample_request();
+        let (model, suggest) = match &request {
+            Request::Suggest { model, request } => (model, request),
+            other => panic!("sample changed: {other:?}"),
+        };
+        assert_eq!(
+            encode_request(&request),
+            encode_request_ref_traced(
+                RequestRef::Suggest {
+                    model,
+                    request: suggest
+                },
+                None
+            )
+        );
+        assert_eq!(
+            encode_request(&Request::Stats),
+            encode_request_ref_traced(RequestRef::Stats, None)
+        );
     }
 
     #[test]
