@@ -1276,10 +1276,16 @@ impl DecisionService {
                 }
             }
         }
+        // The explanation is of the drug set: the Steiner tree's root and
+        // the direction of each path it expands follow the query's order,
+        // so the search runs on the canonical (sorted) key, the one
+        // `suggest` explains too.
         let indices: Vec<usize> = drugs.iter().map(|d| d.id.index()).collect();
-        let explanation =
-            self.explanation_index
-                .explain(self.ddi_graph(), &indices, &self.config().ms)?;
+        let explanation = self.explanation_index.explain(
+            self.ddi_graph(),
+            &ExplanationCache::canonical_key(&indices),
+            &self.config().ms,
+        )?;
         let suggestion_satisfaction = explanation.suggestion_satisfaction;
         Ok(InteractionReport {
             patient: request.patient,
@@ -1954,6 +1960,24 @@ mod tests {
             .unwrap();
         assert_eq!(dup.drugs.len(), 2, "prescription is a set");
         assert_eq!(dup.synergistic.len(), 1);
+
+        // Reordering the same drugs keeps their first-seen order in the
+        // report but cannot change the explanation. (Explained in request
+        // order, these two orders gave SS 0.378 and 0.417.)
+        let ids = |order: [usize; 3]| order.map(DrugId::new).to_vec();
+        let forward = service
+            .check_prescription(&CheckPrescriptionRequest::new(ids([10, 5, 50])))
+            .unwrap();
+        let backward = service
+            .check_prescription(&CheckPrescriptionRequest::new(ids([50, 5, 10])))
+            .unwrap();
+        assert_eq!(forward.drugs[0].id, DrugId::new(10));
+        assert_eq!(backward.drugs[0].id, DrugId::new(50));
+        assert_eq!(forward.explanation, backward.explanation);
+        assert_eq!(
+            forward.suggestion_satisfaction.to_bits(),
+            backward.suggestion_satisfaction.to_bits()
+        );
 
         assert!(service
             .check_prescription(&CheckPrescriptionRequest::new(vec![]))

@@ -48,6 +48,18 @@ pub enum GraphError {
     },
     /// A community/Steiner query contained no nodes.
     EmptyQuery,
+    /// A truss decomposition was passed alongside a graph it was not built
+    /// from (their node or edge counts differ).
+    DecompositionMismatch {
+        /// Number of nodes in the graph.
+        nodes: usize,
+        /// Number of edges in the graph.
+        edges: usize,
+        /// Number of nodes the decomposition covers.
+        decomposition_nodes: usize,
+        /// Number of edges the decomposition covers.
+        decomposition_edges: usize,
+    },
 }
 
 impl std::fmt::Display for GraphError {
@@ -58,6 +70,16 @@ impl std::fmt::Display for GraphError {
             }
             GraphError::SelfLoop { node } => write!(f, "self loop on node {node} is not allowed"),
             GraphError::EmptyQuery => write!(f, "query node set is empty"),
+            GraphError::DecompositionMismatch {
+                nodes,
+                edges,
+                decomposition_nodes,
+                decomposition_edges,
+            } => write!(
+                f,
+                "truss decomposition of a graph with {decomposition_nodes} nodes and \
+                 {decomposition_edges} edges used with a graph of {nodes} nodes and {edges} edges"
+            ),
         }
     }
 }

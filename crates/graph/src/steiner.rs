@@ -5,11 +5,19 @@
 //! the paper, path lengths use a *truss-aware distance*: edges belonging to
 //! denser trusses are cheaper, so the tree prefers routing through strongly
 //! interacting drug clusters.
+//!
+//! Shortest paths run Dijkstra over the truss decomposition's neighbour
+//! slots, whose precomputed weights are the truss-aware distance. Which of
+//! several equal-distance entries leaves the heap first depends only on the
+//! sequence of pushes and pops, so the slots' ascending neighbour order and
+//! the weight expression of [`steiner_weight`] fix which of several
+//! shortest paths the tree takes.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, BinaryHeap};
 
-use crate::traversal::{dijkstra, reconstruct_path};
+use crate::traversal::reconstruct_path;
 use crate::truss::TrussDecomposition;
+use crate::ungraph::norm_edge;
 use crate::{GraphError, UnGraph};
 
 /// A tree (or forest, if the query is disconnected) embedded in the host graph.
@@ -33,13 +41,48 @@ impl SteinerTree {
     }
 }
 
-/// Truss-aware edge weight: an edge in a denser truss is cheaper to cross.
-/// Weight is `1 + (k_max − truss(e)) / (k_max + 1)` so every edge costs at
-/// least 1 hop and at most 2.
-pub fn truss_distance_weight(decomposition: &TrussDecomposition, u: usize, v: usize) -> f64 {
-    let k_max = decomposition.max_truss().max(2) as f64;
-    let t = decomposition.truss(u, v).unwrap_or(2) as f64;
+/// Truss-aware edge weight: `1 + (k_max − truss) / (k_max + 1)`, where
+/// `k_max` is the graph's largest truss number (at least 2), so every edge
+/// costs at least 1 hop and at most 2 and an edge in a denser truss is
+/// cheaper to cross.
+pub(crate) fn steiner_weight(max_truss: usize, truss: usize) -> f64 {
+    let k_max = max_truss.max(2) as f64;
+    let t = truss as f64;
     1.0 + (k_max - t).max(0.0) / (k_max + 1.0)
+}
+
+/// The distinct query nodes in first-seen order, once `decomposition` is
+/// known to fit `graph` and every node to be in range.
+///
+/// A decomposition fits when it has the graph's node and edge counts; the
+/// search reads only the decomposition's adjacency after this check.
+pub(crate) fn distinct_query(
+    graph: &UnGraph,
+    decomposition: &TrussDecomposition,
+    query: &[usize],
+) -> Result<Vec<usize>, GraphError> {
+    let (nodes, edges) = (graph.node_count(), graph.edge_count());
+    if decomposition.node_count() != nodes || decomposition.len() != edges {
+        return Err(GraphError::DecompositionMismatch {
+            nodes,
+            edges,
+            decomposition_nodes: decomposition.node_count(),
+            decomposition_edges: decomposition.len(),
+        });
+    }
+    let mut unique: Vec<usize> = Vec::with_capacity(query.len());
+    for &q in query {
+        if q >= nodes {
+            return Err(GraphError::NodeOutOfRange { node: q, nodes });
+        }
+        if !unique.contains(&q) {
+            unique.push(q);
+        }
+    }
+    if unique.is_empty() {
+        return Err(GraphError::EmptyQuery);
+    }
+    Ok(unique)
 }
 
 /// Computes an approximate minimum Steiner tree connecting `query` in
@@ -50,108 +93,186 @@ pub fn truss_distance_weight(decomposition: &TrussDecomposition, u: usize, v: us
 /// Query nodes in different connected components yield a forest containing
 /// each reachable part (no error), because the MS module must still explain
 /// drug suggestions whose DDI neighbourhoods are disconnected.
+///
+/// `decomposition` must be the truss decomposition of `graph`; one with a
+/// different node or edge count is a [`GraphError::DecompositionMismatch`].
 pub fn steiner_tree(
     graph: &UnGraph,
     query: &[usize],
     decomposition: &TrussDecomposition,
 ) -> Result<SteinerTree, GraphError> {
-    let n = graph.node_count();
-    let mut unique_query: Vec<usize> = Vec::new();
-    for &q in query {
-        if q >= n {
-            return Err(GraphError::NodeOutOfRange { node: q, nodes: n });
-        }
-        if !unique_query.contains(&q) {
-            unique_query.push(q);
-        }
-    }
-    if unique_query.is_empty() {
-        return Err(GraphError::EmptyQuery);
-    }
-    let mut nodes: BTreeSet<usize> = unique_query.iter().copied().collect();
-    let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
-    if unique_query.len() == 1 {
-        return Ok(SteinerTree {
-            nodes,
-            edges: vec![],
-        });
+    let query = distinct_query(graph, decomposition, query)?;
+    let (nodes, edges) = tree(decomposition, &query);
+    Ok(SteinerTree {
+        nodes: nodes.into_iter().collect(),
+        edges,
+    })
+}
+
+/// [`steiner_tree`] over checked, distinct query nodes: the tree's nodes
+/// and normalised edges, both ascending.
+pub(crate) fn tree(
+    decomposition: &TrussDecomposition,
+    query: &[usize],
+) -> (Vec<usize>, Vec<(usize, usize)>) {
+    let mut nodes = query.to_vec();
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    if query.len() < 2 {
+        return (nodes, edges);
     }
 
     // Shortest paths from every query node under the truss-aware metric.
-    let weight = |u: usize, v: usize| truss_distance_weight(decomposition, u, v);
-    let per_query: Vec<(Vec<f64>, Vec<usize>)> = unique_query
+    let paths: Vec<(Vec<f64>, Vec<usize>)> = query
         .iter()
-        .map(|&q| dijkstra(graph, q, weight))
+        .map(|&q| shortest_paths(decomposition, q, query))
         .collect();
+    let cost = |from: usize, to: usize| {
+        paths
+            .get(from)
+            .and_then(|(dist, _)| dist.get(to))
+            .copied()
+            .unwrap_or(f64::INFINITY)
+    };
 
-    // Prim's MST over the complete distance graph on the query nodes.
-    let q = unique_query.len();
-    let mut in_tree = vec![false; q];
-    let mut best_cost = vec![f64::INFINITY; q];
-    let mut best_from = vec![usize::MAX; q];
-    in_tree[0] = true;
-    for j in 1..q {
-        best_cost[j] = per_query[0].0[unique_query[j]];
-        best_from[j] = 0;
+    // Prim's MST over the complete distance graph on the query nodes:
+    // (joined, cheapest known cost, query index it comes from).
+    let mut terminals: Vec<(bool, f64, usize)> = query
+        .iter()
+        .enumerate()
+        .map(|(j, &q)| (j == 0, if j == 0 { f64::INFINITY } else { cost(0, q) }, 0))
+        .collect();
+    for _ in 1..query.len() {
+        let mut pick: Option<(usize, f64)> = None;
+        for (j, &(joined, c, _)) in terminals.iter().enumerate() {
+            if !joined && c < pick.map_or(f64::INFINITY, |(_, best)| best) {
+                pick = Some((j, c));
+            }
+        }
+        // Remaining query nodes are unreachable; leave them isolated.
+        let Some((pick, _)) = pick else { break };
+        let Some(from) = terminals.get_mut(pick).map(|t| {
+            t.0 = true;
+            t.2
+        }) else {
+            break;
+        };
+        // Expand the MST edge (from -> pick) into its shortest path.
+        let ends = (query.get(from), query.get(pick));
+        if let (Some((_, parents)), (Some(&source), Some(&target))) = (paths.get(from), ends) {
+            if let Some(path) = reconstruct_path(parents, source, target) {
+                nodes.extend_from_slice(&path);
+                edges.extend(path.windows(2).filter_map(|w| match w {
+                    &[a, b] => Some(norm_edge(a, b)),
+                    _ => None,
+                }));
+            }
+        }
+        for (t, &q) in terminals.iter_mut().zip(query) {
+            let c = cost(pick, q);
+            if !t.0 && c < t.1 {
+                t.1 = c;
+                t.2 = pick;
+            }
+        }
     }
-    for _ in 1..q {
-        let mut pick = usize::MAX;
-        let mut pick_cost = f64::INFINITY;
-        for j in 0..q {
-            if !in_tree[j] && best_cost[j] < pick_cost {
-                pick = j;
-                pick_cost = best_cost[j];
+    nodes.sort_unstable();
+    nodes.dedup();
+    edges.sort_unstable();
+    edges.dedup();
+    prune_leaves(&mut nodes, &mut edges, query);
+    (nodes, edges)
+}
+
+/// Dijkstra from `source` over the decomposition's slots: distances
+/// (`f64::INFINITY` when unreachable) and parents (`usize::MAX` for the
+/// source and unreachable nodes). It stops once every node of `targets`
+/// is settled: later pops cannot change a settled node's distance or the
+/// parents on its path.
+fn shortest_paths(
+    decomposition: &TrussDecomposition,
+    source: usize,
+    targets: &[usize],
+) -> (Vec<f64>, Vec<usize>) {
+    let n = decomposition.node_count();
+    let mut dist = vec![f64::INFINITY; n];
+    let mut parent = vec![usize::MAX; n];
+    // Max-heap on reversed ordering of the distance alone: equal distances
+    // pop in an order set by the push sequence.
+    #[derive(PartialEq)]
+    struct Entry(f64, usize);
+    impl Eq for Entry {}
+    impl Ord for Entry {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other
+                .0
+                .partial_cmp(&self.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        }
+    }
+    impl PartialOrd for Entry {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    let mut heap = BinaryHeap::new();
+    if let Some(d) = dist.get_mut(source) {
+        *d = 0.0;
+        heap.push(Entry(0.0, source));
+    }
+    let mut unsettled = targets.len();
+    while let Some(Entry(d, u)) = heap.pop() {
+        if dist.get(u).is_some_and(|&best| d > best) {
+            continue;
+        }
+        if targets.contains(&u) {
+            unsettled -= 1;
+            if unsettled == 0 {
+                break;
             }
         }
-        if pick == usize::MAX {
-            break; // remaining query nodes are unreachable; leave them isolated
-        }
-        in_tree[pick] = true;
-        // Expand the MST edge (best_from[pick] -> pick) into its shortest path.
-        let from = best_from[pick];
-        let (_, parents) = &per_query[from];
-        if let Some(path) = reconstruct_path(parents, unique_query[from], unique_query[pick]) {
-            for window in path.windows(2) {
-                nodes.insert(window[0]);
-                nodes.insert(window[1]);
-                edges.insert(crate::ungraph::norm_edge(window[0], window[1]));
-            }
-        }
-        for j in 0..q {
-            if !in_tree[j] {
-                let c = per_query[pick].0[unique_query[j]];
-                if c < best_cost[j] {
-                    best_cost[j] = c;
-                    best_from[j] = pick;
+        for slot in decomposition.slots(u) {
+            let nd = d + slot.weight;
+            if let (Some(dv), Some(pv)) = (dist.get_mut(slot.node), parent.get_mut(slot.node)) {
+                if nd < *dv {
+                    *dv = nd;
+                    *pv = u;
+                    heap.push(Entry(nd, slot.node));
                 }
             }
         }
     }
+    (dist, parent)
+}
 
-    // Prune non-query leaves repeatedly (Mehlhorn's final clean-up).
-    let mut tree = UnGraph::new(n);
-    for &(u, v) in &edges {
-        tree.add_edge(u, v)?;
-    }
+/// Mehlhorn's final clean-up: removes every non-query leaf, round after
+/// round, until none is left. `nodes` and `edges` are ascending.
+fn prune_leaves(nodes: &mut Vec<usize>, edges: &mut Vec<(usize, usize)>, query: &[usize]) {
     loop {
+        let mut degree = vec![0usize; nodes.len()];
+        for &(u, v) in edges.iter() {
+            for end in [u, v] {
+                if let Some(d) = nodes
+                    .binary_search(&end)
+                    .ok()
+                    .and_then(|i| degree.get_mut(i))
+                {
+                    *d += 1;
+                }
+            }
+        }
         let leaves: Vec<usize> = nodes
             .iter()
-            .copied()
-            .filter(|&v| tree.degree(v) == 1 && !unique_query.contains(&v))
+            .zip(&degree)
+            .filter(|&(v, &d)| d == 1 && !query.contains(v))
+            .map(|(&v, _)| v)
             .collect();
         if leaves.is_empty() {
             break;
         }
-        for v in leaves {
-            tree.detach_node(v);
-            nodes.remove(&v);
-        }
+        let is_leaf = |v: &usize| leaves.binary_search(v).is_ok();
+        edges.retain(|(u, v)| !is_leaf(u) && !is_leaf(v));
+        nodes.retain(|v| !is_leaf(v));
     }
-    let final_edges: Vec<(usize, usize)> = tree.edges();
-    Ok(SteinerTree {
-        nodes,
-        edges: final_edges,
-    })
 }
 
 #[cfg(test)]
@@ -240,10 +361,14 @@ mod tests {
     fn truss_distance_prefers_dense_edges() {
         let g = grid_graph();
         let d = truss_decomposition(&g);
+        let weight = |u: usize, v: usize| {
+            let slots = d.slots(u);
+            slots.iter().find(|s| s.node == v).unwrap().weight
+        };
         // (1,4) belongs to the triangle 1-4-6 (3-truss), (0,1) does not.
-        assert!(truss_distance_weight(&d, 1, 4) < truss_distance_weight(&d, 0, 1));
-        // Unknown edge falls back to the cheapest-possible truss of 2.
-        assert!(truss_distance_weight(&d, 0, 5) >= 1.0);
+        assert!(weight(1, 4) < weight(0, 1));
+        // Every edge costs between 1 and 2 hops.
+        assert!((0..7).all(|u| d.slots(u).iter().all(|s| (1.0..=2.0).contains(&s.weight))));
     }
 
     #[test]
@@ -257,5 +382,28 @@ mod tests {
                 assert!(tree_graph.degree(v) >= 2, "non-query leaf {v} left in tree");
             }
         }
+    }
+
+    #[test]
+    fn decomposition_of_another_graph_is_a_typed_error() {
+        let g = grid_graph();
+        let smaller = truss_decomposition(&UnGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap());
+        assert_eq!(
+            steiner_tree(&g, &[0, 6], &smaller).unwrap_err(),
+            GraphError::DecompositionMismatch {
+                nodes: 7,
+                edges: 9,
+                decomposition_nodes: 3,
+                decomposition_edges: 2,
+            }
+        );
+        let mut fewer_edges = g.clone();
+        fewer_edges.remove_edge(1, 6);
+        let d = truss_decomposition(&fewer_edges);
+        assert!(matches!(
+            steiner_tree(&g, &[0, 6], &d),
+            Err(GraphError::DecompositionMismatch { .. })
+        ));
+        assert!(steiner_tree(&g, &[0, 6], &TrussDecomposition::default()).is_err());
     }
 }

@@ -1,11 +1,7 @@
-//! Graph traversal utilities: BFS distances, weighted shortest paths,
-//! connectivity and diameters.
-//!
-//! These routines back the Steiner-tree computation and the "smallest
-//! diameter / delete the furthest nodes" steps of the closest truss
-//! community search (Algorithm 1 of the paper).
+//! Graph traversal utilities: BFS distances, path reconstruction,
+//! connectivity and diameters over [`UnGraph`].
 
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::UnGraph;
 
@@ -67,56 +63,6 @@ pub fn reconstruct_path(parent: &[usize], source: usize, target: usize) -> Optio
     }
     path.reverse();
     Some(path)
-}
-
-/// Weighted single-source shortest paths (Dijkstra). `weight(u, v)` must be
-/// non-negative; distances are `f64::INFINITY` for unreachable nodes.
-pub fn dijkstra(
-    graph: &UnGraph,
-    source: usize,
-    weight: impl Fn(usize, usize) -> f64,
-) -> (Vec<f64>, Vec<usize>) {
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent = vec![usize::MAX; n];
-    if source >= n {
-        return (dist, parent);
-    }
-    // Max-heap on reversed ordering of (dist, node).
-    #[derive(PartialEq)]
-    struct Entry(f64, usize);
-    impl Eq for Entry {}
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            other
-                .0
-                .partial_cmp(&self.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        }
-    }
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    let mut heap = BinaryHeap::new();
-    dist[source] = 0.0;
-    heap.push(Entry(0.0, source));
-    while let Some(Entry(d, u)) = heap.pop() {
-        if d > dist[u] {
-            continue;
-        }
-        for v in graph.neighbors(u) {
-            let w = weight(u, v);
-            let nd = d + w.max(0.0);
-            if nd < dist[v] {
-                dist[v] = nd;
-                parent[v] = u;
-                heap.push(Entry(nd, v));
-            }
-        }
-    }
-    (dist, parent)
 }
 
 /// Connected component containing `source`, restricted to `within` when given.
@@ -182,18 +128,6 @@ pub fn diameter(graph: &UnGraph, nodes: &BTreeSet<usize>) -> usize {
     best
 }
 
-/// Maximum hop distance from node `v` to any of the query nodes inside the
-/// node set `within` (the *query distance* used to shrink the CTC).
-pub fn query_distance(
-    graph: &UnGraph,
-    v: usize,
-    query: &[usize],
-    within: &BTreeSet<usize>,
-) -> usize {
-    let res = bfs(graph, v, Some(within));
-    query.iter().map(|&q| res.dist[q]).max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,21 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn dijkstra_prefers_lighter_paths() {
-        // 0-1-2 with cheap edges, 0-2 expensive direct edge.
-        let g = UnGraph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
-        let (dist, parent) = dijkstra(&g, 0, |u, v| {
-            if (u, v) == (0, 2) || (u, v) == (2, 0) {
-                10.0
-            } else {
-                1.0
-            }
-        });
-        assert!((dist[2] - 2.0).abs() < 1e-9);
-        assert_eq!(reconstruct_path(&parent, 0, 2).unwrap(), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn components_and_connectivity() {
         let g = UnGraph::from_edges(6, &[(0, 1), (1, 2), (3, 4)]).unwrap();
         let comps = connected_components(&g);
@@ -262,13 +181,5 @@ mod tests {
         assert_eq!(diameter(&g, &nodes), 3);
         let g2 = UnGraph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert_eq!(diameter(&g2, &nodes), usize::MAX);
-    }
-
-    #[test]
-    fn query_distance_is_max_over_queries() {
-        let g = path_graph(5);
-        let within: BTreeSet<usize> = (0..5).collect();
-        assert_eq!(query_distance(&g, 2, &[0, 4], &within), 2);
-        assert_eq!(query_distance(&g, 0, &[0, 4], &within), 4);
     }
 }

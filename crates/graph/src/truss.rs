@@ -6,26 +6,62 @@
 //! such that the edge belongs to a p-truss. The Medical Support module uses
 //! these quantities to find dense, well-connected explanation subgraphs
 //! around the suggested drugs (Definition 5 and Algorithm 1 of the paper).
+//!
+//! # Layout
+//!
+//! A [`TrussDecomposition`] is one compressed-sparse-row (CSR) store of the
+//! graph it was built from. Node `u`'s neighbours occupy the slots
+//! `offsets[u]..offsets[u + 1]` in ascending order. Each slot carries the
+//! neighbour, the edge's id (its rank among the normalised edges `(u, v)`,
+//! `u < v`, in ascending order), the edge's truss number and its
+//! truss-aware Steiner weight ([`crate::steiner`]). The two slots of an edge
+//! carry the same id, truss number and weight. An edge lookup is a binary
+//! search in one node's slots. Dijkstra and the candidate expansion of
+//! Algorithm 1 walk the slots directly.
+//!
+//! # Peeling
+//!
+//! Truss numbers are computed by queue peeling over edge ids. At level `k`
+//! every edge whose support has fallen to `k − 2` or below is removed and
+//! numbered `k`, and each triangle it closed lowers its two other edges'
+//! supports, which may queue them too. An edge's truss number is the largest
+//! `k` whose maximal k-truss contains it, and a maximal k-truss is the
+//! fixpoint of removing under-supported edges in any order. So the numbers
+//! do not depend on the order edges are peeled in.
 
-use std::collections::{BTreeSet, HashMap};
-
-use crate::ungraph::norm_edge;
+use crate::steiner::steiner_weight;
 use crate::UnGraph;
 
-/// Result of a truss decomposition: the truss number of every edge.
+/// One neighbour slot of the CSR store: a neighbour and the edge to it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Slot {
+    /// The neighbour.
+    pub(crate) node: usize,
+    /// The edge's rank among the graph's normalised edges, ascending.
+    pub(crate) edge: usize,
+    /// The edge's truss number.
+    pub(crate) truss: usize,
+    /// The edge's truss-aware Steiner weight.
+    pub(crate) weight: f64,
+}
+
+/// Result of a truss decomposition: the graph's adjacency with the truss
+/// number of every edge (see the module docs for the layout).
 #[derive(Debug, Clone, Default)]
 pub struct TrussDecomposition {
-    truss: HashMap<(usize, usize), usize>,
-    // Cached at construction: the truss-aware Steiner distance evaluates
-    // `max_truss` once per edge relaxation, and a per-call scan of the edge
-    // map used to dominate the whole community search.
+    /// `offsets[u]..offsets[u + 1]` are node `u`'s slots (`n + 1` entries,
+    /// none for the default, node-less decomposition).
+    offsets: Vec<usize>,
+    slots: Vec<Slot>,
+    // Cached at construction: the Steiner weights need it, and so does
+    // every caller of `max_truss`.
     max_truss: usize,
 }
 
 impl TrussDecomposition {
     /// Truss number of edge `{u, v}`; `None` if the edge is not present.
     pub fn truss(&self, u: usize, v: usize) -> Option<usize> {
-        self.truss.get(&norm_edge(u, v)).copied()
+        self.slot(u, v).map(|s| s.truss)
     }
 
     /// Largest truss number over all edges (2 for a triangle-free graph,
@@ -36,101 +72,171 @@ impl TrussDecomposition {
 
     /// Smallest truss number over all edges (0 for an edgeless graph).
     pub fn min_truss(&self) -> usize {
-        self.truss.values().copied().min().unwrap_or(0)
+        self.slots.iter().map(|s| s.truss).min().unwrap_or(0)
     }
 
-    /// Iterator over `((u, v), truss)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = (&(usize, usize), &usize)> {
-        self.truss.iter()
+    /// Iterator over `((u, v), truss)` entries, `u < v`, in ascending edge
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = ((usize, usize), usize)> + '_ {
+        (0..self.node_count()).flat_map(move |u| {
+            self.slots(u)
+                .iter()
+                .filter(move |s| s.node > u)
+                .map(move |s| ((u, s.node), s.truss))
+        })
     }
 
     /// Number of edges covered by the decomposition.
     pub fn len(&self) -> usize {
-        self.truss.len()
+        self.slots.len() / 2
     }
 
     /// True when the decomposition covers no edges.
     pub fn is_empty(&self) -> bool {
-        self.truss.is_empty()
+        self.slots.is_empty()
+    }
+
+    /// Number of nodes of the decomposed graph.
+    pub(crate) fn node_count(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Node `u`'s slots, ascending by neighbour (empty when `u` is out of
+    /// range).
+    pub(crate) fn slots(&self, u: usize) -> &[Slot] {
+        match (self.offsets.get(u), self.offsets.get(u + 1)) {
+            (Some(&start), Some(&end)) => self.slots.get(start..end).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+
+    /// The slot of edge `{u, v}` on `u`'s side.
+    fn slot(&self, u: usize, v: usize) -> Option<&Slot> {
+        let slots = self.slots(u);
+        let at = slots.binary_search_by_key(&v, |s| s.node).ok()?;
+        slots.get(at)
     }
 }
 
-/// Computes the truss number of every edge by iterative peeling: repeatedly
-/// remove the edge with the smallest support and record its truss number as
-/// `support at removal + 2`.
+/// Computes the truss number of every edge by queue peeling (see the module
+/// docs).
 pub fn truss_decomposition(graph: &UnGraph) -> TrussDecomposition {
-    let mut work = graph.clone();
-    let mut support: HashMap<(usize, usize), usize> = HashMap::new();
-    for (u, v) in work.edges() {
-        support.insert((u, v), work.edge_support(u, v));
+    let n = graph.node_count();
+    let mut store = TrussDecomposition {
+        offsets: Vec::with_capacity(n + 1),
+        slots: Vec::new(),
+        max_truss: 0,
+    };
+    store.offsets.push(0);
+    // Nodes are laid out in ascending order, so a smaller neighbour's slots
+    // are complete, and hold the id of the edge to `u`, when `u` is reached.
+    let mut ends: Vec<(usize, usize)> = Vec::new();
+    for u in 0..n {
+        for node in graph.neighbors(u) {
+            let edge = if node < u {
+                store.slot(node, u).map_or(usize::MAX, |s| s.edge)
+            } else {
+                ends.push((u, node));
+                ends.len() - 1
+            };
+            store.slots.push(Slot {
+                node,
+                edge,
+                truss: 0,
+                weight: 0.0,
+            });
+        }
+        store.offsets.push(store.slots.len());
     }
-    let mut truss: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut k = 2usize;
 
-    while !support.is_empty() {
-        // Peel every edge whose support is <= k - 2 at the current level.
-        loop {
-            let to_remove: Vec<(usize, usize)> = support
+    let mut support: Vec<usize> = ends
+        .iter()
+        .map(|&(u, v)| {
+            let mut triangles = 0;
+            common_neighbors(store.slots(u), store.slots(v), |_, _| triangles += 1);
+            triangles
+        })
+        .collect();
+    // 0 marks an edge not yet peeled; peeled edges get their level (>= 2).
+    let mut truss = vec![0usize; ends.len()];
+    let mut left = ends.len();
+    let mut queue: Vec<usize> = Vec::new();
+    let mut k = 2;
+    while left > 0 {
+        queue.extend(
+            truss
                 .iter()
-                .filter(|(_, &s)| s + 2 <= k)
-                .map(|(&e, _)| e)
-                .collect();
-            if to_remove.is_empty() {
-                break;
+                .zip(&support)
+                .enumerate()
+                .filter(|&(_, (&t, &s))| t == 0 && s + 2 <= k)
+                .map(|(e, _)| e),
+        );
+        while let Some(e) = queue.pop() {
+            match truss.get_mut(e) {
+                Some(t) if *t == 0 => *t = k,
+                _ => continue,
             }
-            for (u, v) in to_remove {
-                if support.remove(&(u, v)).is_none() {
-                    continue;
+            left -= 1;
+            let Some(&(u, v)) = ends.get(e) else { continue };
+            // Removing `e` destroys every triangle it closed with two
+            // unpeeled edges.
+            common_neighbors(store.slots(u), store.slots(v), |a, b| {
+                if truss.get(a.edge) != Some(&0) || truss.get(b.edge) != Some(&0) {
+                    return;
                 }
-                truss.insert((u, v), k);
-                // Removing (u, v) destroys one triangle per common neighbour.
-                let common = work.common_neighbors(u, v);
-                work.remove_edge(u, v);
-                for w in common {
-                    for e in [norm_edge(u, w), norm_edge(v, w)] {
-                        if let Some(s) = support.get_mut(&e) {
-                            *s = s.saturating_sub(1);
+                for f in [a.edge, b.edge] {
+                    if let Some(s) = support.get_mut(f) {
+                        *s = s.saturating_sub(1);
+                        if *s + 2 <= k {
+                            queue.push(f);
                         }
                     }
                 }
-            }
+            });
         }
         k += 1;
     }
-    let max_truss = truss.values().copied().max().unwrap_or(0);
-    TrussDecomposition { truss, max_truss }
+
+    store.max_truss = truss.iter().copied().max().unwrap_or(0);
+    let max_truss = store.max_truss;
+    for slot in &mut store.slots {
+        slot.truss = truss.get(slot.edge).copied().unwrap_or(0);
+        slot.weight = steiner_weight(max_truss, slot.truss);
+    }
+    store
+}
+
+/// Calls `f` with the pair of slots of every neighbour common to the two
+/// ascending slot lists.
+fn common_neighbors(a: &[Slot], b: &[Slot], mut f: impl FnMut(&Slot, &Slot)) {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        match x.node.cmp(&y.node) {
+            std::cmp::Ordering::Less => {
+                a.next();
+            }
+            std::cmp::Ordering::Greater => {
+                b.next();
+            }
+            std::cmp::Ordering::Equal => {
+                f(x, y);
+                a.next();
+                b.next();
+            }
+        }
+    }
 }
 
 /// Returns the subgraph formed by all edges whose truss number is at least
 /// `p` (node indices are preserved).
 pub fn p_truss_subgraph(graph: &UnGraph, decomposition: &TrussDecomposition, p: usize) -> UnGraph {
     let mut sub = UnGraph::new(graph.node_count());
-    for (&(u, v), &t) in decomposition.iter() {
+    for ((u, v), t) in decomposition.iter() {
         if t >= p {
             let _ = sub.add_edge(u, v);
         }
     }
     sub
-}
-
-/// Repeatedly removes edges whose support inside `sub` has fallen below
-/// `p - 2`, restoring the p-truss property after node/edge deletions
-/// (line 13 of Algorithm 1). Nodes left isolated are dropped from `nodes`.
-pub fn maintain_p_truss(sub: &mut UnGraph, nodes: &mut BTreeSet<usize>, p: usize) {
-    loop {
-        let violating: Vec<(usize, usize)> = sub
-            .edges()
-            .into_iter()
-            .filter(|&(u, v)| sub.edge_support(u, v) + 2 < p)
-            .collect();
-        if violating.is_empty() {
-            break;
-        }
-        for (u, v) in violating {
-            sub.remove_edge(u, v);
-        }
-    }
-    nodes.retain(|&v| sub.degree(v) > 0);
 }
 
 #[cfg(test)]
@@ -193,26 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn maintain_p_truss_removes_broken_edges_and_isolated_nodes() {
-        let g = diamond_with_tail();
-        let d = truss_decomposition(&g);
-        let mut sub = p_truss_subgraph(&g, &d, 3);
-        let mut nodes: BTreeSet<usize> = sub.non_isolated_nodes().into_iter().collect();
-        // Remove node 0: edges (1,2),(1,3),(2,3) still form a triangle (3-truss).
-        sub.detach_node(0);
-        nodes.remove(&0);
-        maintain_p_truss(&mut sub, &mut nodes, 3);
-        assert_eq!(nodes, [1, 2, 3].into_iter().collect());
-        assert_eq!(sub.edge_count(), 3);
-        // Now remove node 3; remaining edge (1,2) has no triangle and must go.
-        sub.detach_node(3);
-        nodes.remove(&3);
-        maintain_p_truss(&mut sub, &mut nodes, 3);
-        assert!(nodes.is_empty());
-        assert_eq!(sub.edge_count(), 0);
-    }
-
-    #[test]
     fn decomposition_is_invariant_to_edge_insertion_order() {
         let edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)];
         let mut reversed = edges;
@@ -222,5 +308,25 @@ mod tests {
         for (u, v) in UnGraph::from_edges(5, &edges).unwrap().edges() {
             assert_eq!(a.truss(u, v), b.truss(u, v));
         }
+    }
+
+    #[test]
+    fn slots_mirror_each_edge_in_ascending_order() {
+        let g = diamond_with_tail();
+        let d = truss_decomposition(&g);
+        assert_eq!(d.node_count(), 5);
+        let entries: Vec<((usize, usize), usize)> = d.iter().collect();
+        let edges: Vec<(usize, usize)> = entries.iter().map(|&(e, _)| e).collect();
+        assert_eq!(edges, g.edges());
+        for (id, &((u, v), t)) in entries.iter().enumerate() {
+            for (from, to) in [(u, v), (v, u)] {
+                let slot = d.slot(from, to).unwrap();
+                assert_eq!((slot.edge, slot.truss), (id, t));
+                assert_eq!(slot.weight, steiner_weight(d.max_truss(), t));
+            }
+        }
+        assert!(d.slots(5).is_empty());
+        assert_eq!(d.truss(0, 4), None);
+        assert_eq!(d.truss(9, 0), None);
     }
 }
