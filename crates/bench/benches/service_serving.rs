@@ -1,96 +1,16 @@
-//! Service-layer serving benchmarks (the ROADMAP's criterion-benches item):
-//! `suggest_batch` with cold versus memoized explanations, the taped versus
-//! tape-free score-prediction paths behind it, `check_prescription`, and
-//! save/load throughput of the `DSSD` container.
+//! Service-layer kernel benchmarks: save/load throughput of the `DSSD`
+//! container (`persistence`) and the dense matrix kernels under
+//! inference (`tensor_kernels`).
 //!
-//! The headline comparison for the tape-free inference engine is
-//! `predict_scores/batch64_taped` against `predict_scores/batch64_tape_free`
-//! — identical work, identical (bit-for-bit) outputs, no autodiff tape on
-//! the second. `suggest_batch/batch64_cold` measures the full serving path
-//! (prediction + ranking + community search) with the explanation cache
-//! cleared before every batch; `batch64_memoized` leaves the cache warm.
+//! Serving cost end to end — suggestion, batched suggestion and
+//! prescription critique through a live gateway — is measured by the
+//! open-loop benchmark, `bash perfbench/run.sh`, over the workloads in
+//! `BENCHMARK.json`, not here.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
 use dssddi_bench::BenchWorld;
-use dssddi_core::{CheckPrescriptionRequest, DrugId};
 use dssddi_tensor::Matrix;
-
-fn bench_suggest_batch(c: &mut Criterion) {
-    let world = BenchWorld::new(200, 11);
-    let service = world.fitted_service(120, 13);
-    let held_out: Vec<usize> = (120..184).collect();
-    let requests = world.suggest_requests(&held_out);
-    assert_eq!(requests.len(), 64);
-
-    let mut group = c.benchmark_group("suggest_batch");
-    group.sample_size(10);
-    group.bench_function("batch64_cold", |b| {
-        b.iter_batched(
-            || service.clear_explanation_cache(),
-            |_| service.suggest_batch(&requests).unwrap(),
-            BatchSize::SmallInput,
-        )
-    });
-    // Single-shard cold serving: the pre-PR execution shape (one thread,
-    // every explanation searched inline) for the ≥2x throughput comparison.
-    group.bench_function("batch64_cold_serial_1shard", |b| {
-        b.iter_batched(
-            || service.clear_explanation_cache(),
-            |_| service.suggest_batch_sharded(&requests, 1).unwrap(),
-            BatchSize::SmallInput,
-        )
-    });
-    // Warm the memo once, then serve the same batch from it.
-    service.suggest_batch(&requests).unwrap();
-    group.bench_function("batch64_memoized", |b| {
-        b.iter(|| service.suggest_batch(&requests).unwrap())
-    });
-    group.bench_function("batch64_serial_1shard", |b| {
-        b.iter(|| service.suggest_batch_sharded(&requests, 1).unwrap())
-    });
-    group.finish();
-}
-
-fn bench_predict_scores(c: &mut Criterion) {
-    let world = BenchWorld::new(200, 11);
-    let service = world.fitted_service(120, 13);
-    let engine = service.engine().expect("fitted service has an engine");
-    let held_out: Vec<usize> = (120..184).collect();
-    let features = world.cohort.features().select_rows(&held_out);
-
-    let mut group = c.benchmark_group("predict_scores");
-    group.sample_size(10);
-    group.bench_function("batch64_taped", |b| {
-        b.iter(|| engine.predict_scores_taped(&features).unwrap())
-    });
-    group.bench_function("batch64_tape_free", |b| {
-        b.iter(|| engine.predict_scores(&features).unwrap())
-    });
-    // The two paths must agree bit-for-bit, or the comparison is void.
-    let taped = engine.predict_scores_taped(&features).unwrap();
-    let tape_free = engine.predict_scores(&features).unwrap();
-    assert_eq!(taped, tape_free);
-    group.finish();
-}
-
-fn bench_check_prescription(c: &mut Criterion) {
-    let world = BenchWorld::new(50, 11);
-    let service = world.fitted_service(40, 13);
-    // The paper's Fig. 8 antagonistic pair plus a synergistic pair.
-    let request = CheckPrescriptionRequest::new(vec![
-        DrugId::new(61),
-        DrugId::new(59),
-        DrugId::new(10),
-        DrugId::new(5),
-    ]);
-    let mut group = c.benchmark_group("check_prescription");
-    group.sample_size(10);
-    group.bench_function("four_drug_prescription", |b| {
-        b.iter(|| service.check_prescription(&request).unwrap())
-    });
-    group.finish();
-}
 
 fn bench_save_load(c: &mut Criterion) {
     let world = BenchWorld::new(120, 11);
@@ -132,12 +52,5 @@ fn bench_tensor_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_suggest_batch,
-    bench_predict_scores,
-    bench_check_prescription,
-    bench_save_load,
-    bench_tensor_kernels,
-);
+criterion_group!(benches, bench_save_load, bench_tensor_kernels);
 criterion_main!(benches);

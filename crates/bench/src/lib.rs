@@ -3,13 +3,15 @@
 //! The benchmarks cover the computational kernels behind every table and
 //! figure of the paper: the Medical Support graph algorithms (truss
 //! decomposition, Steiner trees, closest truss community), DDIGCN / MDGCN
-//! training epochs, counterfactual link construction, and the end-to-end
-//! scoring pipelines of the experiment tables.
+//! training epochs, counterfactual link construction, the scoring
+//! pipelines of the experiment tables, model persistence and the dense
+//! matrix kernels. Serving cost through the gateway is measured by the
+//! open-loop benchmark (`bash perfbench/run.sh`), not by these benches.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dssddi_core::{DecisionService, PatientId, ServiceBuilder, SuggestRequest};
+use dssddi_core::{DecisionService, ServiceBuilder};
 use dssddi_data::{
     generate_chronic_cohort, generate_ddi_graph, ChronicCohort, ChronicConfig, DdiConfig,
     DrugRegistry,
@@ -57,8 +59,8 @@ impl BenchWorld {
     }
 
     /// Fits a small but realistic [`DecisionService`] on the first
-    /// `n_observed` patients of the world — the shared fixture of the
-    /// service-layer benches and the `bench_report` workload.
+    /// `n_observed` patients of the world — the fixture of the persistence
+    /// bench.
     pub fn fitted_service(&self, n_observed: usize, seed: u64) -> DecisionService {
         let observed: Vec<usize> = (0..n_observed.min(self.cohort.n_patients())).collect();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -73,15 +75,5 @@ impl BenchWorld {
                 &mut rng,
             )
             .expect("service fitting")
-    }
-
-    /// Top-3 suggestion requests for the patient indices in `patients`.
-    pub fn suggest_requests(&self, patients: &[usize]) -> Vec<SuggestRequest> {
-        patients
-            .iter()
-            .map(|&p| {
-                SuggestRequest::new(PatientId::new(p), self.cohort.features().row(p).to_vec(), 3)
-            })
-            .collect()
     }
 }

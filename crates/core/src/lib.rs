@@ -12,8 +12,11 @@
 //! * [`ms_module`] — the Medical Support module: closest-truss-community
 //!   explanation subgraphs and the Suggestion Satisfaction measure
 //!   (Section IV-C, Eq. 19).
-//! * [`system`] — the end-to-end [`Dssddi`] facade: fit on observed
-//!   patients, suggest drugs for new patients, and explain every suggestion.
+//! * [`system`] — the end-to-end [`Dssddi`] engine: fit on observed
+//!   patients, predict medication-use scores for new patients, and explain
+//!   drug sets.
+//! * [`service`] — the doctor-facing [`DecisionService`]: typed suggestion
+//!   and prescription-critique requests over a fitted engine.
 
 #![warn(missing_docs)]
 
@@ -38,7 +41,7 @@ pub use service::{
     CheckPrescriptionRequest, DecisionService, DrugId, InteractionReport, PairInteraction,
     PatientId, ScoredDrug, ServiceBuilder, SuggestFilters, SuggestRequest, SuggestResponse,
 };
-pub use system::{DrugSuggestion, Dssddi, Suggestion};
+pub use system::Dssddi;
 
 // The clinical knowledge-base types travel with the request/response types
 // they annotate (`CheckPrescriptionRequest.policy`, `PairInteraction.severity`),

@@ -468,7 +468,8 @@ impl MdModule {
     /// the decoder input for each patient is assembled directly into a
     /// scratch buffer that is reused across the whole batch, and the
     /// decoder runs through [`Mlp::infer`]. Produces bit-identical scores
-    /// to [`MdModule::predict_scores_taped`] (asserted in tests).
+    /// to the taped training-time forward pass, kept as a `#[cfg(test)]`
+    /// reference that a test compares against.
     pub fn predict_scores(&self, features: &Matrix) -> Result<Matrix, CoreError> {
         if features.cols() != self.params.get(self.patient_w).rows() {
             return Err(CoreError::invalid_input(
@@ -504,10 +505,10 @@ impl MdModule {
     }
 
     /// Reference scoring path running every forward pass through the full
-    /// autodiff [`Tape`] — the pre-optimization implementation, kept so
-    /// tests can assert the fast path is bit-identical and benches can
-    /// measure the speedup. Not used by the serving layer.
-    pub fn predict_scores_taped(&self, features: &Matrix) -> Result<Matrix, CoreError> {
+    /// autodiff [`Tape`] — the pre-optimization implementation, kept only
+    /// so tests can assert the fast path is bit-identical.
+    #[cfg(test)]
+    fn predict_scores_taped(&self, features: &Matrix) -> Result<Matrix, CoreError> {
         if features.cols() != self.params.get(self.patient_w).rows() {
             return Err(CoreError::invalid_input(
                 "patient feature dimension differs from the fitted model",

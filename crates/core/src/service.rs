@@ -1019,6 +1019,12 @@ impl DecisionService {
                     n_features
                 )));
             }
+            if let Some(f) = request.features.iter().position(|v| !v.is_finite()) {
+                return Err(CoreError::invalid_input(format!(
+                    "request {i} ({}) carries a non-finite value at feature {f}",
+                    request.patient
+                )));
+            }
             if request.k == 0 {
                 return Err(CoreError::invalid_input(format!(
                     "request {i} ({}) asks for k = 0 suggestions",
@@ -1554,7 +1560,7 @@ mod tests {
 
     #[test]
     fn wrong_feature_length_is_rejected_with_patient_context() {
-        let (service, _, _) = fitted_service(11);
+        let (service, cohort, held_out) = fitted_service(11);
         let request = SuggestRequest::new(PatientId::new(42), vec![0.0; 3], 2);
         match service.suggest(&request) {
             Err(CoreError::InvalidInput { what }) => {
@@ -1564,6 +1570,26 @@ mod tests {
                 )
             }
             other => panic!("expected InvalidInput, got {other:?}"),
+        }
+        // The wire carries raw f32 bits, so a NaN or infinite feature must
+        // be refused rather than ranked on NaN scores.
+        let features = cohort.features().row(held_out[0]).to_vec();
+        let valid = SuggestRequest::new(PatientId::new(7), features.clone(), 3);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in [0, features.len() / 2, features.len() - 1] {
+                let mut poisoned = features.clone();
+                poisoned[at] = bad;
+                let request = SuggestRequest::new(PatientId::new(42), poisoned, 3);
+                match service.suggest_batch(&[valid.clone(), request]) {
+                    Err(CoreError::InvalidInput { what }) => assert!(
+                        what.contains("request 1")
+                            && what.contains("patient #42")
+                            && what.contains(&format!("feature {at}")),
+                        "got: {what}"
+                    ),
+                    other => panic!("expected InvalidInput for {bad} at {at}, got {other:?}"),
+                }
+            }
         }
     }
 

@@ -3,9 +3,10 @@
 //! [`Dssddi`] wires the three modules together: it trains DDIGCN on the DDI
 //! graph, shares the learned drug relation embeddings with MDGCN, trains
 //! MDGCN on the observed patients with counterfactual augmentation, and at
-//! inference time returns, for each patient, the top-k suggested drugs
-//! together with the closest-truss-community explanation and the Suggestion
-//! Satisfaction score.
+//! inference time predicts medication-use scores for new patients and
+//! explains drug sets through the Medical Support module. Ranked, explained
+//! suggestions are served by [`crate::service::DecisionService`], which owns
+//! a fitted engine.
 
 // Like the service layer, the engine's serving path returns typed errors
 // instead of panicking; see `service.rs` for the rationale. The panic-policy
@@ -17,35 +18,15 @@ use rand::Rng;
 
 use dssddi_data::ChronicCohort;
 use dssddi_graph::{BipartiteGraph, SignedGraph};
-use dssddi_ml::top_k_indices;
 use dssddi_tensor::serde::{self as tserde, ByteReader, ByteWriter, SerdeError};
 use dssddi_tensor::Matrix;
 
 use crate::config::{DrugFeatureSource, DssddiConfig};
 use crate::ddi_module::DdiModule;
 use crate::md_module::MdModule;
-use crate::ms_module::{explain_suggestion, Explanation, ExplanationCache};
+use crate::ms_module::{explain_suggestion, Explanation};
 use crate::persist::{self, section};
 use crate::CoreError;
-
-/// One suggested drug with its prediction score.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DrugSuggestion {
-    /// Drug ID (index into the formulary).
-    pub drug: usize,
-    /// Predicted medication-use probability.
-    pub score: f32,
-}
-
-/// The system output for one patient: suggested drugs plus the DDI-based
-/// explanation shown to the doctor.
-#[derive(Debug, Clone)]
-pub struct Suggestion {
-    /// Suggested drugs in descending score order.
-    pub drugs: Vec<DrugSuggestion>,
-    /// Explanation subgraph and Suggestion Satisfaction.
-    pub explanation: Explanation,
-}
 
 /// The fitted decision support system.
 pub struct Dssddi {
@@ -139,32 +120,9 @@ impl Dssddi {
         })
     }
 
-    /// Convenience constructor: fits the system on a subset (the observed
-    /// patients) of a generated chronic cohort.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `ServiceBuilder::fit_chronic` to obtain a `DecisionService`"
-    )]
-    pub fn fit_chronic(
-        cohort: &ChronicCohort,
-        observed_patients: &[usize],
-        drug_features: &Matrix,
-        ddi_graph: &SignedGraph,
-        config: &DssddiConfig,
-        rng: &mut impl Rng,
-    ) -> Result<Self, CoreError> {
-        Self::fit_chronic_inner(
-            cohort,
-            observed_patients,
-            drug_features,
-            ddi_graph,
-            config,
-            rng,
-        )
-    }
-
-    /// Non-deprecated implementation backing both the legacy
-    /// [`Dssddi::fit_chronic`] shim and [`crate::service::ServiceBuilder`].
+    /// Fits the system on a subset (the observed patients) of a generated
+    /// chronic cohort; the implementation behind
+    /// [`crate::service::ServiceBuilder::fit_chronic`].
     pub(crate) fn fit_chronic_inner(
         cohort: &ChronicCohort,
         observed_patients: &[usize],
@@ -199,56 +157,6 @@ impl Dssddi {
     /// inference fast path (see [`MdModule::predict_scores`]).
     pub fn predict_scores(&self, features: &Matrix) -> Result<Matrix, CoreError> {
         self.md_module.predict_scores(features)
-    }
-
-    /// Reference taped scoring path, kept so benches and tests can compare
-    /// against the tape-free fast path (see
-    /// [`MdModule::predict_scores_taped`]).
-    pub fn predict_scores_taped(&self, features: &Matrix) -> Result<Matrix, CoreError> {
-        self.md_module.predict_scores_taped(features)
-    }
-
-    /// Suggests the top-`k` drugs for every patient in `features` and
-    /// explains each suggestion through the Medical Support module.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `DecisionService::suggest_batch`, which resolves drug names and \
-                supports per-request filters"
-    )]
-    pub fn suggest(&self, features: &Matrix, k: usize) -> Result<Vec<Suggestion>, CoreError> {
-        self.suggest_inner(features, k)
-    }
-
-    /// Non-deprecated implementation backing both the legacy
-    /// [`Dssddi::suggest`] shim and [`crate::service::DecisionService`].
-    ///
-    /// Prediction runs once for the whole batch, and explanations are
-    /// memoized per distinct suggested drug set: patients who receive the
-    /// same top-`k` drugs share a single community search.
-    pub(crate) fn suggest_inner(
-        &self,
-        features: &Matrix,
-        k: usize,
-    ) -> Result<Vec<Suggestion>, CoreError> {
-        if k == 0 {
-            return Err(CoreError::invalid_config("k must be positive"));
-        }
-        let scores = self.predict_scores(features)?;
-        let mut cache = ExplanationCache::new();
-        let mut out = Vec::with_capacity(features.rows());
-        for p in 0..features.rows() {
-            let top = top_k_indices(scores.row(p), k);
-            let drugs: Vec<DrugSuggestion> = top
-                .iter()
-                .map(|&d| DrugSuggestion {
-                    drug: d,
-                    score: scores.get(p, d),
-                })
-                .collect();
-            let explanation = cache.explain(&self.ddi_graph, &top, &self.config.ms)?;
-            out.push(Suggestion { drugs, explanation });
-        }
-        Ok(out)
     }
 
     /// Explains an arbitrary set of drugs (e.g. a doctor's own prescription)
@@ -349,11 +257,11 @@ impl Dssddi {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shims must keep working until removal
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
     use crate::config::{Backbone, DssddiConfig};
+    use crate::service::{PatientId, ServiceBuilder, SuggestRequest};
     use dssddi_data::{
         generate_chronic_cohort, generate_ddi_graph, ChronicConfig, DdiConfig, DrugRegistry,
     };
@@ -379,6 +287,14 @@ mod tests {
         (cohort, ddi, drug_features)
     }
 
+    /// One top-`k` request per cohort patient in `patients`.
+    fn requests(cohort: &ChronicCohort, patients: &[usize], k: usize) -> Vec<SuggestRequest> {
+        patients
+            .iter()
+            .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), k))
+            .collect()
+    }
+
     fn tiny_config() -> DssddiConfig {
         let mut config = DssddiConfig::fast();
         config.ddi.epochs = 30;
@@ -395,19 +311,17 @@ mod tests {
         let (cohort, ddi, drug_features) = small_world(80, 0);
         let observed: Vec<usize> = (0..60).collect();
         let mut rng = StdRng::seed_from_u64(1);
-        let system = Dssddi::fit_chronic(
-            &cohort,
-            &observed,
-            &drug_features,
-            &ddi,
-            &tiny_config(),
-            &mut rng,
-        )
-        .unwrap();
+        let service = ServiceBuilder::new()
+            .config(tiny_config())
+            .fit_chronic(&cohort, &observed, &drug_features, &ddi, &mut rng)
+            .unwrap();
+        let system = service.engine().unwrap();
         assert!(system.ddi_module().is_some());
 
-        let test_features = cohort.features().select_rows(&(60..80).collect::<Vec<_>>());
-        let suggestions = system.suggest(&test_features, 3).unwrap();
+        let test_patients: Vec<usize> = (60..80).collect();
+        let suggestions = service
+            .suggest_batch(&requests(&cohort, &test_patients, 3))
+            .unwrap();
         assert_eq!(suggestions.len(), 20);
         for s in &suggestions {
             assert_eq!(s.drugs.len(), 3);
@@ -416,7 +330,7 @@ mod tests {
             assert!(s.drugs.iter().all(|d| (0.0..=1.0).contains(&d.score)));
             assert!(s.explanation.suggestion_satisfaction >= 0.0);
             for d in &s.drugs {
-                assert!(s.explanation.community.contains(d.drug));
+                assert!(s.explanation.community.contains(d.id.index()));
             }
         }
     }
@@ -427,15 +341,10 @@ mod tests {
         let observed: Vec<usize> = (0..90).collect();
         let held_out: Vec<usize> = (90..120).collect();
         let mut rng = StdRng::seed_from_u64(3);
-        let system = Dssddi::fit_chronic(
-            &cohort,
-            &observed,
-            &drug_features,
-            &ddi,
-            &tiny_config(),
-            &mut rng,
-        )
-        .unwrap();
+        let system = ServiceBuilder::new()
+            .config(tiny_config())
+            .fit_chronic(&cohort, &observed, &drug_features, &ddi, &mut rng)
+            .unwrap();
         let test_features = cohort.features().select_rows(&held_out);
         let test_labels = cohort.labels().select_rows(&held_out);
         let scores = system.predict_scores(&test_features).unwrap();
@@ -457,15 +366,14 @@ mod tests {
         let wrong_ddi = SignedGraph::new(10);
         let observed: Vec<usize> = (0..30).collect();
         let mut rng = StdRng::seed_from_u64(5);
-        assert!(Dssddi::fit_chronic(
-            &cohort,
-            &observed,
-            &drug_features,
-            &wrong_ddi,
-            &tiny_config(),
-            &mut rng
-        )
-        .is_err());
+        // A registry sized to the DDI graph gets past the builder, so the
+        // engine's own drug-count check is the one that rejects the fit.
+        let registry = DrugRegistry::from_names((0..10).map(|d| format!("drug {d}"))).unwrap();
+        assert!(ServiceBuilder::new()
+            .config(tiny_config())
+            .registry(registry)
+            .fit_chronic(&cohort, &observed, &drug_features, &wrong_ddi, &mut rng)
+            .is_err());
     }
 
     #[test]
@@ -475,12 +383,15 @@ mod tests {
         let mut config = tiny_config();
         config.md.use_ddi_embeddings = false;
         let mut rng = StdRng::seed_from_u64(7);
-        let system =
-            Dssddi::fit_chronic(&cohort, &observed, &drug_features, &ddi, &config, &mut rng)
-                .unwrap();
+        let service = ServiceBuilder::new()
+            .config(config)
+            .fit_chronic(&cohort, &observed, &drug_features, &ddi, &mut rng)
+            .unwrap();
+        let system = service.engine().unwrap();
         assert!(system.ddi_module().is_none());
-        let test = cohort.features().select_rows(&[50, 51]);
-        let suggestions = system.suggest(&test, 2).unwrap();
+        let suggestions = service
+            .suggest_batch(&requests(&cohort, &[50, 51], 2))
+            .unwrap();
         assert_eq!(suggestions.len(), 2);
     }
 
@@ -514,16 +425,10 @@ mod tests {
         let (cohort, ddi, drug_features) = small_world(50, 10);
         let observed: Vec<usize> = (0..40).collect();
         let mut rng = StdRng::seed_from_u64(11);
-        let system = Dssddi::fit_chronic(
-            &cohort,
-            &observed,
-            &drug_features,
-            &ddi,
-            &tiny_config(),
-            &mut rng,
-        )
-        .unwrap();
-        let test = cohort.features().select_rows(&[45]);
-        assert!(system.suggest(&test, 0).is_err());
+        let system = ServiceBuilder::new()
+            .config(tiny_config())
+            .fit_chronic(&cohort, &observed, &drug_features, &ddi, &mut rng)
+            .unwrap();
+        assert!(system.suggest_batch(&requests(&cohort, &[45], 0)).is_err());
     }
 }

@@ -4,18 +4,16 @@
 //! Sweeps one or more connection counts against the gateway, each run
 //! offering a fixed Poisson arrival rate of mixed clinical traffic with
 //! Zipf hot-shard skew, and prints an achieved-throughput-vs-SLO report.
-//! With `--append` the `loadgen_c{N}` results are spliced into an
-//! existing `BENCH_serving.json`.
 //!
 //! ```text
 //! dssddi-serve --listen 127.0.0.1:4547 --demo &
 //! dssddi-loadgen --addr 127.0.0.1:4547 --connections 1,64,256 \
-//!     --rate 800 --duration-s 5 --append BENCH_serving.json
+//!     --rate 800 --duration-s 5
 //! ```
 
 use std::time::Duration;
 
-use dssddi_loadgen::{append_results, BenchEntry, LoadgenConfig, WorkloadMix};
+use dssddi_loadgen::{LoadgenConfig, WorkloadMix};
 
 fn usage() -> String {
     "usage: dssddi-loadgen --addr HOST:PORT [options]\n\
@@ -38,7 +36,6 @@ fn usage() -> String {
      \x20 --batch N            requests per SuggestBatch frame (default 16)\n\
      \x20 --mix S:B:C:R        weights for suggest:batch:check:reload (default 55:20:24:1)\n\
      \x20 --slo-p99-ms MS      p99 objective for the SLO verdict (default 50)\n\
-     \x20 --append PATH        splice loadgen_* results into an existing BENCH_serving.json\n\
      \x20 --chaos SEED:SPEC    interpose a deterministic fault-injecting proxy in front of\n\
      \x20                      --addr and tolerate the injected faults; SPEC is a comma list\n\
      \x20                      of none|reset|blackhole|delay:MS[:JIT]|trunc:N|corrupt:N|\n\
@@ -51,7 +48,6 @@ fn usage() -> String {
 struct Args {
     config: LoadgenConfig,
     connections: Vec<usize>,
-    append: Option<String>,
     chaos: Option<dssddi_chaos::FaultPlan>,
     shutdown: bool,
 }
@@ -99,7 +95,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut batch = 16usize;
     let mut mix = WorkloadMix::default();
     let mut slo_p99_ms = 50.0f64;
-    let mut append = None;
     let mut chaos = None;
     let mut smoke = false;
     let mut shutdown = false;
@@ -149,7 +144,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --slo-p99-ms: {e}"))?;
             }
-            "--append" => append = Some(value("--append")?),
             "--chaos" => {
                 chaos = Some(
                     dssddi_chaos::FaultPlan::parse(&value("--chaos")?)
@@ -201,7 +195,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(Args {
         config,
         connections,
-        append,
         chaos,
         shutdown,
     })
@@ -265,7 +258,6 @@ fn main() {
         None => None,
     };
 
-    let mut entries = Vec::new();
     let mut all_slos_met = true;
     for &connections in &args.connections {
         let mut config = args.config.clone();
@@ -286,32 +278,6 @@ fn main() {
         };
         print!("{}", report.render());
         all_slos_met &= report.slo_met();
-        entries.push(BenchEntry::from_report(
-            format!("loadgen_c{connections}"),
-            &report,
-        ));
-    }
-
-    if let Some(path) = &args.append {
-        let doc = match std::fs::read_to_string(path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("dssddi-loadgen: cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let spliced = match append_results(&doc, &entries) {
-            Ok(spliced) => spliced,
-            Err(e) => {
-                eprintln!("dssddi-loadgen: cannot append to {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        if let Err(e) = std::fs::write(path, spliced) {
-            eprintln!("dssddi-loadgen: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("appended {} loadgen result(s) to {path}", entries.len());
     }
 
     if let Some(handle) = chaos_handle {

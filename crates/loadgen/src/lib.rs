@@ -28,14 +28,14 @@
 //!   outcomes down per endpoint ([`TargetTally`]) with the gateway-side
 //!   cross-check summed across the group.
 //!
-//! The `dssddi-loadgen` binary drives connection-count sweeps and can
-//! splice `loadgen_*` entries into `BENCH_serving.json`
-//! ([`append_results`]); [`run`] is the library entry point the
-//! experiment harness calls directly.
+//! The `dssddi-loadgen` binary drives connection-count sweeps and prints
+//! one report per run; [`run`] is the library entry point. It is a traffic
+//! and resilience driver (CI smoke runs, chaos and replica drills). The
+//! serving benchmark with per-layer attribution is `bash perfbench/run.sh`
+//! over the workloads in `BENCHMARK.json`.
 
 #![warn(missing_docs)]
 
-pub mod report;
 pub mod runner;
 pub mod workload;
 
@@ -48,6 +48,5 @@ pub mod histogram {
 }
 
 pub use histogram::Histogram;
-pub use report::{append_results, BenchEntry};
 pub use runner::{run, ConnFaults, KindTally, LoadgenConfig, LoadgenReport, TargetTally};
 pub use workload::{OpKind, WorkloadMix, Zipf};

@@ -30,9 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use dssddi_core::{
-    CheckPrescriptionRequest, DecisionService, InteractionReport, SuggestRequest, SuggestResponse,
-};
+use dssddi_core::DecisionService;
 use dssddi_data::DrugRegistry;
 use dssddi_kb::{KbInfo, KnowledgeBase};
 use dssddi_obs::trace::{next_trace_id, SpanRecorder, Stage, TraceExemplar, TraceRing};
@@ -884,23 +882,10 @@ impl Router {
         })
     }
 
-    /// Runs one call against a resolved shard entry, recording request
-    /// count and outcome (with its error class); the caller decides where
-    /// the latency sample ends.
-    fn call_entry<T>(
-        entry: &ModelEntry,
-        n_requests: u64,
-        call: impl FnOnce(&DecisionService, &KnowledgeBase) -> Result<T, dssddi_core::CoreError>,
-    ) -> Result<T, ServingError> {
-        let (service, kb) = (entry.service(), entry.kb());
-        let result = call(&service, &kb).map_err(ServingError::Core);
-        entry.record_outcome(n_requests, result.as_ref().err().map(ErrorCode::classify));
-        result
-    }
-
-    /// [`Router::call_entry`] behind a key lookup and admission control —
-    /// no latency sample; the caller owns the sample point. Shed calls
-    /// never reach the shard and record neither requests nor latency.
+    /// Runs one call on the shard behind `key` once admission control lets
+    /// it through, recording request count and outcome (with its error
+    /// class) — no latency sample; the caller owns the sample point. Shed
+    /// calls never reach the shard and record neither requests nor latency.
     fn routed_core<T>(
         &self,
         key: &ModelKey,
@@ -910,62 +895,10 @@ impl Router {
     ) -> Result<T, ServingError> {
         let entry = self.catalog.entry(key)?;
         let _guard = self.admit(key, entry, n_requests, span)?;
-        Self::call_entry(entry, n_requests, call)
-    }
-
-    /// Runs one routed call against a shard, recording request count,
-    /// latency and outcome — the in-process entry point. (The network
-    /// server samples latency through [`Router::serve_framed`] instead, so
-    /// the sample also covers response encoding.)
-    fn routed<T>(
-        &self,
-        key: &ModelKey,
-        n_requests: u64,
-        call: impl FnOnce(&DecisionService, &KnowledgeBase) -> Result<T, dssddi_core::CoreError>,
-    ) -> Result<T, ServingError> {
-        let entry = self.catalog.entry(key)?;
-        let mut span = SpanRecorder::new(0);
-        let _guard = self.admit(key, entry, n_requests, &mut span)?;
-        let start = Instant::now();
-        let result = Self::call_entry(entry, n_requests, call);
-        entry.record_latency(elapsed_micros(start));
+        let (service, kb) = (entry.service(), entry.kb());
+        let result = call(&service, &kb).map_err(ServingError::Core);
+        entry.record_outcome(n_requests, result.as_ref().err().map(ErrorCode::classify));
         result
-    }
-
-    /// Serves one suggestion request on the shard behind `key`.
-    pub fn suggest(
-        &self,
-        key: &ModelKey,
-        request: &SuggestRequest,
-    ) -> Result<SuggestResponse, ServingError> {
-        self.routed(key, 1, |service, kb| {
-            service.suggest_with_kb(request, Some(kb))
-        })
-    }
-
-    /// Serves a batch of suggestion requests on the shard behind `key`
-    /// (one sharded prediction pass, responses in request order).
-    pub fn suggest_batch(
-        &self,
-        key: &ModelKey,
-        requests: &[SuggestRequest],
-    ) -> Result<Vec<SuggestResponse>, ServingError> {
-        self.routed(key, requests.len() as u64, |service, kb| {
-            service.suggest_batch_with_kb(requests, Some(kb))
-        })
-    }
-
-    /// Critiques a prescription against the shard behind `key`, graded by
-    /// the shard's knowledge base and filtered by the request's alert
-    /// policy.
-    pub fn check_prescription(
-        &self,
-        key: &ModelKey,
-        request: &CheckPrescriptionRequest,
-    ) -> Result<InteractionReport, ServingError> {
-        self.routed(key, 1, |service, kb| {
-            service.check_prescription_with_kb(request, Some(kb))
-        })
     }
 
     /// Hot-swaps the service behind a live key (see

@@ -13,6 +13,7 @@
 
 use dssddi::core::config::DrugFeatureSource;
 use dssddi::prelude::*;
+use dssddi::serving::{Request, Response};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -122,9 +123,13 @@ fn main() {
         .load_file(ModelKey::new("mimic").expect("key"), &path)
         .expect("load MIMIC model into the gateway catalog");
     let router = Router::new(catalog);
-    let routed = router
-        .suggest_batch(&ModelKey::new("mimic").expect("key"), &requests)
-        .expect("routed suggestions");
+    let routed = match router.serve(&Request::SuggestBatch {
+        model: ModelKey::new("mimic").expect("key"),
+        requests,
+    }) {
+        Response::SuggestBatch(responses) => responses,
+        other => panic!("routed suggestions failed: {other:?}"),
+    };
     println!(
         "\nServed through the gateway router: {} responses, model list: {:?}",
         routed.len(),

@@ -196,7 +196,7 @@
 //! ([`RetryPolicy`](serving::RetryPolicy)); only `Overloaded` rejections
 //! are retried — the request never executed, so a retry is safe.
 //!
-//! The other half is measurement: `dssddi-loadgen` (the [`loadgen`]
+//! The other half is traffic: `dssddi-loadgen` (the [`loadgen`]
 //! crate) drives a live gateway with an open-loop Poisson schedule —
 //! latency measured from each request's *scheduled* start so
 //! coordinated omission cannot hide queueing — over a mixed workload
@@ -206,14 +206,15 @@
 //! ```text
 //! dssddi-serve --listen 127.0.0.1:4547 --demo --rate-default 400:100 &
 //! dssddi-loadgen --addr 127.0.0.1:4547 --connections 1,64,256 \
-//!     --rate 800 --duration-s 5 --slo-p99-ms 50 --append BENCH_serving.json
+//!     --rate 800 --duration-s 5 --slo-p99-ms 50
 //! ```
 //!
 //! Each run prints the shed/ok accounting per operation kind
 //! (cross-checked against the gateway's own `Stats` counters), the
 //! admitted-frame percentiles from a log-bucketed histogram, and an
-//! SLO verdict; `--append` splices `loadgen_c{N}` entries into
-//! `BENCH_serving.json` under the existing schema.
+//! SLO verdict. CI drives its traffic, chaos and replica smoke runs with
+//! it; serving cost is measured by the benchmark under
+//! [Serving performance](#serving-performance).
 //!
 //! ## Observability
 //!
@@ -374,8 +375,9 @@
 //! built on fused, cache-blocked kernels in [`tensor`] that write into a
 //! reusable [`ScratchPool`](tensor::ScratchPool) — no per-op allocation in
 //! steady state, and **bit-identical** outputs to the taped training-time
-//! forward pass (asserted by property tests; the taped reference survives
-//! as `predict_scores_taped`). Scratch-pool rules: whoever `take`s a buffer
+//! forward pass. The taped scoring path is a test reference only: it is
+//! compiled under `#[cfg(test)]`, where a test asserts the tape-free scores
+//! match it bit for bit. Scratch-pool rules: whoever `take`s a buffer
 //! `recycle`s it when done; a taken buffer has *unspecified contents* and
 //! must be fully overwritten (every `*_into` kernel does — use
 //! `take_zeroed` otherwise); buffers never cross threads — each serving
@@ -389,23 +391,23 @@
 //! cold explanations overlap across shards. Responses are always in
 //! request order with scores identical to serial serving.
 //!
-//! The serving performance trajectory is tracked in `BENCH_serving.json`
-//! at the repository root, written by
-//! `cargo run --release -p dssddi-experiments --bin bench_report`. Each
-//! entry reports `throughput_rps` (requests per second over the whole
-//! run), and `p50_ms`/`p99_ms` latency percentiles per *batch* call for a
-//! named workload at a given `batch_size` — compare `suggest_batch_cold`
-//! (explanation cache cleared before every batch) against
-//! `suggest_batch_memoized` (steady state), and `predict_scores_taped`
-//! against `predict_scores_tape_free` for the pure model-inference
-//! speedup. The `loadgen_c{N}` entries are different in kind: produced
-//! by the open-loop generator against an admission-limited gateway at
-//! ~2x capacity, they record *delivered* throughput and admitted-frame
-//! percentiles while the excess is shed with typed `Overloaded`
-//! rejections. Criterion benches covering the same paths live in
-//! `crates/bench/benches/service_serving.rs`
-//! (`cargo bench -p dssddi-bench`); CI smoke-runs them with
-//! `cargo bench -- --test`.
+//! Serving cost is measured by one benchmark, declared in
+//! `BENCHMARK.json` and run from the repository root:
+//!
+//! ```text
+//! bash perfbench/run.sh --workload critique --seed 1 --seconds 20 --trace 0
+//! ```
+//!
+//! It builds `dssddi-serve` from source, drives it open loop on loopback
+//! with the `critique`, `suggest` and `clinic_mixed` workloads, and prints
+//! one JSON object per run. `--trace 0` reports the end-to-end metrics
+//! (`setup_s`, `rss_mb`, `cpu_ms_per_req.light`); `--trace 1` replays the
+//! same requests through each layer and reports per-layer ones (wire codec,
+//! router, service, explanation search, inference, KB lookup). See
+//! `perfbench/README.md`. The criterion benches in `crates/bench` time
+//! kernels only: graph algorithms, tensor kernels, persistence and the
+//! research training pipelines (`cargo bench -p dssddi-bench`). CI
+//! smoke-runs each of them once with `cargo bench -p dssddi-bench -- --test`.
 //!
 //! ## Static analysis
 //!
@@ -435,18 +437,6 @@
 //! encoder and decoder match on them exhaustively. The serving crate's
 //! tests pin what the compiler cannot see: golden frames, the retired
 //! request tag and distinct container magics.
-//!
-//! ## Migrating from the research facade
-//!
-//! The pre-service entry points still compile but are deprecated:
-//! `Dssddi::fit_chronic` is replaced by
-//! [`ServiceBuilder::fit_chronic`](core::ServiceBuilder::fit_chronic) (which
-//! validates the configuration first), and `Dssddi::suggest` by
-//! [`DecisionService::suggest_batch`](core::DecisionService::suggest_batch)
-//! (which resolves drug names, supports per-request filters and memoizes
-//! explanations). The engine-level `Dssddi::fit` remains available for
-//! research code that needs raw matrices, and a fitted engine is reachable
-//! through `DecisionService::engine`.
 
 #![warn(missing_docs)]
 
@@ -476,7 +466,7 @@ pub mod prelude {
         Backbone, CheckPrescriptionRequest, CoreError, DecisionService, DrugId, Dssddi,
         DssddiConfig, Explanation, InteractionReport, MdModuleConfig, MsModuleConfig,
         PairInteraction, PatientId, ScoredDrug, ServiceBuilder, SuggestFilters, SuggestRequest,
-        SuggestResponse, Suggestion,
+        SuggestResponse,
     };
     pub use dssddi_data::{
         generate_chronic_cohort, generate_ddi_graph, generate_mimic_dataset,

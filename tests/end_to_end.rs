@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full DSSDDI pipeline from synthetic
 //! data generation through training, suggestion, explanation and evaluation,
-//! through both the typed [`DecisionService`] API and the legacy deprecated
-//! shims (which must keep compiling and agreeing with the service).
+//! through the typed [`DecisionService`] API and the engine-level
+//! [`Dssddi`] it wraps.
 
 use dssddi::core::ms_module::explain_suggestion;
 use dssddi::core::MsModuleConfig;
@@ -147,30 +147,42 @@ fn decision_service_end_to_end() {
 }
 
 #[test]
-#[allow(deprecated)] // intentionally exercises the legacy shims
 fn full_pipeline_fit_suggest_explain_evaluate() {
     let world = build_world(120, 1);
     let mut rng = StdRng::seed_from_u64(2);
-    let system = Dssddi::fit_chronic(
-        &world.cohort,
-        &world.split.train,
-        &world.drug_features,
-        &world.ddi,
-        &tiny_config(),
-        &mut rng,
-    )
-    .unwrap();
+    let system = ServiceBuilder::new()
+        .config(tiny_config())
+        .fit_chronic(
+            &world.cohort,
+            &world.split.train,
+            &world.drug_features,
+            &world.ddi,
+            &mut rng,
+        )
+        .unwrap();
 
     let test_features = world.cohort.features().select_rows(&world.split.test);
     let test_labels = world.cohort.labels().select_rows(&world.split.test);
 
     // Suggestions carry scores, explanations and valid drug IDs.
-    let suggestions = system.suggest(&test_features, 4).unwrap();
+    let requests: Vec<SuggestRequest> = world
+        .split
+        .test
+        .iter()
+        .map(|&p| {
+            SuggestRequest::new(
+                PatientId::new(p),
+                world.cohort.features().row(p).to_vec(),
+                4,
+            )
+        })
+        .collect();
+    let suggestions = system.suggest_batch(&requests).unwrap();
     assert_eq!(suggestions.len(), world.split.test.len());
     for suggestion in &suggestions {
         assert_eq!(suggestion.drugs.len(), 4);
         for s in &suggestion.drugs {
-            assert!(s.drug < world.registry.len());
+            assert!(s.id.index() < world.registry.len());
             assert!((0.0..=1.0).contains(&s.score));
         }
         assert!(suggestion.explanation.suggestion_satisfaction >= 0.0);
