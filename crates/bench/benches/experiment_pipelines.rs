@@ -8,8 +8,7 @@ use rand::SeedableRng;
 
 use dssddi_baselines::{LightGcnRecommender, Recommender, UserSim};
 use dssddi_bench::BenchWorld;
-use dssddi_core::ms_module::explain_suggestion;
-use dssddi_core::{DssddiConfig, MsModuleConfig, ServiceBuilder};
+use dssddi_core::{DssddiConfig, ExplanationIndex, MsModuleConfig, ServiceBuilder};
 use dssddi_data::{generate_chronic_cohort, generate_mimic_dataset, ChronicConfig, MimicConfig};
 use dssddi_ml::{ndcg_at_k, precision_at_k, recall_at_k, top_k_indices};
 
@@ -113,10 +112,12 @@ fn bench_scoring_pipelines(c: &mut Criterion) {
     let ms = MsModuleConfig::default();
     group.bench_function("table3_suggestion_satisfaction_60_patients_k4", |b| {
         b.iter(|| {
+            let index = ExplanationIndex::build(&world.ddi);
             let mut total = 0.0;
             for p in 0..scores.rows() {
                 let top = top_k_indices(scores.row(p), 4);
-                total += explain_suggestion(&world.ddi, &top, &ms)
+                total += index
+                    .explain(&world.ddi, &top, &ms)
                     .unwrap()
                     .suggestion_satisfaction;
             }
@@ -124,7 +125,11 @@ fn bench_scoring_pipelines(c: &mut Criterion) {
         })
     });
     group.bench_function("fig8_single_explanation_k3", |b| {
-        b.iter(|| explain_suggestion(&world.ddi, &[46, 47, 59], &ms).unwrap())
+        b.iter(|| {
+            ExplanationIndex::build(&world.ddi)
+                .explain(&world.ddi, &[46, 47, 59], &ms)
+                .unwrap()
+        })
     });
     group.finish();
 }

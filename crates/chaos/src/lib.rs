@@ -119,21 +119,6 @@ pub enum Fault {
     BlackHole,
 }
 
-impl Fault {
-    /// The counter this fault increments when it first fires.
-    fn kind_name(self) -> &'static str {
-        match self {
-            Fault::None => "none",
-            Fault::Delay { .. } => "delay",
-            Fault::Truncate { .. } => "truncate",
-            Fault::CorruptByte { .. } => "corrupt",
-            Fault::Reset => "reset",
-            Fault::Stall { .. } => "stall",
-            Fault::BlackHole => "blackhole",
-        }
-    }
-}
-
 /// Which half of a proxied connection a byte-stream fault applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
@@ -370,27 +355,18 @@ struct StatsInner {
 }
 
 impl StatsInner {
-    fn count_fault(&self, kind: &'static str) {
-        let counter = match kind {
-            "delay" => &self.delays,
-            "truncate" => &self.truncations,
-            "corrupt" => &self.corruptions,
-            "reset" => &self.resets,
-            "stall" => &self.stalls,
-            "blackhole" => &self.black_holes,
-            _ => return,
+    /// Counts one connection whose fault fired.
+    fn count_fault(&self, fault: Fault) {
+        let counter = match fault {
+            Fault::None => return,
+            Fault::Delay { .. } => &self.delays,
+            Fault::Truncate { .. } => &self.truncations,
+            Fault::CorruptByte { .. } => &self.corruptions,
+            Fault::Reset => &self.resets,
+            Fault::Stall { .. } => &self.stalls,
+            Fault::BlackHole => &self.black_holes,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        // Mirror into the process-wide metrics registry so a chaos-harness
-        // host scraping /metrics sees injected faults next to the serving
-        // families.
-        dssddi_obs::global()
-            .counter_with(
-                "dssddi_chaos_faults_total",
-                "Faults the chaos proxy injected, by kind",
-                &[("kind", kind)],
-            )
-            .inc();
     }
 
     fn snapshot(&self) -> FaultCounts {
@@ -542,12 +518,6 @@ fn accept_loop(
         match listener.accept() {
             Ok((client, _)) => {
                 stats.connections.fetch_add(1, Ordering::Relaxed);
-                dssddi_obs::global()
-                    .counter(
-                        "dssddi_chaos_connections_total",
-                        "Connections the chaos proxy accepted",
-                    )
-                    .inc();
                 let spec = plan.for_connection(index);
                 let seed = plan.seed() ^ index.wrapping_mul(0x9E3779B97F4A7C15);
                 index += 1;
@@ -587,7 +557,7 @@ fn serve_connection(
         // socket with those bytes unread: the kernel answers with RST,
         // surfacing as a typed I/O error (or a closed connection if the
         // request had not been written yet) on the client.
-        stats.count_fault("reset");
+        stats.count_fault(Fault::Reset);
         std::thread::sleep(Duration::from_millis(30));
         let _ = client.shutdown(Shutdown::Both);
         return;
@@ -596,12 +566,6 @@ fn serve_connection(
         Ok(server) => server,
         Err(_) => {
             stats.upstream_failures.fetch_add(1, Ordering::Relaxed);
-            dssddi_obs::global()
-                .counter(
-                    "dssddi_chaos_upstream_failures_total",
-                    "Connections whose upstream leg failed to connect",
-                )
-                .inc();
             let _ = client.shutdown(Shutdown::Both);
             return;
         }
@@ -668,7 +632,7 @@ impl PumpCtx {
     /// many chunks) trigger it.
     fn count_once(&self) {
         if !self.fired.swap(true, Ordering::Relaxed) {
-            self.stats.count_fault(self.fault.kind_name());
+            self.stats.count_fault(self.fault);
         }
     }
 
@@ -892,19 +856,11 @@ mod tests {
     #[test]
     fn mixed_plan_covers_every_fault_kind() {
         let plan = FaultPlan::mixed(3);
-        let kinds: std::collections::BTreeSet<&'static str> = (0..12)
-            .map(|i| plan.for_connection(i).fault.kind_name())
+        let kinds: std::collections::HashSet<_> = (0..12)
+            .map(|i| std::mem::discriminant(&plan.for_connection(i).fault))
             .collect();
-        for kind in [
-            "delay",
-            "truncate",
-            "corrupt",
-            "reset",
-            "stall",
-            "blackhole",
-        ] {
-            assert!(kinds.contains(kind), "mixed plan misses {kind}");
-        }
+        // `Fault` has seven variants: `None` and the six injectable kinds.
+        assert_eq!(kinds.len(), 7, "mixed plan misses a fault kind");
     }
 
     #[test]

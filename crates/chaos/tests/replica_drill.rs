@@ -3,7 +3,7 @@
 //!
 //! Black-holing that path mid-run is the deployment's "replica killed"
 //! event as the rest of the system sees it: clinical traffic through
-//! [`ReplicaClient`] fails over and sustains ≥ 99 % success, the two
+//! a fail-over `Client` fails over and sustains ≥ 99 % success, the two
 //! surviving replicas keep converging reloads between themselves (the
 //! dark peer costs each anti-entropy round one bounded timeout, nothing
 //! else), and when the path comes back the stale replica pulls itself
@@ -20,22 +20,21 @@ use std::time::Duration;
 use dssddi_chaos::{ChaosProxy, FaultPlan};
 use dssddi_core::{CheckPrescriptionRequest, DrugId};
 use dssddi_kb::{EvidenceLevel, KbFact, KnowledgeBase, Severity};
-use dssddi_replica::{ReplicaAgent, ReplicaClient, ReplicaGroup, ReplicaState};
+use dssddi_replica::{ReplicaAgent, ReplicaGroup, ReplicaState};
 use dssddi_serving::demo::{demo_catalog, DemoWorld, DEMO_SEED};
-use dssddi_serving::{Client, ModelKey, Router, Server, ServingError};
+use dssddi_serving::{Client, ModelKey, RetryPolicy, Router, Server, ServingError};
 
 struct Gateway {
     addr: SocketAddr,
     router: Arc<Router>,
-    state: Arc<ReplicaState>,
+    state: ReplicaState,
     thread: std::thread::JoinHandle<Result<(), ServingError>>,
 }
 
 fn spawn_gateway() -> Gateway {
     let (catalog, _world) = demo_catalog(DEMO_SEED).expect("demo catalog");
     let mut router = Router::new(catalog);
-    let state = Arc::new(ReplicaState::default());
-    router.attach_replica(Arc::clone(&state));
+    let state = router.attach_replica();
     let server = Server::bind("127.0.0.1:0", router).expect("bind");
     let addr = server.local_addr().expect("local addr");
     let router = server.router_arc();
@@ -52,11 +51,7 @@ fn agent_for(gateway: &Gateway, peers: &[SocketAddr]) -> ReplicaAgent {
     let group = ReplicaGroup::new(peers.to_vec())
         .with_peer_timeout(Duration::from_millis(300))
         .with_sync_interval(Duration::from_millis(50));
-    ReplicaAgent::new(
-        group,
-        Arc::clone(&gateway.router),
-        Arc::clone(&gateway.state),
-    )
+    ReplicaAgent::new(group, Arc::clone(&gateway.router), gateway.state.clone())
 }
 
 fn kb_version_of(addr: SocketAddr, key: &ModelKey) -> u64 {
@@ -104,9 +99,11 @@ fn black_holed_replica_drill_sustains_clients_and_repairs_on_recovery() {
 
     // Clinical traffic enters on the victim so the black-hole lands on a
     // live connection and fail-over has to actually happen.
-    let mut client =
-        ReplicaClient::connect(&[c_public, a.addr, b.addr], Duration::from_millis(400), 9)
-            .expect("replica client");
+    let mut client = Client::connect_any(&[c_public, a.addr, b.addr], Duration::from_millis(400))
+        .expect("group client");
+    let fail_over = RetryPolicy::new(4, Duration::from_millis(25), Duration::from_millis(400))
+        .retry_connection_faults(true);
+    client.set_retry_policy(Some(fail_over), 9);
     let check = CheckPrescriptionRequest::new(vec![DrugId::new(61), DrugId::new(59)]);
 
     let total = 200u32;

@@ -115,7 +115,7 @@ pub fn suggestion_satisfaction(
 /// bound only matters for adversarial or very long-lived workloads.
 pub const DEFAULT_EXPLANATION_CACHE_CAPACITY: usize = 1024;
 
-/// Memoizes [`explain_suggestion`] results keyed by the (sorted,
+/// Memoizes [`ExplanationIndex::explain`] results keyed by the (sorted,
 /// deduplicated) suggested drug set, evicting the least-recently-used entry
 /// once a fixed capacity is reached.
 ///
@@ -223,24 +223,6 @@ impl ExplanationCache {
         );
     }
 
-    /// The explanation for `suggested`, computed at most once per distinct
-    /// cached drug set. The returned explanation lists the drugs in sorted
-    /// order.
-    pub fn explain(
-        &mut self,
-        ddi: &SignedGraph,
-        suggested: &[usize],
-        config: &MsModuleConfig,
-    ) -> Result<Explanation, CoreError> {
-        if let Some(hit) = self.lookup(suggested) {
-            return Ok(hit);
-        }
-        let key = Self::canonical_key(suggested);
-        let explanation = explain_suggestion(ddi, &key, config)?;
-        self.insert(&key, explanation.clone());
-        Ok(explanation)
-    }
-
     /// How many lookups were answered from the cache.
     pub fn hits(&self) -> usize {
         self.hits
@@ -265,20 +247,12 @@ impl ExplanationCache {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// Drops every cached drug set (the cumulative hit/miss counters are
-    /// kept) — lets benchmarks and operators measure the cold path.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 /// Precomputed structural view of an immutable DDI graph: the unsigned
 /// structural graph plus its full truss decomposition (line 1 of
-/// Algorithm 1). Every explanation used to recompute both; a serving layer
-/// builds the index once per fitted graph and amortises them over all
-/// requests — the community search itself is unchanged, so explanations are
-/// identical to the per-call recomputation.
+/// Algorithm 1). A serving layer builds the index once per fitted graph and
+/// amortises both over every explanation it serves.
 #[derive(Debug, Clone)]
 pub struct ExplanationIndex {
     structural: UnGraph,
@@ -297,116 +271,107 @@ impl ExplanationIndex {
         }
     }
 
-    /// [`explain_suggestion`] against the precomputed index. `ddi` must be
-    /// the graph the index was built from.
+    /// Builds the explanation for a set of suggested drugs: finds the
+    /// closest truss community around them in the DDI graph, annotates its
+    /// edges with interaction signs, and computes Suggestion Satisfaction.
+    /// `ddi` must be the graph the index was built from.
     pub fn explain(
         &self,
         ddi: &SignedGraph,
         suggested: &[usize],
         config: &MsModuleConfig,
     ) -> Result<Explanation, CoreError> {
-        explain_with(
-            ddi,
+        if suggested.is_empty() {
+            return Err(CoreError::invalid_input(
+                "cannot explain an empty suggestion",
+            ));
+        }
+        for &d in suggested {
+            if d >= ddi.node_count() {
+                return Err(CoreError::invalid_input(
+                    "suggested drug ID outside the DDI graph",
+                ));
+            }
+        }
+        let community = closest_truss_community_with(
             &self.structural,
             &self.decomposition,
             suggested,
-            config,
-        )
-    }
-}
+            &config.ctc,
+        )?;
 
-/// Builds the explanation for a set of suggested drugs: finds the closest
-/// truss community around them in the DDI graph, annotates its edges with
-/// interaction signs, and computes Suggestion Satisfaction.
-///
-/// Recomputes the structural graph and truss decomposition per call; hot
-/// serving paths go through [`ExplanationIndex`] instead.
-pub fn explain_suggestion(
-    ddi: &SignedGraph,
-    suggested: &[usize],
-    config: &MsModuleConfig,
-) -> Result<Explanation, CoreError> {
-    let structural = ddi.structural_graph();
-    let decomposition = truss_decomposition(&structural);
-    explain_with(ddi, &structural, &decomposition, suggested, config)
-}
+        let edges: Vec<SignedEdge> = community
+            .edges
+            .iter()
+            .filter_map(|&(u, v)| {
+                ddi.interaction(u, v)
+                    .map(|interaction| SignedEdge { u, v, interaction })
+            })
+            .collect();
 
-/// Shared implementation of [`explain_suggestion`] over a (possibly
-/// precomputed) structural graph and truss decomposition.
-fn explain_with(
-    ddi: &SignedGraph,
-    structural: &UnGraph,
-    decomposition: &TrussDecomposition,
-    suggested: &[usize],
-    config: &MsModuleConfig,
-) -> Result<Explanation, CoreError> {
-    if suggested.is_empty() {
-        return Err(CoreError::invalid_input(
-            "cannot explain an empty suggestion",
-        ));
-    }
-    for &d in suggested {
-        if d >= ddi.node_count() {
-            return Err(CoreError::invalid_input(
-                "suggested drug ID outside the DDI graph",
-            ));
-        }
-    }
-    let community =
-        closest_truss_community_with(structural, decomposition, suggested, &config.ctc)?;
-
-    let edges: Vec<SignedEdge> = community
-        .edges
-        .iter()
-        .filter_map(|&(u, v)| {
-            ddi.interaction(u, v)
-                .map(|interaction| SignedEdge { u, v, interaction })
-        })
-        .collect();
-
-    let is_suggested = |d: usize| suggested.contains(&d);
-    let mut internal_synergy = 0usize;
-    let mut internal_antagonism = 0usize;
-    let mut external_antagonism = 0usize;
-    for e in &edges {
-        match (e.interaction, is_suggested(e.u), is_suggested(e.v)) {
-            (Interaction::Synergistic, true, true) => internal_synergy += 1,
-            (Interaction::Antagonistic, true, true) => internal_antagonism += 1,
-            (Interaction::Antagonistic, true, false) | (Interaction::Antagonistic, false, true) => {
-                external_antagonism += 1
+        let is_suggested = |d: usize| suggested.contains(&d);
+        let mut internal_synergy = 0usize;
+        let mut internal_antagonism = 0usize;
+        let mut external_antagonism = 0usize;
+        for e in &edges {
+            match (e.interaction, is_suggested(e.u), is_suggested(e.v)) {
+                (Interaction::Synergistic, true, true) => internal_synergy += 1,
+                (Interaction::Antagonistic, true, true) => internal_antagonism += 1,
+                (Interaction::Antagonistic, true, false)
+                | (Interaction::Antagonistic, false, true) => external_antagonism += 1,
+                _ => {}
             }
-            _ => {}
         }
+        let k = {
+            let mut unique: Vec<usize> = suggested.to_vec();
+            unique.sort_unstable();
+            unique.dedup();
+            unique.len()
+        };
+        let ss = suggestion_satisfaction(
+            k,
+            community.node_count(),
+            internal_synergy,
+            internal_antagonism,
+            external_antagonism,
+            config.alpha,
+        );
+        Ok(Explanation {
+            suggested: suggested.to_vec(),
+            community,
+            edges,
+            internal_synergy,
+            internal_antagonism,
+            external_antagonism,
+            suggestion_satisfaction: ss,
+        })
     }
-    let k = {
-        let mut unique: Vec<usize> = suggested.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        unique.len()
-    };
-    let ss = suggestion_satisfaction(
-        k,
-        community.node_count(),
-        internal_synergy,
-        internal_antagonism,
-        external_antagonism,
-        config.alpha,
-    );
-    Ok(Explanation {
-        suggested: suggested.to_vec(),
-        community,
-        edges,
-        internal_synergy,
-        internal_antagonism,
-        external_antagonism,
-        suggestion_satisfaction: ss,
-    })
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
+
+    /// One explanation through a freshly built index.
+    fn explain(
+        g: &SignedGraph,
+        drugs: &[usize],
+        cfg: &MsModuleConfig,
+    ) -> Result<Explanation, CoreError> {
+        ExplanationIndex::build(g).explain(g, drugs, cfg)
+    }
+
+    /// `lookup`, and on a miss a search under the canonical key and an
+    /// `insert` — the memo protocol the service runs around its cache lock.
+    fn cached(cache: &mut ExplanationCache, g: &SignedGraph, drugs: &[usize]) -> Explanation {
+        cache.lookup(drugs).unwrap_or_else(|| {
+            let key = ExplanationCache::canonical_key(drugs);
+            let explanation = explain(g, &key, &MsModuleConfig::default()).unwrap();
+            cache.insert(&key, explanation.clone());
+            explanation
+        })
+    }
 
     /// A DDI graph with a synergistic triangle {0,1,2}, antagonism from the
     /// triangle to {3,4}, and an unrelated antagonistic pair {5,6}.
@@ -450,7 +415,7 @@ mod tests {
     #[test]
     fn explanation_counts_interactions_correctly() {
         let g = ddi();
-        let exp = explain_suggestion(&g, &[0, 1, 2], &MsModuleConfig::default()).unwrap();
+        let exp = explain(&g, &[0, 1, 2], &MsModuleConfig::default()).unwrap();
         assert_eq!(exp.internal_synergy, 3);
         assert_eq!(exp.internal_antagonism, 0);
         // External antagonism is only counted when the community search pulls
@@ -473,8 +438,8 @@ mod tests {
     fn antagonistic_suggestion_scores_lower_than_synergistic_one() {
         let g = ddi();
         let cfg = MsModuleConfig::default();
-        let synergistic = explain_suggestion(&g, &[0, 1], &cfg).unwrap();
-        let antagonistic = explain_suggestion(&g, &[3, 4], &cfg).unwrap();
+        let synergistic = explain(&g, &[0, 1], &cfg).unwrap();
+        let antagonistic = explain(&g, &[3, 4], &cfg).unwrap();
         assert!(
             synergistic.suggestion_satisfaction > antagonistic.suggestion_satisfaction,
             "SS must prefer the synergistic suggestion ({} vs {})",
@@ -487,8 +452,8 @@ mod tests {
     fn invalid_suggestions_error() {
         let g = ddi();
         let cfg = MsModuleConfig::default();
-        assert!(explain_suggestion(&g, &[], &cfg).is_err());
-        assert!(explain_suggestion(&g, &[99], &cfg).is_err());
+        assert!(explain(&g, &[], &cfg).is_err());
+        assert!(explain(&g, &[99], &cfg).is_err());
     }
 
     #[test]
@@ -496,19 +461,19 @@ mod tests {
         let g = ddi();
         let cfg = MsModuleConfig::default();
         let mut cache = ExplanationCache::new();
-        let a = cache.explain(&g, &[0, 1, 2], &cfg).unwrap();
+        let a = cached(&mut cache, &g, &[0, 1, 2]);
         // Same set in a different order, and with a duplicate: both hits.
-        let b = cache.explain(&g, &[2, 0, 1], &cfg).unwrap();
-        let c = cache.explain(&g, &[1, 0, 2, 2], &cfg).unwrap();
+        let b = cached(&mut cache, &g, &[2, 0, 1]);
+        let c = cached(&mut cache, &g, &[1, 0, 2, 2]);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 2);
         assert_eq!(a.suggestion_satisfaction, b.suggestion_satisfaction);
         assert_eq!(a.internal_synergy, c.internal_synergy);
         // A genuinely different set misses.
-        cache.explain(&g, &[3, 4], &cfg).unwrap();
+        cached(&mut cache, &g, &[3, 4]);
         assert_eq!(cache.misses(), 2);
         // Cached results agree with the uncached path.
-        let direct = explain_suggestion(&g, &[0, 1, 2], &cfg).unwrap();
+        let direct = explain(&g, &[0, 1, 2], &cfg).unwrap();
         assert_eq!(a.suggestion_satisfaction, direct.suggestion_satisfaction);
         assert_eq!(a.edges.len(), direct.edges.len());
     }
@@ -516,22 +481,21 @@ mod tests {
     #[test]
     fn explanation_cache_is_size_bounded_with_lru_eviction() {
         let g = ddi();
-        let cfg = MsModuleConfig::default();
         let mut cache = ExplanationCache::with_capacity(2);
         assert_eq!(cache.capacity(), 2);
-        cache.explain(&g, &[0, 1], &cfg).unwrap();
-        cache.explain(&g, &[3, 4], &cfg).unwrap();
+        cached(&mut cache, &g, &[0, 1]);
+        cached(&mut cache, &g, &[3, 4]);
         assert_eq!(cache.len(), 2);
         // Touch {0,1} so {3,4} becomes the least recently used entry...
-        cache.explain(&g, &[0, 1], &cfg).unwrap();
+        cached(&mut cache, &g, &[0, 1]);
         assert_eq!(cache.hits(), 1);
         // ...then insert a third set: the cache must stay at capacity.
-        cache.explain(&g, &[5, 6], &cfg).unwrap();
+        cached(&mut cache, &g, &[5, 6]);
         assert_eq!(cache.len(), 2);
         // {0,1} survived the eviction, {3,4} did not.
-        cache.explain(&g, &[0, 1], &cfg).unwrap();
+        cached(&mut cache, &g, &[0, 1]);
         assert_eq!(cache.hits(), 2);
-        cache.explain(&g, &[3, 4], &cfg).unwrap();
+        cached(&mut cache, &g, &[3, 4]);
         assert_eq!(cache.misses(), 4, "evicted set must be recomputed");
         // A zero capacity is clamped so the cache still functions.
         assert_eq!(ExplanationCache::with_capacity(0).capacity(), 1);
@@ -540,7 +504,7 @@ mod tests {
     #[test]
     fn isolated_suggested_drug_is_still_explained() {
         let g = ddi();
-        let exp = explain_suggestion(&g, &[7], &MsModuleConfig::default()).unwrap();
+        let exp = explain(&g, &[7], &MsModuleConfig::default()).unwrap();
         assert!(exp.community.contains(7));
         assert_eq!(exp.internal_synergy, 0);
         assert_eq!(exp.edges.len(), 0);

@@ -819,13 +819,6 @@ impl DecisionService {
         (cache.hits(), cache.misses())
     }
 
-    /// Empties the explanation memo (cumulative hit/miss counters are kept).
-    /// Exists so benchmarks — and operators bisecting a latency regression —
-    /// can measure the cold path on a warm service.
-    pub fn clear_explanation_cache(&self) {
-        self.lock_explanations().clear();
-    }
-
     /// Resolves a free-form drug reference (name, `"48"`, `"DID 48"`).
     pub fn resolve_drug(&self, query: &str) -> Result<DrugId, CoreError> {
         self.registry
@@ -1641,9 +1634,12 @@ mod tests {
             .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
             .collect();
         let serial = service.suggest_batch_sharded(&requests, 1).unwrap();
+        let container = service.to_container_bytes();
         for shards in [2, 4, requests.len(), requests.len() + 10] {
-            service.clear_explanation_cache();
-            let parallel = service.suggest_batch_sharded(&requests, shards).unwrap();
+            // A reloaded copy starts with an empty explanation cache, so
+            // every shard count runs its searches cold.
+            let cold = DecisionService::load_with_embedded_registry_bytes(&container).unwrap();
+            let parallel = cold.suggest_batch_sharded(&requests, shards).unwrap();
             assert_eq!(parallel.len(), serial.len());
             for (request, (a, b)) in requests.iter().zip(serial.iter().zip(&parallel)) {
                 assert_eq!(
@@ -1717,21 +1713,6 @@ mod tests {
         let serial = service.suggest_batch_sharded(&requests, 1).unwrap();
         let oversharded = service.suggest_batch_sharded(&requests, 500).unwrap();
         assert_eq!(serial, oversharded);
-    }
-
-    #[test]
-    fn clear_explanation_cache_forces_cold_searches() {
-        let (service, cohort, held_out) = fitted_service(29);
-        let requests: Vec<SuggestRequest> = held_out[..4]
-            .iter()
-            .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
-            .collect();
-        service.suggest_batch(&requests).unwrap();
-        let (_, m1) = service.explanation_cache_stats();
-        service.clear_explanation_cache();
-        service.suggest_batch(&requests).unwrap();
-        let (_, m2) = service.explanation_cache_stats();
-        assert!(m2 > m1, "clearing the cache must force fresh searches");
     }
 
     #[test]

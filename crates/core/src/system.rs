@@ -24,7 +24,6 @@ use dssddi_tensor::Matrix;
 use crate::config::{DrugFeatureSource, DssddiConfig};
 use crate::ddi_module::DdiModule;
 use crate::md_module::MdModule;
-use crate::ms_module::{explain_suggestion, Explanation};
 use crate::persist::{self, section};
 use crate::CoreError;
 
@@ -157,12 +156,6 @@ impl Dssddi {
     /// inference fast path (see [`MdModule::predict_scores`]).
     pub fn predict_scores(&self, features: &Matrix) -> Result<Matrix, CoreError> {
         self.md_module.predict_scores(features)
-    }
-
-    /// Explains an arbitrary set of drugs (e.g. a doctor's own prescription)
-    /// through the Medical Support module.
-    pub fn explain(&self, drugs: &[usize]) -> Result<Explanation, CoreError> {
-        explain_suggestion(&self.ddi_graph, drugs, &self.config.ms)
     }
 
     /// Serializes the fitted system into a payload.

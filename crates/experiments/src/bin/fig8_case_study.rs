@@ -2,9 +2,7 @@
 //! Medical Support subgraphs (closest truss communities) behind the top-3
 //! suggestions of DSSDDI, LightGCN, GCMC, SVM and ECC.
 
-use dssddi_core::{
-    ms_module::explain_suggestion, Backbone, MsModuleConfig, PatientId, SuggestRequest,
-};
+use dssddi_core::{Backbone, ExplanationIndex, MsModuleConfig, PatientId, SuggestRequest};
 use dssddi_data::Disease;
 use dssddi_experiments::{
     format_drugs, run_chronic_baselines, run_dssddi_variant, ChronicWorld, RunOptions,
@@ -62,6 +60,7 @@ fn main() {
         eprintln!("fig8: {error}");
         std::process::exit(1);
     });
+    let index = ExplanationIndex::build(&world.ddi);
     // The test feature matrix row index of this patient.
     let row = world
         .split
@@ -72,7 +71,7 @@ fn main() {
     for wanted in ["LightGCN", "GCMC", "SVM", "ECC"] {
         if let Some(method) = baselines.iter().find(|m| m.name == wanted) {
             let top = top_k_indices(method.scores.row(row), k);
-            let explanation = explain_suggestion(&world.ddi, &top, &ms).expect("explanation");
+            let explanation = index.explain(&world.ddi, &top, &ms).expect("explanation");
             print_case(wanted, &world, &top, &explanation);
         }
     }

@@ -22,7 +22,7 @@ use dssddi_baselines::{
     Recommender, SafeDrugRecommender, SvmRecommender, UserSim,
 };
 use dssddi_core::{
-    ms_module::explain_suggestion, Backbone, DecisionService, Dssddi, DssddiConfig, MsModuleConfig,
+    Backbone, DecisionService, Dssddi, DssddiConfig, ExplanationIndex, MsModuleConfig,
     ServiceBuilder,
 };
 use dssddi_data::{
@@ -469,11 +469,12 @@ pub fn mean_ss_at_k(scores: &Matrix, ddi: &SignedGraph, k: usize, alpha: f64) ->
         alpha,
         ..Default::default()
     };
+    let index = ExplanationIndex::build(ddi);
     let mut total = 0.0f64;
     let mut count = 0usize;
     for p in 0..scores.rows() {
         let top = top_k_indices(scores.row(p), k);
-        if let Ok(explanation) = explain_suggestion(ddi, &top, &ms) {
+        if let Ok(explanation) = index.explain(ddi, &top, &ms) {
             total += explanation.suggestion_satisfaction;
             count += 1;
         }

@@ -2,18 +2,19 @@
 //!
 //! Everything the serving path measures flows through this crate:
 //!
-//! - [`metrics`] — a global, dependency-free [`MetricsRegistry`] of named
+//! - [`metrics`] — a dependency-free [`MetricsRegistry`] of named
 //!   counters, gauges, and log-bucketed histograms, rendered in Prometheus
-//!   text exposition format. Metric names follow the convention
+//!   text exposition format. Each gateway owns one registry, the only store
+//!   of its serving counts. Metric names follow the convention
 //!   `dssddi_<subsystem>_<name>` (e.g. `dssddi_serving_requests_total`,
 //!   `dssddi_replica_sync_bytes_total`).
 //! - [`histogram`] — the HDR-style log₂ [`Histogram`] shared by the load
-//!   generator, the router's latency windows, and the registry itself.
+//!   generator and the registry itself.
 //! - [`trace`] — per-request trace IDs and [`SpanRecorder`] stage
 //!   breakdowns, collected into a fixed-size [`TraceRing`] of slow-request
 //!   exemplars (top-K by end-to-end latency).
 //! - [`scrape`] — [`MetricsServer`], a minimal hand-rolled HTTP/1.0
-//!   responder serving `GET /metrics` from the global registry, so a stock
+//!   responder serving `GET /metrics` from a gateway's registry, so a stock
 //!   Prometheus scraper (or plain `curl`) can read a live gateway.
 //!
 //! The crate is intentionally dependency-free and panic-free: it sits on
@@ -28,6 +29,6 @@ pub mod scrape;
 pub mod trace;
 
 pub use histogram::Histogram;
-pub use metrics::{global, Counter, Gauge, HistogramHandle, MetricsRegistry};
+pub use metrics::{Counter, Gauge, HistogramHandle, MetricsRegistry};
 pub use scrape::MetricsServer;
 pub use trace::{next_trace_id, SpanRecorder, Stage, TraceExemplar, TraceRing, STAGE_COUNT};

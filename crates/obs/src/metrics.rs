@@ -1,4 +1,4 @@
-//! The global metrics registry.
+//! The metrics registry.
 //!
 //! A [`MetricsRegistry`] maps metric names (plus an optional fixed label
 //! set) to live instruments: monotonically increasing [`Counter`]s,
@@ -21,15 +21,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::histogram::Histogram;
-
-/// The process-wide registry every subsystem instruments into.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
-}
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone)]
@@ -66,9 +60,15 @@ impl Gauge {
         self.cell.store(v, Ordering::Relaxed);
     }
 
-    /// Adds one (for gauges tracking a live population).
-    pub fn inc(&self) {
-        self.cell.fetch_add(1, Ordering::Relaxed);
+    /// Adds one (for gauges tracking a live population) and returns the
+    /// value before the increment, so a caller can admit against a bound.
+    pub fn inc(&self) -> u64 {
+        self.cell.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Raises the value to `v` if it is lower (for high-water marks).
+    pub fn raise_to(&self, v: u64) {
+        self.cell.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Subtracts one, saturating at zero.
@@ -139,10 +139,8 @@ struct Inner {
     help: BTreeMap<String, &'static str>,
 }
 
-/// A registry of named counters, gauges, and histograms.
-///
-/// Most callers use the process-wide [`global`] registry; constructing a
-/// private one is useful in tests.
+/// A registry of named counters, gauges, and histograms. Each gateway owns
+/// one, so several gateways in one process keep their counts apart.
 #[derive(Default)]
 pub struct MetricsRegistry {
     inner: Mutex<Inner>,
@@ -358,6 +356,16 @@ mod tests {
         let g = reg.gauge("dssddi_test_total", "t");
         g.set(99);
         assert_eq!(c.get(), 7, "the registered counter is untouched");
+    }
+
+    #[test]
+    fn gauge_inc_returns_the_prior_value_and_raise_to_keeps_the_max() {
+        let g = MetricsRegistry::new().gauge("dssddi_g", "t");
+        assert_eq!(g.inc(), 0);
+        assert_eq!(g.inc(), 1);
+        g.raise_to(7);
+        g.raise_to(3);
+        assert_eq!(g.get(), 7);
     }
 
     #[test]

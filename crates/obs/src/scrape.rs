@@ -1,14 +1,12 @@
 //! Minimal HTTP/1.0 exposition endpoint for the metrics registry.
 //!
 //! [`MetricsServer`] binds a TCP listener and answers `GET /metrics` with
-//! the [`global`] registry rendered as Prometheus text exposition format —
+//! a [`MetricsRegistry`] rendered as Prometheus text exposition format —
 //! enough for `curl` and a stock Prometheus scraper, and nothing more: no
 //! keep-alive, no chunking, no TLS. Every response closes the connection.
 //! Scrapes are rare (seconds apart) and tiny, so connections are handled
 //! inline on the accept thread; a stalled scraper is cut off by a short
 //! read timeout rather than holding the endpoint hostage.
-//!
-//! [`global`]: crate::metrics::global
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -17,7 +15,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::metrics::{global, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 
 /// How often the accept loop polls the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
@@ -40,16 +38,10 @@ pub struct MetricsServer {
 }
 
 impl MetricsServer {
-    /// Binds `addr` and starts serving the [`global`] registry.
-    pub fn bind<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
-        Self::bind_registry(addr, global())
-    }
-
-    /// Binds `addr` and starts serving `registry` (tests use a private
-    /// registry; production uses [`MetricsServer::bind`]).
-    pub fn bind_registry<A: ToSocketAddrs>(
+    /// Binds `addr` and starts serving `registry`.
+    pub fn bind<A: ToSocketAddrs>(
         addr: A,
-        registry: &'static MetricsRegistry,
+        registry: Arc<MetricsRegistry>,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -88,10 +80,10 @@ impl Drop for MetricsServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, registry: &'static MetricsRegistry, stop: Arc<AtomicBool>) {
+fn accept_loop(listener: TcpListener, registry: Arc<MetricsRegistry>, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _)) => serve_scrape(stream, registry),
+            Ok((stream, _)) => serve_scrape(stream, &registry),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL_INTERVAL);
             }
@@ -156,10 +148,6 @@ fn read_request_line(stream: &mut TcpStream) -> Option<String> {
 mod tests {
     use super::*;
 
-    fn leak_registry() -> &'static MetricsRegistry {
-        Box::leak(Box::new(MetricsRegistry::new()))
-    }
-
     fn http_get(addr: SocketAddr, path: &str) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
         write!(stream, "GET {path} HTTP/1.0\r\nHost: test\r\n\r\n").unwrap();
@@ -170,11 +158,11 @@ mod tests {
 
     #[test]
     fn scrape_round_trip() {
-        let registry = leak_registry();
+        let registry = Arc::new(MetricsRegistry::new());
         registry
             .counter("dssddi_scrape_test_total", "scrape test")
             .add(3);
-        let server = MetricsServer::bind_registry("127.0.0.1:0", registry).unwrap();
+        let server = MetricsServer::bind("127.0.0.1:0", registry).unwrap();
         let response = http_get(server.local_addr(), "/metrics");
         assert!(response.starts_with("HTTP/1.0 200 OK"));
         assert!(response.contains("text/plain"));

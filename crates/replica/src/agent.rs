@@ -52,15 +52,15 @@ pub struct SyncRoundReport {
 #[derive(Debug)]
 pub struct ReplicaAgent {
     router: Arc<Router>,
-    state: Arc<ReplicaState>,
+    state: ReplicaState,
     group: ReplicaGroup,
 }
 
 impl ReplicaAgent {
-    /// Builds the agent and stamps the group's peer count into the shared
-    /// [`ReplicaState`] (the same instance attached to the router with
-    /// `Router::attach_replica`, so `Stats` responses report it).
-    pub fn new(group: ReplicaGroup, router: Arc<Router>, state: Arc<ReplicaState>) -> Self {
+    /// Builds the agent and stamps the group's peer count into `state`, the
+    /// counters `Router::attach_replica` returned, so `Stats` responses
+    /// report them.
+    pub fn new(group: ReplicaGroup, router: Arc<Router>, state: ReplicaState) -> Self {
         state.set_peers(group.len());
         Self {
             router,

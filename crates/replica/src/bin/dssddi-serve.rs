@@ -71,9 +71,7 @@ use std::time::Duration;
 use dssddi_obs::scrape::MetricsServer;
 use dssddi_replica::{ReplicaAgent, ReplicaGroup};
 use dssddi_serving::demo::{demo_catalog, DEMO_SEED};
-use dssddi_serving::{
-    AdmissionConfig, ModelCatalog, ModelKey, RateLimit, ReplicaState, Router, Server,
-};
+use dssddi_serving::{AdmissionConfig, ModelCatalog, ModelKey, RateLimit, Router, Server};
 
 struct Args {
     listen: String,
@@ -325,11 +323,11 @@ fn main() -> ExitCode {
             args.admission.quotas.len(),
         );
     }
-    // Register every serving-path metric family before the first request,
-    // so an early scrape already lists them (at zero).
-    dssddi_serving::register_metrics();
+    // The router registers every metric family as it is built, so an early
+    // scrape already lists them (at zero).
+    let mut router = Router::with_admission(catalog, args.admission.clone());
     let metrics_server = match args.metrics_listen.as_deref() {
-        Some(addr) => match MetricsServer::bind(addr) {
+        Some(addr) => match MetricsServer::bind(addr, Arc::clone(router.registry())) {
             Ok(server) => {
                 println!("dssddi-serve metrics listening on {}", server.local_addr());
                 Some(server)
@@ -341,7 +339,6 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    let mut router = Router::with_admission(catalog, args.admission.clone());
     let replica = if args.peers.is_empty() {
         None
     } else {
@@ -361,9 +358,7 @@ fn main() -> ExitCode {
                 (acc ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
             });
         let group = group.with_sync_interval(args.sync_interval).with_seed(seed);
-        let state = Arc::new(ReplicaState::default());
-        router.attach_replica(Arc::clone(&state));
-        Some((group, state))
+        Some((group, router.attach_replica()))
     };
     let server = match Server::bind(args.listen.as_str(), router) {
         Ok(server) => server,

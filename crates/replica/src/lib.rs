@@ -21,9 +21,13 @@
 //!   and applies them through the router's monotone sync paths — reusing
 //!   the exact hot-reload machinery a direct `ReloadModel`/`ReloadKb`
 //!   uses, so a synced replica is bit-identical to a reloaded one.
-//! * [`client`] — [`ReplicaClient`]: reads fan out over the healthiest
-//!   replica with fail-over retries; writes (reloads) forward to one
-//!   replica and anti-entropy carries them to the rest.
+//!
+//! Callers talk to a group with the serving [`Client`](dssddi_serving::Client):
+//! `Client::connect_any` over every replica's address plus a
+//! [`RetryPolicy`](dssddi_serving::RetryPolicy) that also retries
+//! connection faults makes reads fail over to the healthiest replica, while
+//! reloads go to the one connected replica (they are never retried on
+//! transport faults) and anti-entropy carries them to the rest.
 //!
 //! Convergence is *eventual and monotone*: a reload lands on one replica,
 //! and within a few sync intervals every replica reports the same per-key
@@ -32,19 +36,17 @@
 //! pulls the missed artifacts on its first round back.
 //!
 //! ```no_run
-//! use std::sync::Arc;
 //! use std::time::Duration;
 //!
-//! use dssddi_replica::{ReplicaAgent, ReplicaClient, ReplicaGroup};
+//! use dssddi_replica::{ReplicaAgent, ReplicaGroup};
 //! use dssddi_serving::demo::demo_catalog;
-//! use dssddi_serving::{ReplicaState, Router, Server};
+//! use dssddi_serving::{Client, RetryPolicy, Router, Server};
 //!
 //! // One replica process (repeat per replica, each listing the OTHERS as
 //! // peers; `dssddi-serve --demo --peer ...` is exactly this wiring):
 //! let (catalog, _world) = demo_catalog(7)?;
-//! let state = Arc::new(ReplicaState::default());
 //! let mut router = Router::new(catalog);
-//! router.attach_replica(Arc::clone(&state));
+//! let state = router.attach_replica();
 //! let server = Server::bind("127.0.0.1:7878", router)?;
 //! let group = ReplicaGroup::parse(&[
 //!     "127.0.0.1:7879".to_string(),
@@ -60,7 +62,12 @@
 //!     "127.0.0.1:7879".parse()?,
 //!     "127.0.0.1:7880".parse()?,
 //! ];
-//! let mut client = ReplicaClient::connect(&endpoints, Duration::from_secs(1), 42)?;
+//! // Reads fail over to the healthiest replica: connection faults are
+//! // retried, and the seed drives the retry jitter.
+//! let mut client = Client::connect_any(&endpoints, Duration::from_secs(1))?;
+//! let fail_over = RetryPolicy::new(4, Duration::from_millis(25), Duration::from_millis(400))
+//!     .retry_connection_faults(true);
+//! client.set_retry_policy(Some(fail_over), 42);
 //! # agent.stop();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -71,12 +78,10 @@
 // `unwrap_used`/`expect_used` denies are inherited from `[workspace.lints]`.
 
 pub mod agent;
-pub mod client;
 pub mod group;
 pub mod plan;
 
 pub use agent::{ReplicaAgent, ReplicaHandle, SyncRoundReport};
-pub use client::ReplicaClient;
 pub use group::{ReplicaGroup, DEFAULT_PEER_TIMEOUT, DEFAULT_SYNC_INTERVAL};
 pub use plan::{merged, plan_pulls, version_lag, PullAction};
 

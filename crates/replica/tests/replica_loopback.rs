@@ -4,7 +4,8 @@
 //!   on all three — identical `(model_version, kb_version)` pairs via
 //!   `Stats` and bit-identical clinical responses from every peer;
 //! * killing one replica mid-traffic sustains ≥ 99 % client success
-//!   through [`ReplicaClient`] fail-over, and the replica restarted on
+//!   through a fail-over `Client` (`connect_any` plus connection-fault
+//!   retries), and the replica restarted on
 //!   the same address pulls itself back to the group's versions in one
 //!   anti-entropy round.
 
@@ -18,9 +19,9 @@ use std::time::Duration;
 
 use dssddi_core::{CheckPrescriptionRequest, DrugId, ServiceBuilder};
 use dssddi_kb::{EvidenceLevel, KbFact, KnowledgeBase, Severity};
-use dssddi_replica::{ReplicaAgent, ReplicaClient, ReplicaGroup, ReplicaState};
+use dssddi_replica::{ReplicaAgent, ReplicaGroup, ReplicaState};
 use dssddi_serving::demo::{demo_catalog, demo_requests, DemoWorld, DEMO_SEED};
-use dssddi_serving::{Client, KeyVersions, ModelKey, Router, Server, ServingError};
+use dssddi_serving::{Client, KeyVersions, ModelKey, RetryPolicy, Router, Server, ServingError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,7 +29,7 @@ use rand::SeedableRng;
 struct Gateway {
     addr: SocketAddr,
     router: Arc<Router>,
-    state: Arc<ReplicaState>,
+    state: ReplicaState,
     thread: std::thread::JoinHandle<Result<(), ServingError>>,
 }
 
@@ -38,8 +39,7 @@ impl Gateway {
     fn spawn(addr: &str) -> Result<Gateway, ServingError> {
         let (catalog, _world) = demo_catalog(DEMO_SEED).expect("demo catalog");
         let mut router = Router::new(catalog);
-        let state = Arc::new(ReplicaState::default());
-        router.attach_replica(Arc::clone(&state));
+        let state = router.attach_replica();
         let server = Server::bind(addr, router)?;
         let addr = server.local_addr()?;
         let router = server.router_arc();
@@ -57,7 +57,7 @@ impl Gateway {
         let group = ReplicaGroup::new(peers.to_vec())
             .with_peer_timeout(Duration::from_secs(2))
             .with_sync_interval(Duration::from_millis(50));
-        ReplicaAgent::new(group, Arc::clone(&self.router), Arc::clone(&self.state))
+        ReplicaAgent::new(group, Arc::clone(&self.router), self.state.clone())
     }
 
     /// This gateway's `(model_version, kb_version)` vector as reported on
@@ -239,9 +239,11 @@ fn killing_one_replica_mid_traffic_sustains_clients_and_restart_catches_up() {
 
     // The clinical client starts on the victim, so the kill lands on a
     // live connection and fail-over has to actually happen.
-    let mut client =
-        ReplicaClient::connect(&[victim_addr, a.addr, b.addr], Duration::from_secs(2), 7)
-            .expect("replica client");
+    let mut client = Client::connect_any(&[victim_addr, a.addr, b.addr], Duration::from_secs(2))
+        .expect("group client");
+    let fail_over = RetryPolicy::new(4, Duration::from_millis(25), Duration::from_millis(400))
+        .retry_connection_faults(true);
+    client.set_retry_policy(Some(fail_over), 7);
 
     let check = CheckPrescriptionRequest::new(vec![DrugId::new(61), DrugId::new(59)]);
     let total = 300u32;

@@ -11,6 +11,8 @@
 //!   [`ModelKey`] (a disease/cohort shard), loaded from `DSSD` files;
 //!   [`Router`] routes typed requests to the right shard and keeps per-model
 //!   serving statistics (requests served, cache hit rate, p50/p99 latency).
+//!   The catalog owns the gateway's metrics registry, the one store of
+//!   those counts.
 //! * [`wire`] — a versioned, dependency-free binary wire protocol built on
 //!   [`dssddi_tensor::serde`]'s `ByteWriter`/`ByteReader`: framed
 //!   `Suggest` / `SuggestBatch` / `CheckPrescription` / `ListModels` /
@@ -21,10 +23,11 @@
 //!   thread-per-connection [`Server`] over the sharded `suggest_batch`
 //!   core.
 //! * [`client`] — a blocking [`Client`] speaking the same wire protocol.
-//! * [`telemetry`] — every hot point (admission sheds, queue wait,
-//!   per-stage serving latency, severity-graded findings, replica sync,
-//!   transport counters) reports into the process-wide [`dssddi_obs`]
-//!   metrics registry; scrape it with `dssddi-serve --metrics-listen`.
+//! * [`telemetry`] — every hot point (per-model counts, admission sheds,
+//!   queue wait, per-stage serving latency, severity-graded findings,
+//!   replica sync, transport counters) counts into the gateway's
+//!   [`dssddi_obs`] metrics registry; `Stats` reads it back and
+//!   `dssddi-serve --metrics-listen` serves it.
 //!   Requests carry an optional wire-propagated trace ID and the slowest
 //!   recent requests land in a per-router exemplar ring, dumpable over the
 //!   wire with [`Client::trace_dump`].
@@ -86,11 +89,11 @@ pub use client::{Client, RetryPolicy};
 pub use dssddi_kb::{AlertPolicy, KbInfo, KnowledgeBase, Severity};
 pub use dssddi_obs::trace::TraceExemplar;
 pub use router::{
-    GatewayStats, KeyVersions, ModelCatalog, ModelInfo, ModelKey, ModelStats, ReplicaState,
-    ReplicaStats, Router, StatsReport,
+    GatewayStats, KeyVersions, ModelCatalog, ModelInfo, ModelKey, ModelStats, ReplicaStats, Router,
+    StatsReport,
 };
-pub use server::{Server, ServerConfig, TransportStats};
-pub use telemetry::register_metrics;
+pub use server::{Server, ServerConfig};
+pub use telemetry::ReplicaState;
 pub use wire::{ErrorCode, Request, Response, SyncArtifact, WireError};
 
 /// The single error type of the serving gateway, covering routing, wire

@@ -8,17 +8,20 @@
 //! shards keyed by [`ModelKey`]; [`Router`] dispatches typed requests to
 //! the right shard and keeps per-model serving statistics — requests
 //! served, error counts broken down by [`ErrorCode`], explanation-cache
-//! hit rate, and p50/p99 latency over a sliding window — surfaced locally
-//! via [`Router::stats`] and remotely via the `Stats` wire message.
+//! hit rate, and p50/p99 latency — surfaced locally via
+//! [`Router::stats_report`] and remotely via the `Stats` wire message. The counts live in the
+//! catalog's [`MetricsRegistry`] (see [`crate::telemetry`]), the same cells
+//! `GET /metrics` renders.
 //!
 //! ## Hot reload
 //!
-//! Both halves of a shard sit behind their own `RwLock<Arc<...>>`, so a
-//! re-trained model ([`ModelCatalog::replace`], wire `ReloadModel`) or an
-//! updated knowledge base ([`ModelCatalog::replace_kb`], wire `ReloadKb`)
-//! can be swapped in *under a live key with zero dropped connections*:
-//! requests in flight finish on the `Arc` they cloned, new requests pick up
-//! the replacement, and the shard's serving counters survive the swap. A
+//! A shard's service, its knowledge base and its model version sit
+//! together in one `RwLock` swap slot, so a re-trained model
+//! ([`ModelCatalog::replace`], wire `ReloadModel`) or an updated knowledge
+//! base ([`ModelCatalog::replace_kb`], wire `ReloadKb`) can be swapped in
+//! *under a live key with zero dropped connections*: requests in flight
+//! finish on the `Arc`s they cloned, new requests pick up the replacement,
+//! and the shard's serving counters survive the swap. A
 //! replacement must describe the same formulary (registry digest) as the
 //! shard it replaces — a gateway that silently swapped formularies under a
 //! live key would resolve the same DIDs to different drugs.
@@ -26,7 +29,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -34,19 +36,15 @@ use dssddi_core::DecisionService;
 use dssddi_data::DrugRegistry;
 use dssddi_kb::{KbInfo, KnowledgeBase};
 use dssddi_obs::trace::{next_trace_id, SpanRecorder, Stage, TraceExemplar, TraceRing};
+use dssddi_obs::MetricsRegistry;
 
 use crate::admission::{AdmissionConfig, GlobalQueue, TokenBucket};
-use crate::telemetry;
+use crate::telemetry::{GatewayMetrics, ModelMetrics, ReplicaState};
 use crate::wire::{self, ErrorCode, Request, Response};
 use crate::ServingError;
 
 /// Maximum length of a model key, in bytes.
 pub const MAX_MODEL_KEY_LEN: usize = 64;
-
-/// Latency samples kept per model for the percentile estimates: enough for
-/// stable p99 figures, small enough that a long-lived gateway's stats stay
-/// O(1) per shard.
-const LATENCY_WINDOW: usize = 1024;
 
 /// Slow-request exemplars the gateway keeps (top-K by end-to-end latency),
 /// served by the `TraceDump` wire message. Small enough that the snapshot a
@@ -137,7 +135,8 @@ pub struct ModelInfo {
     pub kb_version: u64,
 }
 
-/// Per-model serving statistics.
+/// Per-model serving statistics, read from the shard's
+/// `dssddi_model_*{model="<key>"}` series in the gateway's registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelStats {
     /// Individual requests served (a batch of 16 counts 16).
@@ -151,11 +150,15 @@ pub struct ModelStats {
     pub cache_hits: u64,
     /// Cumulative explanation-cache misses of the shard's service.
     pub cache_misses: u64,
-    /// Median routed-call latency in milliseconds over the sliding window.
-    /// On the network path the sample covers response encoding too (the
-    /// frame a client waits for), not just the model call.
+    /// Median routed-call latency in milliseconds, estimated from the
+    /// shard's log-bucket histogram (`dssddi_model_latency_micros`) over
+    /// every sample since the shard was inserted, to within about 3% — the
+    /// estimator `/metrics` renders. On the network path the sample covers
+    /// response encoding too (the frame a client waits for), not just the
+    /// model call.
     pub p50_ms: f64,
-    /// 99th-percentile routed-call latency in milliseconds over the window.
+    /// 99th-percentile routed-call latency in milliseconds, from the same
+    /// histogram.
     pub p99_ms: f64,
     /// Individual requests shed by admission control (rate limit, in-flight
     /// quota or full gateway queue) before reaching the model. Shed
@@ -168,9 +171,8 @@ pub struct ModelStats {
     /// Most callers ever observed waiting in the gateway's bounded request
     /// queue when a call for this shard was admitted.
     pub queue_depth_hwm: u64,
-    /// Latency samples ever recorded for this shard. Unlike `p50_ms`/
-    /// `p99_ms` (which cover only the sliding window), this counts every
-    /// sample, so a dashboard polling `Stats` can weight and diff
+    /// Latency samples ever recorded for this shard (the histogram's exact
+    /// count), so a dashboard polling `Stats` can weight and diff
     /// percentile snapshots between scrapes.
     pub samples: u64,
 }
@@ -243,56 +245,6 @@ pub struct ReplicaStats {
     pub versions: Vec<KeyVersions>,
 }
 
-/// Live replication counters, shared between the replica agent (which
-/// updates them after every anti-entropy round) and the router (which
-/// serves them on `Stats`). Mirrors the transport-counter pattern: the
-/// agent's host attaches the state via [`Router::attach_replica`] while it
-/// still owns the router exclusively, then hands the same `Arc` to the
-/// agent — no lock joins the serving path.
-#[derive(Debug, Default)]
-pub struct ReplicaState {
-    peers: AtomicU64,
-    syncs: AtomicU64,
-    bytes_shipped: AtomicU64,
-    max_lag: AtomicU64,
-}
-
-impl ReplicaState {
-    /// Records the replica group's peer count (excluding the local member).
-    pub fn set_peers(&self, peers: usize) {
-        self.peers.store(peers as u64, Ordering::Relaxed);
-        telemetry::handles().replica_peers.set(peers as u64);
-    }
-
-    /// Records one pulled-and-applied container of `bytes` bytes.
-    pub fn record_sync(&self, bytes: u64) {
-        self.syncs.fetch_add(1, Ordering::Relaxed);
-        self.bytes_shipped.fetch_add(bytes, Ordering::Relaxed);
-        let metrics = telemetry::handles();
-        metrics.replica_syncs.inc();
-        metrics.replica_bytes.add(bytes);
-    }
-
-    /// Records the largest version gap behind any peer observed by the most
-    /// recent anti-entropy round (0 when fully converged).
-    pub fn set_lag(&self, lag: u64) {
-        self.max_lag.store(lag, Ordering::Relaxed);
-        telemetry::handles().replica_lag.set(lag);
-    }
-
-    /// The counters as a [`ReplicaStats`] skeleton (versions left empty —
-    /// the router fills them from its catalog).
-    fn snapshot(&self) -> ReplicaStats {
-        ReplicaStats {
-            peers: self.peers.load(Ordering::Relaxed) as usize,
-            syncs: self.syncs.load(Ordering::Relaxed),
-            bytes_shipped: self.bytes_shipped.load(Ordering::Relaxed),
-            max_lag: self.max_lag.load(Ordering::Relaxed),
-            versions: Vec::new(),
-        }
-    }
-}
-
 /// Everything a `Stats` request reports: per-model serving statistics plus
 /// the gateway's transport-level counters.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -305,52 +257,9 @@ pub struct StatsReport {
     pub replica: Option<ReplicaStats>,
 }
 
-/// Sliding window of routed-call latencies (microseconds).
-struct LatencyWindow {
-    samples: Vec<u64>,
-    /// Next slot to overwrite once the window is full.
-    next: usize,
-    /// Samples ever recorded, including those the window has since evicted.
-    recorded: u64,
-}
-
-impl LatencyWindow {
-    fn new() -> Self {
-        Self {
-            samples: Vec::with_capacity(LATENCY_WINDOW),
-            next: 0,
-            recorded: 0,
-        }
-    }
-
-    fn record(&mut self, micros: u64) {
-        self.recorded += 1;
-        if self.samples.len() < LATENCY_WINDOW {
-            self.samples.push(micros);
-        } else {
-            self.samples[self.next] = micros;
-            self.next = (self.next + 1) % LATENCY_WINDOW;
-        }
-    }
-
-    /// `(p50_ms, p99_ms)` over the window (zeros before the first sample).
-    fn percentiles_ms(&self) -> (f64, f64) {
-        if self.samples.is_empty() {
-            return (0.0, 0.0);
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = |pct: f64| {
-            let idx = ((pct / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-            sorted[idx.min(sorted.len() - 1)] as f64 / 1e3
-        };
-        (rank(50.0), rank(99.0))
-    }
-}
-
-/// Recovers a lock from poisoning: every guarded structure here (latency
-/// window, swap slots) is valid whatever state a panicking thread left it
-/// in, so serving continues.
+/// Recovers a lock from poisoning: every guarded structure here (swap
+/// slots, token buckets, the exemplar ring) is valid whatever state a
+/// panicking thread left it in, so serving continues.
 fn relock<T>(result: Result<T, std::sync::PoisonError<T>>) -> T {
     result.unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -363,38 +272,35 @@ fn relock<T>(result: Result<T, std::sync::PoisonError<T>>) -> T {
 // stale entry. (The `GlobalQueue.freed` condvar is exempt: waiting on it
 // atomically releases `GlobalQueue.state`.)
 //
-//   1. ModelEntry.latencies          stats() reads the window, then the service
-//   2. ModelEntry.service            hot-swap slot, guards are short-lived clones
-//   3. ModelEntry.kb                 hot-swap slot, taken after service in info()
-//   4. DecisionService.explanations  explanation memo, leaf on the request path
-//   5. ModelEntry.bucket             rate-limit check entering admission
-//   6. GlobalQueue.state             global queue slots, innermost lock
-//   7. Router.traces                 slow-request exemplar ring; taken with
+//   1. ModelEntry.artifacts          hot-swap slot; readers clone it and let
+//                                    go, swaps compare versions and install
+//                                    under one write guard
+//   2. DecisionService.explanations  explanation memo, leaf on the request path
+//   3. ModelEntry.bucket             rate-limit check entering admission
+//   4. GlobalQueue.state             global queue slots, innermost lock
+//   5. Router.traces                 slow-request exemplar ring; taken with
 //                                    no other serving lock held
 //
-/// One shard: the service, its paired knowledge base and its serving
-/// counters. Service and KB each sit behind `RwLock<Arc<...>>` so hot
-/// reload swaps the `Arc` while requests in flight finish on the one they
-/// cloned; the counters live *outside* the locks and survive every swap.
-struct ModelEntry {
-    service: RwLock<Arc<DecisionService>>,
-    kb: RwLock<Arc<KnowledgeBase>>,
+/// What one hot swap replaces: a shard's service, its paired knowledge
+/// base and its model version, read and swapped together so a version
+/// always names the artifact installed with it.
+#[derive(Clone)]
+struct Artifacts {
+    service: Arc<DecisionService>,
+    kb: Arc<KnowledgeBase>,
     /// Monotone version of the shard's model: 1 on insert, bumped on every
     /// hot reload, adopted from the source replica on anti-entropy sync.
     /// (The knowledge base needs no twin — its version travels inside the
     /// `DSKB` container itself.)
-    model_version: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
-    errors_by_code: [AtomicU64; ErrorCode::ALL.len()],
-    latencies: Mutex<LatencyWindow>,
-    /// Individual requests shed by admission control before execution.
-    shed: AtomicU64,
-    /// Routed calls currently executing (or queued) against this shard.
-    in_flight: AtomicU64,
-    /// High-water mark of the gateway queue depth observed by this shard's
-    /// admitted calls.
-    queue_hwm: AtomicU64,
+    model_version: u64,
+}
+
+/// One shard: its swap slot and its serving counters. Requests in flight
+/// finish on the `Arc`s they cloned from the slot; the counters are
+/// registry cells *outside* the slot and survive every swap.
+struct ModelEntry {
+    artifacts: RwLock<Artifacts>,
+    metrics: ModelMetrics,
     /// Token bucket of the shard's rate limit (`None` = unlimited),
     /// configured by [`Router::with_admission`].
     bucket: Mutex<Option<TokenBucket>>,
@@ -404,83 +310,14 @@ struct ModelEntry {
 }
 
 impl ModelEntry {
-    fn new(service: DecisionService, kb: KnowledgeBase) -> Self {
-        Self {
-            service: RwLock::new(Arc::new(service)),
-            kb: RwLock::new(Arc::new(kb)),
-            model_version: AtomicU64::new(1),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            errors_by_code: std::array::from_fn(|_| AtomicU64::new(0)),
-            latencies: Mutex::new(LatencyWindow::new()),
-            shed: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            queue_hwm: AtomicU64::new(0),
-            bucket: Mutex::new(None),
-            quota: None,
-        }
-    }
-
-    /// The shard's current service (requests in flight keep the `Arc` they
-    /// cloned across a concurrent swap).
-    fn service(&self) -> Arc<DecisionService> {
-        relock(self.service.read()).clone()
-    }
-
-    /// The shard's current knowledge base.
-    fn kb(&self) -> Arc<KnowledgeBase> {
-        relock(self.kb.read()).clone()
-    }
-
-    /// Records one routed call's outcome: `n_requests` individual requests,
-    /// and the error class when it failed.
-    fn record_outcome(&self, n_requests: u64, error: Option<ErrorCode>) {
-        let metrics = telemetry::handles();
-        self.requests.fetch_add(n_requests, Ordering::Relaxed);
-        metrics.requests.add(n_requests);
-        if let Some(code) = error {
-            self.errors.fetch_add(n_requests, Ordering::Relaxed);
-            self.errors_by_code[code.index()].fetch_add(n_requests, Ordering::Relaxed);
-            metrics.errors.add(n_requests);
-        }
-    }
-
-    /// Records one latency sample for the percentile window.
-    fn record_latency(&self, elapsed_micros: u64) {
-        relock(self.latencies.lock()).record(elapsed_micros);
-    }
-
-    fn stats(&self) -> ModelStats {
-        let (p50_ms, p99_ms, samples) = {
-            let window = relock(self.latencies.lock());
-            let (p50_ms, p99_ms) = window.percentiles_ms();
-            (p50_ms, p99_ms, window.recorded)
-        };
-        let (cache_hits, cache_misses) = self.service().explanation_cache_stats();
-        let errors_by_code = ErrorCode::ALL
-            .iter()
-            .filter_map(|&code| {
-                let count = self.errors_by_code[code.index()].load(Ordering::Relaxed);
-                (count > 0).then_some((code, count))
-            })
-            .collect();
-        ModelStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            errors_by_code,
-            cache_hits: cache_hits as u64,
-            cache_misses: cache_misses as u64,
-            p50_ms,
-            p99_ms,
-            shed_requests: self.shed.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            queue_depth_hwm: self.queue_hwm.load(Ordering::Relaxed),
-            samples,
-        }
+    /// The shard's current artifacts (requests in flight keep the `Arc`s
+    /// they cloned across a concurrent swap).
+    fn artifacts(&self) -> Artifacts {
+        relock(self.artifacts.read()).clone()
     }
 
     fn info(&self, key: &ModelKey) -> ModelInfo {
-        let service = self.service();
+        let Artifacts { service, kb, .. } = self.artifacts();
         ModelInfo {
             key: key.clone(),
             fitted: service.is_fitted(),
@@ -488,7 +325,7 @@ impl ModelEntry {
             n_features: service.n_features(),
             registry_digest: service.registry().digest(),
             backbone: service.config().ddi.backbone.name().to_string(),
-            kb_version: self.kb().version(),
+            kb_version: kb.version(),
         }
     }
 }
@@ -516,10 +353,13 @@ fn check_digest(key: &ModelKey, current: u64, replacement: u64) -> Result<(), Se
     Ok(())
 }
 
-/// Owns the loaded model shards of a gateway, keyed by [`ModelKey`].
+/// Owns the loaded model shards of a gateway, keyed by [`ModelKey`], and
+/// the gateway's [`MetricsRegistry`], where each shard's series are
+/// registered as it is inserted.
 #[derive(Default)]
 pub struct ModelCatalog {
     models: BTreeMap<ModelKey, ModelEntry>,
+    registry: Arc<MetricsRegistry>,
 }
 
 impl ModelCatalog {
@@ -546,13 +386,13 @@ impl ModelCatalog {
     /// The service behind a key, when registered. The returned `Arc` is a
     /// snapshot: a concurrent [`ModelCatalog::replace`] does not change it.
     pub fn service(&self, key: &ModelKey) -> Option<Arc<DecisionService>> {
-        self.models.get(key).map(ModelEntry::service)
+        self.models.get(key).map(|entry| entry.artifacts().service)
     }
 
     /// The knowledge base paired with a key, when registered (snapshot
     /// semantics as for [`ModelCatalog::service`]).
     pub fn kb(&self, key: &ModelKey) -> Option<Arc<KnowledgeBase>> {
-        self.models.get(key).map(ModelEntry::kb)
+        self.models.get(key).map(|entry| entry.artifacts().kb)
     }
 
     /// Registers an in-process service under a key, paired with a knowledge
@@ -578,7 +418,17 @@ impl ModelCatalog {
             });
         }
         check_digest(&key, service.registry().digest(), kb.registry_digest())?;
-        self.models.insert(key, ModelEntry::new(service, kb));
+        let entry = ModelEntry {
+            artifacts: RwLock::new(Artifacts {
+                service: Arc::new(service),
+                kb: Arc::new(kb),
+                model_version: 1,
+            }),
+            metrics: ModelMetrics::register(&self.registry, &key),
+            bucket: Mutex::new(None),
+            quota: None,
+        };
+        self.models.insert(key, entry);
         Ok(())
     }
 
@@ -619,21 +469,35 @@ impl ModelCatalog {
             })
     }
 
+    /// Runs `install` on a live shard's slot under its write guard, once a
+    /// replacement of registry digest `digest` proved to describe the
+    /// shard's formulary, and returns whether it installed. Comparing
+    /// versions and installing under one guard is what keeps a concurrent
+    /// swap from slipping in between.
+    fn swap(
+        &self,
+        key: &ModelKey,
+        digest: u64,
+        install: impl FnOnce(&mut Artifacts) -> bool,
+    ) -> Result<bool, ServingError> {
+        let entry = self.entry(key)?;
+        let mut slot = relock(entry.artifacts.write());
+        check_digest(key, slot.service.registry().digest(), digest)?;
+        Ok(install(&mut slot))
+    }
+
     /// Hot-swaps the service behind a live key. The replacement must serve
     /// the same formulary (registry digest) as the shard it replaces; its
     /// paired knowledge base and the shard's serving counters carry over.
     /// Requests in flight finish on the service they started with, new
     /// requests route to the replacement — no connection is dropped.
     pub fn replace(&self, key: &ModelKey, service: DecisionService) -> Result<(), ServingError> {
-        let entry = self.entry(key)?;
-        check_digest(
-            key,
-            entry.service().registry().digest(),
-            service.registry().digest(),
-        )?;
-        *relock(entry.service.write()) = Arc::new(service);
-        entry.model_version.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.swap(key, service.registry().digest(), |slot| {
+            slot.service = Arc::new(service);
+            slot.model_version += 1;
+            true
+        })
+        .map(drop)
     }
 
     /// Adopts a peer replica's model for a live key at the peer's version —
@@ -649,18 +513,14 @@ impl ModelCatalog {
         service: DecisionService,
         version: u64,
     ) -> Result<bool, ServingError> {
-        let entry = self.entry(key)?;
-        check_digest(
-            key,
-            entry.service().registry().digest(),
-            service.registry().digest(),
-        )?;
-        if entry.model_version.load(Ordering::Relaxed) >= version {
-            return Ok(false);
-        }
-        *relock(entry.service.write()) = Arc::new(service);
-        entry.model_version.store(version, Ordering::Relaxed);
-        Ok(true)
+        self.swap(key, service.registry().digest(), |slot| {
+            let newer = version > slot.model_version;
+            if newer {
+                slot.service = Arc::new(service);
+                slot.model_version = version;
+            }
+            newer
+        })
     }
 
     /// Adopts a peer replica's knowledge base for a live key — the
@@ -669,17 +529,13 @@ impl ModelCatalog {
     /// move forward (a stale or duplicate pull is a no-op returning
     /// `false`).
     pub fn sync_kb(&self, key: &ModelKey, kb: KnowledgeBase) -> Result<bool, ServingError> {
-        let entry = self.entry(key)?;
-        check_digest(
-            key,
-            entry.service().registry().digest(),
-            kb.registry_digest(),
-        )?;
-        if entry.kb().version() >= kb.version() {
-            return Ok(false);
-        }
-        *relock(entry.kb.write()) = Arc::new(kb);
-        Ok(true)
+        self.swap(key, kb.registry_digest(), |slot| {
+            let newer = kb.version() > slot.kb.version();
+            if newer {
+                slot.kb = Arc::new(kb);
+            }
+            newer
+        })
     }
 
     /// The per-key `(model_version, kb_version)` pairs this catalog holds,
@@ -687,10 +543,13 @@ impl ModelCatalog {
     pub fn version_vector(&self) -> Vec<KeyVersions> {
         self.models
             .iter()
-            .map(|(key, entry)| KeyVersions {
-                key: key.clone(),
-                model_version: entry.model_version.load(Ordering::Relaxed),
-                kb_version: entry.kb().version(),
+            .map(|(key, entry)| {
+                let slot = entry.artifacts();
+                KeyVersions {
+                    key: key.clone(),
+                    model_version: slot.model_version,
+                    kb_version: slot.kb.version(),
+                }
             })
             .collect()
     }
@@ -698,14 +557,11 @@ impl ModelCatalog {
     /// Hot-swaps the knowledge base paired with a live key. The replacement
     /// must grade the shard's formulary.
     pub fn replace_kb(&self, key: &ModelKey, kb: KnowledgeBase) -> Result<(), ServingError> {
-        let entry = self.entry(key)?;
-        check_digest(
-            key,
-            entry.service().registry().digest(),
-            kb.registry_digest(),
-        )?;
-        *relock(entry.kb.write()) = Arc::new(kb);
-        Ok(())
+        self.swap(key, kb.registry_digest(), |slot| {
+            slot.kb = Arc::new(kb);
+            true
+        })
+        .map(drop)
     }
 }
 
@@ -727,7 +583,7 @@ struct AdmissionGuard<'a> {
 
 impl Drop for AdmissionGuard<'_> {
     fn drop(&mut self) {
-        self.entry.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.entry.metrics.in_flight.dec();
         if let Some(queue) = self.queue {
             queue.release();
         }
@@ -753,14 +609,12 @@ pub struct Router {
     queue: Option<GlobalQueue>,
     /// Epoch of the token buckets' timestamps.
     origin: Instant,
-    /// Transport counters of the network server fronting this router,
-    /// attached by `Server::bind` before the router is shared. In-process
-    /// routers have none and report zeroed [`GatewayStats`].
-    transport: Option<Arc<crate::server::TransportStats>>,
-    /// Replication counters of the replica agent syncing this gateway,
-    /// attached by the agent's host before the router is shared.
-    /// Unreplicated routers have none and omit the `Stats` replica section.
-    replica: Option<Arc<ReplicaState>>,
+    /// The gateway-wide series of the catalog's registry.
+    pub(crate) metrics: GatewayMetrics,
+    /// Whether a replica agent syncs this gateway (see
+    /// [`Router::attach_replica`]); unreplicated routers omit the `Stats`
+    /// replica section.
+    replicated: bool,
     /// Top-K slowest-request exemplars, served by the `TraceDump` wire
     /// message. Touched once per data-plane frame, after the response is
     /// encoded and with no other serving lock held.
@@ -786,33 +640,33 @@ impl Router {
             .max_in_flight
             .map(|slots| GlobalQueue::new(slots, config.max_queue_depth, config.queue_wait));
         Self {
+            metrics: GatewayMetrics::register(&catalog.registry),
             catalog,
             queue,
             origin: Instant::now(),
-            transport: None,
-            replica: None,
+            replicated: false,
             traces: Mutex::new(TraceRing::new(TRACE_RING_CAPACITY)),
         }
     }
 
-    /// Attaches the network server's transport counters so `Stats`
-    /// responses carry them. Called by `Server::bind` while it still owns
-    /// the router exclusively.
-    pub(crate) fn attach_transport(&mut self, transport: Arc<crate::server::TransportStats>) {
-        self.transport = Some(transport);
-    }
-
-    /// Attaches a replica agent's counters so `Stats` responses carry the
-    /// replication section. Like [`Router::attach_transport`], this must
-    /// happen while the caller still owns the router exclusively (before
-    /// `Server::bind` shares it); the same `Arc` then goes to the agent.
-    pub fn attach_replica(&mut self, replica: Arc<ReplicaState>) {
-        self.replica = Some(replica);
+    /// Arms the replication section of `Stats` responses and returns the
+    /// replica counters for the agent that syncs this gateway to write.
+    /// Call it while the router is still exclusively owned (before
+    /// `Server::bind` shares it).
+    pub fn attach_replica(&mut self) -> ReplicaState {
+        self.replicated = true;
+        self.metrics.replica.clone()
     }
 
     /// The catalog behind the router.
     pub fn catalog(&self) -> &ModelCatalog {
         &self.catalog
+    }
+
+    /// The gateway's registry, the one store of every count `Stats`
+    /// reports — what `dssddi-serve --metrics-listen` serves.
+    pub fn registry(&self) -> &Arc<MetricsRegistry> {
+        &self.catalog.registry
     }
 
     /// Nanoseconds since the router's construction — the timestamp domain
@@ -835,10 +689,10 @@ impl Router {
         n_requests: u64,
         span: &mut SpanRecorder,
     ) -> Result<AdmissionGuard<'a>, ServingError> {
-        let metrics = telemetry::handles();
+        let (metrics, shard) = (&self.metrics, &entry.metrics);
         let admit_start = Instant::now();
         let shed = |what: &str| {
-            entry.shed.fetch_add(n_requests, Ordering::Relaxed);
+            shard.shed.add(n_requests);
             Err(ServingError::Overloaded {
                 key: key.as_str().to_string(),
                 what: what.to_string(),
@@ -851,9 +705,9 @@ impl Router {
                 return shed("per-model rate limit exhausted");
             }
         }
-        let prior = entry.in_flight.fetch_add(1, Ordering::Relaxed);
+        let prior = shard.in_flight.inc();
         if entry.quota.is_some_and(|quota| prior >= quota) {
-            entry.in_flight.fetch_sub(1, Ordering::Relaxed);
+            shard.in_flight.dec();
             span.record(Stage::Admit, elapsed_micros(admit_start));
             metrics.shed_quota.add(n_requests);
             return shed("per-model in-flight quota exhausted");
@@ -866,11 +720,9 @@ impl Router {
             span.record(Stage::Queue, wait);
             metrics.queue_wait.observe(wait);
             match outcome {
-                Ok(depth) => {
-                    entry.queue_hwm.fetch_max(depth as u64, Ordering::Relaxed);
-                }
+                Ok(depth) => shard.queue_hwm.raise_to(depth as u64),
                 Err(()) => {
-                    entry.in_flight.fetch_sub(1, Ordering::Relaxed);
+                    shard.in_flight.dec();
                     metrics.shed_queue.add(n_requests);
                     return shed("gateway request queue full");
                 }
@@ -895,9 +747,11 @@ impl Router {
     ) -> Result<T, ServingError> {
         let entry = self.catalog.entry(key)?;
         let _guard = self.admit(key, entry, n_requests, span)?;
-        let (service, kb) = (entry.service(), entry.kb());
+        let Artifacts { service, kb, .. } = entry.artifacts();
         let result = call(&service, &kb).map_err(ServingError::Core);
-        entry.record_outcome(n_requests, result.as_ref().err().map(ErrorCode::classify));
+        let error = result.as_ref().err().map(ErrorCode::classify);
+        self.metrics
+            .record_outcome(&entry.metrics, n_requests, error);
         result
     }
 
@@ -927,7 +781,7 @@ impl Router {
     /// [`ModelCatalog::replace_kb`]) and reports the new KB's summary.
     pub fn reload_kb(&self, key: &ModelKey, kb: KnowledgeBase) -> Result<KbInfo, ServingError> {
         self.catalog.replace_kb(key, kb)?;
-        Ok(self.catalog.entry(key)?.kb().info())
+        self.kb_info(key)
     }
 
     /// [`Router::reload_kb`] from in-memory `DSKB` container bytes — the
@@ -969,25 +823,16 @@ impl Router {
     }
 
     /// Serves a `PeerSync` pull: one shard's complete container plus the
-    /// version the bytes certify. The version is read *before* the artifact
-    /// `Arc` is cloned, so a concurrent reload can only make the shipped
-    /// bytes newer than the claimed version — the puller then re-pulls on
-    /// its next round and still converges monotonically.
+    /// version the bytes certify, both from one snapshot of the swap slot.
     fn peer_sync(
         &self,
         key: &ModelKey,
         artifact: wire::SyncArtifact,
     ) -> Result<Response, ServingError> {
-        let entry = self.catalog.entry(key)?;
+        let slot = self.catalog.entry(key)?.artifacts();
         let (version, container) = match artifact {
-            wire::SyncArtifact::Model => {
-                let version = entry.model_version.load(Ordering::Relaxed);
-                (version, entry.service().to_container_bytes())
-            }
-            wire::SyncArtifact::Kb => {
-                let kb = entry.kb();
-                (kb.version(), kb.to_container_bytes())
-            }
+            wire::SyncArtifact::Model => (slot.model_version, slot.service.to_container_bytes()),
+            wire::SyncArtifact::Kb => (slot.kb.version(), slot.kb.to_container_bytes()),
         };
         Ok(Response::PeerSync {
             model: key.clone(),
@@ -999,7 +844,7 @@ impl Router {
 
     /// The summary of the knowledge base paired with a shard.
     pub fn kb_info(&self, key: &ModelKey) -> Result<KbInfo, ServingError> {
-        Ok(self.catalog.entry(key)?.kb().info())
+        Ok(self.catalog.entry(key)?.artifacts().kb.info())
     }
 
     /// Advertises every shard, in key order.
@@ -1011,34 +856,27 @@ impl Router {
             .collect()
     }
 
-    /// Per-model serving statistics, in key order.
-    pub fn stats(&self) -> Vec<(ModelKey, ModelStats)> {
-        self.catalog
-            .models
-            .iter()
-            .map(|(key, entry)| (key.clone(), entry.stats()))
-            .collect()
-    }
-
-    /// The gateway's transport-level counters (zeros when no network
-    /// server is attached to this router).
-    pub fn gateway_stats(&self) -> GatewayStats {
-        self.transport
-            .as_deref()
-            .map(crate::server::TransportStats::snapshot)
-            .unwrap_or_default()
-    }
-
     /// The full statistics report a wire `Stats` request answers with:
-    /// per-model entries plus the gateway transport counters.
+    /// per-model entries in key order plus the gateway transport counters
+    /// (zeros when no network server fronts this router), read from the
+    /// same registry cells `/metrics` renders.
     pub fn stats_report(&self) -> StatsReport {
+        let connections = &self.metrics.connections;
+        let model_stats = |(key, entry): (&ModelKey, &ModelEntry)| {
+            let cache = entry.artifacts().service.explanation_cache_stats();
+            (key.clone(), entry.metrics.stats(cache))
+        };
         StatsReport {
-            models: self.stats(),
-            gateway: self.gateway_stats(),
-            replica: self.replica.as_ref().map(|state| ReplicaStats {
-                versions: self.version_vector(),
-                ..state.snapshot()
-            }),
+            models: self.catalog.models.iter().map(model_stats).collect(),
+            gateway: GatewayStats {
+                connections_accepted: connections.accepted.get(),
+                connections_active: connections.active.get(),
+                connections_shed: connections.shed.get(),
+                stalled_reaped: connections.stalled.get(),
+            },
+            replica: self
+                .replicated
+                .then(|| self.metrics.replica.stats(self.version_vector())),
         }
     }
 
@@ -1046,13 +884,7 @@ impl Router {
     /// errors into typed error frames — request counts and error classes
     /// recorded, but *no* latency sample: the caller owns the sample point.
     /// Reload operations are control-plane calls and do not count toward a
-    /// shard's request statistics.
-    fn dispatch_core(&self, request: &Request) -> Response {
-        let mut span = SpanRecorder::new(0);
-        self.dispatch_traced(request, &mut span)
-    }
-
-    /// [`Router::dispatch_core`] with the request's span threaded through
+    /// shard's request statistics. The request's span is threaded through
     /// admission, so shed/queue time lands on the caller's trace.
     fn dispatch_traced(&self, request: &Request, span: &mut SpanRecorder) -> Response {
         let result = match request {
@@ -1071,7 +903,7 @@ impl Router {
                     service.check_prescription_with_kb(request, Some(kb))
                 })
                 .map(|report| {
-                    telemetry::count_report_severities(&report);
+                    self.metrics.count_severities(&report);
                     Response::CheckPrescription(report)
                 }),
             Request::ReloadModel { model, container } => self
@@ -1117,30 +949,16 @@ impl Router {
     /// was admitted to. Control-plane messages are not clinical serving
     /// latency, and a call admission control shed never reached the shard.
     fn record_request_latency(&self, request: &Request, response: &Response, start: Instant) {
-        if let Response::Error {
-            code: ErrorCode::Overloaded,
-            ..
-        } = response
-        {
-            return;
-        }
-        let model = match request {
-            Request::Suggest { model, .. }
-            | Request::SuggestBatch { model, .. }
-            | Request::CheckPrescription { model, .. } => Some(model),
-            Request::ReloadModel { .. }
-            | Request::ReloadKb { .. }
-            | Request::KbInfo { .. }
-            | Request::ListModels
-            | Request::Stats
-            | Request::Ping
-            | Request::PeerStatus { .. }
-            | Request::PeerSync { .. }
-            | Request::TraceDump { .. }
-            | Request::Shutdown => None,
-        };
-        if let Some(entry) = model.and_then(|key| self.catalog.models.get(key)) {
-            entry.record_latency(elapsed_micros(start));
+        let shed = matches!(
+            response,
+            Response::Error {
+                code: ErrorCode::Overloaded,
+                ..
+            }
+        );
+        let shard = Self::data_plane(request).and_then(|(key, _)| self.catalog.models.get(key));
+        if let Some(entry) = shard.filter(|_| !shed) {
+            entry.metrics.latency.observe(elapsed_micros(start));
         }
     }
 
@@ -1149,12 +967,17 @@ impl Router {
     /// exactly one latency sample covering the routed call.
     pub fn serve(&self, request: &Request) -> Response {
         let start = Instant::now();
-        let response = self.dispatch_core(request);
+        let response = self.dispatch_traced(request, &mut SpanRecorder::new(0));
         self.record_request_latency(request, &response, start);
         response
     }
 
-    /// [`Router::serve`] plus response encoding, returning the sealed frame.
+    /// [`Router::serve`] plus response encoding, returning the sealed frame,
+    /// with the request's wire trace threaded through: `trace` is the trace
+    /// ID the client propagated (the gateway mints one when the client sent
+    /// none, so untraced traffic still fills the exemplar ring) and
+    /// `decode_micros` is the time the transport spent reading and decoding
+    /// the request frame.
     ///
     /// This is the network server's entry point, and where the shard's
     /// latency sample is taken — exactly one per admitted request,
@@ -1162,15 +985,6 @@ impl Router {
     /// `Stats` caller sees is the time a client actually waits between
     /// frames: encoding a batch of explanation subgraphs is real serving
     /// cost, not free.
-    pub fn serve_framed(&self, request: &Request) -> Vec<u8> {
-        self.serve_framed_traced(request, None, 0)
-    }
-
-    /// [`Router::serve_framed`] with the request's wire trace threaded
-    /// through: `trace` is the trace ID the client propagated (the gateway
-    /// mints one when the client sent none, so untraced traffic still fills
-    /// the exemplar ring) and `decode_micros` is the time the transport
-    /// spent reading and decoding the request frame.
     ///
     /// Stage accounting is exact by construction: `infer` is the dispatch
     /// time net of admission and queueing, so the five stage values sum to
@@ -1181,7 +995,7 @@ impl Router {
         trace: Option<u64>,
         decode_micros: u64,
     ) -> Vec<u8> {
-        let metrics = telemetry::handles();
+        let metrics = &self.metrics;
         let mut span = SpanRecorder::new(trace.unwrap_or_else(next_trace_id));
         span.record(Stage::Decode, decode_micros);
         let start = Instant::now();
@@ -1199,27 +1013,34 @@ impl Router {
             .saturating_add(dispatch_micros)
             .saturating_add(span.stage_micros(Stage::Encode));
         metrics.latency.observe(total);
-        for stage in Stage::ALL {
-            metrics.observe_stage(stage, span.stage_micros(stage));
+        for (stage, histogram) in Stage::ALL.into_iter().zip(&metrics.stages) {
+            histogram.observe(span.stage_micros(stage));
         }
-        if let Some((model, op)) = Self::data_plane_target(request) {
-            relock(self.traces.lock()).offer(span.into_exemplar(model, op.to_string(), total));
+        if let Some((model, op)) = Self::data_plane(request) {
+            let exemplar = span.into_exemplar(model.to_string(), op.to_string(), total);
+            relock(self.traces.lock()).offer(exemplar);
         }
         frame
     }
 
     /// The shard key and operation name of a data-plane request — the
-    /// requests eligible for the slow-request exemplar ring.
-    fn data_plane_target(request: &Request) -> Option<(String, &'static str)> {
+    /// requests that take a shard's latency sample and are eligible for
+    /// the slow-request exemplar ring.
+    fn data_plane(request: &Request) -> Option<(&ModelKey, &'static str)> {
         match request {
-            Request::Suggest { model, .. } => Some((model.as_str().to_string(), "suggest")),
-            Request::SuggestBatch { model, .. } => {
-                Some((model.as_str().to_string(), "suggest_batch"))
-            }
-            Request::CheckPrescription { model, .. } => {
-                Some((model.as_str().to_string(), "check_prescription"))
-            }
-            _ => None,
+            Request::Suggest { model, .. } => Some((model, "suggest")),
+            Request::SuggestBatch { model, .. } => Some((model, "suggest_batch")),
+            Request::CheckPrescription { model, .. } => Some((model, "check_prescription")),
+            Request::ReloadModel { .. }
+            | Request::ReloadKb { .. }
+            | Request::KbInfo { .. }
+            | Request::ListModels
+            | Request::Stats
+            | Request::Ping
+            | Request::PeerStatus { .. }
+            | Request::PeerSync { .. }
+            | Request::TraceDump { .. }
+            | Request::Shutdown => None,
         }
     }
 }
@@ -1250,22 +1071,87 @@ mod tests {
         assert_eq!(parsed.to_string(), "chronic");
     }
 
+    /// Each round races a replica pull (`sync_*_bytes`) against an operator
+    /// reload (`reload_*_bytes`) and a concurrent `PeerSync`. The pull
+    /// offers what is newer than the round's starting state but older than
+    /// the reload, so whichever order they land in, the acknowledged reload
+    /// must be what stays live, and every `PeerSync` must ship the artifact
+    /// installed at the version it reports.
     #[test]
-    fn latency_window_slides_and_ranks() {
-        let mut window = LatencyWindow::new();
-        assert_eq!(window.percentiles_ms(), (0.0, 0.0));
-        for micros in [1000u64, 2000, 3000, 4000, 5000] {
-            window.record(micros);
+    fn a_racing_pull_never_undoes_an_acknowledged_reload() {
+        use crate::demo::{demo_world, DEMO_SEED};
+        use crate::wire::SyncArtifact::{Kb, Model};
+
+        let world = demo_world(DEMO_SEED).unwrap();
+        let support = |alpha| {
+            let builder = dssddi_core::ServiceBuilder::fast().alpha(alpha);
+            builder.build_support(&world.ddi).unwrap()
+        };
+        let key = ModelKey::new("critique").unwrap();
+        let mut catalog = ModelCatalog::new();
+        catalog.insert(key.clone(), support(0.5)).unwrap();
+        let router = Router::new(catalog);
+        // Reloads alternate between two models; the peer offers a third.
+        let reloads = [support(0.2), support(0.4)].map(|s| s.to_container_bytes());
+        let pulled = support(0.6).to_container_bytes();
+        assert_ne!(reloads[0], reloads[1]);
+        let seeded = router.catalog().kb(&key).unwrap();
+        let fact = seeded.facts().next().unwrap().1.clone();
+        let mut kb = KnowledgeBase::new(&world.registry);
+        let peer_sync = |artifact| match router.peer_sync(&key, artifact).unwrap() {
+            Response::PeerSync {
+                version, container, ..
+            } => (version, container),
+            other => panic!("PeerSync answered {other:?}"),
+        };
+        for round in 1..=200u64 {
+            let (before, live) = peer_sync(Model);
+            let reload = &reloads[round as usize % 2];
+            // The peer offers KB version 2 * round - 1; the reload is one newer.
+            kb.upsert(0, 1, fact.clone()).unwrap();
+            let pulled_kb = kb.to_container_bytes();
+            kb.upsert(0, 1, fact.clone()).unwrap();
+            let reloaded_kb = kb.to_container_bytes();
+            let barrier = std::sync::Barrier::new(3);
+            let pulled_model = std::thread::scope(|scope| {
+                let peer = scope.spawn(|| {
+                    barrier.wait();
+                    router.sync_kb_bytes(&key, &pulled_kb).unwrap();
+                    router.sync_model_bytes(&key, before + 1, &pulled).unwrap()
+                });
+                let observer = scope.spawn(|| {
+                    barrier.wait();
+                    let legal = [
+                        (before, &live),
+                        (before + 1, &pulled),
+                        (before + 1, reload),
+                        (before + 2, reload),
+                    ];
+                    // Poll until the reload is live; once live it stays.
+                    for _ in 0..100_000 {
+                        let (version, container) = peer_sync(Model);
+                        let installed = legal.contains(&(version, &container));
+                        assert!(installed, "round {round}: v{version} shipped another model");
+                        if container == *reload {
+                            break;
+                        }
+                    }
+                });
+                barrier.wait();
+                router.reload_kb_bytes(&key, &reloaded_kb).unwrap();
+                router.reload_model_bytes(&key, reload).unwrap();
+                observer.join().unwrap();
+                peer.join().unwrap()
+            });
+            let live_kb = (2 * round, reloaded_kb);
+            assert_eq!(peer_sync(Kb), live_kb, "round {round}: reloaded KB lost");
+            let live_model = (before + 1 + u64::from(pulled_model), reload.clone());
+            assert_eq!(
+                peer_sync(Model),
+                live_model,
+                "round {round}: reloaded model lost"
+            );
         }
-        let (p50, p99) = window.percentiles_ms();
-        assert_eq!(p50, 3.0);
-        assert_eq!(p99, 5.0);
-        // Overflowing the window overwrites the oldest samples.
-        for _ in 0..LATENCY_WINDOW {
-            window.record(7000);
-        }
-        let (p50, p99) = window.percentiles_ms();
-        assert_eq!((p50, p99), (7.0, 7.0));
     }
 
     #[test]

@@ -12,53 +12,31 @@
 //! stream can no longer be trusted to be frame-aligned, closes *that*
 //! connection — and never takes the gateway down. A peer that stalls
 //! mid-frame (including a slow-loris trickling bytes just under the idle
-//! timeout) is reaped by the per-frame deadline and counted in
-//! [`TransportStats`]; a configured connection bound sheds excess
-//! connections with a typed `Overloaded` frame instead of letting handler
-//! threads grow without limit. Only an explicit `Shutdown` message ends
-//! the accept loop, and the drain then finishes every in-flight request
-//! before `run` returns.
+//! timeout) is reaped by the per-frame deadline and counted in the
+//! router's registry ([`crate::GatewayStats`]); a configured connection
+//! bound sheds excess connections with a typed `Overloaded` frame instead
+//! of letting handler threads grow without limit. Only an explicit
+//! `Shutdown` message ends the accept loop, and the drain then finishes
+//! every in-flight request before `run` returns.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::router::{GatewayStats, Router};
-use crate::telemetry;
+use dssddi_obs::Gauge;
+
+use crate::router::Router;
 use crate::wire::{self, Request, WireError};
 use crate::ServingError;
-
-/// Gateway-wide transport counters, shared between the accept loop, every
-/// handler thread and the router (which serves them in `Stats` responses
-/// as [`GatewayStats`]). All atomics — no locks on the serving path.
-#[derive(Debug, Default)]
-pub struct TransportStats {
-    accepted: AtomicU64,
-    active: AtomicU64,
-    shed: AtomicU64,
-    stalled: AtomicU64,
-}
-
-impl TransportStats {
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> GatewayStats {
-        GatewayStats {
-            connections_accepted: self.accepted.load(Ordering::Relaxed),
-            connections_active: self.active.load(Ordering::Relaxed),
-            connections_shed: self.shed.load(Ordering::Relaxed),
-            stalled_reaped: self.stalled.load(Ordering::Relaxed),
-        }
-    }
-}
 
 /// Tuning knobs of a [`Server`], with production defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Upper bound on concurrently served connections. At the bound, new
     /// connections are answered with one typed `Overloaded` error frame
-    /// and closed (a typed shed, counted in [`GatewayStats`]) — handler
-    /// threads can never grow without limit. `None` = unbounded.
+    /// and closed (a typed shed, counted in [`crate::GatewayStats`]) —
+    /// handler threads can never grow without limit. `None` = unbounded.
     pub max_connections: Option<usize>,
     /// Wall-clock deadline for receiving one complete frame, measured from
     /// its first byte. A peer that has not completed a frame in time —
@@ -82,7 +60,6 @@ pub struct Server {
     listener: TcpListener,
     router: Arc<Router>,
     shutdown: Arc<AtomicBool>,
-    transport: Arc<TransportStats>,
     config: ServerConfig,
 }
 
@@ -98,21 +75,16 @@ impl Server {
     /// deadline).
     pub fn bind_with_config(
         addr: impl ToSocketAddrs,
-        mut router: Router,
+        router: Router,
         config: ServerConfig,
     ) -> Result<Self, ServingError> {
         let listener = TcpListener::bind(addr).map_err(|e| ServingError::Io {
             what: format!("binding listener: {e}"),
         })?;
-        let transport = Arc::new(TransportStats::default());
-        // Attach while the router is still exclusively ours, so `Stats`
-        // responses report these counters without any lock.
-        router.attach_transport(Arc::clone(&transport));
         Ok(Self {
             listener,
             router: Arc::new(router),
             shutdown: Arc::new(AtomicBool::new(false)),
-            transport,
             config,
         })
     }
@@ -122,12 +94,6 @@ impl Server {
         self.listener.local_addr().map_err(|e| ServingError::Io {
             what: format!("reading local address: {e}"),
         })
-    }
-
-    /// The shared router, e.g. for inspecting stats from the serving
-    /// process itself.
-    pub fn router(&self) -> &Router {
-        &self.router
     }
 
     /// A shared handle to the router, for components that outlive the
@@ -156,6 +122,8 @@ impl Server {
         } else {
             local
         };
+        // The router's transport counters, the cells `Stats` reads back.
+        let connections = &self.router.metrics.connections;
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.shutdown.load(Ordering::SeqCst) {
@@ -163,39 +131,35 @@ impl Server {
             }
             match stream {
                 Ok(stream) => {
-                    self.transport.accepted.fetch_add(1, Ordering::Relaxed);
-                    telemetry::handles().connections_accepted.inc();
+                    connections.accepted.inc();
                     // Reap finished handlers so the list tracks live
                     // connections, not connection history.
                     handlers.retain(|handle| !handle.is_finished());
                     // Bounded connection count: at the cap, shed with one
                     // typed error frame instead of spawning a handler. The
                     // active gauge is incremented *here*, before the spawn,
-                    // so a burst of accepts cannot overshoot the bound.
-                    let active = self.transport.active.fetch_add(1, Ordering::SeqCst);
-                    telemetry::handles().connections_active.inc();
+                    // so a burst of accepts cannot overshoot the bound. The
+                    // increment is one read-modify-write, so the prior value
+                    // it returns is exact; the gauge publishes no other data.
+                    let active = connections.active.inc();
                     if self
                         .config
                         .max_connections
                         .is_some_and(|cap| active as usize >= cap)
                     {
-                        self.transport.active.fetch_sub(1, Ordering::SeqCst);
-                        self.transport.shed.fetch_add(1, Ordering::Relaxed);
-                        let metrics = telemetry::handles();
-                        metrics.connections_active.dec();
-                        metrics.connections_shed.inc();
+                        connections.active.dec();
+                        connections.shed.inc();
                         shed_connection(stream, self.config.max_connections.unwrap_or(0));
                         continue;
                     }
                     let router = Arc::clone(&self.router);
                     let shutdown = Arc::clone(&self.shutdown);
-                    let transport = Arc::clone(&self.transport);
                     let deadline = self.config.frame_deadline;
                     handlers.push(std::thread::spawn(move || {
                         // Balance the increment above whatever way the
                         // handler exits.
-                        let _active = ActiveGuard(&transport);
-                        handle_connection(stream, &router, &shutdown, wake, &transport, deadline);
+                        let _active = ActiveGuard(&router.metrics.connections.active);
+                        handle_connection(stream, &router, &shutdown, wake, deadline);
                     }));
                 }
                 // A failed accept with the peer gone mid-handshake is
@@ -220,12 +184,11 @@ impl Server {
 
 /// Decrements the active-connection gauge when a handler exits, however it
 /// exits.
-struct ActiveGuard<'a>(&'a TransportStats);
+struct ActiveGuard<'a>(&'a Gauge);
 
 impl Drop for ActiveGuard<'_> {
     fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::SeqCst);
-        telemetry::handles().connections_active.dec();
+        self.0.dec();
     }
 }
 
@@ -275,7 +238,6 @@ fn handle_connection(
     router: &Router,
     shutdown: &AtomicBool,
     wake: SocketAddr,
-    transport: &TransportStats,
     frame_deadline: Duration,
 ) {
     // Frames are written in one piece; waiting for coalescing only adds
@@ -299,8 +261,7 @@ fn handle_connection(
                 Err(WireError::Timeout) => {
                     // The peer stalled mid-frame past the deadline (silent, or
                     // a slow-loris trickle): reap the connection and count it.
-                    transport.stalled.fetch_add(1, Ordering::Relaxed);
-                    telemetry::handles().stalled_reaped.inc();
+                    router.metrics.connections.stalled.inc();
                     return;
                 }
                 Err(WireError::Io { .. }) => return,

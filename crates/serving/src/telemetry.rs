@@ -1,5 +1,8 @@
-//! Serving-path metrics: every hot point of the gateway reports into the
-//! process-wide [`dssddi_obs`] registry.
+//! Serving-path metrics: every count a gateway keeps lives in one
+//! [`MetricsRegistry`], created with its [`crate::ModelCatalog`]. The
+//! `Stats` wire message ([`crate::Router::stats_report`]) and `GET /metrics`
+//! read the same cells, and each gateway's registry is its own, so several
+//! routers in one process keep their counts apart.
 //!
 //! Families follow the `dssddi_<subsystem>_<name>` convention, counters
 //! suffixed `_total`, durations in microseconds:
@@ -10,40 +13,48 @@
 //!   (decode through encode), as a quantile summary.
 //! * `dssddi_serving_stage_micros{stage=...}` — the same latency broken
 //!   down per pipeline [`Stage`] (decode, admit, queue, infer, encode).
+//! * `dssddi_model_requests_total{model}`,
+//!   `dssddi_model_errors_total{model,code}`, `dssddi_model_shed_total{model}`,
+//!   `dssddi_model_in_flight{model}`, `dssddi_model_queue_depth_hwm{model}`
+//!   and `dssddi_model_latency_micros{model}` — one shard's counts, read
+//!   back as its [`ModelStats`].
 //! * `dssddi_admission_shed_total{reason=...}` — requests shed before
 //!   execution, by which limit fired (`rate_limit`, `quota`, `queue_full`).
 //! * `dssddi_admission_queue_wait_micros` — time admitted calls spent in
 //!   the bounded gateway queue.
 //! * `dssddi_kb_severity_total{grade=...}` — severity-graded interaction
 //!   findings served in prescription critiques, per [`Severity`] grade.
-//! * `dssddi_replica_*` — anti-entropy sync rounds, bytes shipped,
-//!   peer count and version lag (see [`crate::ReplicaState`]).
-//! * `dssddi_gateway_connections_*` — transport counters mirrored from
-//!   [`crate::TransportStats`].
+//! * `dssddi_replica_*` — anti-entropy sync rounds, bytes shipped, peer
+//!   count and version lag, written through [`ReplicaState`] and read back
+//!   as [`ReplicaStats`].
+//! * `dssddi_gateway_connections_total`, `dssddi_gateway_connections_active`,
+//!   `dssddi_gateway_connections_shed_total` and
+//!   `dssddi_gateway_stalled_reaped_total` — transport counters the server
+//!   writes, read back as [`crate::GatewayStats`].
 //!
-//! Handles are resolved once into a process-wide table ([`handles`]); the
-//! hot path pays one relaxed atomic per increment. Call
-//! [`register_metrics`] at startup so a scrape sees every family at zero
-//! before the first request arrives.
-
-use std::sync::OnceLock;
+//! Handles are resolved once, when a shard is inserted or a router is
+//! built, so a scrape lists every family at zero before the first request
+//! and the hot path pays one relaxed atomic per increment.
 
 use dssddi_core::InteractionReport;
 use dssddi_kb::Severity;
 use dssddi_obs::trace::{Stage, STAGE_COUNT};
-use dssddi_obs::{global, Counter, Gauge, HistogramHandle};
+use dssddi_obs::{Counter, Gauge, HistogramHandle, MetricsRegistry};
 
-/// Every serving-path metric handle, resolved once against the global
-/// registry.
-pub(crate) struct Metrics {
+use crate::router::{KeyVersions, ModelKey, ModelStats, ReplicaStats};
+use crate::wire::ErrorCode;
+
+/// The gateway-wide handles of one router.
+#[derive(Debug)]
+pub(crate) struct GatewayMetrics {
     /// `dssddi_serving_requests_total`.
-    pub(crate) requests: Counter,
+    requests: Counter,
     /// `dssddi_serving_errors_total`.
-    pub(crate) errors: Counter,
+    errors: Counter,
     /// `dssddi_serving_latency_micros`.
     pub(crate) latency: HistogramHandle,
-    /// `dssddi_serving_stage_micros{stage=...}`, indexed by [`Stage::index`].
-    stages: [HistogramHandle; STAGE_COUNT],
+    /// `dssddi_serving_stage_micros{stage=...}`, in [`Stage::ALL`] order.
+    pub(crate) stages: [HistogramHandle; STAGE_COUNT],
     /// `dssddi_admission_shed_total{reason="rate_limit"}`.
     pub(crate) shed_rate: Counter,
     /// `dssddi_admission_shed_total{reason="quota"}`.
@@ -54,46 +65,23 @@ pub(crate) struct Metrics {
     pub(crate) queue_wait: HistogramHandle,
     /// `dssddi_kb_severity_total{grade=...}`, indexed by [`Severity::to_u8`].
     severities: [Counter; Severity::ALL.len()],
-    /// `dssddi_replica_syncs_total`.
-    pub(crate) replica_syncs: Counter,
-    /// `dssddi_replica_sync_bytes_total`.
-    pub(crate) replica_bytes: Counter,
-    /// `dssddi_replica_max_lag`.
-    pub(crate) replica_lag: Gauge,
-    /// `dssddi_replica_peers`.
-    pub(crate) replica_peers: Gauge,
-    /// `dssddi_gateway_connections_total`.
-    pub(crate) connections_accepted: Counter,
-    /// `dssddi_gateway_connections_active`.
-    pub(crate) connections_active: Gauge,
-    /// `dssddi_gateway_connections_shed_total`.
-    pub(crate) connections_shed: Counter,
-    /// `dssddi_gateway_stalled_reaped_total`.
-    pub(crate) stalled_reaped: Counter,
+    /// `dssddi_replica_*`.
+    pub(crate) replica: ReplicaState,
+    /// `dssddi_gateway_*`.
+    pub(crate) connections: ConnectionMetrics,
 }
 
-impl Metrics {
-    /// Records one sample into the per-stage latency family.
-    pub(crate) fn observe_stage(&self, stage: Stage, micros: u64) {
-        if let Some(histogram) = self.stages.get(stage.index()) {
-            histogram.observe(micros);
-        }
-    }
-
-    /// Counts `n` severity-graded findings of one grade.
-    pub(crate) fn count_severity(&self, severity: Severity, n: u64) {
-        if let Some(counter) = self.severities.get(usize::from(severity.to_u8())) {
-            counter.add(n);
-        }
-    }
-}
-
-/// The process-wide handle table, registering every family on first use.
-pub(crate) fn handles() -> &'static Metrics {
-    static METRICS: OnceLock<Metrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = global();
-        Metrics {
+impl GatewayMetrics {
+    /// Registers every gateway-wide family in `registry`.
+    pub(crate) fn register(registry: &MetricsRegistry) -> Self {
+        let shed = |reason| {
+            registry.counter_with(
+                "dssddi_admission_shed_total",
+                "Requests shed by admission control, by which limit fired",
+                &[("reason", reason)],
+            )
+        };
+        Self {
             requests: registry.counter(
                 "dssddi_serving_requests_total",
                 "Individual requests served (a batch of 16 counts 16)",
@@ -113,21 +101,9 @@ pub(crate) fn handles() -> &'static Metrics {
                     &[("stage", stage.as_str())],
                 )
             }),
-            shed_rate: registry.counter_with(
-                "dssddi_admission_shed_total",
-                "Requests shed by admission control, by which limit fired",
-                &[("reason", "rate_limit")],
-            ),
-            shed_quota: registry.counter_with(
-                "dssddi_admission_shed_total",
-                "Requests shed by admission control, by which limit fired",
-                &[("reason", "quota")],
-            ),
-            shed_queue: registry.counter_with(
-                "dssddi_admission_shed_total",
-                "Requests shed by admission control, by which limit fired",
-                &[("reason", "queue_full")],
-            ),
+            shed_rate: shed("rate_limit"),
+            shed_quota: shed("quota"),
+            shed_queue: shed("queue_full"),
             queue_wait: registry.histogram(
                 "dssddi_admission_queue_wait_micros",
                 "Time admitted calls spent waiting in the bounded gateway queue",
@@ -139,55 +115,188 @@ pub(crate) fn handles() -> &'static Metrics {
                     &[("grade", severity.name())],
                 )
             }),
-            replica_syncs: registry.counter(
-                "dssddi_replica_syncs_total",
-                "Containers pulled from peers and applied by anti-entropy",
-            ),
-            replica_bytes: registry.counter(
-                "dssddi_replica_sync_bytes_total",
-                "Total bytes of containers pulled from peers",
-            ),
-            replica_lag: registry.gauge(
-                "dssddi_replica_max_lag",
-                "Largest per-key version gap behind any peer at the last round",
-            ),
-            replica_peers: registry.gauge(
-                "dssddi_replica_peers",
-                "Peer gateways in the replica group (excluding this one)",
-            ),
-            connections_accepted: registry.counter(
-                "dssddi_gateway_connections_total",
-                "Connections the gateway server ever accepted",
-            ),
-            connections_active: registry.gauge(
-                "dssddi_gateway_connections_active",
-                "Connections currently being served",
-            ),
-            connections_shed: registry.counter(
-                "dssddi_gateway_connections_shed_total",
-                "Connections refused at accept because the bound was reached",
-            ),
-            stalled_reaped: registry.counter(
-                "dssddi_gateway_stalled_reaped_total",
-                "Connections reaped because a peer stalled mid-frame",
+            replica: ReplicaState {
+                peers: registry.gauge(
+                    "dssddi_replica_peers",
+                    "Peer gateways in the replica group (excluding this one)",
+                ),
+                syncs: registry.counter(
+                    "dssddi_replica_syncs_total",
+                    "Containers pulled from peers and applied by anti-entropy",
+                ),
+                bytes_shipped: registry.counter(
+                    "dssddi_replica_sync_bytes_total",
+                    "Total bytes of containers pulled from peers",
+                ),
+                max_lag: registry.gauge(
+                    "dssddi_replica_max_lag",
+                    "Largest per-key version gap behind any peer at the last round",
+                ),
+            },
+            connections: ConnectionMetrics {
+                accepted: registry.counter(
+                    "dssddi_gateway_connections_total",
+                    "Connections the gateway server ever accepted",
+                ),
+                active: registry.gauge(
+                    "dssddi_gateway_connections_active",
+                    "Connections currently being served",
+                ),
+                shed: registry.counter(
+                    "dssddi_gateway_connections_shed_total",
+                    "Connections refused at accept because the bound was reached",
+                ),
+                stalled: registry.counter(
+                    "dssddi_gateway_stalled_reaped_total",
+                    "Connections reaped because a peer stalled mid-frame",
+                ),
+            },
+        }
+    }
+
+    /// Counts one routed call's `n` individual requests on its shard and
+    /// gateway-wide, as errors of class `error` when it failed.
+    pub(crate) fn record_outcome(&self, shard: &ModelMetrics, n: u64, error: Option<ErrorCode>) {
+        shard.requests.add(n);
+        self.requests.add(n);
+        if let Some(code) = error {
+            self.errors.add(n);
+            if let Some(counter) = shard.errors.get(code.index()) {
+                counter.add(n);
+            }
+        }
+    }
+
+    /// Counts the severity-graded findings of one served critique.
+    pub(crate) fn count_severities(&self, report: &InteractionReport) {
+        for finding in report.antagonistic.iter().chain(&report.synergistic) {
+            if let Some(counter) = self.severities.get(usize::from(finding.severity.to_u8())) {
+                counter.inc();
+            }
+        }
+    }
+}
+
+/// One shard's handles, the `dssddi_model_*{model="<key>"}` series.
+#[derive(Debug)]
+pub(crate) struct ModelMetrics {
+    requests: Counter,
+    /// Indexed by [`ErrorCode::index`].
+    errors: [Counter; ErrorCode::ALL.len()],
+    /// Individual requests shed by admission control before execution.
+    pub(crate) shed: Counter,
+    /// Routed calls currently executing (or queued) against the shard.
+    pub(crate) in_flight: Gauge,
+    /// High-water mark of the gateway queue depth observed by the shard's
+    /// admitted calls.
+    pub(crate) queue_hwm: Gauge,
+    /// Routed-call latency of the shard's admitted data-plane requests.
+    pub(crate) latency: HistogramHandle,
+}
+
+impl ModelMetrics {
+    /// Registers the series of the shard `key` in `registry`.
+    pub(crate) fn register(registry: &MetricsRegistry, key: &ModelKey) -> Self {
+        let model = [("model", key.as_str())];
+        let counter = |name, help| registry.counter_with(name, help, &model);
+        let gauge = |name, help| registry.gauge_with(name, help, &model);
+        Self {
+            requests: counter("dssddi_model_requests_total", "Requests one shard served"),
+            errors: ErrorCode::ALL.map(|code| {
+                registry.counter_with(
+                    "dssddi_model_errors_total",
+                    "Requests of one shard that failed, by error code",
+                    &[("model", key.as_str()), ("code", &code.to_string())],
+                )
+            }),
+            shed: counter("dssddi_model_shed_total", "Requests of one shard shed"),
+            in_flight: gauge("dssddi_model_in_flight", "Calls in flight on one shard"),
+            queue_hwm: gauge("dssddi_model_queue_depth_hwm", "Peak queue depth seen"),
+            latency: registry.histogram_with(
+                "dssddi_model_latency_micros",
+                "Routed-call latency of one shard in microseconds",
+                &model,
             ),
         }
-    })
+    }
+
+    /// The shard's statistics, read from its series. The explanation-cache
+    /// counts belong to the shard's current service, which keeps them.
+    pub(crate) fn stats(&self, (cache_hits, cache_misses): (usize, usize)) -> ModelStats {
+        let latency = self.latency.snapshot();
+        let errors_by_code: Vec<(ErrorCode, u64)> = ErrorCode::ALL
+            .iter()
+            .zip(&self.errors)
+            .map(|(&code, counter)| (code, counter.get()))
+            .filter(|&(_, count)| count > 0)
+            .collect();
+        ModelStats {
+            requests: self.requests.get(),
+            errors: errors_by_code.iter().map(|&(_, count)| count).sum(),
+            errors_by_code,
+            cache_hits: cache_hits as u64,
+            cache_misses: cache_misses as u64,
+            p50_ms: latency.value_at_quantile(0.5) as f64 / 1e3,
+            p99_ms: latency.value_at_quantile(0.99) as f64 / 1e3,
+            shed_requests: self.shed.get(),
+            in_flight: self.in_flight.get(),
+            queue_depth_hwm: self.queue_hwm.get(),
+            samples: latency.count(),
+        }
+    }
 }
 
-/// Eagerly registers every serving-path metric family with the global
-/// registry, so a `GET /metrics` scrape lists them (at zero) before the
-/// first request arrives. Idempotent; `dssddi-serve` calls this at startup.
-pub fn register_metrics() {
-    let _ = handles();
+/// Transport counters: the server's accept loop and connection handlers
+/// write them, and `Stats` reads them back as [`crate::GatewayStats`]. A
+/// router no server fronts reports them at zero.
+#[derive(Debug)]
+pub(crate) struct ConnectionMetrics {
+    pub(crate) accepted: Counter,
+    pub(crate) active: Gauge,
+    pub(crate) shed: Counter,
+    pub(crate) stalled: Counter,
 }
 
-/// Counts the severity-graded findings of one served critique into
-/// `dssddi_kb_severity_total{grade=...}`.
-pub(crate) fn count_report_severities(report: &InteractionReport) {
-    let metrics = handles();
-    for finding in report.antagonistic.iter().chain(&report.synergistic) {
-        metrics.count_severity(finding.severity, 1);
+/// Replication counters, handles into a router's registry: the replica
+/// agent updates them after every anti-entropy round and the router serves
+/// them on `Stats` as [`ReplicaStats`]. Obtained from
+/// [`crate::Router::attach_replica`], which also arms the `Stats` replica
+/// section.
+#[derive(Debug, Clone)]
+pub struct ReplicaState {
+    peers: Gauge,
+    syncs: Counter,
+    bytes_shipped: Counter,
+    max_lag: Gauge,
+}
+
+impl ReplicaState {
+    /// Records the replica group's peer count (excluding the local member).
+    pub fn set_peers(&self, peers: usize) {
+        self.peers.set(peers as u64);
+    }
+
+    /// Records one pulled-and-applied container of `bytes` bytes.
+    pub fn record_sync(&self, bytes: u64) {
+        self.syncs.inc();
+        self.bytes_shipped.add(bytes);
+    }
+
+    /// Records the largest version gap behind any peer observed by the most
+    /// recent anti-entropy round (0 when fully converged).
+    pub fn set_lag(&self, lag: u64) {
+        self.max_lag.set(lag);
+    }
+
+    /// The counters as [`ReplicaStats`] around the catalog's `versions`.
+    pub(crate) fn stats(&self, versions: Vec<KeyVersions>) -> ReplicaStats {
+        ReplicaStats {
+            peers: self.peers.get() as usize,
+            syncs: self.syncs.get(),
+            bytes_shipped: self.bytes_shipped.get(),
+            max_lag: self.max_lag.get(),
+            versions,
+        }
     }
 }
 
@@ -198,12 +307,12 @@ mod tests {
 
     #[test]
     fn registration_is_idempotent_and_families_render() {
-        register_metrics();
-        register_metrics();
-        let metrics = handles();
-        metrics.observe_stage(Stage::Infer, 120);
-        metrics.count_severity(Severity::Contraindicated, 2);
-        let text = global().render();
+        let registry = MetricsRegistry::new();
+        let metrics = GatewayMetrics::register(&registry);
+        let again = GatewayMetrics::register(&registry);
+        again.connections.accepted.inc();
+        assert_eq!(metrics.connections.accepted.get(), 1);
+        let text = registry.render();
         for family in [
             "dssddi_serving_requests_total",
             "dssddi_serving_stage_micros",

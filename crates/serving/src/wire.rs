@@ -901,7 +901,7 @@ fn put_model_stats(w: &mut ByteWriter, stats: &ModelStats) {
     w.put_u64(stats.queue_depth_hwm);
     // Appended by the observability work: how many latency samples back
     // the percentiles, so dashboards can tell "no traffic" from "fast
-    // traffic" (both report p50/p99 of zero when the window is empty).
+    // traffic" (both report p50/p99 of zero when no sample is recorded).
     w.put_u64(stats.samples);
 }
 

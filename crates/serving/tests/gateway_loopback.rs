@@ -235,7 +235,7 @@ fn every_message_type_is_byte_identical_to_in_process_serving() {
     // from `requests` client-side).
     assert!(
         fitted_stats.samples > 0,
-        "latency window is empty after {} requests",
+        "latency histogram is empty after {} requests",
         fitted_stats.requests
     );
     assert!(fitted_stats.samples <= fitted_stats.requests);

@@ -9,19 +9,23 @@
 //! * account for every shed request in `Stats` (`shed_requests` matches
 //!   the rejections clients observed), and
 //! * return to a quiet state afterwards (`in_flight` back to zero).
+//!
+//! `Stats` and `GET /metrics` read the same registry cells, so both views
+//! of a run agree exactly.
 
 // Tests and examples may panic freely; the workspace-level panic-policy
 // denies target library and binary code.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dssddi_core::{CheckPrescriptionRequest, DrugId};
+use dssddi_core::{CheckPrescriptionRequest, DrugId, PatientId, SuggestRequest};
 use dssddi_serving::demo::{demo_world, DEMO_SEED};
 use dssddi_serving::{
-    AdmissionConfig, Client, ErrorCode, ModelCatalog, ModelKey, RateLimit, Router, Server,
-    ServingError,
+    AdmissionConfig, Client, ErrorCode, GatewayStats, ModelCatalog, ModelKey, ModelStats,
+    RateLimit, Router, Server, ServingError,
 };
 
 /// A support-only catalog (cheap to build, full critique surface) under the
@@ -159,7 +163,7 @@ fn rate_limited_gateway_sheds_typed_and_answers_admitted_within_bounds() {
     assert_eq!(shard.requests, tally.ok, "only admitted requests count");
     assert_eq!(
         shard.samples, tally.ok,
-        "only admitted requests feed the latency window"
+        "only admitted requests feed the latency histogram"
     );
     assert_eq!(
         shard.errors, 0,
@@ -231,4 +235,100 @@ fn in_flight_quota_sheds_and_releases() {
     assert_eq!(shard.in_flight, 0, "quota slots all released");
     observer.shutdown().expect("clean shutdown");
     handle.join().expect("no panic").expect("clean exit");
+}
+
+/// Every sample line of a rendered registry, by series (`name{labels}`).
+fn series(text: &str) -> HashMap<String, u64> {
+    text.lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.rsplit_once(' '))
+        .map(|(series, value)| (series.to_string(), value.parse().expect("integer sample")))
+        .collect()
+}
+
+#[test]
+fn stats_and_metrics_read_the_same_cells() {
+    let (catalog, key) = support_catalog();
+    // Four tokens and practically no refill: after four admitted calls,
+    // every further request is shed.
+    let config = AdmissionConfig {
+        default_rate: Some(RateLimit::new(0.001, 4.0).expect("limit")),
+        ..AdmissionConfig::default()
+    };
+    let server =
+        Server::bind("127.0.0.1:0", Router::with_admission(catalog, config)).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let router = server.router_arc();
+    let handle = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(addr).expect("connect");
+    let critique = |drug| CheckPrescriptionRequest::new(vec![DrugId::new(61), DrugId::new(drug)]);
+    let (safe, unknown_drug) = (critique(59), critique(999));
+    let remote = |error: Option<ServingError>| match error {
+        Some(ServingError::Remote { code, .. }) => code,
+        other => panic!("expected a typed error, got {other:?}"),
+    };
+    for _ in 0..2 {
+        client.check_prescription(&key, &safe).expect("admitted");
+    }
+    let failed = client.check_prescription(&key, &unknown_drug).err();
+    assert_eq!(remote(failed), ErrorCode::UnknownDrug);
+    let suggest = SuggestRequest::new(PatientId::new(0), vec![0.0; 4], 3);
+    let failed = client.suggest(&key, &suggest).err();
+    assert_eq!(remote(failed), ErrorCode::NotFitted);
+    for _ in 0..3 {
+        let shed = client.check_prescription(&key, &safe).err();
+        assert_eq!(remote(shed), ErrorCode::Overloaded);
+    }
+    client.shutdown().expect("clean shutdown");
+    handle.join().expect("no panic").expect("clean exit");
+
+    // The run is over, so neither view can move between the two reads.
+    let report = router.stats_report();
+    let cells = series(&router.registry().render());
+    let cell = |name: &str| cells[name];
+    let shard =
+        |family: &str, labels: &str| cell(&format!("{family}{{model=\"critique\"{labels}}}"));
+    let code_cell = |code| shard("dssddi_model_errors_total", &format!(",code=\"{code}\""));
+    let errors_by_code: Vec<(ErrorCode, u64)> = ErrorCode::ALL
+        .into_iter()
+        .map(|code| (code, code_cell(code)))
+        .filter(|&(_, count)| count > 0)
+        .collect();
+    let (_, stats) = &report.models[0];
+    let latency = "dssddi_model_latency_micros";
+    let from_metrics = ModelStats {
+        requests: shard("dssddi_model_requests_total", ""),
+        errors: errors_by_code.iter().map(|&(_, count)| count).sum(),
+        errors_by_code,
+        cache_hits: stats.cache_hits,
+        cache_misses: stats.cache_misses,
+        p50_ms: shard(latency, ",quantile=\"0.5\"") as f64 / 1e3,
+        p99_ms: shard(latency, ",quantile=\"0.99\"") as f64 / 1e3,
+        shed_requests: shard("dssddi_model_shed_total", ""),
+        in_flight: shard("dssddi_model_in_flight", ""),
+        queue_depth_hwm: shard("dssddi_model_queue_depth_hwm", ""),
+        samples: shard(&format!("{latency}_count"), ""),
+    };
+    assert_eq!(*stats, from_metrics);
+    assert_eq!((stats.requests, stats.errors), (4, 2));
+    assert_eq!((stats.shed_requests, stats.samples), (3, 4));
+    assert_eq!(stats.requests, cell("dssddi_serving_requests_total"));
+    let gateway = GatewayStats {
+        connections_accepted: cell("dssddi_gateway_connections_total"),
+        connections_active: cell("dssddi_gateway_connections_active"),
+        connections_shed: cell("dssddi_gateway_connections_shed_total"),
+        stalled_reaped: cell("dssddi_gateway_stalled_reaped_total"),
+    };
+    assert_eq!(report.gateway, gateway);
+    assert_eq!(gateway.connections_accepted, 1);
+
+    // A second gateway in this process, serving a same-named shard, keeps
+    // its own registry and reads zero.
+    let other = Router::new(support_catalog().0);
+    let cells = series(&other.registry().render());
+    assert!(cells.contains_key("dssddi_model_requests_total{model=\"critique\"}"));
+    assert!(cells.values().all(|&value| value == 0), "{cells:?}");
+    let quiet = other.stats_report();
+    assert_eq!(quiet.models[0].1.requests + quiet.models[0].1.samples, 0);
+    assert_eq!(quiet.gateway, GatewayStats::default());
 }

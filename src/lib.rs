@@ -26,14 +26,13 @@
 //!   `dssddi-serve` server binary and a blocking [`Client`](serving::Client),
 //! * [`replica`] — replica groups and catalog replication: a seeded
 //!   anti-entropy agent ([`ReplicaAgent`](replica::ReplicaAgent)) keeps N
-//!   gateway processes converged per shard via version vectors, and
-//!   [`ReplicaClient`](replica::ReplicaClient) gives callers read fan-out
-//!   with fail-over plus write forwarding,
+//!   gateway processes converged per shard via version vectors, so a
+//!   reload sent to one replica reaches them all,
 //! * [`loadgen`] — the open-loop traffic generator (`dssddi-loadgen`
 //!   binary): Poisson arrivals of mixed clinical traffic with Zipf
 //!   hot-shard skew, replayed against a live gateway with an
 //!   achieved-throughput-vs-SLO report,
-//! * [`obs`] — the unified observability layer: a process-wide metrics
+//! * [`obs`] — the unified observability layer: a per-gateway metrics
 //!   registry rendered as Prometheus text over `GET /metrics`, the shared
 //!   log-bucketed latency histogram, and per-request tracing
 //!   ([`SpanRecorder`](obs::SpanRecorder)/[`TraceRing`](obs::TraceRing))
@@ -165,10 +164,12 @@
 //!
 //! **Failure modes.** An unreachable peer costs the agent one bounded
 //! timeout per round and is retried next round; it cannot stall serving.
-//! A replica killed mid-traffic is routed around by
-//! [`ReplicaClient`](replica::ReplicaClient) (reads retry over the
-//! healthiest endpoint; the chaos drill asserts ≥99% client success with
-//! one of three replicas down), and on restart it pulls every artifact it
+//! A replica killed mid-traffic is routed around by a
+//! [`Client`](serving::Client) connected with `connect_any` over the
+//! group and a [`RetryPolicy`](serving::RetryPolicy) that retries
+//! connection faults (reads retry over the healthiest endpoint; the chaos
+//! drill asserts ≥99% client success with one of three replicas down),
+//! and on restart it pulls every artifact it
 //! missed on its first sync round — convergence is eventual, bounded by
 //! the sync interval, and never requires operator action. Reloads forward
 //! to *one* replica and are never retried on transport faults; if the
@@ -218,10 +219,15 @@
 //!
 //! ## Observability
 //!
-//! Every serving-path subsystem publishes into one process-wide
-//! [`MetricsRegistry`](obs::MetricsRegistry) ([`obs::global()`](obs::global)),
-//! and `dssddi-serve --metrics-listen ADDR` exposes it as Prometheus
-//! text — no external crates, no agent:
+//! Every count a gateway keeps lives in one
+//! [`MetricsRegistry`](obs::MetricsRegistry), created with its
+//! [`ModelCatalog`](serving::ModelCatalog) and reachable through
+//! [`Router::registry`](serving::Router::registry). The router, the
+//! server's accept loop, admission control and the replica agent write
+//! into it; [`Router::stats_report`](serving::Router::stats_report) (the
+//! `Stats` wire message) reads its cells, and `dssddi-serve
+//! --metrics-listen ADDR` renders the same cells as Prometheus text — no
+//! external crates, no agent:
 //!
 //! ```text
 //! dssddi-serve --listen 127.0.0.1:4641 --demo \
@@ -232,13 +238,18 @@
 //! Metric names follow `dssddi_<subsystem>_<name>[_total]`: the serving
 //! family (`dssddi_serving_requests_total`, `dssddi_serving_latency_micros`,
 //! per-stage `dssddi_serving_stage_micros{stage="decode"|"admit"|"queue"|
-//! "infer"|"encode"}`), admission control
+//! "infer"|"encode"}`), one shard's counts
+//! (`dssddi_model_requests_total{model=...}`,
+//! `dssddi_model_errors_total{model=...,code=...}`,
+//! `dssddi_model_shed_total`, `dssddi_model_in_flight`,
+//! `dssddi_model_queue_depth_hwm`, `dssddi_model_latency_micros`, read
+//! back as [`ModelStats`](serving::ModelStats)), admission control
 //! (`dssddi_admission_shed_total{reason=...}`,
 //! `dssddi_admission_queue_wait_micros`), clinical critique outcomes
 //! (`dssddi_kb_severity_total{grade=...}`), replication progress
-//! (`dssddi_replica_syncs_total`, `dssddi_replica_max_lag`), gateway
-//! transport counters and chaos-proxy fault injection
-//! (`dssddi_chaos_faults_total{kind=...}`).
+//! (`dssddi_replica_syncs_total`, `dssddi_replica_max_lag`) and gateway
+//! transport counters (`dssddi_gateway_connections_total`, read back as
+//! [`GatewayStats`](serving::GatewayStats)).
 //!
 //! Per-request tracing rides the same wire protocol: a client that opts in
 //! with [`Client::set_tracing`](serving::Client::set_tracing) stamps every
@@ -480,7 +491,7 @@ pub mod prelude {
     pub use dssddi_loadgen::{LoadgenConfig, LoadgenReport, WorkloadMix};
     pub use dssddi_ml::{ndcg_at_k, precision_at_k, ranking_metrics, recall_at_k, top_k_indices};
     pub use dssddi_obs::{Histogram, MetricsRegistry, MetricsServer, TraceExemplar};
-    pub use dssddi_replica::{ReplicaAgent, ReplicaClient, ReplicaGroup};
+    pub use dssddi_replica::{ReplicaAgent, ReplicaGroup};
     pub use dssddi_serving::{
         AdmissionConfig, Client, GatewayStats, KeyVersions, ModelCatalog, ModelInfo, ModelKey,
         ModelStats, RateLimit, ReplicaState, ReplicaStats, RetryPolicy, Router, Server,

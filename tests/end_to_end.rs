@@ -3,8 +3,7 @@
 //! through the typed [`DecisionService`] API and the engine-level
 //! [`Dssddi`] it wraps.
 
-use dssddi::core::ms_module::explain_suggestion;
-use dssddi::core::MsModuleConfig;
+use dssddi::core::{ExplanationIndex, MsModuleConfig};
 use dssddi::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -279,8 +278,9 @@ fn suggestion_satisfaction_prefers_paper_synergy_pairs() {
     let ms = MsModuleConfig::default();
     // Simvastatin + Atorvastatin (synergistic) vs Gabapentin + Isosorbide
     // Mononitrate (antagonistic) — the Fig. 8 comparison.
-    let good = explain_suggestion(&ddi, &[46, 47], &ms).unwrap();
-    let bad = explain_suggestion(&ddi, &[61, 59], &ms).unwrap();
+    let index = ExplanationIndex::build(&ddi);
+    let good = index.explain(&ddi, &[46, 47], &ms).unwrap();
+    let bad = index.explain(&ddi, &[61, 59], &ms).unwrap();
     assert!(good.suggestion_satisfaction > bad.suggestion_satisfaction);
     assert!(good.internal_synergy >= 1);
     assert!(bad.internal_antagonism >= 1);
