@@ -59,6 +59,7 @@ use rand::Rng;
 use dssddi_data::{ChronicCohort, DrugRegistry};
 use dssddi_graph::{BipartiteGraph, Interaction, SignedGraph};
 use dssddi_kb::{AlertPolicy, KnowledgeBase, Severity};
+use dssddi_ml::score_order;
 use dssddi_tensor::serde::{self as tserde, ByteReader, ByteWriter};
 use dssddi_tensor::Matrix;
 
@@ -942,7 +943,8 @@ impl DecisionService {
     ///
     /// Large batches are sharded across scoped worker threads (the service
     /// is `Sync`; the explanation memo stays shared behind its lock). The
-    /// shard count is picked from the machine's parallelism; use
+    /// shard count is picked from the number of threads the process may
+    /// run, read once per process ([`dssddi_tensor::available_workers`]); use
     /// [`DecisionService::suggest_batch_sharded`] to control it explicitly.
     /// Responses always come back in request order with scores identical to
     /// the serial path — patients are scored independently, so sharding
@@ -966,9 +968,7 @@ impl DecisionService {
         // Floor division: a worker is only worth spawning once it has a
         // full MIN_REQUESTS_PER_SHARD of work; the tail rides with the
         // last full shard instead of paying a thread spawn of its own.
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        let workers = dssddi_tensor::available_workers()
             .min((requests.len() / MIN_REQUESTS_PER_SHARD).max(1));
         self.suggest_batch_sharded_with_kb(requests, workers, kb)
     }
@@ -1156,11 +1156,7 @@ impl DecisionService {
                 )
             }));
         }
-        order.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        order.sort_by(|&a, &b| score_order(scores[a], scores[b]));
         order.truncate(request.k);
         order
             .into_iter()
@@ -1624,6 +1620,29 @@ mod tests {
             let single_ids: Vec<DrugId> = single.drugs.iter().map(|d| d.id).collect();
             assert_eq!(batch_ids, single_ids);
         }
+    }
+
+    #[test]
+    fn nan_scores_rank_last_without_panicking() {
+        // Distinct finite scores with every fifth one NaN: on this row a
+        // comparator that is not a total order makes the standard library
+        // sort panic.
+        let service = support_service(21);
+        let scores: Vec<f32> = (0..86)
+            .map(|i| {
+                if i % 5 == 0 {
+                    f32::NAN
+                } else {
+                    ((i * 37) % 86) as f32 / 86.0
+                }
+            })
+            .collect();
+        let request = SuggestRequest::new(PatientId::new(0), Vec::new(), scores.len());
+        let ranked = service.ranked_candidates(&scores, &request, None).unwrap();
+        assert_eq!(ranked.len(), 86);
+        let (finite, nan) = ranked.split_at(86 - 18);
+        assert!(finite.windows(2).all(|w| w[0].score > w[1].score));
+        assert!(nan.iter().all(|d| d.score.is_nan()));
     }
 
     #[test]

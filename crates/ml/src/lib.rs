@@ -18,7 +18,8 @@ pub use ecc::{EccConfig, EnsembleClassifierChain};
 pub use kmeans::{fit_kmeans, KMeans};
 pub use logistic::{LogisticConfig, LogisticRegression};
 pub use metrics::{
-    ndcg_at_k, precision_at_k, ranking_metrics, recall_at_k, top_k_indices, RankingMetrics,
+    ndcg_at_k, precision_at_k, ranking_metrics, recall_at_k, score_order, top_k_indices,
+    RankingMetrics,
 };
 pub use svm::{LinearSvm, SvmConfig};
 

@@ -1,19 +1,30 @@
 //! Ranking metrics for medication suggestion: Precision@k, Recall@k and
 //! NDCG@k exactly as defined in Section V-A2 (Eq. 21–24) of the paper.
 
+use std::cmp::Ordering;
+
 use dssddi_tensor::Matrix;
 
 use crate::MlError;
 
-/// Top-k drug indices for one patient, given a score row.
+/// The order every drug ranking sorts by: higher scores first, and NaN
+/// scores *below* every real score (a drug whose prediction is undefined
+/// must never displace one with a genuine score).
 ///
-/// `k` larger than the row is truncated to the row length, and NaN scores
-/// always rank *below* every real score (a drug whose prediction is
-/// undefined must never displace one with a genuine score).
-pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
+/// It is a total order, so a sort over any score row, NaN or not, cannot
+/// panic. Ties compare `Equal`, so a stable sort keeps them in index order.
+pub fn score_order(a: f32, b: f32) -> Ordering {
     let rank = |x: f32| if x.is_nan() { f32::NEG_INFINITY } else { x };
+    rank(b).total_cmp(&rank(a))
+}
+
+/// Top-k drug indices for one patient, given a score row, in
+/// [`score_order`].
+///
+/// `k` larger than the row is truncated to the row length.
+pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| rank(scores[b]).total_cmp(&rank(scores[a])));
+    idx.sort_by(|&a, &b| score_order(scores[a], scores[b]));
     idx.truncate(k);
     idx
 }

@@ -69,11 +69,6 @@ impl ReplicaAgent {
         }
     }
 
-    /// The agent's group configuration.
-    pub fn group(&self) -> &ReplicaGroup {
-        &self.group
-    }
-
     /// Runs one full anti-entropy round against every peer, synchronously.
     ///
     /// Peer failures are contained: an unreachable peer (bounded by the

@@ -33,7 +33,6 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use dssddi_core::DecisionService;
-use dssddi_data::DrugRegistry;
 use dssddi_kb::{KbInfo, KnowledgeBase};
 use dssddi_obs::trace::{next_trace_id, SpanRecorder, Stage, TraceExemplar, TraceRing};
 use dssddi_obs::MetricsRegistry;
@@ -438,18 +437,6 @@ impl ModelCatalog {
     /// for a serving host that receives only trained artifacts.
     pub fn load_file(&mut self, key: ModelKey, path: impl AsRef<Path>) -> Result<(), ServingError> {
         let service = DecisionService::load_with_embedded_registry(path)?;
-        self.insert(key, service)
-    }
-
-    /// Loads a `DSSD` file into the catalog, verifying it against a
-    /// caller-held registry name by name ([`DecisionService::load`]).
-    pub fn load_file_with_registry(
-        &mut self,
-        key: ModelKey,
-        path: impl AsRef<Path>,
-        registry: DrugRegistry,
-    ) -> Result<(), ServingError> {
-        let service = DecisionService::load(path, registry)?;
         self.insert(key, service)
     }
 

@@ -15,13 +15,20 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 
-use dssddi_core::{CheckPrescriptionRequest, DecisionService, DrugId};
-use dssddi_serving::demo::{demo_catalog, demo_requests, demo_world, DemoWorld, DEMO_SEED};
-use dssddi_serving::wire::{decode_response, encode_request, read_frame, WIRE_MAGIC, WIRE_VERSION};
+use dssddi_core::{CheckPrescriptionRequest, DecisionService, DrugId, PatientId, SuggestRequest};
+use dssddi_serving::demo::{
+    demo_catalog, demo_requests, demo_world, DemoWorld, DEMO_FITTED_KEY, DEMO_SEED,
+    DEMO_SUPPORT_KEY,
+};
+use dssddi_serving::wire::{
+    decode_response, encode_request, encode_response, read_frame, WIRE_MAGIC, WIRE_VERSION,
+};
 use dssddi_serving::{
     Client, ErrorCode, ModelCatalog, ModelKey, Request, Response, Router, Server, ServingError,
 };
 use dssddi_tensor::serde::seal_frame;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("dssddi-gateway-tests");
@@ -254,6 +261,93 @@ fn every_message_type_is_byte_identical_to_in_process_serving() {
         .join()
         .expect("accept loop must not panic")
         .expect("accept loop exits cleanly");
+}
+
+/// FNV-1a over an encoded frame.
+fn frame_digest(frame: &[u8]) -> u64 {
+    frame.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn seeded_corpus_matches_the_checked_in_frame_digests() {
+    // The other tests compare the gateway with an in-process service built
+    // from the same code, so a change that moves both sides together passes
+    // them. These digests of rankings, scores, explanations, SS values and
+    // graded findings were captured from an earlier build instead; each line
+    // of `gateway_corpus.txt` names one request and its response frame's
+    // digest.
+    let (catalog, world) = demo_catalog(DEMO_SEED).expect("demo catalog");
+    let router = Router::new(catalog);
+    let fitted = ModelKey::new(DEMO_FITTED_KEY).expect("key");
+    let support = ModelKey::new(DEMO_SUPPORT_KEY).expect("key");
+    let features = world.cohort.features();
+    let suggest =
+        |p: usize, k: usize| SuggestRequest::new(PatientId::new(p), features.row(p).to_vec(), k);
+
+    // Every demo patient, observed and held out, at k = 1..=5.
+    let mut corpus: Vec<(String, Request)> = Vec::new();
+    for p in 0..world.cohort.n_patients() {
+        for k in 1..=5 {
+            let request = Request::Suggest {
+                model: fitted.clone(),
+                request: suggest(p, k),
+            };
+            corpus.push((format!("suggest p{p} k{k}"), request));
+        }
+    }
+    // Sixteen requests: enough for two shards of the batch path.
+    let batch = Request::SuggestBatch {
+        model: fitted.clone(),
+        requests: (0..16).map(|i| suggest(i * 4, 1 + i % 5)).collect(),
+    };
+    corpus.push(("suggest_batch 16".to_string(), batch));
+    // Fifty seeded 2-4-drug critiques on each shard.
+    let mut rng = StdRng::seed_from_u64(DEMO_SEED);
+    for shard in [&fitted, &support] {
+        for i in 0..50 {
+            let len = rng.gen_range(2..=4);
+            let mut drugs: Vec<DrugId> = Vec::with_capacity(len);
+            while drugs.len() < len {
+                let drug = DrugId::new(rng.gen_range(0..world.registry.len()));
+                if !drugs.contains(&drug) {
+                    drugs.push(drug);
+                }
+            }
+            let request = Request::CheckPrescription {
+                model: shard.clone(),
+                request: CheckPrescriptionRequest::new(drugs),
+            };
+            corpus.push((format!("critique {shard} {i}"), request));
+        }
+    }
+
+    let actual: Vec<String> = corpus
+        .iter()
+        .map(|(name, request)| {
+            let response = router.serve(request);
+            assert!(
+                !matches!(response, Response::Error { .. }),
+                "{name}: {response:?}"
+            );
+            format!("{name} {:016x}", frame_digest(&encode_response(&response)))
+        })
+        .collect();
+    let expected: Vec<&str> = include_str!("gateway_corpus.txt").lines().collect();
+    assert_eq!(expected.len(), actual.len(), "corpus size differs");
+    let differing: Vec<_> = expected
+        .iter()
+        .zip(&actual)
+        .filter(|(e, a)| **e != a.as_str())
+        .collect();
+    assert!(
+        differing.is_empty(),
+        "{} of {} response frames differ (expected, actual): {:?}",
+        differing.len(),
+        actual.len(),
+        &differing[..differing.len().min(5)]
+    );
 }
 
 #[test]

@@ -38,6 +38,8 @@
 
 #![warn(missing_docs)]
 
+use std::sync::OnceLock;
+
 pub mod init;
 mod kernels;
 mod matrix;
@@ -107,3 +109,15 @@ impl std::fmt::Display for TensorError {
 }
 
 impl std::error::Error for TensorError {}
+
+/// How many threads this process may run at once, read once per process.
+///
+/// `std::thread::available_parallelism` re-reads the affinity mask and the
+/// cgroup quota on every call, tens of microseconds each time. The count
+/// only decides how work is sharded, never what it computes, so the first
+/// answer is kept for the life of the process. Falls back to 1 when the
+/// platform cannot tell.
+pub fn available_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}

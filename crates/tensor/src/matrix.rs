@@ -569,18 +569,6 @@ impl Matrix {
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
     }
-
-    /// Returns the indices that would sort row `r` in descending order.
-    pub fn argsort_row_desc(&self, r: usize) -> Vec<usize> {
-        let row = self.row(r);
-        let mut idx: Vec<usize> = (0..row.len()).collect();
-        idx.sort_by(|&a, &b| {
-            row[b]
-                .partial_cmp(&row[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        idx
-    }
 }
 
 #[cfg(test)]
@@ -701,12 +689,6 @@ mod tests {
         let sim = a.cosine_similarity_matrix(&a).unwrap();
         assert_eq!(sim.shape(), (2, 2));
         assert!((sim.get(0, 0) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn argsort_row_descending() {
-        let a = Matrix::from_vec(1, 4, vec![0.1, 0.9, 0.5, 0.3]).unwrap();
-        assert_eq!(a.argsort_row_desc(0), vec![1, 2, 3, 0]);
     }
 
     #[test]

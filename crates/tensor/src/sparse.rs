@@ -114,10 +114,11 @@ impl CsrMatrix {
     /// `out` must already have shape `(self.rows, dense.cols())`; the
     /// kernel fully overwrites it. Rows of the output are
     /// independent, so when the total work (`nnz * dense_cols`) is large
-    /// enough the row range is sharded across scoped threads; each row is
-    /// still accumulated by exactly one thread in the same entry order as
-    /// the serial loop, so results are bit-identical regardless of the
-    /// thread count.
+    /// enough the row range is sharded across scoped threads, one per
+    /// worker the process may run ([`crate::available_workers`], read once
+    /// per process); each row is still accumulated by exactly one thread in
+    /// the same entry order as the serial loop, so results are
+    /// bit-identical regardless of the thread count.
     pub fn matmul_dense_into(&self, out: &mut Matrix, dense: &Matrix) -> Result<(), TensorError> {
         if self.cols != dense.rows() {
             return Err(TensorError::ShapeMismatch {
@@ -138,10 +139,7 @@ impl CsrMatrix {
         if cols == 0 || self.rows == 0 {
             return Ok(());
         }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(self.rows.max(1));
+        let threads = crate::available_workers().min(self.rows.max(1));
         if threads > 1 && self.nnz().saturating_mul(cols) >= PAR_MIN_WORK {
             let rows_per_shard = self.rows.div_ceil(threads);
             std::thread::scope(|s| {
