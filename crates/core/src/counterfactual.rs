@@ -220,7 +220,9 @@ fn nearest_within(features: &Matrix, threshold: f32, max_candidates: usize) -> V
             .map(|j| (features.row_euclidean(i, features, j), j))
             .filter(|&(d, _)| d <= threshold)
             .collect();
-        dists.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        // `d <= threshold` drops NaN, and distances over non-empty rows are
+        // at least +0.0, where `total_cmp` is the numeric order.
+        dists.sort_by(|a, b| a.0.total_cmp(&b.0));
         result.push(
             dists
                 .into_iter()

@@ -252,7 +252,10 @@ impl ExplanationCache {
 /// Precomputed structural view of an immutable DDI graph: the unsigned
 /// structural graph plus its full truss decomposition (line 1 of
 /// Algorithm 1). A serving layer builds the index once per fitted graph and
-/// amortises both over every explanation it serves.
+/// amortises both over every explanation it serves. The decomposition also
+/// memoises the shortest-path tree of each drug a search starts from, so
+/// the index grows by up to 16 bytes per ordered drug pair as new drugs are
+/// explained (118 KB for 86 drugs).
 #[derive(Debug, Clone)]
 pub struct ExplanationIndex {
     structural: UnGraph,

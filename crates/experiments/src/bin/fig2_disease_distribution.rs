@@ -17,7 +17,7 @@ fn main() {
         opts.n_patients, opts.seed
     );
     let mut prevalence = world.cohort.disease_prevalence();
-    prevalence.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    prevalence.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!(
         "{:<28} {:>8}  {:<40} {:>8}",
         "Disease", "Measured", "", "Paper"

@@ -17,9 +17,17 @@
 //! `⌈c / 64⌉` words per node for the adjacency, one more row for the node
 //! set `G′`. Each edge's support is kept current as edges are cut, so
 //! restoring the p-truss after a deletion only revisits the triangles the
-//! deleted edges closed. Each state of the shrink loop runs one BFS per
-//! query node; the distance `dist(G′, Q)` of that state and the choice of
-//! the next node to delete both read them.
+//! deleted edges closed.
+//!
+//! Each state of the shrink loop runs one bitset BFS per query node and
+//! keeps what it found as level sets, one row each: level `d` holds the
+//! nodes of `G′` whose largest hop distance to a query node is at least `d`
+//! (level 0 is `G′` itself), and one more row the nodes some query node
+//! cannot reach. The next node to delete is the lowest non-query bit of the
+//! unreachable row or, failing that, of the highest level that has one;
+//! `dist(G′, Q)` is the highest non-empty level (`usize::MAX` while any
+//! node is unreachable); and the query is connected while its first node is
+//! not unreachable.
 //!
 //! # Ordering invariants
 //!
@@ -267,7 +275,7 @@ fn max_connected_p_truss(candidate: &Local, query: &[usize]) -> Option<(usize, L
                 *w |= x;
             }
         }
-        let component = sub.bfs(first, &mut scratch, |_, _| {});
+        let component = sub.bfs(first, &mut scratch, |_, _, _| {});
         if query.iter().all(|&q| bit(component, q)) {
             // Keep the query's component.
             sub.nodes = component.to_vec();
@@ -288,27 +296,22 @@ fn max_connected_p_truss(candidate: &Local, query: &[usize]) -> Option<(usize, L
 /// of equals.
 fn shrink(mut current: Local, p: usize, query: &[usize], max_iterations: usize) -> Bits {
     let mut scratch = current.bits.scratch();
-    let (mut far, mut queue) = (Vec::new(), Vec::new());
-    current.bits.far_from_query(query, &mut far, &mut scratch);
-    let mut best = (
-        query_distance(&current.bits.nodes, &far),
-        current.bits.clone(),
-    );
+    let (mut levels, mut queue) = (Levels::default(), Vec::new());
+    levels.fill(&current.bits, query, &mut scratch);
+    let mut best = (levels.query_distance(), current.bits.clone());
     for _ in 0..max_iterations {
-        let Some(victim) = furthest(&current.bits.nodes, &far, query) else {
+        let Some(victim) = levels.furthest(query) else {
             break;
         };
         current.remove_node(victim, p, query, &mut queue);
-        current.bits.far_from_query(query, &mut far, &mut scratch);
+        levels.fill(&current.bits, query, &mut scratch);
         // The query is connected when one query node reaches all the others,
-        // that is, when none of them is infinitely far from another.
-        let connected = query
-            .first()
-            .is_some_and(|&q| far.get(q).is_some_and(|&d| d != usize::MAX));
+        // that is, when every query node reaches it.
+        let connected = query.first().is_some_and(|&q| !bit(&levels.unreachable, q));
         if !connected && query.len() > 1 {
             break;
         }
-        let d = query_distance(&current.bits.nodes, &far);
+        let d = levels.query_distance();
         if d <= best.0 {
             best.0 = d;
             best.1.rows.clone_from(&current.bits.rows);
@@ -321,27 +324,74 @@ fn shrink(mut current: Local, p: usize, query: &[usize], max_iterations: usize) 
     best.1
 }
 
-/// The non-query node of `nodes` furthest from the query (`far`, see
-/// [`Bits::far_from_query`]), ties to the smallest id.
-fn furthest(nodes: &[u64], far: &[usize], query: &[usize]) -> Option<usize> {
-    let mut furthest: Option<(usize, usize)> = None;
-    for v in ones(nodes).filter(|v| !query.contains(v)) {
-        let d = far.get(v).copied().unwrap_or(usize::MAX);
-        if furthest.is_none_or(|(fd, _)| d > fd) {
-            furthest = Some((d, v));
-        }
-    }
-    furthest.map(|(_, v)| v)
+/// The level sets of one shrink state `G′` (see the module docs).
+#[derive(Debug, Default)]
+struct Levels {
+    words: usize,
+    /// Level `d` is `sets[d * words..(d + 1) * words]`: the nodes of `G′`
+    /// whose largest hop distance to a query node is at least `d`.
+    sets: Vec<u64>,
+    /// The nodes of `G′` some query node cannot reach.
+    unreachable: Vec<u64>,
 }
 
-/// `dist(G′, Q)`, the objective minimised on line 15 of Algorithm 1: the
-/// largest hop distance between a query node and a node of `G′`
-/// (`usize::MAX` when one cannot reach the other).
-fn query_distance(nodes: &[u64], far: &[usize]) -> usize {
-    ones(nodes)
-        .map(|v| far.get(v).copied().unwrap_or(usize::MAX))
-        .max()
-        .unwrap_or(0)
+impl Levels {
+    /// Recomputes the sets for `G′` with one BFS per query node.
+    fn fill(&mut self, bits: &Bits, query: &[usize], scratch: &mut [u64]) {
+        let words = bits.words;
+        self.words = words;
+        self.sets.clone_from(&bits.nodes);
+        self.unreachable.clear();
+        self.unreachable.resize(words, 0);
+        let Levels {
+            sets, unreachable, ..
+        } = self;
+        for &q in query {
+            // The nodes at least `d` hops from `q` are those it reaches at
+            // `d` and those it has not reached by then.
+            let reached = bits.bfs(q, scratch, |d, level, reached| {
+                let end = (d + 1) * words;
+                if sets.len() < end {
+                    sets.resize(end, 0);
+                }
+                let Some(set) = sets.get_mut(d * words..end) else {
+                    return;
+                };
+                for (((x, &l), &r), &m) in set.iter_mut().zip(level).zip(reached).zip(&bits.nodes) {
+                    *x |= m & (l | !r);
+                }
+            });
+            for ((u, &r), &m) in unreachable.iter_mut().zip(reached).zip(&bits.nodes) {
+                *u |= m & !r;
+            }
+        }
+    }
+
+    /// The rows from level 0 up.
+    fn levels(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.sets.chunks_exact(self.words.max(1))
+    }
+
+    /// The non-query node furthest from the query, ties to the smallest id:
+    /// the lowest non-query bit of the unreachable set, or else of the
+    /// highest level that has one.
+    fn furthest(&self, query: &[usize]) -> Option<usize> {
+        let non_query = |set: &[u64]| ones(set).find(|v| !query.contains(v));
+        non_query(&self.unreachable).or_else(|| self.levels().rev().find_map(non_query))
+    }
+
+    /// `dist(G′, Q)`, the objective minimised on line 15 of Algorithm 1: the
+    /// largest hop distance between a query node and a node of `G′`, which
+    /// is the highest non-empty level (`usize::MAX` when one cannot reach
+    /// the other).
+    fn query_distance(&self) -> usize {
+        if self.unreachable.iter().any(|&w| w != 0) {
+            return usize::MAX;
+        }
+        self.levels()
+            .rposition(|set| set.iter().any(|&w| w != 0))
+            .unwrap_or(0)
+    }
 }
 
 /// A subgraph on dense local ids `0..len`: adjacency rows of `words` words
@@ -401,13 +451,14 @@ impl Bits {
     }
 
     /// Breadth-first search from `source` inside `G′`, level by level on
-    /// bitsets: calls `visit` with every node reached and its hop distance,
-    /// and returns the set reached (a row of `scratch`).
+    /// bitsets: calls `visit` with each hop distance `d` that has nodes, the
+    /// set of nodes at `d` and the set reached so far (up to `d`), and
+    /// returns the set reached (a row of `scratch`).
     fn bfs<'s>(
         &self,
         source: usize,
         scratch: &'s mut [u64],
-        mut visit: impl FnMut(usize, usize),
+        mut visit: impl FnMut(usize, &[u64], &[u64]),
     ) -> &'s [u64] {
         let mut parts = scratch.chunks_exact_mut(self.words);
         let (Some(reached), Some(mut frontier), Some(mut next)) =
@@ -422,7 +473,7 @@ impl Bits {
         frontier.fill(0);
         set_bit(reached, source);
         set_bit(frontier, source);
-        visit(source, 0);
+        visit(0, frontier, reached);
         for d in 1.. {
             next.fill(0);
             for v in ones(frontier) {
@@ -439,32 +490,10 @@ impl Bits {
             if !grew {
                 break;
             }
-            for v in ones(next) {
-                visit(v, d);
-            }
+            visit(d, next, reached);
             std::mem::swap(&mut frontier, &mut next);
         }
         reached
-    }
-
-    /// One BFS per query node inside `G′`: fills `far` with each node's
-    /// largest hop distance to a query node (`usize::MAX` when some query
-    /// node cannot reach it).
-    fn far_from_query(&self, query: &[usize], far: &mut Vec<usize>, scratch: &mut [u64]) {
-        far.clear();
-        far.resize(self.len(), 0);
-        for &q in query {
-            let reached = self.bfs(q, scratch, |v, d| {
-                if let Some(f) = far.get_mut(v) {
-                    *f = (*f).max(d);
-                }
-            });
-            for v in ones(&self.nodes).filter(|&v| !bit(reached, v)) {
-                if let Some(f) = far.get_mut(v) {
-                    *f = usize::MAX;
-                }
-            }
-        }
     }
 
     /// Hop diameter of `G′` (0 for empty or singleton sets, `usize::MAX` if
@@ -473,7 +502,7 @@ impl Bits {
         let mut scratch = self.scratch();
         let mut best = 0usize;
         for v in ones(&self.nodes) {
-            let reached = self.bfs(v, &mut scratch, |_, d| best = best.max(d));
+            let reached = self.bfs(v, &mut scratch, |d, _, _| best = best.max(d));
             if self.nodes.iter().zip(reached).any(|(&m, &r)| m & !r != 0) {
                 return usize::MAX;
             }
@@ -1414,6 +1443,90 @@ mod tests {
                 query
             })
             .collect()
+    }
+
+    /// `count` seeded queries of 1-5 nodes of a graph on `n` nodes.
+    fn seeded_queries(n: usize, count: usize, seed: u64) -> Vec<Vec<usize>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                (0..rng.gen_range(1..6))
+                    .map(|_| rng.gen_range(0..n))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The Steiner tree and the community of `query`.
+    type Answer = (
+        Result<(BTreeSet<usize>, Vec<(usize, usize)>), GraphError>,
+        Result<Community, GraphError>,
+    );
+
+    fn answer(g: &UnGraph, d: &TrussDecomposition, query: &[usize]) -> Answer {
+        (
+            steiner_tree(g, query, d).map(|t| (t.nodes, t.edges)),
+            closest_truss_community_with(g, d, query, &CtcConfig::default()),
+        )
+    }
+
+    #[test]
+    fn answers_do_not_depend_on_which_queries_filled_the_memo() {
+        for seed in 0..6 {
+            let g = clustered_graph(86, 340, seed);
+            let queries = seeded_queries(86, 16, seed);
+            let (forward, backward) = (truss_decomposition(&g), truss_decomposition(&g));
+            let first: Vec<Answer> = queries.iter().map(|q| answer(&g, &forward, q)).collect();
+            let mut second: Vec<Answer> = queries
+                .iter()
+                .rev()
+                .map(|q| answer(&g, &backward, q))
+                .collect();
+            second.reverse();
+            assert_eq!(first, second, "seed {seed}");
+            // Both filled the same rows, each with the whole tree of the
+            // node-set implementation's Dijkstra.
+            let old = oracle::truss_decomposition(&g);
+            let mut filled = 0;
+            for u in 0..g.node_count() {
+                let row = forward.memoized_tree(u);
+                assert_eq!(row, backward.memoized_tree(u), "row {u}, seed {seed}");
+                if let Some(row) = row {
+                    let weight = |a, b| oracle::truss_distance_weight(&old, a, b);
+                    let (dist, parent) = oracle::dijkstra(&g, u, weight);
+                    assert_eq!((&row.dist, &row.parent), (&dist, &parent), "row {u}");
+                    filled += 1;
+                }
+            }
+            assert!(filled > 0, "seed {seed} filled no row");
+        }
+    }
+
+    #[test]
+    fn threads_sharing_one_memo_get_the_single_threaded_answers() {
+        let g = clustered_graph(86, 340, 11);
+        let queries = seeded_queries(86, 24, 11);
+        let fresh = truss_decomposition(&g);
+        let want: Vec<Answer> = queries.iter().map(|q| answer(&g, &fresh, q)).collect();
+        let shared = truss_decomposition(&g);
+        let start = std::sync::Barrier::new(4);
+        let got: Vec<Vec<Answer>> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        queries.iter().map(|q| answer(&g, &shared, q)).collect()
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("query thread panicked"))
+                .collect()
+        });
+        for answers in got {
+            assert_eq!(answers, want);
+        }
     }
 
     proptest! {

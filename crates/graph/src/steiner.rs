@@ -12,6 +12,17 @@
 //! sequence of pushes and pops, so the slots' ascending neighbour order and
 //! the weight expression of [`steiner_weight`] fix which of several
 //! shortest paths the tree takes.
+//!
+//! Each Dijkstra runs until the heap is empty, not only until the query
+//! nodes settle, and its tree is memoised in the decomposition (see the
+//! layout in [`crate::truss`]), so any later query from the same node reads
+//! it. The full run keeps the tie order of a run that stops early: it makes
+//! the same pushes and pops up to the point where that run would stop, and
+//! only adds pops after it. Every weight is at least 1 and the heap pops
+//! distances in ascending order, so a later relaxation of a settled node
+//! offers a strictly longer distance and is refused: a node's distance and
+//! its whole parent chain are final once it is popped. So a tree does not
+//! depend on which query filled a row, or in which order rows were filled.
 
 use std::collections::{BTreeSet, BinaryHeap};
 
@@ -122,14 +133,13 @@ pub(crate) fn tree(
     }
 
     // Shortest paths from every query node under the truss-aware metric.
-    let paths: Vec<(Vec<f64>, Vec<usize>)> = query
-        .iter()
-        .map(|&q| shortest_paths(decomposition, q, query))
-        .collect();
+    let paths: Vec<Option<&PathTree>> = query.iter().map(|&q| decomposition.path_tree(q)).collect();
     let cost = |from: usize, to: usize| {
         paths
             .get(from)
-            .and_then(|(dist, _)| dist.get(to))
+            .copied()
+            .flatten()
+            .and_then(|tree| tree.dist.get(to))
             .copied()
             .unwrap_or(f64::INFINITY)
     };
@@ -158,8 +168,8 @@ pub(crate) fn tree(
         };
         // Expand the MST edge (from -> pick) into its shortest path.
         let ends = (query.get(from), query.get(pick));
-        if let (Some((_, parents)), (Some(&source), Some(&target))) = (paths.get(from), ends) {
-            if let Some(path) = reconstruct_path(parents, source, target) {
+        if let (Some(Some(tree)), (Some(&source), Some(&target))) = (paths.get(from), ends) {
+            if let Some(path) = reconstruct_path(&tree.parent, source, target) {
                 nodes.extend_from_slice(&path);
                 edges.extend(path.windows(2).filter_map(|w| match w {
                     &[a, b] => Some(norm_edge(a, b)),
@@ -183,30 +193,33 @@ pub(crate) fn tree(
     (nodes, edges)
 }
 
-/// Dijkstra from `source` over the decomposition's slots: distances
-/// (`f64::INFINITY` when unreachable) and parents (`usize::MAX` for the
-/// source and unreachable nodes). It stops once every node of `targets`
-/// is settled: later pops cannot change a settled node's distance or the
-/// parents on its path.
-fn shortest_paths(
-    decomposition: &TrussDecomposition,
-    source: usize,
-    targets: &[usize],
-) -> (Vec<f64>, Vec<usize>) {
+/// One node's shortest-path tree under the Steiner weights.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PathTree {
+    /// Distance from the source to every node (`f64::INFINITY` when
+    /// unreachable).
+    pub(crate) dist: Vec<f64>,
+    /// Every node's predecessor on its shortest path (`usize::MAX` for the
+    /// source and unreachable nodes).
+    pub(crate) parent: Vec<usize>,
+}
+
+/// Dijkstra from `source` over the decomposition's slots, run until the
+/// heap is empty (see the module docs for why its ties match a run that
+/// stops early).
+pub(crate) fn shortest_paths(decomposition: &TrussDecomposition, source: usize) -> PathTree {
     let n = decomposition.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut parent = vec![usize::MAX; n];
     // Max-heap on reversed ordering of the distance alone: equal distances
-    // pop in an order set by the push sequence.
+    // pop in an order set by the push sequence. Distances are finite and at
+    // least +0.0, where `total_cmp` agrees with the numeric order.
     #[derive(PartialEq)]
     struct Entry(f64, usize);
     impl Eq for Entry {}
     impl Ord for Entry {
         fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            other
-                .0
-                .partial_cmp(&self.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            other.0.total_cmp(&self.0)
         }
     }
     impl PartialOrd for Entry {
@@ -219,16 +232,9 @@ fn shortest_paths(
         *d = 0.0;
         heap.push(Entry(0.0, source));
     }
-    let mut unsettled = targets.len();
     while let Some(Entry(d, u)) = heap.pop() {
         if dist.get(u).is_some_and(|&best| d > best) {
             continue;
-        }
-        if targets.contains(&u) {
-            unsettled -= 1;
-            if unsettled == 0 {
-                break;
-            }
         }
         for slot in decomposition.slots(u) {
             let nd = d + slot.weight;
@@ -241,7 +247,7 @@ fn shortest_paths(
             }
         }
     }
-    (dist, parent)
+    PathTree { dist, parent }
 }
 
 /// Mehlhorn's final clean-up: removes every non-query leaf, round after

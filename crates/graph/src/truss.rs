@@ -19,6 +19,17 @@
 //! search in one node's slots. Dijkstra and the candidate expansion of
 //! Algorithm 1 walk the slots directly.
 //!
+//! The decomposition also memoises shortest paths: one [`OnceLock`] slot per
+//! node, filled on the first Steiner query that starts a Dijkstra there,
+//! holds that node's whole shortest-path tree under the Steiner weights (a
+//! distance and a parent per node, see [`crate::steiner`]). The graph and
+//! its weights are fixed once the decomposition is built, so a filled row
+//! never changes, and every later query from that node reads it instead of
+//! rerunning Dijkstra. A row holds `2n` entries, so the memo grows to at
+//! most `n²` distances and `n²` parents when every node has been queried:
+//! 118 KB on the 86-drug graph. It lives and dies with the decomposition; a
+//! clone copies the rows filled so far.
+//!
 //! # Peeling
 //!
 //! Truss numbers are computed by queue peeling over edge ids. At level `k`
@@ -29,7 +40,9 @@
 //! fixpoint of removing under-supported edges in any order. So the numbers
 //! do not depend on the order edges are peeled in.
 
-use crate::steiner::steiner_weight;
+use std::sync::OnceLock;
+
+use crate::steiner::{shortest_paths, steiner_weight, PathTree};
 use crate::UnGraph;
 
 /// One neighbour slot of the CSR store: a neighbour and the edge to it.
@@ -56,6 +69,8 @@ pub struct TrussDecomposition {
     // Cached at construction: the Steiner weights need it, and so does
     // every caller of `max_truss`.
     max_truss: usize,
+    /// `trees[u]` is node `u`'s shortest-path tree, filled on first use.
+    trees: Vec<OnceLock<PathTree>>,
 }
 
 impl TrussDecomposition {
@@ -110,6 +125,20 @@ impl TrussDecomposition {
         }
     }
 
+    /// Node `u`'s shortest-path tree under the Steiner weights, computed on
+    /// the first call and read from the memo afterwards (`None` when `u` is
+    /// out of range).
+    pub(crate) fn path_tree(&self, u: usize) -> Option<&PathTree> {
+        let memo = self.trees.get(u)?;
+        Some(memo.get_or_init(|| shortest_paths(self, u)))
+    }
+
+    /// Node `u`'s shortest-path tree if a query has already filled it.
+    #[cfg(test)]
+    pub(crate) fn memoized_tree(&self, u: usize) -> Option<&PathTree> {
+        self.trees.get(u).and_then(OnceLock::get)
+    }
+
     /// The slot of edge `{u, v}` on `u`'s side.
     fn slot(&self, u: usize, v: usize) -> Option<&Slot> {
         let slots = self.slots(u);
@@ -126,6 +155,7 @@ pub fn truss_decomposition(graph: &UnGraph) -> TrussDecomposition {
         offsets: Vec::with_capacity(n + 1),
         slots: Vec::new(),
         max_truss: 0,
+        trees: std::iter::repeat_with(OnceLock::new).take(n).collect(),
     };
     store.offsets.push(0);
     // Nodes are laid out in ascending order, so a smaller neighbour's slots
