@@ -399,6 +399,25 @@ impl MdModule {
                 "drug representation width disagrees with the patient hidden width".into(),
             ));
         }
+        // A NaN or infinite weight would rank drugs on NaN scores, so it is
+        // damage like any other. The training losses are only a trace that
+        // prediction never reads.
+        let non_finite = params
+            .iter()
+            .map(|(id, m)| (params.name(id), m))
+            .chain([
+                ("drug_repr", &drug_repr),
+                ("treatment", &treatment),
+                ("kmeans.centroids", kmeans.centroids()),
+                ("drug_features", &drug_features),
+            ])
+            .chain(ddi_embeddings.iter().map(|m| ("ddi_embeddings", m)))
+            .find(|(_, m)| !m.all_finite());
+        if let Some((name, _)) = non_finite {
+            return Err(corrupt(format!(
+                "persisted {name} holds a NaN or infinite value"
+            )));
+        }
         Ok(Self {
             params,
             patient_w,

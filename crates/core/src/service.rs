@@ -14,9 +14,14 @@
 //! * [`SuggestRequest`] → [`SuggestResponse`] — top-k medication suggestion
 //!   for one patient, with per-request filters and named, scored drugs,
 //! * [`CheckPrescriptionRequest`] → [`InteractionReport`] — critique of an
-//!   existing drug set against the signed DDI graph, no model required,
-//! * [`DecisionService::suggest_batch`] — serves many patients with a single
-//!   score-prediction pass and memoized explanations.
+//!   existing drug set against the signed DDI graph, no model required.
+//!
+//! A service answers through three entry points, each taking the clinical
+//! [`KnowledgeBase`] that grades its findings (`None` grades by the DDI
+//! graph's signs alone): [`DecisionService::suggest_with_kb`] for one patient,
+//! [`DecisionService::suggest_batch_with_kb`] for many patients in one
+//! score-prediction pass with memoized explanations, and
+//! [`DecisionService::check_prescription_with_kb`] for a critique.
 //!
 //! ```no_run
 //! use dssddi_core::{ServiceBuilder, SuggestRequest, PatientId};
@@ -38,7 +43,7 @@
 //!     cohort.features().row(split.test[0]).to_vec(),
 //!     3,
 //! );
-//! let response = service.suggest(&request).unwrap();
+//! let response = service.suggest_with_kb(&request, None).unwrap();
 //! for drug in &response.drugs {
 //!     println!("{} ({}): {:.3}", drug.name, drug.id, drug.score);
 //! }
@@ -59,7 +64,7 @@ use rand::Rng;
 use dssddi_data::{ChronicCohort, DrugRegistry};
 use dssddi_graph::{BipartiteGraph, Interaction, SignedGraph};
 use dssddi_kb::{AlertPolicy, KnowledgeBase, Severity};
-use dssddi_ml::score_order;
+use dssddi_ml::top_k_indices;
 use dssddi_tensor::serde::{self as tserde, ByteReader, ByteWriter};
 use dssddi_tensor::Matrix;
 
@@ -69,8 +74,9 @@ use crate::persist::{self, section};
 use crate::system::Dssddi;
 use crate::CoreError;
 
-/// Requests one serving worker must have before [`DecisionService::suggest_batch`]
-/// spawns another: below this, thread startup costs more than it overlaps.
+/// Requests one serving worker must have before
+/// [`DecisionService::suggest_batch_with_kb`] spawns another: below this,
+/// thread startup costs more than it overlaps.
 const MIN_REQUESTS_PER_SHARD: usize = 8;
 
 /// A typed drug identifier (the paper's DID): an index into the service's
@@ -914,13 +920,10 @@ impl DecisionService {
         Ok(())
     }
 
-    /// Serves one suggestion request.
-    pub fn suggest(&self, request: &SuggestRequest) -> Result<SuggestResponse, CoreError> {
-        self.suggest_with_kb(request, None)
-    }
-
-    /// [`DecisionService::suggest`] with a clinical knowledge base grading
-    /// the `exclude_contraindicated_with` filter.
+    /// Serves one suggestion request. With a clinical knowledge base,
+    /// candidates whose interaction with a drug named in
+    /// [`SuggestFilters::exclude_contraindicated_with`] is graded
+    /// [`Severity::Contraindicated`] are dropped; `None` passes that filter.
     pub fn suggest_with_kb(
         &self,
         request: &SuggestRequest,
@@ -931,7 +934,9 @@ impl DecisionService {
             .ok_or_else(|| CoreError::invalid_input("suggest_batch returned no response"))
     }
 
-    /// Serves a batch of suggestion requests.
+    /// Serves a batch of suggestion requests, with the knowledge base
+    /// grading each request's filters as in
+    /// [`DecisionService::suggest_with_kb`].
     ///
     /// Score prediction is amortised: each worker stacks its patients'
     /// feature vectors into one matrix and pushes them through the
@@ -944,22 +949,10 @@ impl DecisionService {
     /// Large batches are sharded across scoped worker threads (the service
     /// is `Sync`; the explanation memo stays shared behind its lock). The
     /// shard count is picked from the number of threads the process may
-    /// run, read once per process ([`dssddi_tensor::available_workers`]); use
-    /// [`DecisionService::suggest_batch_sharded`] to control it explicitly.
-    /// Responses always come back in request order with scores identical to
-    /// the serial path — patients are scored independently, so sharding
-    /// cannot change any result.
-    pub fn suggest_batch(
-        &self,
-        requests: &[SuggestRequest],
-    ) -> Result<Vec<SuggestResponse>, CoreError> {
-        self.suggest_batch_with_kb(requests, None)
-    }
-
-    /// [`DecisionService::suggest_batch`] with a clinical knowledge base:
-    /// candidates whose interaction with a drug named in
-    /// [`SuggestFilters::exclude_contraindicated_with`] is graded
-    /// [`Severity::Contraindicated`] are excluded from the ranking.
+    /// run, read once per process ([`dssddi_tensor::available_workers`]),
+    /// and the batch size. Responses always come back in request order
+    /// with scores identical to the serial path — patients are scored
+    /// independently, so sharding cannot change any result.
     pub fn suggest_batch_with_kb(
         &self,
         requests: &[SuggestRequest],
@@ -970,24 +963,14 @@ impl DecisionService {
         // last full shard instead of paying a thread spawn of its own.
         let workers = dssddi_tensor::available_workers()
             .min((requests.len() / MIN_REQUESTS_PER_SHARD).max(1));
-        self.suggest_batch_sharded_with_kb(requests, workers, kb)
+        self.serve_sharded(requests, workers, kb)
     }
 
-    /// [`DecisionService::suggest_batch`] with an explicit shard count:
-    /// requests are split into `shards` contiguous chunks served by scoped
-    /// worker threads (`shards` is clamped to `1..=requests.len()`; `1`
-    /// serves the whole batch on the calling thread).
-    pub fn suggest_batch_sharded(
-        &self,
-        requests: &[SuggestRequest],
-        shards: usize,
-    ) -> Result<Vec<SuggestResponse>, CoreError> {
-        self.suggest_batch_sharded_with_kb(requests, shards, None)
-    }
-
-    /// [`DecisionService::suggest_batch_sharded`] with a clinical knowledge
-    /// base grading the `exclude_contraindicated_with` filter.
-    pub fn suggest_batch_sharded_with_kb(
+    /// Validates and serves a batch split into `shards` contiguous chunks,
+    /// each served by a scoped worker thread (`shards` is clamped to
+    /// `1..=requests.len()`; `1` serves the whole batch on the calling
+    /// thread).
+    fn serve_sharded(
         &self,
         requests: &[SuggestRequest],
         shards: usize,
@@ -1126,48 +1109,51 @@ impl DecisionService {
         Ok(responses)
     }
 
-    /// Ranks one patient's scores under the request's filters.
+    /// Ranks one patient's scores in [`top_k_indices`] order, the order the
+    /// paper's Precision@k and Recall@k evaluate, and keeps the first `k`
+    /// drugs the request's filters pass.
     fn ranked_candidates(
         &self,
         scores: &[f32],
         request: &SuggestRequest,
         kb: Option<&KnowledgeBase>,
     ) -> Result<Vec<ScoredDrug>, CoreError> {
-        let filters_active = !request.filters.exclude.is_empty()
-            || !request.filters.avoid_antagonists_of.is_empty()
-            || !request.filters.exclude_contraindicated_with.is_empty();
-        let mut order: Vec<usize> = (0..scores.len())
-            .filter(|&d| !request.filters.rejects(d, self.ddi_graph(), kb))
-            .collect();
-        if order.len() < request.k {
+        // `k` comes off the wire: size nothing by it.
+        let mut ranked = Vec::with_capacity(request.k.min(scores.len()));
+        for d in top_k_indices(scores, scores.len()) {
+            if ranked.len() == request.k {
+                break;
+            }
+            if request.filters.rejects(d, self.ddi_graph(), kb) {
+                continue;
+            }
+            ranked.push(ScoredDrug {
+                id: DrugId::new(d),
+                name: self.drug_name(DrugId::new(d))?.to_string(),
+                score: scores[d],
+            });
+        }
+        if ranked.len() < request.k {
+            let filters_active = !request.filters.exclude.is_empty()
+                || !request.filters.avoid_antagonists_of.is_empty()
+                || !request.filters.exclude_contraindicated_with.is_empty();
             return Err(CoreError::invalid_input(if filters_active {
                 format!(
                     "filters for {} leave only {} candidate drugs but k = {}",
                     request.patient,
-                    order.len(),
+                    ranked.len(),
                     request.k
                 )
             } else {
                 format!(
                     "k = {} exceeds the {} drugs in the formulary (request for {})",
                     request.k,
-                    order.len(),
+                    ranked.len(),
                     request.patient
                 )
             }));
         }
-        order.sort_by(|&a, &b| score_order(scores[a], scores[b]));
-        order.truncate(request.k);
-        order
-            .into_iter()
-            .map(|d| {
-                Ok(ScoredDrug {
-                    id: DrugId::new(d),
-                    name: self.drug_name(DrugId::new(d))?.to_string(),
-                    score: scores[d],
-                })
-            })
-            .collect()
+        Ok(ranked)
     }
 
     /// Critiques an existing prescription against the signed DDI graph:
@@ -1175,24 +1161,13 @@ impl DecisionService {
     /// explanation with its Suggestion Satisfaction score.
     ///
     /// Works on every service, including support-only ones — no fitted
-    /// model is needed to check a prescription. Without a knowledge base,
-    /// findings carry sign-derived default grades
-    /// ([`Severity::default_for`]); attach one with
-    /// [`DecisionService::check_prescription_with_kb`] for clinical grades
-    /// and management hints.
-    pub fn check_prescription(
-        &self,
-        request: &CheckPrescriptionRequest,
-    ) -> Result<InteractionReport, CoreError> {
-        self.check_prescription_with_kb(request, None)
-    }
-
-    /// [`DecisionService::check_prescription`] with a clinical knowledge
-    /// base: every finding is graded by the KB's severity facts (pairs the
+    /// model is needed to check a prescription. With a clinical knowledge
+    /// base, every finding is graded by the KB's severity facts (pairs the
     /// KB has no fact for fall back to the sign default), carries the KB's
     /// management hint, and the request's [`AlertPolicy`] filters findings
     /// *at the source* — a `Major`-and-up policy never materialises the
-    /// `Minor` chatter it would suppress.
+    /// `Minor` chatter it would suppress. With `None`, findings carry
+    /// sign-derived default grades ([`Severity::default_for`]).
     pub fn check_prescription_with_kb(
         &self,
         request: &CheckPrescriptionRequest,
@@ -1415,10 +1390,10 @@ mod tests {
     fn support_service_checks_prescriptions_but_cannot_suggest() {
         let service = support_service(2);
         let report = service
-            .check_prescription(&CheckPrescriptionRequest::new(vec![
-                DrugId::new(61),
-                DrugId::new(59),
-            ]))
+            .check_prescription_with_kb(
+                &CheckPrescriptionRequest::new(vec![DrugId::new(61), DrugId::new(59)]),
+                None,
+            )
             .unwrap();
         // Gabapentin (61) + Isosorbide Mononitrate (59) is the paper's
         // Fig. 8 antagonistic pair; the generator always includes it.
@@ -1429,7 +1404,7 @@ mod tests {
 
         let request = SuggestRequest::new(PatientId::new(0), vec![0.0; 71], 3);
         assert!(matches!(
-            service.suggest(&request),
+            service.suggest_with_kb(&request, None),
             Err(CoreError::NotFitted { .. })
         ));
     }
@@ -1453,7 +1428,7 @@ mod tests {
             .iter()
             .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
             .collect();
-        let responses = service.suggest_batch(&requests).unwrap();
+        let responses = service.suggest_batch_with_kb(&requests, None).unwrap();
         assert_eq!(responses.len(), requests.len());
         for (request, response) in requests.iter().zip(&responses) {
             assert_eq!(response.patient, request.patient);
@@ -1480,23 +1455,23 @@ mod tests {
         let features = cohort.features().row(patient).to_vec();
 
         let baseline = service
-            .suggest(&SuggestRequest::new(
-                PatientId::new(patient),
-                features.clone(),
-                4,
-            ))
+            .suggest_with_kb(
+                &SuggestRequest::new(PatientId::new(patient), features.clone(), 4),
+                None,
+            )
             .unwrap();
         let top: Vec<DrugId> = baseline.drugs.iter().map(|d| d.id).collect();
 
         // Excluding the top drug must remove it from the new suggestion.
         let filtered = service
-            .suggest(
+            .suggest_with_kb(
                 &SuggestRequest::new(PatientId::new(patient), features.clone(), 4).with_filters(
                     SuggestFilters {
                         exclude: vec![top[0]],
                         ..Default::default()
                     },
                 ),
+                None,
             )
             .unwrap();
         assert!(filtered.drugs.iter().all(|d| d.id != top[0]));
@@ -1504,13 +1479,14 @@ mod tests {
         // Avoiding antagonists of a drug removes all its antagonists.
         let taken = DrugId::new(59); // Isosorbide Mononitrate
         let safe = service
-            .suggest(
+            .suggest_with_kb(
                 &SuggestRequest::new(PatientId::new(patient), features, 4).with_filters(
                     SuggestFilters {
                         avoid_antagonists_of: vec![taken],
                         ..Default::default()
                     },
                 ),
+                None,
             )
             .unwrap();
         for drug in &safe.drugs {
@@ -1539,9 +1515,21 @@ mod tests {
             exclude,
             ..Default::default()
         });
-        match service.suggest(&request) {
+        match service.suggest_with_kb(&request, None) {
             Err(CoreError::InvalidInput { what }) => {
                 assert!(what.contains("k = 2"), "message lacks context: {what}")
+            }
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
+        // A k off the wire may be anything; it is an error, not an allocation.
+        let request = SuggestRequest::new(
+            PatientId::new(patient),
+            cohort.features().row(patient).to_vec(),
+            usize::MAX,
+        );
+        match service.suggest_with_kb(&request, None) {
+            Err(CoreError::InvalidInput { what }) => {
+                assert!(what.contains("exceeds the 86 drugs"), "got: {what}")
             }
             other => panic!("expected InvalidInput, got {other:?}"),
         }
@@ -1551,7 +1539,7 @@ mod tests {
     fn wrong_feature_length_is_rejected_with_patient_context() {
         let (service, cohort, held_out) = fitted_service(11);
         let request = SuggestRequest::new(PatientId::new(42), vec![0.0; 3], 2);
-        match service.suggest(&request) {
+        match service.suggest_with_kb(&request, None) {
             Err(CoreError::InvalidInput { what }) => {
                 assert!(
                     what.contains("patient #42") && what.contains("3"),
@@ -1569,7 +1557,7 @@ mod tests {
                 let mut poisoned = features.clone();
                 poisoned[at] = bad;
                 let request = SuggestRequest::new(PatientId::new(42), poisoned, 3);
-                match service.suggest_batch(&[valid.clone(), request]) {
+                match service.suggest_batch_with_kb(&[valid.clone(), request], None) {
                     Err(CoreError::InvalidInput { what }) => assert!(
                         what.contains("request 1")
                             && what.contains("patient #42")
@@ -1589,7 +1577,7 @@ mod tests {
             .iter()
             .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
             .collect();
-        let first = service.suggest_batch(&requests).unwrap();
+        let first = service.suggest_batch_with_kb(&requests, None).unwrap();
         let (h1, m1) = service.explanation_cache_stats();
         assert!(
             m1 >= 1,
@@ -1597,7 +1585,7 @@ mod tests {
         );
         // Serving the same batch again answers every explanation from the
         // service-owned cache: zero new community searches.
-        let second = service.suggest_batch(&requests).unwrap();
+        let second = service.suggest_batch_with_kb(&requests, None).unwrap();
         let (h2, m2) = service.explanation_cache_stats();
         assert_eq!(m2, m1, "second batch must not search again");
         assert_eq!(h2, h1 + requests.len());
@@ -1613,9 +1601,9 @@ mod tests {
             .iter()
             .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
             .collect();
-        let batched = service.suggest_batch(&requests).unwrap();
+        let batched = service.suggest_batch_with_kb(&requests, None).unwrap();
         for (request, batch_response) in requests.iter().zip(&batched) {
-            let single = service.suggest(request).unwrap();
+            let single = service.suggest_with_kb(request, None).unwrap();
             let batch_ids: Vec<DrugId> = batch_response.drugs.iter().map(|d| d.id).collect();
             let single_ids: Vec<DrugId> = single.drugs.iter().map(|d| d.id).collect();
             assert_eq!(batch_ids, single_ids);
@@ -1652,13 +1640,13 @@ mod tests {
             .iter()
             .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
             .collect();
-        let serial = service.suggest_batch_sharded(&requests, 1).unwrap();
+        let serial = service.serve_sharded(&requests, 1, None).unwrap();
         let container = service.to_container_bytes();
         for shards in [2, 4, requests.len(), requests.len() + 10] {
             // A reloaded copy starts with an empty explanation cache, so
             // every shard count runs its searches cold.
             let cold = DecisionService::load_with_embedded_registry_bytes(&container).unwrap();
-            let parallel = cold.suggest_batch_sharded(&requests, shards).unwrap();
+            let parallel = cold.serve_sharded(&requests, shards, None).unwrap();
             assert_eq!(parallel.len(), serial.len());
             for (request, (a, b)) in requests.iter().zip(serial.iter().zip(&parallel)) {
                 assert_eq!(
@@ -1679,17 +1667,61 @@ mod tests {
         }
     }
 
+    /// For seeded random batch compositions (with repeats) and ks, at every
+    /// shard count from 1 to 8, the sharded batch equals the serial batch
+    /// response-by-response.
+    #[test]
+    fn sharded_suggest_batch_equals_serial_in_order_and_bits() {
+        let (service, cohort, held_out) = fitted_service(41);
+        let mut rng = StdRng::seed_from_u64(41);
+        for case in 0..16 {
+            let shards = 1 + case % 8;
+            let batch_len = rng.gen_range(1usize..40);
+            let k = rng.gen_range(1usize..5);
+            let requests: Vec<SuggestRequest> = (0..batch_len)
+                .map(|_| {
+                    let p = held_out[rng.gen_range(0..held_out.len())];
+                    SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), k)
+                })
+                .collect();
+
+            let serial = service.serve_sharded(&requests, 1, None).unwrap();
+            let sharded = service.serve_sharded(&requests, shards, None).unwrap();
+            assert_eq!(serial.len(), requests.len());
+            assert_eq!(sharded.len(), requests.len());
+            for (i, request) in requests.iter().enumerate() {
+                assert_eq!(serial[i].patient, request.patient);
+                assert_eq!(sharded[i].patient, request.patient, "order broken at {i}");
+                let a: Vec<(usize, u32)> = serial[i]
+                    .drugs
+                    .iter()
+                    .map(|d| (d.id.index(), d.score.to_bits()))
+                    .collect();
+                let b: Vec<(usize, u32)> = sharded[i]
+                    .drugs
+                    .iter()
+                    .map(|d| (d.id.index(), d.score.to_bits()))
+                    .collect();
+                assert_eq!(a, b, "case {case}: scores/ranking differ at response {i}");
+                assert_eq!(
+                    serial[i].suggestion_satisfaction.to_bits(),
+                    sharded[i].suggestion_satisfaction.to_bits()
+                );
+            }
+        }
+    }
+
     #[test]
     fn empty_batch_returns_empty_without_workers_or_model() {
         // Fitted: empty in, empty out, regardless of the shard request.
         let (service, _, _) = fitted_service(31);
-        assert_eq!(service.suggest_batch(&[]).unwrap(), vec![]);
-        assert_eq!(service.suggest_batch_sharded(&[], 0).unwrap(), vec![]);
-        assert_eq!(service.suggest_batch_sharded(&[], 1000).unwrap(), vec![]);
+        assert_eq!(service.suggest_batch_with_kb(&[], None).unwrap(), vec![]);
+        assert_eq!(service.serve_sharded(&[], 0, None).unwrap(), vec![]);
+        assert_eq!(service.serve_sharded(&[], 1000, None).unwrap(), vec![]);
         // Support-only: an empty batch needs no model, so it must not be a
         // NotFitted error — a poller draining an empty queue is routine.
         let support = support_service(31);
-        assert_eq!(support.suggest_batch(&[]).unwrap(), vec![]);
+        assert_eq!(support.suggest_batch_with_kb(&[], None).unwrap(), vec![]);
     }
 
     #[test]
@@ -1729,8 +1761,8 @@ mod tests {
             .iter()
             .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
             .collect();
-        let serial = service.suggest_batch_sharded(&requests, 1).unwrap();
-        let oversharded = service.suggest_batch_sharded(&requests, 500).unwrap();
+        let serial = service.serve_sharded(&requests, 1, None).unwrap();
+        let oversharded = service.serve_sharded(&requests, 500, None).unwrap();
         assert_eq!(serial, oversharded);
     }
 
@@ -1796,7 +1828,7 @@ mod tests {
         // Without a KB, grades fall back to the sign defaults and no KB
         // version is recorded.
         let ungraded = service
-            .check_prescription(&CheckPrescriptionRequest::new(drugs))
+            .check_prescription_with_kb(&CheckPrescriptionRequest::new(drugs), None)
             .unwrap();
         assert_eq!(ungraded.kb_version, None);
         for pair in &ungraded.antagonistic {
@@ -1830,7 +1862,7 @@ mod tests {
         // Without the KB the pair is invisible; with it, the curated hard
         // stop fires even though the graph has no edge.
         let request = CheckPrescriptionRequest::new(vec![DrugId::new(a), DrugId::new(b)]);
-        let ungraded = service.check_prescription(&request).unwrap();
+        let ungraded = service.check_prescription_with_kb(&request, None).unwrap();
         assert!(ungraded.is_safe());
         let graded = service
             .check_prescription_with_kb(&request, Some(&kb))
@@ -1929,11 +1961,10 @@ mod tests {
 
         // Unfiltered, every drug is rankable (k = n succeeds).
         let all = service
-            .suggest(&SuggestRequest::new(
-                PatientId::new(patient),
-                features.clone(),
-                n,
-            ))
+            .suggest_with_kb(
+                &SuggestRequest::new(PatientId::new(patient), features.clone(), n),
+                None,
+            )
             .unwrap();
         assert!(all.drugs.iter().any(|d| d.id.index() == candidate));
 
@@ -1953,9 +1984,10 @@ mod tests {
         // Without a KB no grade can reach Contraindicated: the same filter
         // passes everything and the candidate ranks again.
         let ungraded = service
-            .suggest(
+            .suggest_with_kb(
                 &SuggestRequest::new(PatientId::new(patient), features, n - 1)
                     .with_filters(filters),
+                None,
             )
             .unwrap();
         assert!(ungraded.drugs.iter().any(|d| d.id.index() == candidate));
@@ -1966,9 +1998,10 @@ mod tests {
         let service = support_service(17);
         // Fig. 9 case 1: Indapamide (10) + Perindopril (5) is synergistic.
         let report = service
-            .check_prescription(
+            .check_prescription_with_kb(
                 &CheckPrescriptionRequest::new(vec![DrugId::new(10), DrugId::new(5)])
                     .for_patient(PatientId::new(1)),
+                None,
             )
             .unwrap();
         assert!(report.is_safe());
@@ -1978,11 +2011,14 @@ mod tests {
 
         // A duplicated drug must not double-report its interactions.
         let dup = service
-            .check_prescription(&CheckPrescriptionRequest::new(vec![
-                DrugId::new(10),
-                DrugId::new(5),
-                DrugId::new(10),
-            ]))
+            .check_prescription_with_kb(
+                &CheckPrescriptionRequest::new(vec![
+                    DrugId::new(10),
+                    DrugId::new(5),
+                    DrugId::new(10),
+                ]),
+                None,
+            )
             .unwrap();
         assert_eq!(dup.drugs.len(), 2, "prescription is a set");
         assert_eq!(dup.synergistic.len(), 1);
@@ -1992,10 +2028,10 @@ mod tests {
         // order, these two orders gave SS 0.378 and 0.417.)
         let ids = |order: [usize; 3]| order.map(DrugId::new).to_vec();
         let forward = service
-            .check_prescription(&CheckPrescriptionRequest::new(ids([10, 5, 50])))
+            .check_prescription_with_kb(&CheckPrescriptionRequest::new(ids([10, 5, 50])), None)
             .unwrap();
         let backward = service
-            .check_prescription(&CheckPrescriptionRequest::new(ids([50, 5, 10])))
+            .check_prescription_with_kb(&CheckPrescriptionRequest::new(ids([50, 5, 10])), None)
             .unwrap();
         assert_eq!(forward.drugs[0].id, DrugId::new(10));
         assert_eq!(backward.drugs[0].id, DrugId::new(50));
@@ -2006,10 +2042,13 @@ mod tests {
         );
 
         assert!(service
-            .check_prescription(&CheckPrescriptionRequest::new(vec![]))
+            .check_prescription_with_kb(&CheckPrescriptionRequest::new(vec![]), None)
             .is_err());
         assert!(matches!(
-            service.check_prescription(&CheckPrescriptionRequest::new(vec![DrugId::new(999)])),
+            service.check_prescription_with_kb(
+                &CheckPrescriptionRequest::new(vec![DrugId::new(999)]),
+                None
+            ),
             Err(CoreError::UnknownDrug { .. })
         ));
     }

@@ -12,13 +12,11 @@
 // instead of panicking; see `service.rs` for the rationale. The panic-policy
 // denies are inherited from `[workspace.lints]`.
 
-use std::path::Path;
-
 use rand::Rng;
 
 use dssddi_data::ChronicCohort;
 use dssddi_graph::{BipartiteGraph, SignedGraph};
-use dssddi_tensor::serde::{self as tserde, ByteReader, ByteWriter, SerdeError};
+use dssddi_tensor::serde::{ByteReader, ByteWriter, SerdeError};
 use dssddi_tensor::Matrix;
 
 use crate::config::{DrugFeatureSource, DssddiConfig};
@@ -201,33 +199,6 @@ impl Dssddi {
         })
     }
 
-    /// Saves the fitted system to a `DSSD` container file, so a model
-    /// trained once can be shipped to serving hosts. See
-    /// [`dssddi_tensor::serde`] for the on-disk format.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let mut w = ByteWriter::new();
-        self.write_into(&mut w);
-        tserde::save_container(path, w.as_bytes())?;
-        Ok(())
-    }
-
-    /// Loads a fitted system from a file written by [`Dssddi::save`].
-    ///
-    /// Truncated, corrupt or version-mismatched files produce a typed
-    /// [`CoreError::Persistence`] — loading never panics.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        let payload = tserde::load_container(path)?;
-        let mut r = ByteReader::new(&payload);
-        let engine = Self::read_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(CoreError::persistence(format!(
-                "{} unexpected trailing bytes after the engine state",
-                r.remaining()
-            )));
-        }
-        Ok(engine)
-    }
-
     /// The trained DDI module, when the configuration uses one.
     pub fn ddi_module(&self) -> Option<&DdiModule> {
         self.ddi_module.as_ref()
@@ -313,7 +284,7 @@ mod tests {
 
         let test_patients: Vec<usize> = (60..80).collect();
         let suggestions = service
-            .suggest_batch(&requests(&cohort, &test_patients, 3))
+            .suggest_batch_with_kb(&requests(&cohort, &test_patients, 3), None)
             .unwrap();
         assert_eq!(suggestions.len(), 20);
         for s in &suggestions {
@@ -383,7 +354,7 @@ mod tests {
         let system = service.engine().unwrap();
         assert!(system.ddi_module().is_none());
         let suggestions = service
-            .suggest_batch(&requests(&cohort, &[50, 51], 2))
+            .suggest_batch_with_kb(&requests(&cohort, &[50, 51], 2), None)
             .unwrap();
         assert_eq!(suggestions.len(), 2);
     }
@@ -422,6 +393,8 @@ mod tests {
             .config(tiny_config())
             .fit_chronic(&cohort, &observed, &drug_features, &ddi, &mut rng)
             .unwrap();
-        assert!(system.suggest_batch(&requests(&cohort, &[45], 0)).is_err());
+        assert!(system
+            .suggest_batch_with_kb(&requests(&cohort, &[45], 0), None)
+            .is_err());
     }
 }

@@ -47,7 +47,9 @@ fn main() {
         world.cohort.features().row(patient).to_vec(),
         k,
     );
-    let response = service.suggest(&request).expect("DSSDDI suggestion");
+    let response = service
+        .suggest_with_kb(&request, None)
+        .expect("DSSDDI suggestion");
     print_case(
         "DSSDDI",
         &world,

@@ -39,14 +39,5 @@
 pub mod runner;
 pub mod workload;
 
-/// Latency histogram, now shared process-wide: the implementation moved to
-/// [`dssddi_obs::histogram`] so the gateway's metrics registry and this
-/// load generator bucket latencies identically. Re-exported here (with the
-/// old `histogram` module path) for source compatibility.
-pub mod histogram {
-    pub use dssddi_obs::histogram::Histogram;
-}
-
-pub use histogram::Histogram;
 pub use runner::{run, ConnFaults, KindTally, LoadgenConfig, LoadgenReport, TargetTally};
 pub use workload::{OpKind, WorkloadMix, Zipf};

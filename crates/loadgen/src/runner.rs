@@ -25,12 +25,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dssddi_core::{CheckPrescriptionRequest, DrugId, PatientId, SuggestRequest};
+use dssddi_obs::histogram::Histogram;
 use dssddi_serving::demo::demo_world;
 use dssddi_serving::{Client, ErrorCode, ModelKey, RetryPolicy, ServingError, WireError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::histogram::Histogram;
 use crate::workload::{OpKind, WorkloadMix, Zipf};
 
 /// Everything one load-generation run needs to know.

@@ -7,19 +7,21 @@ use dssddi_tensor::Matrix;
 
 use crate::MlError;
 
-/// The order every drug ranking sorts by: higher scores first, and NaN
+/// The order [`top_k_indices`] ranks by: higher scores first, and NaN
 /// scores *below* every real score (a drug whose prediction is undefined
 /// must never displace one with a genuine score).
 ///
 /// It is a total order, so a sort over any score row, NaN or not, cannot
 /// panic. Ties compare `Equal`, so a stable sort keeps them in index order.
-pub fn score_order(a: f32, b: f32) -> Ordering {
+fn score_order(a: f32, b: f32) -> Ordering {
     let rank = |x: f32| if x.is_nan() { f32::NEG_INFINITY } else { x };
     rank(b).total_cmp(&rank(a))
 }
 
-/// Top-k drug indices for one patient, given a score row, in
-/// [`score_order`].
+/// Top-k drug indices for one patient, given a score row: higher scores
+/// first, NaN scores below every real score, and ties in index order.
+/// Every drug ranking sorts here: the evaluation metrics below and the
+/// decision service's suggestions.
 ///
 /// `k` larger than the row is truncated to the row length.
 pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {

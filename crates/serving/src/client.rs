@@ -56,7 +56,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::router::{KeyVersions, ModelInfo, ModelKey, ModelStats, StatsReport};
-use crate::wire::{self, ErrorCode, RequestRef, Response, SyncArtifact, WireError};
+use crate::wire::{self, ErrorCode, Request, Response, SyncArtifact, WireError};
 use crate::ServingError;
 
 /// First cooldown after an endpoint failure; doubles per consecutive
@@ -400,8 +400,8 @@ impl Client {
     }
 
     /// One request/response exchange; remote error frames become
-    /// [`ServingError::Remote`]. The borrowed view means no request payload
-    /// (feature vectors included) is ever cloned just to be encoded.
+    /// [`ServingError::Remote`]. Each public method builds the owned
+    /// [`Request`] it sends, cloning its key and payload once.
     ///
     /// Transport-fault handling depends on the armed [`RetryPolicy`]:
     ///
@@ -420,7 +420,7 @@ impl Client {
     /// `Overloaded` rejections are retried on the same connection whenever
     /// a policy is armed (the typed error frame kept the stream aligned
     /// and the request never executed).
-    fn call(&mut self, request: RequestRef<'_>) -> Result<Response, ServingError> {
+    fn call(&mut self, request: Request) -> Result<Response, ServingError> {
         if self.poisoned {
             return Err(ServingError::Protocol {
                 what: "connection is poisoned by an earlier transport failure (a late \
@@ -432,7 +432,7 @@ impl Client {
         loop {
             attempt += 1;
             let (result, exchanged) = match self.ensure_connected() {
-                Ok(()) => (self.exchange(request), true),
+                Ok(()) => (self.exchange(&request), true),
                 Err(e) => (Err(e), false),
             };
             let transport_fault = matches!(
@@ -474,7 +474,7 @@ impl Client {
         }
     }
 
-    fn exchange(&mut self, request: RequestRef<'_>) -> Result<Response, ServingError> {
+    fn exchange(&mut self, request: &Request) -> Result<Response, ServingError> {
         // The armed read timeout doubles as a wall-clock deadline for the
         // whole response frame: a peer trickling bytes faster than the
         // socket timeout but never completing the frame (slow loris) must
@@ -486,7 +486,7 @@ impl Client {
                 what: "no gateway connection".to_string(),
             });
         };
-        wire::write_frame(stream, &wire::encode_request_ref_traced(request, trace))?;
+        wire::write_frame(stream, &wire::encode_request_traced(request, trace))?;
         let (_trace, payload) = wire::read_frame(stream, 1, frame_deadline).map_err(|e| {
             match e {
                 // For a client a frame is always in flight once the
@@ -509,7 +509,10 @@ impl Client {
         model: &ModelKey,
         request: &SuggestRequest,
     ) -> Result<SuggestResponse, ServingError> {
-        match self.call(RequestRef::Suggest { model, request })? {
+        match self.call(Request::Suggest {
+            model: model.clone(),
+            request: request.clone(),
+        })? {
             Response::Suggest(response) => Ok(response),
             other => Err(unexpected("Suggest", &other)),
         }
@@ -522,7 +525,10 @@ impl Client {
         model: &ModelKey,
         requests: &[SuggestRequest],
     ) -> Result<Vec<SuggestResponse>, ServingError> {
-        match self.call(RequestRef::SuggestBatch { model, requests })? {
+        match self.call(Request::SuggestBatch {
+            model: model.clone(),
+            requests: requests.to_vec(),
+        })? {
             Response::SuggestBatch(responses) => Ok(responses),
             other => Err(unexpected("SuggestBatch", &other)),
         }
@@ -534,7 +540,10 @@ impl Client {
         model: &ModelKey,
         request: &CheckPrescriptionRequest,
     ) -> Result<InteractionReport, ServingError> {
-        match self.call(RequestRef::CheckPrescription { model, request })? {
+        match self.call(Request::CheckPrescription {
+            model: model.clone(),
+            request: request.clone(),
+        })? {
             Response::CheckPrescription(report) => Ok(report),
             other => Err(unexpected("CheckPrescription", &other)),
         }
@@ -569,7 +578,10 @@ impl Client {
         container: &[u8],
     ) -> Result<ModelInfo, ServingError> {
         Self::check_reload_fits(model, container)?;
-        match self.call(RequestRef::ReloadModel { model, container })? {
+        match self.call(Request::ReloadModel {
+            model: model.clone(),
+            container: container.to_vec(),
+        })? {
             Response::ModelReloaded(info) => Ok(info),
             other => Err(unexpected("ReloadModel", &other)),
         }
@@ -587,7 +599,10 @@ impl Client {
         container: &[u8],
     ) -> Result<KbInfo, ServingError> {
         Self::check_reload_fits(model, container)?;
-        match self.call(RequestRef::ReloadKb { model, container })? {
+        match self.call(Request::ReloadKb {
+            model: model.clone(),
+            container: container.to_vec(),
+        })? {
             Response::KbReloaded(info) => Ok(info),
             other => Err(unexpected("ReloadKb", &other)),
         }
@@ -595,7 +610,9 @@ impl Client {
 
     /// Fetches the summary of the knowledge base paired with one shard.
     pub fn kb_info(&mut self, model: &ModelKey) -> Result<KbInfo, ServingError> {
-        match self.call(RequestRef::KbInfo { model })? {
+        match self.call(Request::KbInfo {
+            model: model.clone(),
+        })? {
             Response::KbInfo(info) => Ok(info),
             other => Err(unexpected("KbInfo", &other)),
         }
@@ -603,7 +620,7 @@ impl Client {
 
     /// Lists the models the gateway serves.
     pub fn list_models(&mut self) -> Result<Vec<ModelInfo>, ServingError> {
-        match self.call(RequestRef::ListModels)? {
+        match self.call(Request::ListModels)? {
             Response::ListModels(models) => Ok(models),
             other => Err(unexpected("ListModels", &other)),
         }
@@ -619,7 +636,7 @@ impl Client {
     /// plus the gateway's transport counters (connections accepted /
     /// active / shed, stalled peers reaped).
     pub fn stats_report(&mut self) -> Result<StatsReport, ServingError> {
-        match self.call(RequestRef::Stats)? {
+        match self.call(Request::Stats)? {
             Response::Stats(report) => Ok(report),
             other => Err(unexpected("Stats", &other)),
         }
@@ -632,7 +649,7 @@ impl Client {
     /// Idempotent, and answered even by a gateway shedding load (trace
     /// dumps bypass admission).
     pub fn trace_dump(&mut self, limit: u64) -> Result<Vec<TraceExemplar>, ServingError> {
-        match self.call(RequestRef::TraceDump { limit })? {
+        match self.call(Request::TraceDump { limit })? {
             Response::TraceDump(exemplars) => Ok(exemplars),
             other => Err(unexpected("TraceDump", &other)),
         }
@@ -643,7 +660,7 @@ impl Client {
     /// health probes keep answering while the data plane sheds load.
     pub fn ping(&mut self) -> Result<Duration, ServingError> {
         let start = Instant::now();
-        match self.call(RequestRef::Ping)? {
+        match self.call(Request::Ping)? {
             Response::Pong => Ok(start.elapsed()),
             other => Err(unexpected("Ping", &other)),
         }
@@ -657,7 +674,9 @@ impl Client {
         &mut self,
         versions: &[KeyVersions],
     ) -> Result<Vec<KeyVersions>, ServingError> {
-        match self.call(RequestRef::PeerStatus { versions })? {
+        match self.call(Request::PeerStatus {
+            versions: versions.to_vec(),
+        })? {
             Response::PeerStatus { versions } => Ok(versions),
             other => Err(unexpected("PeerStatus", &other)),
         }
@@ -671,7 +690,10 @@ impl Client {
         model: &ModelKey,
         artifact: SyncArtifact,
     ) -> Result<(u64, Vec<u8>), ServingError> {
-        match self.call(RequestRef::PeerSync { model, artifact })? {
+        match self.call(Request::PeerSync {
+            model: model.clone(),
+            artifact,
+        })? {
             Response::PeerSync {
                 model: got_model,
                 artifact: got_artifact,
@@ -695,7 +717,7 @@ impl Client {
     /// Asks the gateway to shut down cleanly, consuming the client. Returns
     /// once the server has acknowledged. Never retried on transport faults.
     pub fn shutdown(mut self) -> Result<(), ServingError> {
-        match self.call(RequestRef::Shutdown)? {
+        match self.call(Request::Shutdown)? {
             Response::ShuttingDown => Ok(()),
             other => Err(unexpected("Shutdown", &other)),
         }

@@ -20,8 +20,8 @@
 //!   payload length and CRC-32. Malformed, truncated or version-mismatched
 //!   frames produce typed errors and never panic.
 //! * [`server`] — `dssddi-serve`'s engine: a `std::net::TcpListener`
-//!   thread-per-connection [`Server`] over the sharded `suggest_batch`
-//!   core.
+//!   thread-per-connection [`Server`] over the sharded
+//!   `suggest_batch_with_kb` core.
 //! * [`client`] — a blocking [`Client`] speaking the same wire protocol.
 //! * [`telemetry`] — every hot point (per-model counts, admission sheds,
 //!   queue wait, per-stage serving latency, severity-graded findings,
@@ -62,8 +62,8 @@
 //! Responses are **byte-identical** to calling the fitted service
 //! in-process: scores and suggestion-satisfaction values round-trip as
 //! IEEE-754 bit patterns, and the integration tests assert bit-equality
-//! between `Client` responses and `DecisionService::suggest_batch` for every
-//! message type.
+//! between `Client` responses and `DecisionService`'s `_with_kb` entry
+//! points for every message type.
 
 #![warn(missing_docs)]
 // The serving path must degrade into typed errors, never panics: malformed

@@ -4,8 +4,8 @@
 //! Each accepted connection gets its own handler thread that reads framed
 //! requests, dispatches them through the shared router (so per-model stats
 //! aggregate across connections) and writes framed responses back. The
-//! sharded `suggest_batch` core does the heavy lifting; the server adds only
-//! transport.
+//! sharded `suggest_batch_with_kb` core does the heavy lifting; the server
+//! adds only transport.
 //!
 //! Failure containment is the design center: a malformed or corrupt frame
 //! produces a typed [`Response::Error`] on that connection — or, when the

@@ -454,6 +454,33 @@ pub enum Request {
     Shutdown,
 }
 
+impl Request {
+    /// Whether re-sending this request after a transport fault is safe:
+    /// read-only requests never change gateway state, so a duplicate
+    /// execution is harmless. Reloads swap live artifacts and `Shutdown`
+    /// stops the gateway — a client must never retry those on its own,
+    /// because the first send may have executed before the fault.
+    pub fn is_idempotent(&self) -> bool {
+        match self {
+            Request::Suggest { .. }
+            | Request::SuggestBatch { .. }
+            | Request::CheckPrescription { .. }
+            | Request::KbInfo { .. }
+            | Request::ListModels
+            | Request::Stats
+            | Request::Ping
+            // Peer messages are reads: a status exchange reports versions
+            // and a sync pull ships a container without mutating the
+            // responder, so the anti-entropy loop may retry them freely.
+            | Request::PeerStatus { .. }
+            | Request::PeerSync { .. }
+            // Dumping trace exemplars reads a ring without mutating it.
+            | Request::TraceDump { .. } => true,
+            Request::ReloadModel { .. } | Request::ReloadKb { .. } | Request::Shutdown => false,
+        }
+    }
+}
+
 /// A server-to-client message.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -1011,138 +1038,6 @@ fn take_replica_stats(r: &mut ByteReader<'_>) -> Result<ReplicaStats, SerdeError
 // Message codecs.
 // ---------------------------------------------------------------------------
 
-/// A borrowed view of a [`Request`], so callers holding the pieces (a key,
-/// a slice of requests) can encode a frame without cloning them into an
-/// owned message first — the client's hot path.
-#[derive(Debug, Clone, Copy)]
-#[non_exhaustive]
-pub enum RequestRef<'a> {
-    /// Borrowed [`Request::Suggest`].
-    Suggest {
-        /// The shard to route to.
-        model: &'a ModelKey,
-        /// The typed suggestion request.
-        request: &'a SuggestRequest,
-    },
-    /// Borrowed [`Request::SuggestBatch`].
-    SuggestBatch {
-        /// The shard to route to.
-        model: &'a ModelKey,
-        /// The typed suggestion requests.
-        requests: &'a [SuggestRequest],
-    },
-    /// Borrowed [`Request::CheckPrescription`].
-    CheckPrescription {
-        /// The shard to route to.
-        model: &'a ModelKey,
-        /// The typed prescription-check request.
-        request: &'a CheckPrescriptionRequest,
-    },
-    /// Borrowed [`Request::ReloadModel`].
-    ReloadModel {
-        /// The shard to swap.
-        model: &'a ModelKey,
-        /// The `DSSD` container bytes.
-        container: &'a [u8],
-    },
-    /// Borrowed [`Request::ReloadKb`].
-    ReloadKb {
-        /// The shard whose KB to swap.
-        model: &'a ModelKey,
-        /// The `DSKB` container bytes.
-        container: &'a [u8],
-    },
-    /// Borrowed [`Request::KbInfo`].
-    KbInfo {
-        /// The shard to describe.
-        model: &'a ModelKey,
-    },
-    /// Borrowed [`Request::ListModels`].
-    ListModels,
-    /// Borrowed [`Request::Stats`].
-    Stats,
-    /// Borrowed [`Request::Ping`].
-    Ping,
-    /// Borrowed [`Request::PeerStatus`].
-    PeerStatus {
-        /// The requester's per-key artifact versions.
-        versions: &'a [KeyVersions],
-    },
-    /// Borrowed [`Request::PeerSync`].
-    PeerSync {
-        /// The shard to pull.
-        model: &'a ModelKey,
-        /// Which artifact to ship.
-        artifact: SyncArtifact,
-    },
-    /// Borrowed [`Request::TraceDump`].
-    TraceDump {
-        /// Maximum exemplars to return (`0` means all retained).
-        limit: u64,
-    },
-    /// Borrowed [`Request::Shutdown`].
-    Shutdown,
-}
-
-impl RequestRef<'_> {
-    /// Whether re-sending this request after a transport fault is safe:
-    /// read-only requests never change gateway state, so a duplicate
-    /// execution is harmless. Reloads swap live artifacts and `Shutdown`
-    /// stops the gateway — a client must never retry those on its own,
-    /// because the first send may have executed before the fault.
-    pub fn is_idempotent(&self) -> bool {
-        match self {
-            RequestRef::Suggest { .. }
-            | RequestRef::SuggestBatch { .. }
-            | RequestRef::CheckPrescription { .. }
-            | RequestRef::KbInfo { .. }
-            | RequestRef::ListModels
-            | RequestRef::Stats
-            | RequestRef::Ping
-            // Peer messages are reads: a status exchange reports versions
-            // and a sync pull ships a container without mutating the
-            // responder, so the anti-entropy loop may retry them freely.
-            | RequestRef::PeerStatus { .. }
-            | RequestRef::PeerSync { .. }
-            // Dumping trace exemplars reads a ring without mutating it.
-            | RequestRef::TraceDump { .. } => true,
-            RequestRef::ReloadModel { .. } | RequestRef::ReloadKb { .. } | RequestRef::Shutdown => {
-                false
-            }
-        }
-    }
-}
-
-impl Request {
-    /// The borrowed view of this request.
-    pub fn as_request_ref(&self) -> RequestRef<'_> {
-        match self {
-            Request::Suggest { model, request } => RequestRef::Suggest { model, request },
-            Request::SuggestBatch { model, requests } => {
-                RequestRef::SuggestBatch { model, requests }
-            }
-            Request::CheckPrescription { model, request } => {
-                RequestRef::CheckPrescription { model, request }
-            }
-            Request::ReloadModel { model, container } => {
-                RequestRef::ReloadModel { model, container }
-            }
-            Request::ReloadKb { model, container } => RequestRef::ReloadKb { model, container },
-            Request::KbInfo { model } => RequestRef::KbInfo { model },
-            Request::ListModels => RequestRef::ListModels,
-            Request::Stats => RequestRef::Stats,
-            Request::Ping => RequestRef::Ping,
-            Request::PeerStatus { versions } => RequestRef::PeerStatus { versions },
-            Request::PeerSync { model, artifact } => RequestRef::PeerSync {
-                model,
-                artifact: *artifact,
-            },
-            Request::TraceDump { limit } => RequestRef::TraceDump { limit: *limit },
-            Request::Shutdown => RequestRef::Shutdown,
-        }
-    }
-}
-
 /// Starts a frame payload. A traced frame's payload opens with the
 /// extension block carrying `trace`; the returned version is the one the
 /// frame seals under.
@@ -1173,61 +1068,60 @@ fn expect_end(r: &ByteReader<'_>, message: &str) -> Result<(), SerdeError> {
 
 /// Encodes a request into a complete, sealed wire frame.
 pub fn encode_request(request: &Request) -> Vec<u8> {
-    encode_request_ref_traced(request.as_request_ref(), None)
+    encode_request_traced(request, None)
 }
 
-/// Encodes a borrowed request view into a complete, sealed wire frame,
-/// traced when `trace` is set. `None` produces the version-1 frame
-/// [`encode_request`] does, so untraced clients interoperate with old peers.
-pub fn encode_request_ref_traced(request: RequestRef<'_>, trace: Option<u64>) -> Vec<u8> {
+/// [`encode_request`], traced when `trace` is set. `None` produces the
+/// version-1 frame, so untraced clients interoperate with old peers.
+pub fn encode_request_traced(request: &Request, trace: Option<u64>) -> Vec<u8> {
     let (mut w, version) = start_payload(trace);
     match request {
-        RequestRef::Suggest { model, request } => {
+        Request::Suggest { model, request } => {
             w.put_u8(RequestTag::Suggest as u8);
             put_model_key(&mut w, model);
             put_suggest_request(&mut w, request);
         }
-        RequestRef::SuggestBatch { model, requests } => {
+        Request::SuggestBatch { model, requests } => {
             w.put_u8(RequestTag::SuggestBatch as u8);
             put_model_key(&mut w, model);
             put_seq(&mut w, requests, put_suggest_request);
         }
-        RequestRef::CheckPrescription { model, request } => {
+        Request::CheckPrescription { model, request } => {
             w.put_u8(RequestTag::CheckPrescription as u8);
             put_model_key(&mut w, model);
             put_check_request(&mut w, request);
         }
-        RequestRef::ReloadModel { model, container } => {
+        Request::ReloadModel { model, container } => {
             w.put_u8(RequestTag::ReloadModel as u8);
             put_model_key(&mut w, model);
             w.put_u8_slice(container);
         }
-        RequestRef::ReloadKb { model, container } => {
+        Request::ReloadKb { model, container } => {
             w.put_u8(RequestTag::ReloadKb as u8);
             put_model_key(&mut w, model);
             w.put_u8_slice(container);
         }
-        RequestRef::KbInfo { model } => {
+        Request::KbInfo { model } => {
             w.put_u8(RequestTag::KbInfo as u8);
             put_model_key(&mut w, model);
         }
-        RequestRef::ListModels => w.put_u8(RequestTag::ListModels as u8),
-        RequestRef::Stats => w.put_u8(RequestTag::Stats as u8),
-        RequestRef::Ping => w.put_u8(RequestTag::Ping as u8),
-        RequestRef::PeerStatus { versions } => {
+        Request::ListModels => w.put_u8(RequestTag::ListModels as u8),
+        Request::Stats => w.put_u8(RequestTag::Stats as u8),
+        Request::Ping => w.put_u8(RequestTag::Ping as u8),
+        Request::PeerStatus { versions } => {
             w.put_u8(RequestTag::PeerStatus as u8);
             put_key_versions(&mut w, versions);
         }
-        RequestRef::PeerSync { model, artifact } => {
+        Request::PeerSync { model, artifact } => {
             w.put_u8(RequestTag::PeerSync as u8);
             put_model_key(&mut w, model);
-            w.put_u8(artifact as u8);
+            w.put_u8(*artifact as u8);
         }
-        RequestRef::TraceDump { limit } => {
+        Request::TraceDump { limit } => {
             w.put_u8(RequestTag::TraceDump as u8);
-            w.put_u64(limit);
+            w.put_u64(*limit);
         }
-        RequestRef::Shutdown => w.put_u8(RequestTag::Shutdown as u8),
+        Request::Shutdown => w.put_u8(RequestTag::Shutdown as u8),
     }
     seal_frame(WIRE_MAGIC, version, w.as_bytes())
 }
@@ -1284,7 +1178,7 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
 }
 
 /// [`encode_response`], traced when `trace` is set, mirroring
-/// [`encode_request_ref_traced`].
+/// [`encode_request_traced`].
 pub fn encode_response_traced(response: &Response, trace: Option<u64>) -> Vec<u8> {
     let (mut w, version) = start_payload(trace);
     match response {
@@ -1818,8 +1712,8 @@ mod tests {
         let request = sample_request();
         // No trace: the traced encoder is byte-for-byte the v1 encoder.
         assert_eq!(
-            encode_request_ref_traced(request.as_request_ref(), None),
-            encode_request(&request),
+            encode_request_traced(&request, None),
+            encode_request(&request)
         );
         let response = Response::Pong;
         assert_eq!(
@@ -1828,7 +1722,7 @@ mod tests {
         );
         // With a trace: a v2 frame whose payload decodes identically and
         // whose trace ID survives both open paths.
-        let traced = encode_request_ref_traced(request.as_request_ref(), Some(0xDEAD_BEEF));
+        let traced = encode_request_traced(&request, Some(0xDEAD_BEEF));
         let (trace, payload) = open_wire_frame_traced(&traced).unwrap();
         assert_eq!(trace, Some(0xDEAD_BEEF));
         assert!(matches!(
@@ -1925,26 +1819,70 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_and_owned_request_encodings_are_identical() {
-        let request = sample_request();
-        let (model, suggest) = match &request {
-            Request::Suggest { model, request } => (model, request),
-            other => panic!("sample changed: {other:?}"),
-        };
-        assert_eq!(
-            encode_request(&request),
-            encode_request_ref_traced(
-                RequestRef::Suggest {
-                    model,
-                    request: suggest
+    fn only_reads_are_idempotent() {
+        let model = || ModelKey::new("chronic").unwrap();
+        let table = [
+            (sample_request(), true),
+            (
+                Request::SuggestBatch {
+                    model: model(),
+                    requests: Vec::new(),
                 },
-                None
-            )
-        );
-        assert_eq!(
-            encode_request(&Request::Stats),
-            encode_request_ref_traced(RequestRef::Stats, None)
-        );
+                true,
+            ),
+            (
+                Request::CheckPrescription {
+                    model: model(),
+                    request: CheckPrescriptionRequest::new(vec![DrugId::new(1)]),
+                },
+                true,
+            ),
+            (Request::KbInfo { model: model() }, true),
+            (Request::ListModels, true),
+            (Request::Stats, true),
+            (Request::Ping, true),
+            (
+                Request::PeerStatus {
+                    versions: Vec::new(),
+                },
+                true,
+            ),
+            (
+                Request::PeerSync {
+                    model: model(),
+                    artifact: SyncArtifact::Model,
+                },
+                true,
+            ),
+            (Request::TraceDump { limit: 0 }, true),
+            (
+                Request::ReloadModel {
+                    model: model(),
+                    container: Vec::new(),
+                },
+                false,
+            ),
+            (
+                Request::ReloadKb {
+                    model: model(),
+                    container: Vec::new(),
+                },
+                false,
+            ),
+            (Request::Shutdown, false),
+        ];
+        for (request, idempotent) in &table {
+            assert_eq!(request.is_idempotent(), *idempotent, "{request:?}");
+        }
+        // The table names every request message once.
+        let mut tags: Vec<u8> = table
+            .iter()
+            .map(|(request, _)| open_wire_frame(&encode_request(request)).unwrap()[0])
+            .collect();
+        tags.sort_unstable();
+        let mut all: Vec<u8> = RequestTag::ALL.iter().map(|&tag| tag as u8).collect();
+        all.sort_unstable();
+        assert_eq!(tags, all);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The acceptance bar of the serving redesign: a [`Client`] talking to a
 //! server must return rankings, scores and explanations **byte-identical**
-//! to calling `DecisionService::suggest_batch` in-process on the same
-//! fitted service, for every message type; corrupt, oversized or
+//! to calling `DecisionService` in-process on the same fitted service, for
+//! every message type; corrupt, oversized or
 //! version-mismatched frames must produce typed errors on both ends while
 //! the server stays up; and shutdown must be clean.
 
@@ -100,7 +100,9 @@ fn every_message_type_is_byte_identical_to_in_process_serving() {
 
     // --- Suggest / SuggestBatch ---------------------------------------
     let requests = demo_requests(&world, 8, 3);
-    let local = reference.suggest_batch(&requests).expect("local batch");
+    let local = reference
+        .suggest_batch_with_kb(&requests, None)
+        .expect("local batch");
     let remote = client
         .suggest_batch(&fitted_key, &requests)
         .expect("remote batch");
@@ -116,7 +118,9 @@ fn every_message_type_is_byte_identical_to_in_process_serving() {
             "satisfaction bits differ"
         );
     }
-    let single_local = reference.suggest(&requests[0]).expect("local single");
+    let single_local = reference
+        .suggest_with_kb(&requests[0], None)
+        .expect("local single");
     let single_remote = client
         .suggest(&fitted_key, &requests[0])
         .expect("remote single");

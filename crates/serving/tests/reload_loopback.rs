@@ -16,12 +16,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dssddi_core::{CheckPrescriptionRequest, DrugId, ServiceBuilder};
+use dssddi_core::{CheckPrescriptionRequest, CoreError, DecisionService, DrugId, ServiceBuilder};
 use dssddi_kb::{EvidenceLevel, KbFact, KnowledgeBase, Severity};
-use dssddi_serving::demo::{demo_catalog, demo_requests, DemoWorld, DEMO_SEED};
+use dssddi_serving::demo::{demo_catalog, demo_requests, DemoWorld, DEMO_FITTED_KEY, DEMO_SEED};
 use dssddi_serving::{
-    Client, ErrorCode, ModelCatalog, ModelKey, Router, Server, ServingError, WireError,
+    Client, ErrorCode, ModelCatalog, ModelKey, Request, Response, Router, Server, ServingError,
+    WireError,
 };
+use dssddi_tensor::serde::{open_frame, seal_frame, FORMAT_VERSION, MAGIC};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -166,7 +168,7 @@ fn kb_and_model_hot_reload_under_concurrent_traffic() {
         dssddi_core::DecisionService::load_with_embedded_registry_bytes(&retrained_bytes)
             .expect("reference reload");
     let local = reloaded_reference
-        .suggest_batch(&requests)
+        .suggest_batch_with_kb(&requests, None)
         .expect("local batch");
     let remote = ops.suggest_batch(&key, &requests).expect("remote batch");
     assert_eq!(local.len(), remote.len());
@@ -260,6 +262,59 @@ fn foreign_or_damaged_reload_artifacts_are_typed_errors() {
 
     client.shutdown().expect("clean shutdown");
     handle.join().expect("no panic").expect("clean exit");
+}
+
+/// A resealed container passes the CRC, so a model whose weights hold a NaN
+/// must be refused by the loader itself, and the shard keeps serving the
+/// model it had.
+#[test]
+fn a_model_with_a_nan_weight_is_refused_and_the_shard_keeps_serving() {
+    let (catalog, world) = demo_catalog(DEMO_SEED).expect("demo catalog");
+    let key = ModelKey::new(DEMO_FITTED_KEY).expect("key");
+    let service = catalog.service(&key).expect("fitted shard");
+    let container = service.to_container_bytes();
+    let repr = service
+        .engine()
+        .expect("fitted")
+        .md_module()
+        .drug_representations();
+    let pattern: Vec<u8> = repr.data().iter().flat_map(|v| v.to_le_bytes()).collect();
+    let mut payload = open_frame(MAGIC, FORMAT_VERSION, &container)
+        .expect("valid container")
+        .to_vec();
+    let found: Vec<usize> = payload
+        .windows(pattern.len())
+        .enumerate()
+        .filter(|(_, window)| *window == pattern.as_slice())
+        .map(|(at, _)| at)
+        .collect();
+    assert_eq!(found.len(), 1, "the drug representations occur once");
+    let at = found[0] + 4 * repr.cols(); // the second drug's first entry
+    payload[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+    let poisoned = seal_frame(MAGIC, FORMAT_VERSION, &payload);
+
+    match DecisionService::load_with_embedded_registry_bytes(&poisoned) {
+        Err(CoreError::Persistence { what }) => {
+            assert!(what.contains("drug_repr"), "uncontextual error: {what}")
+        }
+        other => panic!("expected a Persistence error, got {other:?}"),
+    }
+
+    let router = Router::new(catalog);
+    let batch = Request::SuggestBatch {
+        model: key.clone(),
+        requests: demo_requests(&world, 16, 3),
+    };
+    let before = router.serve(&batch);
+    assert!(matches!(before, Response::SuggestBatch(_)), "{before:?}");
+    match router.serve(&Request::ReloadModel {
+        model: key,
+        container: poisoned,
+    }) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Persistence),
+        other => panic!("expected a Persistence error frame, got {other:?}"),
+    }
+    assert_eq!(router.serve(&batch), before);
 }
 
 #[test]

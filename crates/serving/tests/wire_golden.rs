@@ -16,7 +16,7 @@ use dssddi_core::{
 use dssddi_graph::{Community, Interaction};
 use dssddi_kb::{AlertPolicy, KbInfo, Severity};
 use dssddi_serving::wire::{
-    decode_request, decode_response, encode_request, encode_request_ref_traced, encode_response,
+    decode_request, decode_response, encode_request, encode_request_traced, encode_response,
     encode_response_traced, open_wire_frame, open_wire_frame_traced,
 };
 use dssddi_serving::{
@@ -411,13 +411,7 @@ fn traced_frames_match_their_golden_bytes() {
     };
     let frame = "445357520200170000000000000001010808070605040302010d0200000000000000636b01acdad6\
                  72";
-    assert_eq!(
-        hex(&encode_request_ref_traced(
-            request.as_request_ref(),
-            Some(TRACE)
-        )),
-        frame
-    );
+    assert_eq!(hex(&encode_request_traced(&request, Some(TRACE))), frame);
     let bytes = unhex(frame);
     let (trace, payload) = open_wire_frame_traced(&bytes).unwrap();
     assert_eq!(trace, Some(TRACE));

@@ -18,7 +18,7 @@ use dssddi_graph::{Community, Interaction};
 use dssddi_kb::{AlertPolicy, KbInfo, Severity};
 use dssddi_obs::trace::STAGE_COUNT;
 use dssddi_serving::wire::{
-    decode_request, decode_response, encode_request, encode_request_ref_traced, encode_response,
+    decode_request, decode_response, encode_request, encode_request_traced, encode_response,
     encode_response_traced, open_wire_frame, open_wire_frame_traced, RequestTag, ResponseTag,
     WireError,
 };
@@ -494,12 +494,12 @@ proptest! {
         trace in any::<u64>(),
     ) {
         // Requests.
-        let traced = encode_request_ref_traced(request.as_request_ref(), Some(trace));
+        let traced = encode_request_traced(&request, Some(trace));
         let (got, payload) = open_wire_frame_traced(&traced).expect("traced frame validates");
         prop_assert_eq!(got, Some(trace));
         let back = decode_request(payload).expect("traced payload decodes");
         prop_assert_eq!(request_bytes(&back), request_bytes(&request));
-        let untraced = encode_request_ref_traced(request.as_request_ref(), None);
+        let untraced = encode_request_traced(&request, None);
         prop_assert_eq!(&untraced, &encode_request(&request));
         let (got, _) = open_wire_frame_traced(&untraced).expect("v1 frame validates");
         prop_assert_eq!(got, None);

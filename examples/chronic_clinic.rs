@@ -70,7 +70,7 @@ fn main() {
                 .map(DrugId::new)
                 .collect();
             ss += service
-                .check_prescription(&CheckPrescriptionRequest::new(top))
+                .check_prescription_with_kb(&CheckPrescriptionRequest::new(top), None)
                 .expect("prescription check")
                 .suggestion_satisfaction;
         }
@@ -92,7 +92,7 @@ fn main() {
                 .map(DrugId::new)
                 .collect();
             let report = service
-                .check_prescription(&CheckPrescriptionRequest::new(top))
+                .check_prescription_with_kb(&CheckPrescriptionRequest::new(top), None)
                 .expect("prescription check");
             if !report.is_safe() {
                 conflicts += 1;

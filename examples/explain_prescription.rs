@@ -50,7 +50,7 @@ fn main() {
             .map(|name| service.resolve_drug(name).expect("drug in the formulary"))
             .collect();
         let report = service
-            .check_prescription(&CheckPrescriptionRequest::new(drugs))
+            .check_prescription_with_kb(&CheckPrescriptionRequest::new(drugs), None)
             .expect("prescription check");
         println!("== {title} ==");
         println!(
@@ -100,10 +100,13 @@ fn main() {
     // nitrate/anticonvulsant pair, exactly the behaviour Table III relies on.
     let ss = |a: &str, b: &str| {
         service
-            .check_prescription(&CheckPrescriptionRequest::new(vec![
-                service.resolve_drug(a).unwrap(),
-                service.resolve_drug(b).unwrap(),
-            ]))
+            .check_prescription_with_kb(
+                &CheckPrescriptionRequest::new(vec![
+                    service.resolve_drug(a).unwrap(),
+                    service.resolve_drug(b).unwrap(),
+                ]),
+                None,
+            )
             .unwrap()
             .suggestion_satisfaction
     };

@@ -96,7 +96,10 @@ fn main() {
         .map(|&p| SuggestRequest::new(PatientId::new(p), mimic.features().row(p).to_vec(), 8))
         .collect();
     println!("\nTyped suggestions for three held-out ICU patients:");
-    for response in service.suggest_batch(&requests).expect("suggest") {
+    for response in service
+        .suggest_batch_with_kb(&requests, None)
+        .expect("suggest")
+    {
         let top: Vec<String> = response
             .drugs
             .iter()

@@ -62,7 +62,9 @@ fn main() {
         .iter()
         .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
         .collect();
-    let responses = service.suggest_batch(&requests).expect("suggestions");
+    let responses = service
+        .suggest_batch_with_kb(&requests, None)
+        .expect("suggestions");
     for response in &responses {
         let patient = response.patient.index();
         println!("{}", response.patient);
@@ -106,7 +108,7 @@ fn main() {
             .expect("known drug"),
     ]);
     let report = service
-        .check_prescription(&check)
+        .check_prescription_with_kb(&check, None)
         .expect("prescription check");
     println!(
         "Prescription check (Gabapentin + Isosorbide Mononitrate): {}",

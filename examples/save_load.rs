@@ -63,10 +63,10 @@ fn main() {
         .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
         .collect();
     let before = service
-        .suggest_batch(&requests)
+        .suggest_batch_with_kb(&requests, None)
         .expect("suggest (original)");
     let after = reloaded
-        .suggest_batch(&requests)
+        .suggest_batch_with_kb(&requests, None)
         .expect("suggest (reloaded)");
     for (a, b) in before.iter().zip(&after) {
         println!("{}", a.patient);

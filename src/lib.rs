@@ -77,7 +77,7 @@
 //!     .iter()
 //!     .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
 //!     .collect();
-//! for response in service.suggest_batch(&requests).unwrap() {
+//! for response in service.suggest_batch_with_kb(&requests, None).unwrap() {
 //!     for drug in &response.drugs {
 //!         println!("{}: {} ({}) score {:.3}", response.patient, drug.name, drug.id, drug.score);
 //!     }
@@ -89,7 +89,7 @@
 //!     service.resolve_drug("Gabapentin").unwrap(),
 //!     service.resolve_drug("Isosorbide Mononitrate").unwrap(),
 //! ]);
-//! let report = service.check_prescription(&check).unwrap();
+//! let report = service.check_prescription_with_kb(&check, None).unwrap();
 //! if !report.is_safe() {
 //!     for pair in &report.antagonistic {
 //!         println!("warning: {} is antagonistic with {}", pair.a_name, pair.b_name);
@@ -102,7 +102,7 @@
 //! service.save("dssddi.dssd").unwrap();
 //! let reloaded = DecisionService::load("dssddi.dssd", DrugRegistry::standard()).unwrap();
 //! assert_eq!(
-//!     reloaded.suggest_batch(&requests).unwrap().len(),
+//!     reloaded.suggest_batch_with_kb(&requests, None).unwrap().len(),
 //!     requests.len(),
 //! );
 //!
@@ -375,29 +375,28 @@
 //! Serving also memoizes explanation subgraphs in a service-owned,
 //! size-bounded LRU cache (default
 //! [`DEFAULT_EXPLANATION_CACHE_CAPACITY`](core::DEFAULT_EXPLANATION_CACHE_CAPACITY)
-//! = 1024 drug sets), shared across `suggest_batch` calls — the DDI graph is
-//! immutable after fit, so cached community searches stay valid for the
-//! service's lifetime while memory use stays flat.
+//! = 1024 drug sets), shared across `suggest_batch_with_kb` calls — the DDI
+//! graph is immutable after fit, so cached community searches stay valid
+//! for the service's lifetime while memory use stays flat.
 //!
 //! ## Serving performance
 //!
-//! Inference never touches the autodiff tape: `suggest_batch` runs through
-//! a dedicated tape-free path (`Mlp::infer` and friends in [`gnn::infer`])
-//! built on fused, cache-blocked kernels in [`tensor`] that write into a
-//! reusable [`ScratchPool`](tensor::ScratchPool) — no per-op allocation in
-//! steady state, and **bit-identical** outputs to the taped training-time
-//! forward pass. The taped scoring path is a test reference only: it is
-//! compiled under `#[cfg(test)]`, where a test asserts the tape-free scores
-//! match it bit for bit. Scratch-pool rules: whoever `take`s a buffer
-//! `recycle`s it when done; a taken buffer has *unspecified contents* and
-//! must be fully overwritten (every `*_into` kernel does — use
-//! `take_zeroed` otherwise); buffers never cross threads — each serving
-//! worker owns its own pool.
+//! Inference never touches the autodiff tape: `suggest_batch_with_kb` runs
+//! through a dedicated tape-free path (`Mlp::infer` and friends in
+//! [`gnn::infer`]) built on fused, cache-blocked kernels in [`tensor`] that
+//! write into a reusable [`ScratchPool`](tensor::ScratchPool) — no per-op
+//! allocation in steady state, and **bit-identical** outputs to the taped
+//! training-time forward pass. The taped scoring path is a test reference
+//! only: it is compiled under `#[cfg(test)]`, where a test asserts the
+//! tape-free scores match it bit for bit. Scratch-pool rules: whoever
+//! `take`s a buffer `recycle`s it when done; a taken buffer has
+//! *unspecified contents* and must be fully overwritten (every `*_into`
+//! kernel does — use `take_zeroed` otherwise); buffers never cross threads
+//! — each serving worker owns its own pool.
 //!
 //! Large batches are sharded across scoped worker threads automatically
-//! (the service is `Sync`;
-//! [`suggest_batch_sharded`](core::DecisionService::suggest_batch_sharded)
-//! controls the shard count explicitly). The shared explanation memo is
+//! (the service is `Sync`; the shard count follows the batch size and the
+//! threads the process may run). The shared explanation memo is
 //! locked only for lookup/insert — never during a community search — so
 //! cold explanations overlap across shards. Responses are always in
 //! request order with scores identical to serial serving.

@@ -90,7 +90,9 @@ fn decision_service_end_to_end() {
             )
         })
         .collect();
-    let responses = service.suggest_batch(&requests).expect("suggest_batch");
+    let responses = service
+        .suggest_batch_with_kb(&requests, None)
+        .expect("suggest_batch");
     assert_eq!(responses.len(), world.split.test.len());
     for (request, response) in requests.iter().zip(&responses) {
         assert_eq!(response.patient, request.patient);
@@ -114,7 +116,7 @@ fn decision_service_end_to_end() {
         service.resolve_drug("Isosorbide Mononitrate").unwrap(),
     ]);
     let report = service
-        .check_prescription(&check)
+        .check_prescription_with_kb(&check, None)
         .expect("check_prescription");
     assert!(!report.is_safe());
     assert_eq!(report.antagonistic.len(), 1);
@@ -125,7 +127,7 @@ fn decision_service_end_to_end() {
     // suggested any of its antagonists.
     let taken = service.resolve_drug("Isosorbide Mononitrate").unwrap();
     let filtered = service
-        .suggest(
+        .suggest_with_kb(
             &SuggestRequest::new(
                 PatientId::new(world.split.test[0]),
                 world.cohort.features().row(world.split.test[0]).to_vec(),
@@ -135,6 +137,7 @@ fn decision_service_end_to_end() {
                 avoid_antagonists_of: vec![taken],
                 ..Default::default()
             }),
+            None,
         )
         .expect("filtered suggestion");
     for drug in &filtered.drugs {
@@ -176,7 +179,7 @@ fn full_pipeline_fit_suggest_explain_evaluate() {
             )
         })
         .collect();
-    let suggestions = system.suggest_batch(&requests).unwrap();
+    let suggestions = system.suggest_batch_with_kb(&requests, None).unwrap();
     assert_eq!(suggestions.len(), world.split.test.len());
     for suggestion in &suggestions {
         assert_eq!(suggestion.drugs.len(), 4);

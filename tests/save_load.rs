@@ -81,8 +81,8 @@ fn reloaded_service_returns_identical_responses() {
             )
         })
         .collect();
-    let original = service.suggest_batch(&requests).unwrap();
-    let restored = reloaded.suggest_batch(&requests).unwrap();
+    let original = service.suggest_batch_with_kb(&requests, None).unwrap();
+    let restored = reloaded.suggest_batch_with_kb(&requests, None).unwrap();
     assert_eq!(original.len(), restored.len());
     for (a, b) in original.iter().zip(&restored) {
         assert_eq!(a.patient, b.patient);
@@ -141,8 +141,8 @@ fn embedded_registry_load_matches_registry_backed_load() {
             )
         })
         .collect();
-    let original = service.suggest_batch(&requests).unwrap();
-    let restored = embedded.suggest_batch(&requests).unwrap();
+    let original = service.suggest_batch_with_kb(&requests, None).unwrap();
+    let restored = embedded.suggest_batch_with_kb(&requests, None).unwrap();
     for (a, b) in original.iter().zip(&restored) {
         assert_eq!(a, b, "embedded-registry load must serve identically");
         for (da, db) in a.drugs.iter().zip(&b.drugs) {
@@ -165,8 +165,8 @@ fn support_only_service_round_trips() {
     std::fs::remove_file(&path).ok();
 
     let request = CheckPrescriptionRequest::new(vec![DrugId::new(61), DrugId::new(59)]);
-    let a = service.check_prescription(&request).unwrap();
-    let b = reloaded.check_prescription(&request).unwrap();
+    let a = service.check_prescription_with_kb(&request, None).unwrap();
+    let b = reloaded.check_prescription_with_kb(&request, None).unwrap();
     assert_eq!(a.is_safe(), b.is_safe());
     assert_eq!(a.antagonistic, b.antagonistic);
     assert_eq!(
@@ -176,7 +176,7 @@ fn support_only_service_round_trips() {
     // A support-only service still refuses to suggest after reload.
     let suggest = SuggestRequest::new(PatientId::new(0), vec![0.0; 4], 2);
     assert!(matches!(
-        reloaded.suggest(&suggest),
+        reloaded.suggest_with_kb(&suggest, None),
         Err(CoreError::NotFitted { .. })
     ));
 }
@@ -222,61 +222,10 @@ fn corrupt_truncated_and_mismatched_files_error_without_panics() {
         other => panic!("expected Persistence error, got {other:?}"),
     }
 
-    // Engine-level loading rejects a service container (wrong section).
-    std::fs::write(&path, &bytes).unwrap();
-    assert!(matches!(
-        Dssddi::load(&path),
-        Err(CoreError::Persistence { .. })
-    ));
-
     // A missing file is an I/O persistence error, not a panic.
     std::fs::remove_file(&path).ok();
     assert!(matches!(
         DecisionService::load(&path, DrugRegistry::standard()),
         Err(CoreError::Persistence { .. })
     ));
-}
-
-#[test]
-fn engine_save_load_round_trips_scores() {
-    let world = build_world(41);
-    let mut rng = StdRng::seed_from_u64(42);
-    let observed: Vec<usize> = (0..60).collect();
-    let mut config = DssddiConfig::fast();
-    config.ddi.hidden_dim = 16;
-    config.ddi.epochs = 25;
-    config.md.hidden_dim = 16;
-    config.md.epochs = 30;
-    let train_features = world.cohort.features().select_rows(&observed);
-    let train_graph = world.cohort.bipartite_graph(&observed).unwrap();
-    let engine = Dssddi::fit(
-        &train_features,
-        &train_graph,
-        &world.drug_features,
-        &world.ddi,
-        &config,
-        &mut rng,
-    )
-    .unwrap();
-
-    let path = temp_path("engine");
-    engine.save(&path).unwrap();
-    let reloaded = Dssddi::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-
-    let features = world.cohort.features().select_rows(&[70, 71, 72]);
-    let s1 = engine.predict_scores(&features).unwrap();
-    let s2 = reloaded.predict_scores(&features).unwrap();
-    assert_eq!(s1.data().len(), s2.data().len());
-    for (a, b) in s1.data().iter().zip(s2.data()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-    assert_eq!(
-        engine.ddi_module().is_some(),
-        reloaded.ddi_module().is_some()
-    );
-    assert_eq!(
-        engine.config().md.hidden_dim,
-        reloaded.config().md.hidden_dim
-    );
 }

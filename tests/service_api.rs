@@ -76,10 +76,13 @@ fn check_prescription_flags_known_adverse_pair_by_name() {
     // Metformin + Isosorbide Dinitrate is a Fig. 9 antagonistic case the
     // generator always includes.
     let report = service
-        .check_prescription(&CheckPrescriptionRequest::new(vec![
-            service.resolve_drug("Metformin").unwrap(),
-            service.resolve_drug("Isosorbide Dinitrate").unwrap(),
-        ]))
+        .check_prescription_with_kb(
+            &CheckPrescriptionRequest::new(vec![
+                service.resolve_drug("Metformin").unwrap(),
+                service.resolve_drug("Isosorbide Dinitrate").unwrap(),
+            ]),
+            None,
+        )
         .unwrap();
     assert!(!report.is_safe());
     assert_eq!(report.antagonistic.len(), 1);
@@ -90,10 +93,13 @@ fn check_prescription_flags_known_adverse_pair_by_name() {
 
     // The synergistic Fig. 9 pair passes as safe.
     let safe = service
-        .check_prescription(&CheckPrescriptionRequest::new(vec![
-            service.resolve_drug("Indapamide").unwrap(),
-            service.resolve_drug("Perindopril").unwrap(),
-        ]))
+        .check_prescription_with_kb(
+            &CheckPrescriptionRequest::new(vec![
+                service.resolve_drug("Indapamide").unwrap(),
+                service.resolve_drug("Perindopril").unwrap(),
+            ]),
+            None,
+        )
         .unwrap();
     assert!(safe.is_safe());
     assert_eq!(safe.synergistic.len(), 1);
@@ -126,22 +132,22 @@ fn filter_semantics_on_a_fitted_service() {
     let patient = 70;
     let features = cohort.features().row(patient).to_vec();
     let unfiltered = service
-        .suggest(&SuggestRequest::new(
-            PatientId::new(patient),
-            features.clone(),
-            5,
-        ))
+        .suggest_with_kb(
+            &SuggestRequest::new(PatientId::new(patient), features.clone(), 5),
+            None,
+        )
         .unwrap();
     let banned: Vec<DrugId> = unfiltered.drugs[..2].iter().map(|d| d.id).collect();
 
     let filtered = service
-        .suggest(
+        .suggest_with_kb(
             &SuggestRequest::new(PatientId::new(patient), features, 5).with_filters(
                 SuggestFilters {
                     exclude: banned.clone(),
                     ..Default::default()
                 },
             ),
+            None,
         )
         .unwrap();
     for drug in &filtered.drugs {
@@ -184,9 +190,9 @@ fn batch_and_single_suggestions_agree() {
     let requests: Vec<SuggestRequest> = (55..70)
         .map(|p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
         .collect();
-    let batched = service.suggest_batch(&requests).unwrap();
+    let batched = service.suggest_batch_with_kb(&requests, None).unwrap();
     for (request, from_batch) in requests.iter().zip(&batched) {
-        let single = service.suggest(request).unwrap();
+        let single = service.suggest_with_kb(request, None).unwrap();
         assert_eq!(
             from_batch.drugs.iter().map(|d| d.id).collect::<Vec<_>>(),
             single.drugs.iter().map(|d| d.id).collect::<Vec<_>>(),
@@ -197,5 +203,5 @@ fn batch_and_single_suggestions_agree() {
         );
     }
     // Empty batches are a no-op, not an error.
-    assert!(service.suggest_batch(&[]).unwrap().is_empty());
+    assert!(service.suggest_batch_with_kb(&[], None).unwrap().is_empty());
 }
