@@ -4,8 +4,7 @@
 //! `.expect(...)` (PANIC002), the panic!-family macros (PANIC003) and
 //! slice/array indexing (PANIC004). Test regions (`#[cfg(test)]` items,
 //! `#[test]` functions) are skipped; `tests/`, `examples/` and `benches/`
-//! directories never enter the [`SourceTree`](crate::workspace::SourceTree)
-//! in the first place. Comments and string literals cannot trigger findings
+//! directories never enter the [`SourceTree`] in the first place. Comments and string literals cannot trigger findings
 //! because the lexer strips them before this pass runs.
 //!
 //! The pass is workspace-wide and ratcheted: existing occurrences in

@@ -486,7 +486,7 @@ impl ChaosHandle {
 
     /// Stops accepting, severs every proxied connection and joins all
     /// proxy threads. Bounded: every thread polls the shutdown flag at
-    /// least every [`POLL_INTERVAL`].
+    /// least every `POLL_INTERVAL` (20 ms).
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {

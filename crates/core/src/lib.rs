@@ -40,6 +40,7 @@ pub use ms_module::{
 pub use service::{
     CheckPrescriptionRequest, DecisionService, DrugId, InteractionReport, PairInteraction,
     PatientId, ScoredDrug, ServiceBuilder, SuggestFilters, SuggestRequest, SuggestResponse,
+    DSSD_FORMAT_VERSION, DSSD_MAGIC,
 };
 pub use system::Dssddi;
 

@@ -1,6 +1,6 @@
 //! Shared helpers for persisting DSSDDI state: configurations, signed
-//! graphs and k-means models, written with the `DSSD` primitives of
-//! [`dssddi_tensor::serde`].
+//! graphs and k-means models, written with the byte reader and writer of
+//! [`dssddi_tensor::serde`] into the `DSSD` container payload.
 //!
 //! Every reader validates what it decodes and returns a
 //! [`SerdeError`](dssddi_tensor::serde::SerdeError) (surfaced as

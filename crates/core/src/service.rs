@@ -597,6 +597,19 @@ pub struct DecisionService {
     explanation_index: ExplanationIndex,
 }
 
+/// Magic bytes opening every `DSSD` service container.
+pub const DSSD_MAGIC: [u8; 4] = *b"DSSD";
+
+/// Current `DSSD` container format version.
+pub const DSSD_FORMAT_VERSION: u16 = 1;
+
+/// Reads a container file, naming the path in the I/O error.
+fn read_container_file(path: &Path) -> Result<Vec<u8>, tserde::SerdeError> {
+    std::fs::read(path).map_err(|e| tserde::SerdeError::Io {
+        what: format!("reading {}: {e}", path.display()),
+    })
+}
+
 /// What the service was built with. A fitted engine already owns the DDI
 /// graph and configuration, so the service stores its own copies only in
 /// support-only mode — there is exactly one copy either way.
@@ -651,16 +664,21 @@ impl DecisionService {
     /// Saves the service to a `DSSD` container file: the registry identity,
     /// the configuration and — for fitted services — every trained parameter
     /// set, so the service can be reloaded on a serving host and produce
-    /// byte-identical suggestions. See [`dssddi_tensor::serde`] for the
-    /// on-disk format (magic bytes, version, CRC-32 checksum).
+    /// byte-identical suggestions. The file is written crash-safely with
+    /// [`dssddi_tensor::serde::atomic_write`]; see
+    /// [`DecisionService::to_container_bytes`] for the bytes.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let payload = self.container_payload();
-        tserde::save_container(path, &payload)?;
+        tserde::atomic_write(path, &self.to_container_bytes())?;
         Ok(())
     }
 
-    /// Builds the `DSSD` container payload (the bytes inside the frame).
-    fn container_payload(&self) -> Vec<u8> {
+    /// Serializes the service to an in-memory `DSSD` container: the
+    /// payload sealed in a frame ([`dssddi_tensor::serde`]) under
+    /// [`DSSD_MAGIC`] and [`DSSD_FORMAT_VERSION`], with a CRC-32 trailer.
+    /// [`DecisionService::save`] writes these bytes to disk, and
+    /// replication ships them peer-to-peer. The inverse of
+    /// [`DecisionService::load_with_embedded_registry_bytes`].
+    pub fn to_container_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         persist::put_section(&mut w, section::SERVICE);
         // Registry identity: digest plus the DID-ordered names, so a
@@ -683,18 +701,7 @@ impl DecisionService {
                 persist::write_config(&mut w, config);
             }
         }
-        w.into_bytes()
-    }
-
-    /// Serializes the service to an in-memory `DSSD` container — the exact
-    /// bytes [`DecisionService::save`] would write to disk, sealed with the
-    /// same magic, format version and CRC-32 frame. The inverse of
-    /// [`DecisionService::load_with_embedded_registry_bytes`]; replication
-    /// uses this to ship a live shard's model peer-to-peer without touching
-    /// the filesystem.
-    pub fn to_container_bytes(&self) -> Vec<u8> {
-        let payload = self.container_payload();
-        tserde::seal_frame(tserde::MAGIC, tserde::FORMAT_VERSION, &payload)
+        tserde::seal_frame(DSSD_MAGIC, DSSD_FORMAT_VERSION, w.as_bytes())
     }
 
     /// Loads a service saved by [`DecisionService::save`], reattaching the
@@ -706,8 +713,7 @@ impl DecisionService {
     /// Truncated, corrupt or version-mismatched files produce a typed
     /// [`CoreError::Persistence`]; loading never panics.
     pub fn load(path: impl AsRef<Path>, registry: DrugRegistry) -> Result<Self, CoreError> {
-        let payload = tserde::load_container(path)?;
-        Self::from_payload(&payload, Some(registry))
+        Self::from_container(&read_container_file(path.as_ref())?, Some(registry))
     }
 
     /// Loads a service saved by [`DecisionService::save`], reconstructing
@@ -721,8 +727,7 @@ impl DecisionService {
     /// metadata. When the caller *does* hold the original registry, prefer
     /// [`DecisionService::load`], which cross-checks it name by name.
     pub fn load_with_embedded_registry(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        let payload = tserde::load_container(path)?;
-        Self::from_payload(&payload, None)
+        Self::from_container(&read_container_file(path.as_ref())?, None)
     }
 
     /// [`DecisionService::load_with_embedded_registry`] over an in-memory
@@ -730,14 +735,14 @@ impl DecisionService {
     /// model arrives *over the wire* (hot reload) instead of from a file.
     /// The same validation applies: damaged bytes are typed errors.
     pub fn load_with_embedded_registry_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
-        let payload = tserde::open_frame(tserde::MAGIC, tserde::FORMAT_VERSION, bytes)?;
-        Self::from_payload(payload, None)
+        Self::from_container(bytes, None)
     }
 
-    /// Decodes a service payload. With `Some(registry)` the embedded name
+    /// Decodes a `DSSD` container. With `Some(registry)` the embedded name
     /// list is verified against the provided registry (same drugs, same
     /// DIDs); with `None` the registry is rebuilt from the embedded names.
-    fn from_payload(payload: &[u8], provided: Option<DrugRegistry>) -> Result<Self, CoreError> {
+    fn from_container(bytes: &[u8], provided: Option<DrugRegistry>) -> Result<Self, CoreError> {
+        let (_, payload) = tserde::open_frame(DSSD_MAGIC, &[DSSD_FORMAT_VERSION], bytes)?;
         let mut r = ByteReader::new(payload);
         persist::expect_section(&mut r, section::SERVICE, "service")?;
         let digest = r.take_u64("service.registry_digest")?;

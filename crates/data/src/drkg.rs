@@ -95,7 +95,8 @@ impl KnowledgeGraph {
         self.n_drugs + self.n_diseases + self.n_genes
     }
 
-    /// Entity index of a disease (by its position in [`Disease::ALL`]).
+    /// Entity index of a disease (by its position in
+    /// [`Disease::ALL`](crate::drugs::Disease::ALL)).
     pub fn disease_entity(&self, disease_index: usize) -> usize {
         self.n_drugs + disease_index
     }

@@ -10,7 +10,7 @@
 //! slots, whose precomputed weights are the truss-aware distance. Which of
 //! several equal-distance entries leaves the heap first depends only on the
 //! sequence of pushes and pops, so the slots' ascending neighbour order and
-//! the weight expression of [`steiner_weight`] fix which of several
+//! the weight expression of `steiner_weight` fix which of several
 //! shortest paths the tree takes.
 //!
 //! Each Dijkstra runs until the heap is empty, not only until the query

@@ -452,9 +452,9 @@ impl KnowledgeBase {
         })
     }
 
-    /// Serializes the KB into a complete `DSKB` container (magic, format
-    /// version, payload length, payload, CRC-32 — the same frame shape as
-    /// `DSSD` model files and `DSWR` wire frames, under its own magic).
+    /// Serializes the KB into a complete `DSKB` container: the frame of
+    /// [`dssddi_tensor::serde`] (magic, format version, payload length,
+    /// payload, CRC-32) under [`KB_MAGIC`] and [`KB_FORMAT_VERSION`].
     pub fn to_container_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_usize(self.n_drugs);
@@ -482,7 +482,7 @@ impl KnowledgeBase {
         // Same pre-allocation guard as the wire protocol: validate the
         // header (magic, version) and cap the declared length before
         // `open_frame` compares it against the bytes actually present.
-        let declared = parse_frame_header(KB_MAGIC, KB_FORMAT_VERSION, bytes)?;
+        let (_, declared) = parse_frame_header(KB_MAGIC, &[KB_FORMAT_VERSION], bytes)?;
         if declared > MAX_KB_PAYLOAD {
             return Err(KbError::Serde(SerdeError::Corrupt {
                 what: format!(
@@ -491,7 +491,7 @@ impl KnowledgeBase {
                 ),
             }));
         }
-        let payload = open_frame(KB_MAGIC, KB_FORMAT_VERSION, bytes)?;
+        let (_, payload) = open_frame(KB_MAGIC, &[KB_FORMAT_VERSION], bytes)?;
         let mut r = ByteReader::new(payload);
         let n_drugs = r.take_usize("kb.n_drugs")?;
         let registry_digest = r.take_u64("kb.registry_digest")?;
@@ -827,7 +827,10 @@ mod tests {
         foreign[..4].copy_from_slice(b"DSSD");
         assert!(matches!(
             KnowledgeBase::from_container_bytes(&foreign),
-            Err(KbError::Serde(SerdeError::BadMagic))
+            Err(KbError::Serde(SerdeError::BadMagic {
+                expected: KB_MAGIC,
+                found: [b'D', b'S', b'S', b'D'],
+            }))
         ));
         // Future format versions are refused.
         let mut future = bytes.clone();

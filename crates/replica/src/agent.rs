@@ -4,9 +4,9 @@
 //! *sync round* it polls every peer of its [`ReplicaGroup`] with one
 //! `PeerStatus` exchange, plans pulls with [`plan_pulls`] wherever the peer
 //! is ahead, fetches the whole `DSSD`/`DSKB` containers with `PeerSync`,
-//! and applies them through the router's monotone sync paths (which refuse
+//! and applies them as pulls through `ModelCatalog::install`, which refuses
 //! to move a shard backwards, so rounds are idempotent and races with
-//! concurrent reloads or other agents are benign). Unreachable peers cost
+//! concurrent reloads or other agents are benign. Unreachable peers cost
 //! one bounded timeout and are retried next round — anti-entropy is a
 //! repair loop, not a transaction.
 //!
@@ -18,7 +18,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dssddi_serving::{Client, ReplicaState, Router, SyncArtifact};
+use dssddi_serving::{Client, ReplicaState, Router};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,7 +80,7 @@ impl ReplicaAgent {
         let mut report = SyncRoundReport::default();
         let mut max_lag = 0u64;
         for peer in self.group.peers() {
-            let local = self.router.version_vector();
+            let local = self.router.catalog().version_vector();
             let mut client = match Client::connect_any(&[*peer], self.group.peer_timeout()) {
                 Ok(client) => client,
                 Err(_) => {
@@ -101,15 +101,12 @@ impl ReplicaAgent {
                 report.pulls_planned += 1;
                 let pulled = client.peer_sync(&action.key, action.artifact).and_then(
                     |(version, container)| {
-                        let applied = match action.artifact {
-                            SyncArtifact::Model => {
-                                self.router
-                                    .sync_model_bytes(&action.key, version, &container)?
-                            }
-                            SyncArtifact::Kb => {
-                                self.router.sync_kb_bytes(&action.key, &container)?
-                            }
-                        };
+                        let applied = self.router.catalog().install(
+                            &action.key,
+                            action.artifact,
+                            &container,
+                            Some(version),
+                        )?;
                         Ok((applied, container.len() as u64))
                     },
                 );

@@ -18,9 +18,9 @@
 //! * [`agent`] — [`ReplicaAgent`]: the seeded anti-entropy loop. Each
 //!   round it exchanges `PeerStatus` vectors with every peer, pulls whole
 //!   `DSSD`/`DSKB` containers with `PeerSync` wherever a peer is ahead,
-//!   and applies them through the router's monotone sync paths — reusing
-//!   the exact hot-reload machinery a direct `ReloadModel`/`ReloadKb`
-//!   uses, so a synced replica is bit-identical to a reloaded one.
+//!   and applies them as pulls through `ModelCatalog::install` — the one
+//!   install path a direct `ReloadModel`/`ReloadKb` takes too, so a
+//!   synced replica is bit-identical to a reloaded one.
 //!
 //! Callers talk to a group with the serving [`Client`](dssddi_serving::Client):
 //! `Client::connect_any` over every replica's address plus a

@@ -8,8 +8,8 @@
 //!
 //! The simulation exercises exactly the pure functions the real
 //! [`dssddi_replica::ReplicaAgent`] drives — `plan_pulls` to decide what
-//! to fetch and the per-key version adoption that `Router::sync_*_bytes`
-//! performs — with `merged` as the independent model of what a pull must
+//! to fetch and the per-key version adoption that a pull through
+//! `ModelCatalog::install` performs — with `merged` as the independent model of what a pull must
 //! produce.
 
 // Tests and examples may panic freely; the workspace-level panic-policy
@@ -34,8 +34,8 @@ fn fresh_vector() -> Vec<KeyVersions> {
 }
 
 /// What the real agent does after `plan_pulls`: fetch each planned
-/// artifact and adopt its version (the router's sync paths are monotone,
-/// so adoption is exactly "set to the advertised version").
+/// artifact and adopt its version (a pull through `ModelCatalog::install`
+/// is monotone, so adoption is exactly "set to the advertised version").
 fn apply_pulls(local: &mut [KeyVersions], peer: &[KeyVersions]) {
     for action in plan_pulls(local, peer) {
         let entry = local

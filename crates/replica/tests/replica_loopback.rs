@@ -62,7 +62,7 @@ impl Gateway {
 
     /// This gateway's `(model_version, kb_version)` vector as reported on
     /// the wire by `Stats`.
-    fn reported_versions(&self) -> Vec<KeyVersions> {
+    fn reported_version_vector(&self) -> Vec<KeyVersions> {
         let mut client = Client::connect(self.addr).expect("connect for stats");
         let report = client.stats_report().expect("stats report");
         report.replica.expect("replicated gateway").versions
@@ -162,7 +162,7 @@ fn a_reload_sent_to_one_replica_converges_on_all_three() {
     );
 
     // All three replicas now report the same version vector over Stats.
-    let versions_a = a.reported_versions();
+    let versions_a = a.reported_version_vector();
     let chronic = versions_a
         .iter()
         .find(|entry| entry.key == key)
@@ -173,8 +173,8 @@ fn a_reload_sent_to_one_replica_converges_on_all_three() {
         chronic.model_version, 2,
         "one reload on top of the seed model"
     );
-    assert_eq!(versions_a, b.reported_versions());
-    assert_eq!(versions_a, c.reported_versions());
+    assert_eq!(versions_a, b.reported_version_vector());
+    assert_eq!(versions_a, c.reported_version_vector());
 
     // Converged replicas answer bit-identically: the same critique and
     // the same suggestion scores, from every peer.
@@ -299,7 +299,7 @@ fn killing_one_replica_mid_traffic_sustains_clients_and_restart_catches_up() {
     assert_eq!(round_c.pulls_failed, 0);
 
     let chronic = restarted
-        .reported_versions()
+        .reported_version_vector()
         .into_iter()
         .find(|entry| entry.key == key)
         .expect("chronic entry");
@@ -309,7 +309,7 @@ fn killing_one_replica_mid_traffic_sustains_clients_and_restart_catches_up() {
         "restarted replica caught up"
     );
     let chronic_a = a
-        .reported_versions()
+        .reported_version_vector()
         .into_iter()
         .find(|entry| entry.key == key)
         .expect("chronic entry");

@@ -566,12 +566,13 @@ impl Client {
         Ok(())
     }
 
-    /// Ships a `DSSD` container to the gateway and hot-swaps it in under a
-    /// live key (see `ModelCatalog::replace`); returns the shard's new
-    /// listing. The artifact must serve the shard's formulary and fit in
-    /// one wire frame ([`wire::MAX_FRAME_PAYLOAD`], 16 MiB) — larger
-    /// artifacts reach the gateway as files (`dssddi-serve` arguments /
-    /// `ModelCatalog::load_file`). Never retried on transport faults.
+    /// Ships a `DSSD` container to the gateway, which installs it under a
+    /// live key as an operator reload (see `ModelCatalog::install`);
+    /// returns the shard's new listing. The artifact must serve the shard's
+    /// formulary and fit in one wire frame ([`wire::MAX_FRAME_PAYLOAD`],
+    /// 16 MiB) — larger artifacts reach the gateway as files
+    /// (`dssddi-serve` arguments / `ModelCatalog::load_file`). Never retried
+    /// on transport faults.
     pub fn reload_model(
         &mut self,
         model: &ModelKey,

@@ -16,15 +16,17 @@
 //! ## Hot reload
 //!
 //! A shard's service, its knowledge base and its model version sit
-//! together in one `RwLock` swap slot, so a re-trained model
-//! ([`ModelCatalog::replace`], wire `ReloadModel`) or an updated knowledge
-//! base ([`ModelCatalog::replace_kb`], wire `ReloadKb`) can be swapped in
-//! *under a live key with zero dropped connections*: requests in flight
-//! finish on the `Arc`s they cloned, new requests pick up the replacement,
-//! and the shard's serving counters survive the swap. A
-//! replacement must describe the same formulary (registry digest) as the
-//! shard it replaces — a gateway that silently swapped formularies under a
-//! live key would resolve the same DIDs to different drugs.
+//! together in one `RwLock` swap slot. [`ModelCatalog::install`] is the one
+//! path that swaps a sealed artifact into it after insert: a re-trained
+//! model (wire `ReloadModel`) or an updated knowledge base (wire
+//! `ReloadKb`, `dssddi-serve --kb`) from an operator, or either one pulled
+//! from a peer replica. Swaps happen *under a live key with zero dropped
+//! connections*: requests in flight finish on the `Arc`s they cloned, new
+//! requests pick up the replacement, and the shard's serving counters
+//! survive the swap. A replacement must describe the same formulary
+//! (registry digest) as the shard it replaces — a gateway that silently
+//! swapped formularies under a live key would resolve the same DIDs to
+//! different drugs.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -33,13 +35,13 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use dssddi_core::DecisionService;
-use dssddi_kb::{KbInfo, KnowledgeBase};
+use dssddi_kb::{KbError, KbInfo, KnowledgeBase};
 use dssddi_obs::trace::{next_trace_id, SpanRecorder, Stage, TraceExemplar, TraceRing};
 use dssddi_obs::MetricsRegistry;
 
 use crate::admission::{AdmissionConfig, GlobalQueue, TokenBucket};
 use crate::telemetry::{GatewayMetrics, ModelMetrics, ReplicaState};
-use crate::wire::{self, ErrorCode, Request, Response};
+use crate::wire::{self, ErrorCode, Request, Response, SyncArtifact};
 use crate::ServingError;
 
 /// Maximum length of a model key, in bytes.
@@ -383,7 +385,7 @@ impl ModelCatalog {
     }
 
     /// The service behind a key, when registered. The returned `Arc` is a
-    /// snapshot: a concurrent [`ModelCatalog::replace`] does not change it.
+    /// snapshot: a concurrent [`ModelCatalog::install`] does not change it.
     pub fn service(&self, key: &ModelKey) -> Option<Arc<DecisionService>> {
         self.models.get(key).map(|entry| entry.artifacts().service)
     }
@@ -396,8 +398,9 @@ impl ModelCatalog {
 
     /// Registers an in-process service under a key, paired with a knowledge
     /// base seeded from its DDI graph. Each key routes to exactly one
-    /// shard; re-registering is a typed error — replacing a live shard is
-    /// an explicit [`ModelCatalog::replace`], never an accidental insert.
+    /// shard; re-registering is a typed error — replacing a live shard's
+    /// artifact is an explicit [`ModelCatalog::install`], never an
+    /// accidental insert.
     pub fn insert(&mut self, key: ModelKey, service: DecisionService) -> Result<(), ServingError> {
         let kb = default_kb(&service)?;
         self.insert_with_kb(key, service, kb)
@@ -441,10 +444,15 @@ impl ModelCatalog {
     }
 
     /// Loads a `DSKB` file as the knowledge base of an already registered
-    /// shard, replacing the seeded (or previously loaded) one.
+    /// shard, replacing the seeded (or previously loaded) one through
+    /// [`ModelCatalog::install`].
     pub fn load_kb_file(&self, key: &ModelKey, path: impl AsRef<Path>) -> Result<(), ServingError> {
-        let kb = KnowledgeBase::load(path).map_err(ServingError::Kb)?;
-        self.replace_kb(key, kb)
+        let path = path.as_ref();
+        let container = std::fs::read(path).map_err(|e| KbError::Io {
+            what: format!("reading {}: {e}", path.display()),
+        })?;
+        self.install(key, SyncArtifact::Kb, &container, None)
+            .map(drop)
     }
 
     fn entry(&self, key: &ModelKey) -> Result<&ModelEntry, ServingError> {
@@ -456,73 +464,59 @@ impl ModelCatalog {
             })
     }
 
-    /// Runs `install` on a live shard's slot under its write guard, once a
-    /// replacement of registry digest `digest` proved to describe the
-    /// shard's formulary, and returns whether it installed. Comparing
-    /// versions and installing under one guard is what keeps a concurrent
-    /// swap from slipping in between.
-    fn swap(
+    /// Installs a sealed artifact — a `DSSD` model or a `DSKB` knowledge
+    /// base container — into a live shard, and returns whether it did.
+    ///
+    /// `pulled` names the caller:
+    /// - `None` is an operator reload. It always installs; a model's
+    ///   version is bumped, making this gateway the artifact's new source.
+    /// - `Some(version)` is a replica pull. It installs only what is newer
+    ///   than the shard holds — a model at `version`, a knowledge base at
+    ///   the version its container carries — so a pulled artifact never
+    ///   re-propagates as fresh, and a stale or duplicate pull is a no-op
+    ///   returning `false`.
+    ///
+    /// The container is decoded first, before the key is looked up and
+    /// outside the slot's lock, so readers never wait on a decode. The
+    /// replacement must describe the shard's formulary (registry digest);
+    /// its paired artifact and the shard's serving counters carry over. Versions are compared and the artifact installed
+    /// under one write guard, so a concurrent install cannot slip in
+    /// between. Requests in flight finish on the artifact they started
+    /// with, new requests route to the replacement.
+    pub fn install(
         &self,
         key: &ModelKey,
-        digest: u64,
-        install: impl FnOnce(&mut Artifacts) -> bool,
+        artifact: SyncArtifact,
+        container: &[u8],
+        pulled: Option<u64>,
     ) -> Result<bool, ServingError> {
-        let entry = self.entry(key)?;
-        let mut slot = relock(entry.artifacts.write());
-        check_digest(key, slot.service.registry().digest(), digest)?;
-        Ok(install(&mut slot))
-    }
-
-    /// Hot-swaps the service behind a live key. The replacement must serve
-    /// the same formulary (registry digest) as the shard it replaces; its
-    /// paired knowledge base and the shard's serving counters carry over.
-    /// Requests in flight finish on the service they started with, new
-    /// requests route to the replacement — no connection is dropped.
-    pub fn replace(&self, key: &ModelKey, service: DecisionService) -> Result<(), ServingError> {
-        self.swap(key, service.registry().digest(), |slot| {
-            slot.service = Arc::new(service);
-            slot.model_version += 1;
-            true
-        })
-        .map(drop)
-    }
-
-    /// Adopts a peer replica's model for a live key at the peer's version —
-    /// the anti-entropy apply path. Unlike [`ModelCatalog::replace`] (which
-    /// *bumps* the local version, making the local gateway the new source
-    /// of truth), a sync sets the version to the source's, so a pulled
-    /// artifact never re-propagates as fresh. Versions only move forward: a
-    /// stale or duplicate pull (`version` at or below the current one) is a
-    /// no-op returning `false`.
-    pub fn sync_model(
-        &self,
-        key: &ModelKey,
-        service: DecisionService,
-        version: u64,
-    ) -> Result<bool, ServingError> {
-        self.swap(key, service.registry().digest(), |slot| {
-            let newer = version > slot.model_version;
-            if newer {
-                slot.service = Arc::new(service);
-                slot.model_version = version;
+        match artifact {
+            SyncArtifact::Model => {
+                let service = DecisionService::load_with_embedded_registry_bytes(container)?;
+                let mut slot = relock(self.entry(key)?.artifacts.write());
+                check_digest(
+                    key,
+                    slot.service.registry().digest(),
+                    service.registry().digest(),
+                )?;
+                let newer = pulled.is_none_or(|version| version > slot.model_version);
+                if newer {
+                    slot.service = Arc::new(service);
+                    slot.model_version = pulled.unwrap_or(slot.model_version.saturating_add(1));
+                }
+                Ok(newer)
             }
-            newer
-        })
-    }
-
-    /// Adopts a peer replica's knowledge base for a live key — the
-    /// anti-entropy apply path. The version travels inside the `DSKB`
-    /// container, so adopting the bytes adopts the version; versions only
-    /// move forward (a stale or duplicate pull is a no-op returning
-    /// `false`).
-    pub fn sync_kb(&self, key: &ModelKey, kb: KnowledgeBase) -> Result<bool, ServingError> {
-        self.swap(key, kb.registry_digest(), |slot| {
-            let newer = kb.version() > slot.kb.version();
-            if newer {
-                slot.kb = Arc::new(kb);
+            SyncArtifact::Kb => {
+                let kb = KnowledgeBase::from_container_bytes(container)?;
+                let mut slot = relock(self.entry(key)?.artifacts.write());
+                check_digest(key, slot.service.registry().digest(), kb.registry_digest())?;
+                let newer = pulled.is_none() || kb.version() > slot.kb.version();
+                if newer {
+                    slot.kb = Arc::new(kb);
+                }
+                Ok(newer)
             }
-            newer
-        })
+        }
     }
 
     /// The per-key `(model_version, kb_version)` pairs this catalog holds,
@@ -539,16 +533,6 @@ impl ModelCatalog {
                 }
             })
             .collect()
-    }
-
-    /// Hot-swaps the knowledge base paired with a live key. The replacement
-    /// must grade the shard's formulary.
-    pub fn replace_kb(&self, key: &ModelKey, kb: KnowledgeBase) -> Result<(), ServingError> {
-        self.swap(key, kb.registry_digest(), |slot| {
-            slot.kb = Arc::new(kb);
-            true
-        })
-        .map(drop)
     }
 }
 
@@ -742,84 +726,13 @@ impl Router {
         result
     }
 
-    /// Hot-swaps the service behind a live key (see
-    /// [`ModelCatalog::replace`]) and reports the shard's new listing.
-    pub fn reload_model(
-        &self,
-        key: &ModelKey,
-        service: DecisionService,
-    ) -> Result<ModelInfo, ServingError> {
-        self.catalog.replace(key, service)?;
-        Ok(self.catalog.entry(key)?.info(key))
-    }
-
-    /// [`Router::reload_model`] from in-memory `DSSD` container bytes — the
-    /// wire `ReloadModel` entry point.
-    pub fn reload_model_bytes(
-        &self,
-        key: &ModelKey,
-        container: &[u8],
-    ) -> Result<ModelInfo, ServingError> {
-        let service = DecisionService::load_with_embedded_registry_bytes(container)?;
-        self.reload_model(key, service)
-    }
-
-    /// Hot-swaps the knowledge base paired with a live key (see
-    /// [`ModelCatalog::replace_kb`]) and reports the new KB's summary.
-    pub fn reload_kb(&self, key: &ModelKey, kb: KnowledgeBase) -> Result<KbInfo, ServingError> {
-        self.catalog.replace_kb(key, kb)?;
-        self.kb_info(key)
-    }
-
-    /// [`Router::reload_kb`] from in-memory `DSKB` container bytes — the
-    /// wire `ReloadKb` entry point.
-    pub fn reload_kb_bytes(
-        &self,
-        key: &ModelKey,
-        container: &[u8],
-    ) -> Result<KbInfo, ServingError> {
-        let kb = KnowledgeBase::from_container_bytes(container).map_err(ServingError::Kb)?;
-        self.reload_kb(key, kb)
-    }
-
-    /// [`ModelCatalog::sync_model`] from in-memory `DSSD` container bytes —
-    /// what a replica agent applies after a `PeerSync` pull. Returns
-    /// whether the shard actually moved forward.
-    pub fn sync_model_bytes(
-        &self,
-        key: &ModelKey,
-        version: u64,
-        container: &[u8],
-    ) -> Result<bool, ServingError> {
-        let service = DecisionService::load_with_embedded_registry_bytes(container)?;
-        self.catalog.sync_model(key, service, version)
-    }
-
-    /// [`ModelCatalog::sync_kb`] from in-memory `DSKB` container bytes —
-    /// what a replica agent applies after a `PeerSync` pull. Returns
-    /// whether the shard actually moved forward.
-    pub fn sync_kb_bytes(&self, key: &ModelKey, container: &[u8]) -> Result<bool, ServingError> {
-        let kb = KnowledgeBase::from_container_bytes(container).map_err(ServingError::Kb)?;
-        self.catalog.sync_kb(key, kb)
-    }
-
-    /// The per-key version vector this gateway holds (see
-    /// [`ModelCatalog::version_vector`]).
-    pub fn version_vector(&self) -> Vec<KeyVersions> {
-        self.catalog.version_vector()
-    }
-
     /// Serves a `PeerSync` pull: one shard's complete container plus the
     /// version the bytes certify, both from one snapshot of the swap slot.
-    fn peer_sync(
-        &self,
-        key: &ModelKey,
-        artifact: wire::SyncArtifact,
-    ) -> Result<Response, ServingError> {
+    fn peer_sync(&self, key: &ModelKey, artifact: SyncArtifact) -> Result<Response, ServingError> {
         let slot = self.catalog.entry(key)?.artifacts();
         let (version, container) = match artifact {
-            wire::SyncArtifact::Model => (slot.model_version, slot.service.to_container_bytes()),
-            wire::SyncArtifact::Kb => (slot.kb.version(), slot.kb.to_container_bytes()),
+            SyncArtifact::Model => (slot.model_version, slot.service.to_container_bytes()),
+            SyncArtifact::Kb => (slot.kb.version(), slot.kb.to_container_bytes()),
         };
         Ok(Response::PeerSync {
             model: key.clone(),
@@ -863,7 +776,7 @@ impl Router {
             },
             replica: self
                 .replicated
-                .then(|| self.metrics.replica.stats(self.version_vector())),
+                .then(|| self.metrics.replica.stats(self.catalog.version_vector())),
         }
     }
 
@@ -894,11 +807,17 @@ impl Router {
                     Response::CheckPrescription(report)
                 }),
             Request::ReloadModel { model, container } => self
-                .reload_model_bytes(model, container)
-                .map(Response::ModelReloaded),
+                .catalog
+                .install(model, SyncArtifact::Model, container, None)
+                .and_then(|_| {
+                    Ok(Response::ModelReloaded(
+                        self.catalog.entry(model)?.info(model),
+                    ))
+                }),
             Request::ReloadKb { model, container } => self
-                .reload_kb_bytes(model, container)
-                .map(Response::KbReloaded),
+                .catalog
+                .install(model, SyncArtifact::Kb, container, None)
+                .and_then(|_| self.kb_info(model).map(Response::KbReloaded)),
             Request::KbInfo { model } => self.kb_info(model).map(Response::KbInfo),
             Request::ListModels => Ok(Response::ListModels(self.list_models())),
             Request::Stats => Ok(Response::Stats(self.stats_report())),
@@ -912,7 +831,7 @@ impl Router {
             // is gossip — this side answers with its own and lets each
             // agent pull what it lags on.
             Request::PeerStatus { versions: _ } => Ok(Response::PeerStatus {
-                versions: self.version_vector(),
+                versions: self.catalog.version_vector(),
             }),
             Request::PeerSync { model, artifact } => self.peer_sync(model, *artifact),
             // Trace dumps are observability control plane: they bypass
@@ -1058,12 +977,12 @@ mod tests {
         assert_eq!(parsed.to_string(), "chronic");
     }
 
-    /// Each round races a replica pull (`sync_*_bytes`) against an operator
-    /// reload (`reload_*_bytes`) and a concurrent `PeerSync`. The pull
-    /// offers what is newer than the round's starting state but older than
-    /// the reload, so whichever order they land in, the acknowledged reload
-    /// must be what stays live, and every `PeerSync` must ship the artifact
-    /// installed at the version it reports.
+    /// Each round races a replica pull (`install(.., Some(version))`)
+    /// against an operator reload (`install(.., None)`) and a concurrent
+    /// `PeerSync`. The pull offers what is newer than the round's starting
+    /// state but older than the reload, so whichever order they land in, the
+    /// acknowledged reload must be what stays live, and every `PeerSync` must
+    /// ship the artifact installed at the version it reports.
     #[test]
     fn a_racing_pull_never_undoes_an_acknowledged_reload() {
         use crate::demo::{demo_world, DEMO_SEED};
@@ -1103,8 +1022,13 @@ mod tests {
             let pulled_model = std::thread::scope(|scope| {
                 let peer = scope.spawn(|| {
                     barrier.wait();
-                    router.sync_kb_bytes(&key, &pulled_kb).unwrap();
-                    router.sync_model_bytes(&key, before + 1, &pulled).unwrap()
+                    let catalog = router.catalog();
+                    catalog
+                        .install(&key, Kb, &pulled_kb, Some(2 * round - 1))
+                        .unwrap();
+                    catalog
+                        .install(&key, Model, &pulled, Some(before + 1))
+                        .unwrap()
                 });
                 let observer = scope.spawn(|| {
                     barrier.wait();
@@ -1125,8 +1049,9 @@ mod tests {
                     }
                 });
                 barrier.wait();
-                router.reload_kb_bytes(&key, &reloaded_kb).unwrap();
-                router.reload_model_bytes(&key, reload).unwrap();
+                let catalog = router.catalog();
+                catalog.install(&key, Kb, &reloaded_kb, None).unwrap();
+                catalog.install(&key, Model, reload, None).unwrap();
                 observer.join().unwrap();
                 peer.join().unwrap()
             });

@@ -8,16 +8,16 @@
 //! adds only transport.
 //!
 //! Failure containment is the design center: a malformed or corrupt frame
-//! produces a typed [`Response::Error`] on that connection — or, when the
-//! stream can no longer be trusted to be frame-aligned, closes *that*
-//! connection — and never takes the gateway down. A peer that stalls
-//! mid-frame (including a slow-loris trickling bytes just under the idle
-//! timeout) is reaped by the per-frame deadline and counted in the
-//! router's registry ([`crate::GatewayStats`]); a configured connection
-//! bound sheds excess connections with a typed `Overloaded` frame instead
-//! of letting handler threads grow without limit. Only an explicit
-//! `Shutdown` message ends the accept loop, and the drain then finishes
-//! every in-flight request before `run` returns.
+//! produces a typed [`Response::Error`](crate::Response::Error) on that
+//! connection — or, when the stream can no longer be trusted to be
+//! frame-aligned, closes *that* connection — and never takes the gateway
+//! down. A peer that stalls mid-frame (including a slow-loris trickling
+//! bytes just under the idle timeout) is reaped by the per-frame deadline
+//! and counted in the router's registry ([`crate::GatewayStats`]); a
+//! configured connection bound sheds excess connections with a typed
+//! `Overloaded` frame instead of letting handler threads grow without
+//! limit. Only an explicit `Shutdown` message ends the accept loop, and the
+//! drain then finishes every in-flight request before `run` returns.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,8 +1,8 @@
 //! The versioned binary wire protocol of the serving gateway.
 //!
-//! Every message travels in a *frame* with the same shape as the `DSSD`
-//! container (see [`dssddi_tensor::serde`]), under its own magic bytes and
-//! version so a model file can never be confused with a network frame:
+//! Every message travels in the frame of [`dssddi_tensor::serde`], the
+//! shape of the `DSSD` and `DSKB` containers, under its own magic bytes and
+//! versions so a model file can never be confused with a network frame:
 //!
 //! ```text
 //! offset  size  field
@@ -70,8 +70,8 @@ use dssddi_graph::{Community, Interaction};
 use dssddi_kb::{AlertPolicy, KbInfo, Severity};
 use dssddi_obs::trace::{TraceExemplar, STAGE_COUNT};
 use dssddi_tensor::serde::{
-    open_frame_versions, parse_frame_header_versions, seal_frame, ByteReader, ByteWriter,
-    SerdeError, FRAME_HEADER_LEN,
+    open_frame, parse_frame_header, seal_frame, ByteReader, ByteWriter, SerdeError,
+    FRAME_HEADER_LEN,
 };
 
 use crate::router::{
@@ -998,7 +998,7 @@ fn take_gateway_stats(r: &mut ByteReader<'_>) -> Result<GatewayStats, SerdeError
     })
 }
 
-fn put_key_versions(w: &mut ByteWriter, versions: &[KeyVersions]) {
+fn put_version_vector(w: &mut ByteWriter, versions: &[KeyVersions]) {
     put_seq(w, versions, |w, entry| {
         put_model_key(w, &entry.key);
         w.put_u64(entry.model_version);
@@ -1006,7 +1006,7 @@ fn put_key_versions(w: &mut ByteWriter, versions: &[KeyVersions]) {
     });
 }
 
-fn take_key_versions(r: &mut ByteReader<'_>) -> Result<Vec<KeyVersions>, SerdeError> {
+fn take_version_vector(r: &mut ByteReader<'_>) -> Result<Vec<KeyVersions>, SerdeError> {
     take_seq(r, "versions.len", |r| {
         Ok(KeyVersions {
             key: take_model_key(r)?,
@@ -1021,7 +1021,7 @@ fn put_replica_stats(w: &mut ByteWriter, replica: &ReplicaStats) {
     w.put_u64(replica.syncs);
     w.put_u64(replica.bytes_shipped);
     w.put_u64(replica.max_lag);
-    put_key_versions(w, &replica.versions);
+    put_version_vector(w, &replica.versions);
 }
 
 fn take_replica_stats(r: &mut ByteReader<'_>) -> Result<ReplicaStats, SerdeError> {
@@ -1030,7 +1030,7 @@ fn take_replica_stats(r: &mut ByteReader<'_>) -> Result<ReplicaStats, SerdeError
         syncs: r.take_u64("replica.syncs")?,
         bytes_shipped: r.take_u64("replica.bytes_shipped")?,
         max_lag: r.take_u64("replica.max_lag")?,
-        versions: take_key_versions(r)?,
+        versions: take_version_vector(r)?,
     })
 }
 
@@ -1110,7 +1110,7 @@ pub fn encode_request_traced(request: &Request, trace: Option<u64>) -> Vec<u8> {
         Request::Ping => w.put_u8(RequestTag::Ping as u8),
         Request::PeerStatus { versions } => {
             w.put_u8(RequestTag::PeerStatus as u8);
-            put_key_versions(&mut w, versions);
+            put_version_vector(&mut w, versions);
         }
         Request::PeerSync { model, artifact } => {
             w.put_u8(RequestTag::PeerSync as u8);
@@ -1157,7 +1157,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, SerdeError> {
         RequestTag::Stats => Request::Stats,
         RequestTag::Ping => Request::Ping,
         RequestTag::PeerStatus => Request::PeerStatus {
-            versions: take_key_versions(&mut r)?,
+            versions: take_version_vector(&mut r)?,
         },
         RequestTag::PeerSync => Request::PeerSync {
             model: take_model_key(&mut r)?,
@@ -1224,7 +1224,7 @@ pub fn encode_response_traced(response: &Response, trace: Option<u64>) -> Vec<u8
         Response::Pong => w.put_u8(ResponseTag::Pong as u8),
         Response::PeerStatus { versions } => {
             w.put_u8(ResponseTag::PeerStatus as u8);
-            put_key_versions(&mut w, versions);
+            put_version_vector(&mut w, versions);
         }
         Response::PeerSync {
             model,
@@ -1281,7 +1281,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, SerdeError> {
         ResponseTag::KbInfo => Response::KbInfo(take_kb_info(&mut r)?),
         ResponseTag::Pong => Response::Pong,
         ResponseTag::PeerStatus => Response::PeerStatus {
-            versions: take_key_versions(&mut r)?,
+            versions: take_version_vector(&mut r)?,
         },
         ResponseTag::PeerSync => Response::PeerSync {
             model: take_model_key(&mut r)?,
@@ -1329,7 +1329,7 @@ fn strip_extensions(payload: &[u8]) -> Result<(Option<u64>, &[u8]), SerdeError> 
 
 /// Checks a frame header and returns its declared payload length.
 fn declared_payload_len(header: &[u8]) -> Result<usize, WireError> {
-    let (_, declared) = parse_frame_header_versions(WIRE_MAGIC, &WIRE_SUPPORTED_VERSIONS, header)?;
+    let (_, declared) = parse_frame_header(WIRE_MAGIC, &WIRE_SUPPORTED_VERSIONS, header)?;
     if declared > MAX_FRAME_PAYLOAD {
         return Err(WireError::Oversized {
             declared,
@@ -1351,7 +1351,7 @@ pub fn open_wire_frame(frame: &[u8]) -> Result<&[u8], WireError> {
 /// for untraced frames and traced frames without a trace ID).
 pub fn open_wire_frame_traced(frame: &[u8]) -> Result<(Option<u64>, &[u8]), WireError> {
     declared_payload_len(frame)?;
-    let (version, payload) = open_frame_versions(WIRE_MAGIC, &WIRE_SUPPORTED_VERSIONS, frame)?;
+    let (version, payload) = open_frame(WIRE_MAGIC, &WIRE_SUPPORTED_VERSIONS, frame)?;
     if version == WIRE_VERSION_TRACED {
         Ok(strip_extensions(payload)?)
     } else {
@@ -1585,7 +1585,10 @@ mod tests {
         bad[..4].copy_from_slice(b"DSSD");
         assert!(matches!(
             open_wire_frame(&bad),
-            Err(WireError::Decode(SerdeError::BadMagic))
+            Err(WireError::Decode(SerdeError::BadMagic {
+                expected: WIRE_MAGIC,
+                found: [b'D', b'S', b'S', b'D'],
+            }))
         ));
         // Future protocol version (one past the traced version, which is
         // the highest this build decodes).
@@ -1935,7 +1938,7 @@ mod tests {
     fn container_magics_are_distinct() {
         // A model file, a knowledge base and a network frame must never be
         // mistaken for one another.
-        let magics = [WIRE_MAGIC, dssddi_tensor::serde::MAGIC, dssddi_kb::KB_MAGIC];
+        let magics = [WIRE_MAGIC, dssddi_core::DSSD_MAGIC, dssddi_kb::KB_MAGIC];
         for (i, a) in magics.iter().enumerate() {
             for b in &magics[i + 1..] {
                 assert_ne!(a, b);

@@ -16,14 +16,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dssddi_core::{CheckPrescriptionRequest, CoreError, DecisionService, DrugId, ServiceBuilder};
+use dssddi_core::{
+    CheckPrescriptionRequest, CoreError, DecisionService, DrugId, ServiceBuilder,
+    DSSD_FORMAT_VERSION, DSSD_MAGIC,
+};
 use dssddi_kb::{EvidenceLevel, KbFact, KnowledgeBase, Severity};
 use dssddi_serving::demo::{demo_catalog, demo_requests, DemoWorld, DEMO_FITTED_KEY, DEMO_SEED};
 use dssddi_serving::{
     Client, ErrorCode, ModelCatalog, ModelKey, Request, Response, Router, Server, ServingError,
-    WireError,
+    SyncArtifact, WireError,
 };
-use dssddi_tensor::serde::{open_frame, seal_frame, FORMAT_VERSION, MAGIC};
+use dssddi_tensor::serde::{open_frame, seal_frame};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -218,6 +221,8 @@ fn kb_and_model_hot_reload_under_concurrent_traffic() {
 fn foreign_or_damaged_reload_artifacts_are_typed_errors() {
     let (catalog, world) = demo_catalog(DEMO_SEED).expect("demo catalog");
     let key = ModelKey::new("chronic").expect("key");
+    let dssd = catalog.service(&key).expect("model").to_container_bytes();
+    let dskb = catalog.kb(&key).expect("kb").to_container_bytes();
     let (addr, handle) = spawn_server(catalog);
     let mut client = Client::connect(addr).expect("connect");
 
@@ -242,6 +247,21 @@ fn foreign_or_damaged_reload_artifacts_are_typed_errors() {
     match client.reload_model(&key, b"not a DSSD container") {
         Err(ServingError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Persistence),
         other => panic!("expected Remote Persistence, got {other:?}"),
+    }
+    // A valid container of the other artifact: the error names the magic
+    // the reload expects and the one it found.
+    for (reply, expected, found) in [
+        (client.reload_kb(&key, &dssd).map(drop), "DSKB", "DSSD"),
+        (client.reload_model(&key, &dskb).map(drop), "DSSD", "DSKB"),
+    ] {
+        match reply {
+            Err(ServingError::Remote { code, message }) => {
+                assert_eq!(code, ErrorCode::Persistence);
+                let named = format!("expected {expected:?}, found {found:?}");
+                assert!(message.contains(&named), "got: {message}");
+            }
+            other => panic!("expected Remote Persistence, got {other:?}"),
+        }
     }
     // Unknown shard: typed UnknownModel error.
     match client.kb_info(&ModelKey::new("nope").expect("key")) {
@@ -279,9 +299,9 @@ fn a_model_with_a_nan_weight_is_refused_and_the_shard_keeps_serving() {
         .md_module()
         .drug_representations();
     let pattern: Vec<u8> = repr.data().iter().flat_map(|v| v.to_le_bytes()).collect();
-    let mut payload = open_frame(MAGIC, FORMAT_VERSION, &container)
-        .expect("valid container")
-        .to_vec();
+    let (_, payload) =
+        open_frame(DSSD_MAGIC, &[DSSD_FORMAT_VERSION], &container).expect("valid container");
+    let mut payload = payload.to_vec();
     let found: Vec<usize> = payload
         .windows(pattern.len())
         .enumerate()
@@ -291,7 +311,7 @@ fn a_model_with_a_nan_weight_is_refused_and_the_shard_keeps_serving() {
     assert_eq!(found.len(), 1, "the drug representations occur once");
     let at = found[0] + 4 * repr.cols(); // the second drug's first entry
     payload[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-    let poisoned = seal_frame(MAGIC, FORMAT_VERSION, &payload);
+    let poisoned = seal_frame(DSSD_MAGIC, DSSD_FORMAT_VERSION, &payload);
 
     match DecisionService::load_with_embedded_registry_bytes(&poisoned) {
         Err(CoreError::Persistence { what }) => {
@@ -324,22 +344,27 @@ fn in_process_replace_validates_keys_and_formularies() {
     let missing = ModelKey::new("missing").expect("key");
 
     // Unknown keys are typed errors.
-    let kb = KnowledgeBase::from_ddi_graph(&world.ddi, &world.registry).expect("kb");
+    let kb = KnowledgeBase::from_ddi_graph(&world.ddi, &world.registry)
+        .expect("kb")
+        .to_container_bytes();
     assert!(matches!(
-        catalog.replace_kb(&missing, kb.clone()),
+        catalog.install(&missing, SyncArtifact::Kb, &kb, None),
         Err(ServingError::UnknownModel { .. })
     ));
     // A foreign formulary is refused with a typed mismatch.
     let foreign_registry =
         dssddi_data::DrugRegistry::from_names(vec!["A".to_string(), "B".to_string()])
             .expect("registry");
+    let foreign = KnowledgeBase::new(&foreign_registry).to_container_bytes();
     assert!(matches!(
-        catalog.replace_kb(&key, KnowledgeBase::new(&foreign_registry)),
+        catalog.install(&key, SyncArtifact::Kb, &foreign, None),
         Err(ServingError::FormularyMismatch { .. })
     ));
-    // A matching KB swaps in (replace is `&self`: no exclusive catalog
+    // A matching KB swaps in (install is `&self`: no exclusive catalog
     // access needed, which is what lets the gateway do this live).
-    catalog.replace_kb(&key, kb).expect("swap kb");
+    assert!(catalog
+        .install(&key, SyncArtifact::Kb, &kb, None)
+        .expect("swap kb"));
     assert_eq!(catalog.kb(&key).expect("kb").version(), 1);
 }
 

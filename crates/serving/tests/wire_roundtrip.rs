@@ -256,7 +256,7 @@ fn arb_check_request() -> impl Strategy<Value = CheckPrescriptionRequest> {
         })
 }
 
-fn arb_key_versions() -> impl Strategy<Value = Vec<KeyVersions>> {
+fn arb_version_vector() -> impl Strategy<Value = Vec<KeyVersions>> {
     proptest::collection::vec((arb_model_key(), any::<u64>(), any::<u64>()), 0..4).prop_map(
         |entries| {
             entries
@@ -301,7 +301,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
         any::<bool>().prop_map(|_| Request::ListModels),
         any::<bool>().prop_map(|_| Request::Stats),
         any::<bool>().prop_map(|_| Request::Ping),
-        arb_key_versions().prop_map(|versions| Request::PeerStatus { versions }),
+        arb_version_vector().prop_map(|versions| Request::PeerStatus { versions }),
         (arb_model_key(), arb_sync_artifact())
             .prop_map(|(model, artifact)| Request::PeerSync { model, artifact }),
         any::<u64>().prop_map(|limit| Request::TraceDump { limit }),
@@ -368,7 +368,7 @@ fn arb_stats_report() -> impl Strategy<Value = StatsReport> {
     (
         proptest::collection::vec((arb_model_key(), arb_model_stats()), 0..4),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<bool>(), 0usize..5, any::<u64>(), arb_key_versions()),
+        (any::<bool>(), 0usize..5, any::<u64>(), arb_version_vector()),
     )
         .prop_map(|(models, gateway, (replicated, peers, lag, versions))| {
             StatsReport {
@@ -425,7 +425,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
         arb_kb_info().prop_map(Response::KbReloaded),
         arb_kb_info().prop_map(Response::KbInfo),
         any::<bool>().prop_map(|_| Response::Pong),
-        arb_key_versions().prop_map(|versions| Response::PeerStatus { versions }),
+        arb_version_vector().prop_map(|versions| Response::PeerStatus { versions }),
         (
             arb_model_key(),
             arb_sync_artifact(),

@@ -3,21 +3,25 @@
 //! Trained DSSDDI parameter sets have to outlive the process that fitted
 //! them: a service is trained once on the chronic cohort and then shipped to
 //! serving hosts. This module is the byte-level substrate for that — a small
-//! writer/reader pair plus a checked container format, with no external
+//! writer/reader pair plus one checked frame format, with no external
 //! crates involved.
 //!
-//! ## Container layout
+//! ## Frame layout
+//!
+//! Every sealed artifact is a frame: the `DSSD` service container
+//! (`dssddi-core`), the `DSKB` knowledge-base container (`dssddi-kb`) and the
+//! `DSWR` wire frame (`dssddi-serving`) differ only in their magic bytes and
+//! versions. [`seal_frame`] writes one and [`open_frame`] checks one.
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic bytes MAGIC
-//! 4       2     format version (little-endian u16), FORMAT_VERSION
+//! 0       4     magic bytes, naming the format
+//! 4       2     format version (little-endian u16)
 //! 6       8     payload length in bytes (little-endian u64)
 //! 14      n     payload
 //! 14+n    4     CRC-32 (IEEE) of the payload (little-endian u32)
 //! ```
 //!
-//! [`MAGIC`] and [`FORMAT_VERSION`] are the values a container carries.
 //! All integers are little-endian; `f32`/`f64` are stored as their IEEE-754
 //! bit patterns, so values (including NaNs) round-trip bit-exactly. Reading
 //! is fully bounds-checked: truncated, corrupted or version-mismatched input
@@ -29,12 +33,6 @@ use std::path::Path;
 
 use crate::{Matrix, ParamId, ParamSet};
 
-/// Magic bytes opening every container.
-pub const MAGIC: [u8; 4] = *b"DSSD";
-
-/// Current container format version.
-pub const FORMAT_VERSION: u16 = 1;
-
 /// Errors produced while writing or reading serialized state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -44,8 +42,14 @@ pub enum SerdeError {
         /// Description including the underlying error.
         what: String,
     },
-    /// The input does not start with the `DSSD` magic bytes.
-    BadMagic,
+    /// The input does not start with the magic bytes of the format the
+    /// caller expects.
+    BadMagic {
+        /// The magic bytes of the expected format.
+        expected: [u8; 4],
+        /// The first four bytes of the input.
+        found: [u8; 4],
+    },
     /// The container was written by an unsupported format version.
     UnsupportedVersion {
         /// Version found in the header.
@@ -76,7 +80,12 @@ impl std::fmt::Display for SerdeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SerdeError::Io { what } => write!(f, "i/o error: {what}"),
-            SerdeError::BadMagic => write!(f, "not a DSSD container (bad magic bytes)"),
+            SerdeError::BadMagic { expected, found } => write!(
+                f,
+                "bad magic bytes: expected \"{}\", found \"{}\"",
+                expected.escape_ascii(),
+                found.escape_ascii()
+            ),
             SerdeError::UnsupportedVersion { found, supported } => write!(
                 f,
                 "unsupported format version {found} (this build reads version {supported})"
@@ -256,37 +265,39 @@ impl<'a> ByteReader<'a> {
     }
 
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SerdeError> {
-        if self.remaining() < n {
-            return Err(SerdeError::Truncated { what });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
+        let end = self.pos.checked_add(n);
+        let slice = end
+            .and_then(|end| self.buf.get(self.pos..end))
+            .ok_or(SerdeError::Truncated { what })?;
         self.pos += n;
         Ok(slice)
     }
 
+    /// Reads `N` bytes as an array — the fixed-width reads below.
+    fn take_array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], SerdeError> {
+        self.take(N, what)?
+            .try_into()
+            .map_err(|_| SerdeError::Truncated { what })
+    }
+
     /// Reads one byte.
     pub fn take_u8(&mut self, what: &'static str) -> Result<u8, SerdeError> {
-        Ok(self.take(1, what)?[0])
+        Ok(u8::from_le_bytes(self.take_array(what)?))
     }
 
     /// Reads a little-endian `u16`.
     pub fn take_u16(&mut self, what: &'static str) -> Result<u16, SerdeError> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        Ok(u16::from_le_bytes(self.take_array(what)?))
     }
 
     /// Reads a little-endian `u32`.
     pub fn take_u32(&mut self, what: &'static str) -> Result<u32, SerdeError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.take_array(what)?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn take_u64(&mut self, what: &'static str) -> Result<u64, SerdeError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.take_array(what)?))
     }
 
     /// Reads a `usize` written by [`ByteWriter::put_usize`].
@@ -438,14 +449,11 @@ impl<'a> ByteReader<'a> {
 }
 
 /// Byte length of a frame header: magic (4) + version (2) + payload
-/// length (8). Every framed format built on this module — the `DSSD`
-/// container and the serving wire protocol — shares this prefix shape.
+/// length (8).
 pub const FRAME_HEADER_LEN: usize = 14;
 
-/// Wraps a payload in a generic frame: `magic`, little-endian `version`,
-/// `u64` payload length, payload, CRC-32 trailer. The `DSSD` container and
-/// the serving wire protocol are both instances of this layout, differing
-/// only in their magic bytes and version number.
+/// Wraps a payload in a frame: `magic`, little-endian `version`, `u64`
+/// payload length, payload, CRC-32 trailer.
 pub fn seal_frame(magic: [u8; 4], version: u16, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + FRAME_HEADER_LEN + 4);
     out.extend_from_slice(&magic);
@@ -457,166 +465,76 @@ pub fn seal_frame(magic: [u8; 4], version: u16, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Validates the leading [`FRAME_HEADER_LEN`] bytes of a frame and returns
-/// the declared payload length.
+/// the version it carries and its declared payload length.
 ///
-/// Checks, in order: magic bytes, format version, and that the declared
-/// length fits in `usize`. This is the streaming entry point: a socket
-/// reader pulls the fixed-size header first, learns the payload length from
-/// it, then reads exactly `length + 4` more bytes (payload plus CRC) and
-/// hands the whole frame to [`open_frame`].
-pub fn parse_frame_header(magic: [u8; 4], version: u16, bytes: &[u8]) -> Result<usize, SerdeError> {
-    if bytes.len() < 4 {
-        return Err(SerdeError::Truncated {
-            what: "container magic",
-        });
-    }
-    if bytes[..4] != magic {
-        return Err(SerdeError::BadMagic);
-    }
-    if bytes.len() < FRAME_HEADER_LEN {
-        return Err(SerdeError::Truncated {
-            what: "container header",
-        });
-    }
-    let found = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if found != version {
-        return Err(SerdeError::UnsupportedVersion {
-            found,
-            supported: version,
-        });
-    }
-    let declared = u64::from_le_bytes([
-        bytes[6], bytes[7], bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13],
-    ]);
-    usize::try_from(declared).map_err(|_| SerdeError::Corrupt {
-        what: format!("declared payload length {declared} does not fit in usize"),
-    })
-}
-
-/// Validates a complete frame sealed by [`seal_frame`] and returns its
-/// payload slice.
-///
-/// Checks, in order: the header (via [`parse_frame_header`]), the declared
-/// payload length against the actual byte count (trailing bytes are
-/// rejected), and the CRC-32 trailer.
-pub fn open_frame(magic: [u8; 4], version: u16, bytes: &[u8]) -> Result<&[u8], SerdeError> {
-    let declared = parse_frame_header(magic, version, bytes)?;
-    let body = &bytes[FRAME_HEADER_LEN..];
-    // The declared length is untrusted input: checked arithmetic, so a
-    // near-usize::MAX value cannot overflow `declared + 4`.
-    let declared_with_crc = declared.checked_add(4).ok_or_else(|| SerdeError::Corrupt {
-        what: format!("declared payload length {declared} overflows"),
-    })?;
-    if body.len() < declared_with_crc {
-        return Err(SerdeError::Truncated {
-            what: "container payload",
-        });
-    }
-    if body.len() > declared_with_crc {
-        return Err(SerdeError::Corrupt {
-            what: format!(
-                "container has {} trailing bytes after the checksum",
-                body.len() - declared_with_crc
-            ),
-        });
-    }
-    let payload = &body[..declared];
-    let stored = u32::from_le_bytes([
-        body[declared],
-        body[declared + 1],
-        body[declared + 2],
-        body[declared + 3],
-    ]);
-    let computed = crc32(payload);
-    if stored != computed {
-        return Err(SerdeError::ChecksumMismatch {
-            expected: stored,
-            found: computed,
-        });
-    }
-    Ok(payload)
-}
-
-/// Like [`parse_frame_header`] but accepting any of several `supported`
-/// versions — the entry point for protocols that negotiate per-frame
-/// (the serving wire protocol's traced frames). Returns the version the
-/// frame actually carries plus its declared payload length; a version not
-/// in `supported` reports the highest supported one in the error.
-pub fn parse_frame_header_versions(
+/// Checks, in order: magic bytes, that the version is one of `supported`
+/// (a version outside the set reports the highest supported one), and that
+/// the declared length fits in `usize`. This is the streaming entry point:
+/// a socket reader pulls the fixed-size header first, learns the payload
+/// length from it, then reads exactly `length + 4` more bytes (payload plus
+/// CRC) and hands the whole frame to [`open_frame`].
+pub fn parse_frame_header(
     magic: [u8; 4],
     supported: &[u16],
     bytes: &[u8],
 ) -> Result<(u16, usize), SerdeError> {
-    if bytes.len() < 4 {
-        return Err(SerdeError::Truncated {
-            what: "container magic",
+    let mut r = ByteReader::new(bytes);
+    let found = r.take_array("container magic")?;
+    if found != magic {
+        return Err(SerdeError::BadMagic {
+            expected: magic,
+            found,
         });
-    }
-    if bytes.get(..4) != Some(magic.as_slice()) {
-        return Err(SerdeError::BadMagic);
     }
     if bytes.len() < FRAME_HEADER_LEN {
         return Err(SerdeError::Truncated {
             what: "container header",
         });
     }
-    let mut version_bytes = [0u8; 2];
-    if let Some(src) = bytes.get(4..6) {
-        version_bytes.copy_from_slice(src);
-    }
-    let found = u16::from_le_bytes(version_bytes);
-    if !supported.contains(&found) {
+    let version = r.take_u16("container header")?;
+    if !supported.contains(&version) {
         return Err(SerdeError::UnsupportedVersion {
-            found,
+            found: version,
             supported: supported.iter().copied().max().unwrap_or(0),
         });
     }
-    let mut len_bytes = [0u8; 8];
-    if let Some(src) = bytes.get(6..FRAME_HEADER_LEN) {
-        len_bytes.copy_from_slice(src);
-    }
-    let declared = u64::from_le_bytes(len_bytes);
+    let declared = r.take_u64("container header")?;
     let declared = usize::try_from(declared).map_err(|_| SerdeError::Corrupt {
         what: format!("declared payload length {declared} does not fit in usize"),
     })?;
-    Ok((found, declared))
+    Ok((version, declared))
 }
 
-/// Like [`open_frame`] but accepting any of several `supported` versions;
-/// returns the version the frame carries alongside its payload slice.
-pub fn open_frame_versions<'a>(
+/// Validates a complete frame sealed by [`seal_frame`] and returns the
+/// version it carries and its payload slice.
+///
+/// Checks, in order: the header (via [`parse_frame_header`]), the declared
+/// payload length against the actual byte count (truncated frames and
+/// trailing bytes are rejected), and the CRC-32 trailer.
+pub fn open_frame<'a>(
     magic: [u8; 4],
     supported: &[u16],
     bytes: &'a [u8],
 ) -> Result<(u16, &'a [u8]), SerdeError> {
-    let (found, declared) = parse_frame_header_versions(magic, supported, bytes)?;
-    let body = bytes.get(FRAME_HEADER_LEN..).unwrap_or(&[]);
-    // The declared length is untrusted input: checked arithmetic, so a
-    // near-usize::MAX value cannot overflow `declared + 4`.
-    let declared_with_crc = declared.checked_add(4).ok_or_else(|| SerdeError::Corrupt {
-        what: format!("declared payload length {declared} overflows"),
-    })?;
-    if body.len() < declared_with_crc {
-        return Err(SerdeError::Truncated {
-            what: "container payload",
+    let (version, declared) = parse_frame_header(magic, supported, bytes)?;
+    // The declared length is untrusted input: a near-usize::MAX value is
+    // corrupt, not a payload-plus-CRC length that overflows.
+    if declared.checked_add(4).is_none() {
+        return Err(SerdeError::Corrupt {
+            what: format!("declared payload length {declared} overflows"),
         });
     }
-    if body.len() > declared_with_crc {
+    let mut r = ByteReader::new(bytes.get(FRAME_HEADER_LEN..).unwrap_or_default());
+    let payload = r.take(declared, "container payload")?;
+    let stored = r.take_u32("container payload")?;
+    if !r.is_exhausted() {
         return Err(SerdeError::Corrupt {
             what: format!(
                 "container has {} trailing bytes after the checksum",
-                body.len() - declared_with_crc
+                r.remaining()
             ),
         });
     }
-    let payload = body.get(..declared).ok_or(SerdeError::Truncated {
-        what: "container payload",
-    })?;
-    let mut crc_bytes = [0u8; 4];
-    if let Some(src) = body.get(declared..declared_with_crc) {
-        crc_bytes.copy_from_slice(src);
-    }
-    let stored = u32::from_le_bytes(crc_bytes);
     let computed = crc32(payload);
     if stored != computed {
         return Err(SerdeError::ChecksumMismatch {
@@ -624,21 +542,7 @@ pub fn open_frame_versions<'a>(
             found: computed,
         });
     }
-    Ok((found, payload))
-}
-
-/// Wraps a payload in the `DSSD` container: magic, version, length, payload,
-/// CRC-32 trailer.
-pub fn seal_container(payload: &[u8]) -> Vec<u8> {
-    seal_frame(MAGIC, FORMAT_VERSION, payload)
-}
-
-/// Validates a `DSSD` container and returns its payload slice.
-///
-/// Checks, in order: magic bytes, format version, declared payload length
-/// against the actual byte count, and the CRC-32 trailer.
-pub fn open_container(bytes: &[u8]) -> Result<&[u8], SerdeError> {
-    open_frame(MAGIC, FORMAT_VERSION, bytes)
+    Ok((version, payload))
 }
 
 /// Writes `bytes` to `path` crash-safely: the bytes land in a temporary
@@ -671,21 +575,6 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> Result<(), SerdeErr
             })
         }
     }
-}
-
-/// Seals `payload` into a container and writes it to `path` via
-/// [`atomic_write`]: a crash mid-save can never leave a torn container.
-pub fn save_container(path: impl AsRef<Path>, payload: &[u8]) -> Result<(), SerdeError> {
-    atomic_write(path, &seal_container(payload))
-}
-
-/// Reads a container from `path`, validates it and returns the payload.
-pub fn load_container(path: impl AsRef<Path>) -> Result<Vec<u8>, SerdeError> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path).map_err(|e| SerdeError::Io {
-        what: format!("reading {}: {e}", path.display()),
-    })?;
-    open_container(&bytes).map(<[u8]>::to_vec)
 }
 
 #[cfg(test)]
@@ -801,22 +690,35 @@ mod tests {
         ));
     }
 
+    /// Magic bytes of the frames these tests seal.
+    const TEST_MAGIC: [u8; 4] = *b"TEST";
+
+    fn open_test_frame(bytes: &[u8]) -> Result<&[u8], SerdeError> {
+        open_frame(TEST_MAGIC, &[1], bytes).map(|(_, payload)| payload)
+    }
+
     #[test]
     fn container_round_trip_and_validation() {
         let payload = b"the parameter bytes";
-        let sealed = seal_container(payload);
-        assert_eq!(open_container(&sealed).unwrap(), payload);
+        let sealed = seal_frame(TEST_MAGIC, 1, payload);
+        assert_eq!(open_test_frame(&sealed).unwrap(), payload);
 
         // Bad magic.
         let mut bad = sealed.clone();
         bad[0] ^= 0xFF;
-        assert_eq!(open_container(&bad), Err(SerdeError::BadMagic));
+        assert_eq!(
+            open_test_frame(&bad),
+            Err(SerdeError::BadMagic {
+                expected: TEST_MAGIC,
+                found: *b"\xABEST",
+            })
+        );
 
         // Unsupported version.
         let mut bad = sealed.clone();
         bad[4] = 99;
         assert!(matches!(
-            open_container(&bad),
+            open_test_frame(&bad),
             Err(SerdeError::UnsupportedVersion { found: 99, .. })
         ));
 
@@ -824,20 +726,20 @@ mod tests {
         let mut bad = sealed.clone();
         bad[15] ^= 0x01;
         assert!(matches!(
-            open_container(&bad),
+            open_test_frame(&bad),
             Err(SerdeError::ChecksumMismatch { .. })
         ));
 
         // Truncation anywhere -> error, never panic.
         for cut in 0..sealed.len() {
-            assert!(open_container(&sealed[..cut]).is_err(), "cut at {cut}");
+            assert!(open_test_frame(&sealed[..cut]).is_err(), "cut at {cut}");
         }
 
         // Trailing garbage is rejected.
         let mut bad = sealed.clone();
         bad.push(0);
         assert!(matches!(
-            open_container(&bad),
+            open_test_frame(&bad),
             Err(SerdeError::Corrupt { .. })
         ));
 
@@ -846,27 +748,45 @@ mod tests {
         let mut bad = sealed.clone();
         bad[6..14].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            open_container(&bad),
+            open_test_frame(&bad),
             Err(SerdeError::Corrupt { .. })
         ));
         let mut bad = sealed;
         bad[6..14].copy_from_slice(&(u64::MAX - 4).to_le_bytes());
-        assert!(open_container(&bad).is_err());
+        assert!(open_test_frame(&bad).is_err());
     }
 
     #[test]
     fn generic_frames_are_isolated_by_magic_and_version() {
         let framed = seal_frame(*b"DSWP", 3, b"payload");
-        assert_eq!(open_frame(*b"DSWP", 3, &framed).unwrap(), b"payload");
-        // A frame sealed under one magic is not a container and vice versa.
         assert_eq!(
-            open_frame(*b"DSWP", 3, &seal_container(b"payload")),
-            Err(SerdeError::BadMagic)
+            open_frame(*b"DSWP", &[3], &framed).unwrap(),
+            (3, b"payload".as_slice())
         );
-        assert_eq!(open_container(&framed), Err(SerdeError::BadMagic));
+        // A frame sealed under one magic does not open under another, and
+        // the error names both.
+        let other = seal_frame(TEST_MAGIC, 3, b"payload");
+        let error = open_frame(*b"DSWP", &[3], &other).unwrap_err();
+        assert_eq!(
+            error,
+            SerdeError::BadMagic {
+                expected: *b"DSWP",
+                found: TEST_MAGIC,
+            }
+        );
+        assert_eq!(
+            error.to_string(),
+            "bad magic bytes: expected \"DSWP\", found \"TEST\""
+        );
+        // Unprintable magic bytes are escaped.
+        let binary = seal_frame([0, 1, 0xFE, b'x'], 3, b"payload");
+        assert_eq!(
+            open_frame(*b"DSWP", &[3], &binary).unwrap_err().to_string(),
+            r#"bad magic bytes: expected "DSWP", found "\x00\x01\xfex""#
+        );
         // Same magic, different version: typed version mismatch.
         assert!(matches!(
-            open_frame(*b"DSWP", 4, &framed),
+            open_frame(*b"DSWP", &[4], &framed),
             Err(SerdeError::UnsupportedVersion {
                 found: 3,
                 supported: 4
@@ -874,8 +794,8 @@ mod tests {
         ));
         // Streaming header parse recovers the declared payload length.
         assert_eq!(
-            parse_frame_header(*b"DSWP", 3, &framed[..FRAME_HEADER_LEN]).unwrap(),
-            b"payload".len()
+            parse_frame_header(*b"DSWP", &[3], &framed[..FRAME_HEADER_LEN]).unwrap(),
+            (3, b"payload".len())
         );
     }
 
@@ -885,16 +805,16 @@ mod tests {
         let v4 = seal_frame(*b"DSWP", 4, b"payload");
         // Either supported version opens, reporting which one was found.
         assert_eq!(
-            open_frame_versions(*b"DSWP", &[3, 4], &v3).unwrap(),
+            open_frame(*b"DSWP", &[3, 4], &v3).unwrap(),
             (3, b"payload".as_slice())
         );
         assert_eq!(
-            open_frame_versions(*b"DSWP", &[3, 4], &v4).unwrap(),
+            open_frame(*b"DSWP", &[3, 4], &v4).unwrap(),
             (4, b"payload".as_slice())
         );
         // A version outside the set reports the highest supported one.
         assert!(matches!(
-            open_frame_versions(*b"DSWP", &[3, 4], &seal_frame(*b"DSWP", 5, b"payload")),
+            open_frame(*b"DSWP", &[3, 4], &seal_frame(*b"DSWP", 5, b"payload")),
             Err(SerdeError::UnsupportedVersion {
                 found: 5,
                 supported: 4
@@ -902,7 +822,7 @@ mod tests {
         ));
         // The streaming header parse agrees with the whole-frame open.
         assert_eq!(
-            parse_frame_header_versions(*b"DSWP", &[3, 4], &v4[..FRAME_HEADER_LEN]).unwrap(),
+            parse_frame_header(*b"DSWP", &[3, 4], &v4[..FRAME_HEADER_LEN]).unwrap(),
             (4, b"payload".len())
         );
         // Corruption is still caught after the version gate.
@@ -911,22 +831,8 @@ mod tests {
             *byte ^= 0xFF;
         }
         assert!(matches!(
-            open_frame_versions(*b"DSWP", &[3, 4], &torn),
+            open_frame(*b"DSWP", &[3, 4], &torn),
             Err(SerdeError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn save_and_load_container_round_trip() {
-        let dir = std::env::temp_dir().join("dssddi-serde-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.dssd");
-        save_container(&path, b"hello").unwrap();
-        assert_eq!(load_container(&path).unwrap(), b"hello");
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(
-            load_container(dir.join("missing.dssd")),
-            Err(SerdeError::Io { .. })
         ));
     }
 
@@ -953,30 +859,31 @@ mod tests {
         let dir = std::env::temp_dir().join("dssddi-serde-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("crash.dssd");
-        save_container(&path, b"old payload").unwrap();
+        let load = || open_test_frame(&std::fs::read(&path).unwrap()).map(<[u8]>::to_vec);
+        atomic_write(&path, &seal_frame(TEST_MAGIC, 1, b"old payload")).unwrap();
 
         // A save dies only in the window where bytes are on disk but the
         // rename has not happened: simulate every possible cut point of
         // the staged write and check the live artifact is untouched.
-        let staged = seal_container(b"new payload");
+        let staged = seal_frame(TEST_MAGIC, 1, b"new payload");
         let tmp = format!("{}.tmp.{}", path.display(), std::process::id());
         for cut in 0..staged.len() {
             std::fs::write(&tmp, &staged[..cut]).unwrap();
             assert_eq!(
-                load_container(&path).unwrap(),
+                load().unwrap(),
                 b"old payload",
                 "a dead writer (cut at byte {cut}) must leave the old artifact intact"
             );
         }
         // A later save succeeds despite the stale staging file.
-        save_container(&path, b"new payload").unwrap();
-        assert_eq!(load_container(&path).unwrap(), b"new payload");
+        atomic_write(&path, &staged).unwrap();
+        assert_eq!(load().unwrap(), b"new payload");
 
-        // First-ever save dying pre-rename: no artifact, typed error.
+        // First-ever save dying pre-rename: no artifact.
         let fresh = dir.join("never-written.dssd");
         let fresh_tmp = format!("{}.tmp.{}", fresh.display(), std::process::id());
         std::fs::write(&fresh_tmp, &staged[..4]).unwrap();
-        assert!(matches!(load_container(&fresh), Err(SerdeError::Io { .. })));
+        assert!(!fresh.exists());
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&tmp).ok();
         std::fs::remove_file(&fresh_tmp).ok();

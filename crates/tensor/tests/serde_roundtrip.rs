@@ -1,12 +1,13 @@
-//! Property-based round-trip coverage of the `DSSD` serializer: random
+//! Property-based round-trip coverage of the frame serializer: random
 //! matrices and parameter sets must survive save→load bit-exactly, and
 //! corrupted or truncated bytes must yield typed errors — never panics.
 
-use dssddi_tensor::serde::{
-    crc32, open_container, seal_container, ByteReader, ByteWriter, SerdeError,
-};
+use dssddi_tensor::serde::{crc32, open_frame, seal_frame, ByteReader, ByteWriter, SerdeError};
 use dssddi_tensor::{Matrix, ParamSet};
 use proptest::prelude::*;
+
+/// Magic bytes of the frames these tests seal.
+const TEST_MAGIC: [u8; 4] = *b"TEST";
 
 fn arb_matrix() -> impl Strategy<Value = Matrix> {
     (1usize..8).prop_flat_map(|rows| {
@@ -39,8 +40,8 @@ proptest! {
     fn matrix_round_trips_bit_exactly(m in arb_matrix()) {
         let mut w = ByteWriter::new();
         w.put_matrix(&m);
-        let sealed = seal_container(w.as_bytes());
-        let payload = open_container(&sealed).expect("fresh container is valid");
+        let sealed = seal_frame(TEST_MAGIC, 1, w.as_bytes());
+        let (_, payload) = open_frame(TEST_MAGIC, &[1], &sealed).expect("fresh container is valid");
         let mut r = ByteReader::new(payload);
         let back = r.take_matrix("matrix").expect("fresh payload decodes");
         prop_assert!(r.is_exhausted());
@@ -68,9 +69,9 @@ proptest! {
     fn truncation_yields_errors_not_panics(m in arb_matrix(), frac in 0.0f64..1.0) {
         let mut w = ByteWriter::new();
         w.put_matrix(&m);
-        let sealed = seal_container(w.as_bytes());
+        let sealed = seal_frame(TEST_MAGIC, 1, w.as_bytes());
         let cut = ((sealed.len() - 1) as f64 * frac) as usize;
-        prop_assert!(open_container(&sealed[..cut]).is_err());
+        prop_assert!(open_frame(TEST_MAGIC, &[1], &sealed[..cut]).is_err());
     }
 
     /// Flipping any single payload byte is caught (header bytes produce
@@ -79,10 +80,10 @@ proptest! {
     fn corruption_is_detected(m in arb_matrix(), pos in any::<prop::sample::Index>(), bit in 0u32..8) {
         let mut w = ByteWriter::new();
         w.put_matrix(&m);
-        let mut sealed = seal_container(w.as_bytes());
+        let mut sealed = seal_frame(TEST_MAGIC, 1, w.as_bytes());
         let pos = pos.index(sealed.len());
         sealed[pos] ^= 1 << bit;
-        let outcome = open_container(&sealed);
+        let outcome = open_frame(TEST_MAGIC, &[1], &sealed);
         match outcome {
             Err(_) => {}
             // A flip inside the 8-byte length field can produce a *larger*
@@ -129,17 +130,20 @@ fn non_finite_values_round_trip_bit_exactly() {
 
 #[test]
 fn version_and_magic_mismatches_are_typed() {
-    let sealed = seal_container(b"payload");
+    let sealed = seal_frame(TEST_MAGIC, 1, b"payload");
     let mut wrong_version = sealed.clone();
     wrong_version[4] = 42;
     assert!(matches!(
-        open_container(&wrong_version),
+        open_frame(TEST_MAGIC, &[1], &wrong_version),
         Err(SerdeError::UnsupportedVersion { found: 42, .. })
     ));
     let mut wrong_magic = sealed;
     wrong_magic[0] = b'X';
     assert!(matches!(
-        open_container(&wrong_magic),
-        Err(SerdeError::BadMagic)
+        open_frame(TEST_MAGIC, &[1], &wrong_magic),
+        Err(SerdeError::BadMagic {
+            expected: TEST_MAGIC,
+            found: [b'X', b'E', b'S', b'T'],
+        })
     ));
 }

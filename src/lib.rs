@@ -150,8 +150,9 @@
 //! travels inside the `DSKB` container itself. Each agent round exchanges
 //! these vectors with every peer (`PeerStatus`), pulls whole `DSSD`/`DSKB`
 //! containers wherever a peer is ahead (`PeerSync`), and applies them
-//! through the same hot-reload machinery a direct
-//! [`Client::reload_model`](serving::Client)/`reload_kb` uses — so a
+//! through [`ModelCatalog::install`](serving::ModelCatalog::install), the
+//! one install path a direct
+//! [`Client::reload_model`](serving::Client)/`reload_kb` reaches too — so a
 //! synced replica serves **byte-identical** responses to the reloaded one,
 //! and sync is monotone: a shard never moves backwards, making rounds
 //! idempotent and concurrent reloads benign. Per-replica progress (peers,
