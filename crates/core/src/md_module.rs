@@ -294,7 +294,7 @@ impl MdModule {
             matched as f64 / total_cf as f64
         };
 
-        Ok(Self {
+        let module = Self {
             params,
             patient_w,
             patient_b,
@@ -309,7 +309,15 @@ impl MdModule {
             drug_repr,
             losses,
             counterfactual_match_rate,
-        })
+        };
+        // A model loading would refuse must not leave training either.
+        if let Some(name) = module.non_finite_part() {
+            return Err(CoreError::invalid_input(format!(
+                "training left {name} with a NaN or infinite value (a non-finite input \
+                 or a diverging learning rate)"
+            )));
+        }
+        Ok(module)
     }
 
     /// Serializes the fitted module: the full parameter set, the decoder
@@ -399,26 +407,7 @@ impl MdModule {
                 "drug representation width disagrees with the patient hidden width".into(),
             ));
         }
-        // A NaN or infinite weight would rank drugs on NaN scores, so it is
-        // damage like any other. The training losses are only a trace that
-        // prediction never reads.
-        let non_finite = params
-            .iter()
-            .map(|(id, m)| (params.name(id), m))
-            .chain([
-                ("drug_repr", &drug_repr),
-                ("treatment", &treatment),
-                ("kmeans.centroids", kmeans.centroids()),
-                ("drug_features", &drug_features),
-            ])
-            .chain(ddi_embeddings.iter().map(|m| ("ddi_embeddings", m)))
-            .find(|(_, m)| !m.all_finite());
-        if let Some((name, _)) = non_finite {
-            return Err(corrupt(format!(
-                "persisted {name} holds a NaN or infinite value"
-            )));
-        }
-        Ok(Self {
+        let module = Self {
             params,
             patient_w,
             patient_b,
@@ -433,7 +422,32 @@ impl MdModule {
             drug_repr,
             losses,
             counterfactual_match_rate,
-        })
+        };
+        if let Some(name) = module.non_finite_part() {
+            return Err(corrupt(format!(
+                "persisted {name} holds a NaN or infinite value"
+            )));
+        }
+        Ok(module)
+    }
+
+    /// The name of the first value prediction reads that holds a NaN or
+    /// infinity, if any. Such a weight would rank drugs on NaN scores, so
+    /// neither training nor loading may hand the module out. The training
+    /// losses are only a trace that prediction never reads.
+    fn non_finite_part(&self) -> Option<&str> {
+        self.params
+            .iter()
+            .map(|(id, m)| (self.params.name(id), m))
+            .chain([
+                ("drug_repr", &self.drug_repr),
+                ("treatment", self.treatment.matrix()),
+                ("kmeans.centroids", self.kmeans.centroids()),
+                ("drug_features", &self.drug_features),
+            ])
+            .chain(self.ddi_embeddings.iter().map(|m| ("ddi_embeddings", m)))
+            .find(|(_, m)| !m.all_finite())
+            .map(|(name, _)| name)
     }
 
     /// Per-epoch training loss trace.

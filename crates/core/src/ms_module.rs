@@ -176,7 +176,7 @@ impl ExplanationCache {
 
     /// The cached explanation for `suggested`, if present (counts a hit and
     /// refreshes the entry's recency). Separated from [`ExplanationCache::insert`]
-    /// so concurrent serving shards can run the expensive community search
+    /// so concurrent serving threads can run the expensive community search
     /// *outside* the cache lock: lock → `lookup`, miss → search unlocked,
     /// lock → `insert`.
     pub fn lookup(&mut self, suggested: &[usize]) -> Option<Explanation> {
@@ -194,7 +194,7 @@ impl ExplanationCache {
 
     /// Records a freshly computed explanation for `suggested`, counting a
     /// miss and evicting the least-recently-used entry when at capacity.
-    /// If two shards raced on the same key, the later insert harmlessly
+    /// If two threads raced on the same key, the later insert harmlessly
     /// overwrites the earlier with an identical explanation (community
     /// search is deterministic for a fixed graph and key).
     pub fn insert(&mut self, suggested: &[usize], explanation: Explanation) {

@@ -74,11 +74,6 @@ use crate::persist::{self, section};
 use crate::system::Dssddi;
 use crate::CoreError;
 
-/// Requests one serving worker must have before
-/// [`DecisionService::suggest_batch_with_kb`] spawns another: below this,
-/// thread startup costs more than it overlaps.
-const MIN_REQUESTS_PER_SHARD: usize = 8;
-
 /// A typed drug identifier (the paper's DID): an index into the service's
 /// [`DrugRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -943,46 +938,22 @@ impl DecisionService {
     /// grading each request's filters as in
     /// [`DecisionService::suggest_with_kb`].
     ///
-    /// Score prediction is amortised: each worker stacks its patients'
-    /// feature vectors into one matrix and pushes them through the
-    /// tape-free inference path in a single pass, and explanations are
-    /// memoized per distinct suggested drug set in the service-owned,
-    /// size-bounded cache — with homogeneous cohorts most patients share a
-    /// handful of communities, and because the DDI graph is immutable after
-    /// fit the memo keeps paying off across batches, not just within one.
-    ///
-    /// Large batches are sharded across scoped worker threads (the service
-    /// is `Sync`; the explanation memo stays shared behind its lock). The
-    /// shard count is picked from the number of threads the process may
-    /// run, read once per process ([`dssddi_tensor::available_workers`]),
-    /// and the batch size. Responses always come back in request order
-    /// with scores identical to the serial path — patients are scored
-    /// independently, so sharding cannot change any result.
+    /// The whole batch is served on the calling thread. Score prediction
+    /// is amortised: the patients' feature vectors are stacked into one
+    /// matrix and pushed through the tape-free inference path in a single
+    /// pass, and explanations are memoized per distinct suggested drug set
+    /// in the service-owned, size-bounded cache — with homogeneous cohorts
+    /// most patients share a handful of communities, and because the DDI
+    /// graph is immutable after fit the memo keeps paying off across
+    /// batches, not just within one. Responses come back in request order,
+    /// each identical to serving its request alone: patients are scored
+    /// independently.
     pub fn suggest_batch_with_kb(
         &self,
         requests: &[SuggestRequest],
         kb: Option<&KnowledgeBase>,
     ) -> Result<Vec<SuggestResponse>, CoreError> {
-        // Floor division: a worker is only worth spawning once it has a
-        // full MIN_REQUESTS_PER_SHARD of work; the tail rides with the
-        // last full shard instead of paying a thread spawn of its own.
-        let workers = dssddi_tensor::available_workers()
-            .min((requests.len() / MIN_REQUESTS_PER_SHARD).max(1));
-        self.serve_sharded(requests, workers, kb)
-    }
-
-    /// Validates and serves a batch split into `shards` contiguous chunks,
-    /// each served by a scoped worker thread (`shards` is clamped to
-    /// `1..=requests.len()`; `1` serves the whole batch on the calling
-    /// thread).
-    fn serve_sharded(
-        &self,
-        requests: &[SuggestRequest],
-        shards: usize,
-        kb: Option<&KnowledgeBase>,
-    ) -> Result<Vec<SuggestResponse>, CoreError> {
-        // An empty batch is an empty answer — before any model check or
-        // shard arithmetic, so no worker thread is ever spawned for it and
+        // An empty batch is an empty answer — before any model check, so
         // pollers draining an empty queue don't error on support-only
         // services.
         if requests.is_empty() {
@@ -1025,68 +996,22 @@ impl DecisionService {
             }
         }
 
-        let shards = shards.clamp(1, requests.len());
-        if shards == 1 {
-            return self.serve_chunk(engine, n_features, requests, kb);
-        }
-        let chunk_len = Self::shard_chunk_len(requests.len(), shards);
-        let results: Vec<Result<Vec<SuggestResponse>, CoreError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = requests
-                .chunks(chunk_len)
-                .map(|chunk| s.spawn(move || self.serve_chunk(engine, n_features, chunk, kb)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| match handle.join() {
-                    Ok(result) => result,
-                    // A worker panic is a bug, not routine input: surface it
-                    // unchanged instead of laundering it into a CoreError.
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
-        let mut responses = Vec::with_capacity(requests.len());
-        for result in results {
-            responses.extend(result?);
-        }
-        Ok(responses)
-    }
-
-    /// Chunk length that spreads `n_requests` over at most `shards` workers
-    /// with no idle worker: the caller clamps `shards` to the batch size, and
-    /// ceiling division guarantees `div_ceil(n_requests, chunk_len)` — the
-    /// number of threads actually spawned — never exceeds either bound, so a
-    /// shard count larger than the batch cannot create workers with nothing
-    /// to serve.
-    fn shard_chunk_len(n_requests: usize, shards: usize) -> usize {
-        n_requests.div_ceil(shards.clamp(1, n_requests.max(1)))
-    }
-
-    /// Serves one contiguous chunk of validated requests: a single
-    /// prediction pass for the chunk, then ranking and (locked, memoized)
-    /// explanation lookup per request.
-    fn serve_chunk(
-        &self,
-        engine: &Dssddi,
-        n_features: usize,
-        chunk: &[SuggestRequest],
-        kb: Option<&KnowledgeBase>,
-    ) -> Result<Vec<SuggestResponse>, CoreError> {
-        let stacked: Vec<f32> = chunk
+        let stacked: Vec<f32> = requests
             .iter()
             .flat_map(|r| r.features.iter().copied())
             .collect();
-        let features = Matrix::from_vec(chunk.len(), n_features, stacked)?;
+        let features = Matrix::from_vec(requests.len(), n_features, stacked)?;
         let scores = engine.predict_scores(&features)?;
-        let mut responses = Vec::with_capacity(chunk.len());
-        for (row, request) in chunk.iter().enumerate() {
+        let mut responses = Vec::with_capacity(requests.len());
+        for (row, request) in requests.iter().enumerate() {
             let ranked = self.ranked_candidates(scores.row(row), request, kb)?;
             let suggested: Vec<usize> = ranked.iter().map(|d| d.id.index()).collect();
             // The lock is held only for the memo lookup/insert, never for
             // the community search itself — cold explanations are the most
-            // expensive part of serving and must overlap across shards. Two
-            // shards may race on the same drug set and search it twice; the
-            // search is deterministic, so either insert wins harmlessly.
+            // expensive part of serving and must overlap across the
+            // connection threads that share this service. Two threads may
+            // race on the same drug set and search it twice; the search is
+            // deterministic, so either insert wins harmlessly.
             // (The lookup is bound to a variable so its guard drops before
             // the miss path re-locks to insert.)
             let cached = self.lock_explanations().lookup(&suggested);
@@ -1129,13 +1054,17 @@ impl DecisionService {
             if ranked.len() == request.k {
                 break;
             }
+            // `top_k_indices` ranks indices into `scores`, so `get` finds each.
+            let Some(&score) = scores.get(d) else {
+                continue;
+            };
             if request.filters.rejects(d, self.ddi_graph(), kb) {
                 continue;
             }
             ranked.push(ScoredDrug {
                 id: DrugId::new(d),
                 name: self.drug_name(DrugId::new(d))?.to_string(),
-                score: scores[d],
+                score,
             });
         }
         if ranked.len() < request.k {
@@ -1206,7 +1135,7 @@ impl DecisionService {
         let mut antagonistic = Vec::new();
         let mut synergistic = Vec::new();
         for (i, a) in drugs.iter().enumerate() {
-            for b in &drugs[i + 1..] {
+            for b in drugs.iter().skip(i + 1) {
                 let graph_sign = self.ddi_graph().interaction(a.id.index(), b.id.index());
                 let signed = graph_sign.filter(|&sign| sign != Interaction::None);
                 let fact = kb.and_then(|kb| kb.lookup(a.id.index(), b.id.index()));
@@ -1285,6 +1214,17 @@ mod tests {
     use rand::SeedableRng;
 
     fn fitted_service(seed: u64) -> (DecisionService, ChronicCohort, Vec<usize>) {
+        let (service, cohort) = fit_small(seed, |_| {}, |_| {});
+        (service.unwrap(), cohort, (55..70).collect())
+    }
+
+    /// Trains on 55 patients of a seeded 70-patient cohort, after `tune`
+    /// edits the configuration and `poison` the drug features.
+    fn fit_small(
+        seed: u64,
+        tune: impl FnOnce(&mut DssddiConfig),
+        poison: impl FnOnce(&mut Matrix),
+    ) -> (Result<DecisionService, CoreError>, ChronicCohort) {
         let registry = DrugRegistry::standard();
         let mut rng = StdRng::seed_from_u64(seed);
         let ddi = generate_ddi_graph(&registry, &DdiConfig::default(), &mut rng).unwrap();
@@ -1298,15 +1238,23 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let drug_features = Matrix::rand_uniform(registry.len(), 16, -0.1, 0.1, &mut rng);
-        let observed: Vec<usize> = (0..55).collect();
-        let held_out: Vec<usize> = (55..70).collect();
-        let service = ServiceBuilder::fast()
+        let mut drug_features = Matrix::rand_uniform(registry.len(), 16, -0.1, 0.1, &mut rng);
+        poison(&mut drug_features);
+        let mut config = ServiceBuilder::fast()
             .hidden_dim(16)
             .epochs(25, 30)
-            .fit_chronic(&cohort, &observed, &drug_features, &ddi, &mut rng)
-            .unwrap();
-        (service, cohort, held_out)
+            .peek_config()
+            .clone();
+        tune(&mut config);
+        let observed: Vec<usize> = (0..55).collect();
+        let service = ServiceBuilder::fast().config(config).fit_chronic(
+            &cohort,
+            &observed,
+            &drug_features,
+            &ddi,
+            &mut rng,
+        );
+        (service, cohort)
     }
 
     fn support_service(seed: u64) -> DecisionService {
@@ -1318,8 +1266,8 @@ mod tests {
 
     #[test]
     fn decision_service_is_send_and_sync() {
-        // The sharded serving front-end shares one fitted service across
-        // request-handler threads; losing these bounds is a regression.
+        // The gateway shares one fitted service across its connection
+        // threads; losing these bounds is a regression.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<DecisionService>();
     }
@@ -1639,136 +1587,40 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batches_preserve_request_order_and_scores() {
-        let (service, cohort, held_out) = fitted_service(23);
-        let requests: Vec<SuggestRequest> = held_out
-            .iter()
-            .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
-            .collect();
-        let serial = service.serve_sharded(&requests, 1, None).unwrap();
-        let container = service.to_container_bytes();
-        for shards in [2, 4, requests.len(), requests.len() + 10] {
-            // A reloaded copy starts with an empty explanation cache, so
-            // every shard count runs its searches cold.
-            let cold = DecisionService::load_with_embedded_registry_bytes(&container).unwrap();
-            let parallel = cold.serve_sharded(&requests, shards, None).unwrap();
-            assert_eq!(parallel.len(), serial.len());
-            for (request, (a, b)) in requests.iter().zip(serial.iter().zip(&parallel)) {
-                assert_eq!(
-                    a.patient, request.patient,
-                    "responses must stay in request order"
-                );
-                assert_eq!(b.patient, request.patient);
-                let serial_scored: Vec<(DrugId, u32)> =
-                    a.drugs.iter().map(|d| (d.id, d.score.to_bits())).collect();
-                let parallel_scored: Vec<(DrugId, u32)> =
-                    b.drugs.iter().map(|d| (d.id, d.score.to_bits())).collect();
-                assert_eq!(
-                    serial_scored, parallel_scored,
-                    "sharding must not change any score or ranking"
-                );
-                assert_eq!(a.suggestion_satisfaction, b.suggestion_satisfaction);
-            }
-        }
-    }
-
-    /// For seeded random batch compositions (with repeats) and ks, at every
-    /// shard count from 1 to 8, the sharded batch equals the serial batch
-    /// response-by-response.
-    #[test]
-    fn sharded_suggest_batch_equals_serial_in_order_and_bits() {
-        let (service, cohort, held_out) = fitted_service(41);
-        let mut rng = StdRng::seed_from_u64(41);
-        for case in 0..16 {
-            let shards = 1 + case % 8;
-            let batch_len = rng.gen_range(1usize..40);
-            let k = rng.gen_range(1usize..5);
-            let requests: Vec<SuggestRequest> = (0..batch_len)
-                .map(|_| {
-                    let p = held_out[rng.gen_range(0..held_out.len())];
-                    SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), k)
-                })
-                .collect();
-
-            let serial = service.serve_sharded(&requests, 1, None).unwrap();
-            let sharded = service.serve_sharded(&requests, shards, None).unwrap();
-            assert_eq!(serial.len(), requests.len());
-            assert_eq!(sharded.len(), requests.len());
-            for (i, request) in requests.iter().enumerate() {
-                assert_eq!(serial[i].patient, request.patient);
-                assert_eq!(sharded[i].patient, request.patient, "order broken at {i}");
-                let a: Vec<(usize, u32)> = serial[i]
-                    .drugs
-                    .iter()
-                    .map(|d| (d.id.index(), d.score.to_bits()))
-                    .collect();
-                let b: Vec<(usize, u32)> = sharded[i]
-                    .drugs
-                    .iter()
-                    .map(|d| (d.id.index(), d.score.to_bits()))
-                    .collect();
-                assert_eq!(a, b, "case {case}: scores/ranking differ at response {i}");
-                assert_eq!(
-                    serial[i].suggestion_satisfaction.to_bits(),
-                    sharded[i].suggestion_satisfaction.to_bits()
-                );
+    fn training_that_leaves_a_non_finite_parameter_returns_a_typed_error() {
+        // `ServiceBuilder::validate` accepts both, and loading would refuse
+        // both models: every weight overflows within an epoch, or one NaN
+        // drug feature spreads through the encoder.
+        let (diverged, _) = fit_small(
+            5,
+            |c| {
+                c.md.learning_rate = 1e30;
+                c.ddi.learning_rate = 1e30;
+            },
+            |_| {},
+        );
+        let (poisoned, _) = fit_small(5, |_| {}, |features| features.set(3, 7, f32::NAN));
+        for trained in [diverged, poisoned] {
+            match trained {
+                Err(CoreError::InvalidInput { what }) => assert!(
+                    what.contains("md.") && what.contains("NaN or infinite"),
+                    "uncontextual: {what}"
+                ),
+                Err(other) => panic!("expected InvalidInput, got {other:?}"),
+                Ok(_) => panic!("a model with non-finite parameters left training"),
             }
         }
     }
 
     #[test]
     fn empty_batch_returns_empty_without_workers_or_model() {
-        // Fitted: empty in, empty out, regardless of the shard request.
+        // Fitted: empty in, empty out.
         let (service, _, _) = fitted_service(31);
         assert_eq!(service.suggest_batch_with_kb(&[], None).unwrap(), vec![]);
-        assert_eq!(service.serve_sharded(&[], 0, None).unwrap(), vec![]);
-        assert_eq!(service.serve_sharded(&[], 1000, None).unwrap(), vec![]);
         // Support-only: an empty batch needs no model, so it must not be a
         // NotFitted error — a poller draining an empty queue is routine.
         let support = support_service(31);
         assert_eq!(support.suggest_batch_with_kb(&[], None).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn oversized_shard_counts_never_plan_idle_workers() {
-        for n_requests in [1usize, 2, 5, 8, 64, 100] {
-            for shards in [
-                0usize,
-                1,
-                2,
-                7,
-                n_requests,
-                n_requests + 1,
-                10 * n_requests + 3,
-            ] {
-                let chunk_len = DecisionService::shard_chunk_len(n_requests, shards);
-                assert!(chunk_len >= 1);
-                let workers = n_requests.div_ceil(chunk_len);
-                assert!(
-                    workers <= n_requests,
-                    "{workers} workers planned for {n_requests} requests (shards = {shards})"
-                );
-                assert!(
-                    workers <= shards.max(1),
-                    "{workers} workers exceed the {shards} requested shards"
-                );
-                // Every worker owns at least one request: the last chunk is
-                // the only short one and it is never empty.
-                assert!((workers - 1) * chunk_len < n_requests);
-            }
-        }
-    }
-
-    #[test]
-    fn shard_counts_beyond_the_batch_still_serve_correctly() {
-        let (service, cohort, held_out) = fitted_service(37);
-        let requests: Vec<SuggestRequest> = held_out[..3]
-            .iter()
-            .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
-            .collect();
-        let serial = service.serve_sharded(&requests, 1, None).unwrap();
-        let oversharded = service.serve_sharded(&requests, 500, None).unwrap();
-        assert_eq!(serial, oversharded);
     }
 
     #[test]

@@ -94,17 +94,6 @@ impl KnowledgeGraph {
     pub fn n_entities(&self) -> usize {
         self.n_drugs + self.n_diseases + self.n_genes
     }
-
-    /// Entity index of a disease (by its position in
-    /// [`Disease::ALL`](crate::drugs::Disease::ALL)).
-    pub fn disease_entity(&self, disease_index: usize) -> usize {
-        self.n_drugs + disease_index
-    }
-
-    /// Entity index of a gene.
-    pub fn gene_entity(&self, gene: usize) -> usize {
-        self.n_drugs + self.n_diseases + gene
-    }
 }
 
 /// Builds the synthetic knowledge graph from the drug registry.

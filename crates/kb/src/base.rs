@@ -240,16 +240,6 @@ impl KnowledgeBase {
         self.facts.get(&(a.min(b), a.max(b)))
     }
 
-    /// Grades one interaction: the recorded fact's severity and management
-    /// hint when the KB has one, otherwise the sign-derived default grade
-    /// ([`Severity::default_for`]) with no hint.
-    pub fn grade(&self, a: usize, b: usize, interaction: Interaction) -> (Severity, Option<&str>) {
-        match self.lookup(a, b) {
-            Some(fact) => (fact.severity, fact.management_hint()),
-            None => (Severity::default_for(interaction), None),
-        }
-    }
-
     /// Every fact, in canonical pair order.
     pub fn facts(&self) -> impl Iterator<Item = ((usize, usize), &KbFact)> + '_ {
         self.facts.iter().map(|(&pair, fact)| (pair, fact))
@@ -632,14 +622,10 @@ mod tests {
         let fact = kb.lookup(gliclazide, metformin).unwrap();
         assert_eq!(fact.severity, Severity::Major);
         assert_eq!(fact.management, "monitor glucose");
-        let (severity, hint) = kb.grade(61, 59, Interaction::Antagonistic);
-        assert_eq!(severity, Severity::Contraindicated);
-        assert_eq!(hint, Some("do not combine"));
-        // Unknown pairs fall back to the sign default with no hint.
-        assert_eq!(
-            kb.grade(0, 1, Interaction::Antagonistic),
-            (Severity::Moderate, None)
-        );
+        let upgraded = kb.lookup(61, 59).unwrap();
+        assert_eq!(upgraded.severity, Severity::Contraindicated);
+        assert_eq!(upgraded.management_hint(), Some("do not combine"));
+        assert!(kb.lookup(0, 1).is_none(), "no row names this pair");
     }
 
     #[test]

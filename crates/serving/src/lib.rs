@@ -20,8 +20,8 @@
 //!   payload length and CRC-32. Malformed, truncated or version-mismatched
 //!   frames produce typed errors and never panic.
 //! * [`server`] — `dssddi-serve`'s engine: a `std::net::TcpListener`
-//!   thread-per-connection [`Server`] over the sharded
-//!   `suggest_batch_with_kb` core.
+//!   thread-per-connection [`Server`] that serves each frame, batches
+//!   included, on its connection's thread.
 //! * [`client`] — a blocking [`Client`] speaking the same wire protocol.
 //! * [`telemetry`] — every hot point (per-model counts, admission sheds,
 //!   queue wait, per-stage serving latency, severity-graded findings,

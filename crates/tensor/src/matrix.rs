@@ -106,15 +106,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a single-row matrix from a slice.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Self {
-            rows: 1,
-            cols: values.len(),
-            data: values.to_vec(),
-        }
-    }
-
     /// Creates a single-column matrix from a slice.
     pub fn col_vector(values: &[f32]) -> Self {
         Self {
@@ -232,11 +223,6 @@ impl Matrix {
     #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Copies row `r` into an owned vector.
-    pub fn row_to_vec(&self, r: usize) -> Vec<f32> {
-        self.row(r).to_vec()
     }
 
     /// Column `c` as an owned vector.
@@ -501,16 +487,6 @@ impl Matrix {
             cols: self.cols,
             data,
         })
-    }
-
-    /// L2 norm of each row, as an `(rows, 1)` matrix.
-    pub fn row_norms(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, 1);
-        for r in 0..self.rows {
-            let n = self.row(r).iter().map(|x| x * x).sum::<f32>().sqrt();
-            out.set(r, 0, n);
-        }
-        out
     }
 
     /// Dot product between two rows of (possibly different) matrices.

@@ -106,13 +106,6 @@ impl Adam {
         }
     }
 
-    /// Overrides the momentum coefficients.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Adds L2 weight decay.
     pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
         self.weight_decay = weight_decay;

@@ -393,14 +393,15 @@
 //! `take`s a buffer `recycle`s it when done; a taken buffer has
 //! *unspecified contents* and must be fully overwritten (every `*_into`
 //! kernel does — use `take_zeroed` otherwise); buffers never cross threads
-//! — each serving worker owns its own pool.
+//! — each prediction pass owns its own pool.
 //!
-//! Large batches are sharded across scoped worker threads automatically
-//! (the service is `Sync`; the shard count follows the batch size and the
-//! threads the process may run). The shared explanation memo is
-//! locked only for lookup/insert — never during a community search — so
-//! cold explanations overlap across shards. Responses are always in
-//! request order with scores identical to serial serving.
+//! A batch is served on the thread that asked for it: in the gateway, the
+//! connection thread that decoded its frame, so one admitted frame runs on
+//! one thread. The service is `Sync`, and connection threads share its
+//! explanation memo, which is locked only for lookup/insert — never during
+//! a community search — so cold explanations overlap across connections.
+//! Responses are always in request order, each identical to serving its
+//! request alone.
 //!
 //! Serving cost is measured by one benchmark, declared in
 //! `BENCHMARK.json` and run from the repository root:

@@ -1,16 +1,14 @@
-//! Parallel batch serving must be observationally identical to serial
+//! Batch serving must be observationally identical to one-at-a-time
 //! serving: responses in request order, every score bit-identical, every
-//! ranking unchanged. The service is `Sync` by design, which is exactly
-//! what sharded serving relies on.
+//! ranking unchanged.
 
 use dssddi::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The auto-sharding entry point matches one-at-a-time serving on a batch
-/// large enough to engage multiple workers on multi-core hosts. (The
-/// service's own tests compare every explicit shard count with the serial
-/// path.)
+/// A 64-request batch that repeats patients, scored in one stacked pass on
+/// the calling thread, matches one-at-a-time serving. (The name dates from
+/// when batches of 16 or more requests were sharded across worker threads.)
 #[test]
 fn auto_sharded_batch_matches_serial() {
     let registry = DrugRegistry::standard();
