@@ -1,15 +1,17 @@
 //! Service-layer kernel benchmarks: save/load throughput of the `DSSD`
-//! container (`persistence`) and the dense matrix kernels under
-//! inference (`tensor_kernels`).
+//! container (`persistence`), and the dense matrix kernels under inference
+//! and the CRC-32 that seals every wire frame and container
+//! (`tensor_kernels`).
 //!
 //! Serving cost end to end — suggestion, batched suggestion and
 //! prescription critique through a live gateway — is measured by the
 //! open-loop benchmark, `bash perfbench/run.sh`, over the workloads in
 //! `BENCHMARK.json`, not here.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use dssddi_bench::BenchWorld;
+use dssddi_tensor::serde::crc32;
 use dssddi_tensor::Matrix;
 
 fn bench_save_load(c: &mut Criterion) {
@@ -37,7 +39,7 @@ fn bench_save_load(c: &mut Criterion) {
 
 fn bench_tensor_kernels(c: &mut Criterion) {
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     let mut rng = StdRng::seed_from_u64(5);
     let a = Matrix::rand_uniform(256, 256, -1.0, 1.0, &mut rng);
     let b = Matrix::rand_uniform(256, 256, -1.0, 1.0, &mut rng);
@@ -49,6 +51,18 @@ fn bench_tensor_kernels(c: &mut Criterion) {
         b2.iter(|| a.matmul_into(&mut out, &b).unwrap())
     });
     group.bench_function("transpose_256", |b2| b2.iter(|| a.transpose()));
+    // About the sizes of a suggestion answer, a 16-request batch answer and
+    // the `chronic` model container; divide ns/iter by the size for ns/byte.
+    let bytes: Vec<u8> = (0..64 << 10).map(|_| rng.next_u32() as u8).collect();
+    group.sample_size(200);
+    for (name, len) in [
+        ("crc32_1k", 1 << 10),
+        ("crc32_32k", 32 << 10),
+        ("crc32_64k", 64 << 10),
+    ] {
+        let input = &bytes[..len];
+        group.bench_function(name, |b2| b2.iter(|| crc32(black_box(input))));
+    }
     group.finish();
 }
 

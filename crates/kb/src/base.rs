@@ -542,10 +542,10 @@ impl KnowledgeBase {
     }
 
     /// Writes the `DSKB` container to a file crash-safely: the bytes are
-    /// staged in a temporary sibling and renamed into place atomically
-    /// (see [`dssddi_tensor::serde::atomic_write`]), so a writer killed
-    /// mid-save leaves the previous knowledge base intact — never a torn
-    /// container.
+    /// staged in a temporary sibling, synced, and renamed into place
+    /// atomically (see [`dssddi_tensor::serde::atomic_write`]), so a writer
+    /// killed mid-save, or a power loss, leaves the previous knowledge base
+    /// or the new one — never a torn container.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), KbError> {
         dssddi_tensor::serde::atomic_write(path, &self.to_container_bytes()).map_err(|e| match e {
             SerdeError::Io { what } => KbError::Io { what },

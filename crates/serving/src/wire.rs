@@ -104,6 +104,12 @@ pub const EXT_TRACE_ID: u8 = 1;
 /// from turning into a giant allocation.
 pub const MAX_FRAME_PAYLOAD: usize = 16 << 20;
 
+/// Most bytes [`read_frame`] adds to its buffer at a time while a frame
+/// arrives, so a peer that declares a large payload and then stalls pins
+/// at most this much beyond what it sent. Suggestion, batch and critique
+/// frames fit in one step.
+const READ_STEP: usize = 64 << 10;
+
 /// Declares a one-byte wire value space as a fieldless `#[repr(u8)]` enum
 /// whose discriminants are the wire bytes. Each value is written once, so
 /// rustc rejects a duplicate (E0081); `ALL` and `from_u8` are derived from
@@ -1374,8 +1380,10 @@ pub fn write_frame(stream: &mut impl Write, frame: &[u8]) -> Result<(), WireErro
 ///
 /// A clean end-of-stream *between* frames is [`WireError::ConnectionClosed`];
 /// end-of-stream *inside* a frame is a truncation error. The declared
-/// payload length is checked against [`MAX_FRAME_PAYLOAD`] before any
-/// allocation.
+/// payload length is checked against [`MAX_FRAME_PAYLOAD`] before the
+/// buffer grows past the header; it then grows by at most 64 KiB at a
+/// time as bytes arrive, so its memory follows the bytes received, not
+/// the length a peer declared.
 ///
 /// Read timeouts are interpreted against the stream's armed read timeout.
 /// One that fires before the first frame byte is [`WireError::IdleTimeout`]:
@@ -1401,11 +1409,16 @@ pub fn read_frame(
     let mut deadline = None;
     let overdue =
         |deadline: Option<Instant>| deadline.is_some_and(|at: Instant| Instant::now() >= at);
-    // The buffer holds the header until it is complete, then grows to the
-    // whole frame, so validation (length + CRC) is the container code path.
+    // The buffer holds the header until it is complete, then grows toward
+    // the whole frame as bytes arrive, so validation (length + CRC) is the
+    // container code path.
     let mut frame = vec![0u8; FRAME_HEADER_LEN];
+    let mut frame_len = FRAME_HEADER_LEN;
     let mut pos = 0usize;
-    while pos < frame.len() {
+    while pos < frame_len {
+        if pos == frame.len() {
+            frame.resize(frame_len.min(pos + READ_STEP), 0);
+        }
         let part = if pos < FRAME_HEADER_LEN {
             "frame header"
         } else {
@@ -1421,10 +1434,9 @@ pub fn read_frame(
                 pos += n;
                 stalls = 0;
                 if pos == FRAME_HEADER_LEN {
-                    let declared = declared_payload_len(&frame)?;
-                    frame.resize(FRAME_HEADER_LEN + declared + 4, 0);
+                    frame_len = FRAME_HEADER_LEN + declared_payload_len(&frame)? + 4;
                 }
-                if pos < frame.len() && overdue(deadline) {
+                if pos < frame_len && overdue(deadline) {
                     return Err(WireError::Timeout);
                 }
             }
@@ -1708,6 +1720,68 @@ mod tests {
             read_frame(&mut idle, 5, None),
             Err(WireError::IdleTimeout)
         ));
+    }
+
+    #[test]
+    fn the_frame_buffer_grows_with_the_bytes_received() {
+        // A reader that yields `prefix` at most `chunk` bytes per call and
+        // then times out, recording the largest buffer it was handed.
+        struct Trickle {
+            prefix: Vec<u8>,
+            pos: usize,
+            chunk: usize,
+            largest_buffer: usize,
+        }
+        impl Read for Trickle {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.largest_buffer = self.largest_buffer.max(buf.len());
+                if self.pos < self.prefix.len() {
+                    let n = buf.len().min(self.chunk).min(self.prefix.len() - self.pos);
+                    buf[..n].copy_from_slice(&self.prefix[self.pos..self.pos + n]);
+                    self.pos += n;
+                    Ok(n)
+                } else {
+                    Err(std::io::Error::from(std::io::ErrorKind::WouldBlock))
+                }
+            }
+        }
+        // A header declaring the largest payload, then a stall: the stalled
+        // frame is a typed Timeout, and the reader never saw a buffer larger
+        // than one step.
+        let mut header = encode_request(&Request::ListModels)[..FRAME_HEADER_LEN].to_vec();
+        header[6..].copy_from_slice(&(MAX_FRAME_PAYLOAD as u64).to_le_bytes());
+        let mut stalled = Trickle {
+            prefix: header,
+            pos: 0,
+            chunk: usize::MAX,
+            largest_buffer: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut stalled, 1, None),
+            Err(WireError::Timeout)
+        ));
+        assert!(
+            stalled.largest_buffer <= READ_STEP,
+            "a 14-byte header made read_frame allocate {} bytes",
+            stalled.largest_buffer
+        );
+        // A frame of several steps, a few bytes per read, still round-trips.
+        let request = Request::ReloadModel {
+            model: ModelKey::new("chronic").unwrap(),
+            container: (0..5 * READ_STEP / 2).map(|i| (i % 251) as u8).collect(),
+        };
+        let frame = encode_request(&request);
+        let mut trickle = Trickle {
+            prefix: frame.clone(),
+            pos: 0,
+            chunk: 7,
+            largest_buffer: 0,
+        };
+        let (trace, payload) = read_frame(&mut trickle, 1, None).unwrap();
+        assert_eq!(trace, None);
+        assert_eq!(payload, open_wire_frame(&frame).unwrap());
+        assert_eq!(decode_request(&payload).unwrap(), request);
+        assert!(trickle.largest_buffer <= READ_STEP);
     }
 
     #[test]

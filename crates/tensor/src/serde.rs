@@ -30,6 +30,7 @@
 //! are actually present.
 
 use std::path::Path;
+use std::sync::OnceLock;
 
 use crate::{Matrix, ParamId, ParamSet};
 
@@ -102,14 +103,60 @@ impl std::fmt::Display for SerdeError {
 
 impl std::error::Error for SerdeError {}
 
+/// The IEEE 802.3 CRC-32 polynomial, bit-reflected.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Bytes [`crc32`] folds per step, one lookup table each.
+const CRC32_SLICES: usize = 16;
+
+/// The slicing-by-16 tables, built on first use: entry `b` of table `k` is
+/// the CRC register after byte `b` followed by `k` zero bytes, starting from
+/// a zero register.
+fn crc32_tables() -> &'static [[u32; 256]; CRC32_SLICES] {
+    static TABLES: OnceLock<[[u32; 256]; CRC32_SLICES]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let one_byte: [u32; 256] = std::array::from_fn(|byte| {
+            (0..8).fold(byte as u32, |crc, _| {
+                (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg())
+            })
+        });
+        let mut next = one_byte;
+        std::array::from_fn(|_| {
+            let table = next;
+            next = table.map(|crc| (crc >> 8) ^ crc32_entry(&one_byte, crc as u8));
+            table
+        })
+    })
+}
+
+/// Entry `byte` of a 256-entry table (a `u8` is always in range).
+fn crc32_entry(table: &[u32; 256], byte: u8) -> u32 {
+    table.get(usize::from(byte)).copied().unwrap_or_default()
+}
+
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte slice.
+///
+/// Table-driven (slicing-by-16): each 16-byte block takes 16 table lookups
+/// instead of 128 shift-and-mask steps, and the last 0–15 bytes go one at a
+/// time through the one-byte table. Every input gives the value of the
+/// bit-at-a-time definition, which the tests keep as the reference.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let tables = crc32_tables();
+    let (blocks, tail) = bytes.as_chunks::<CRC32_SLICES>();
     let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+    for block in blocks {
+        // The register folds into the block's first four bytes; table
+        // `15 - i` then carries byte `i` past the bytes that follow it.
+        let word = u128::from_le_bytes(*block) ^ u128::from(crc);
+        crc = word
+            .to_le_bytes()
+            .iter()
+            .zip(tables.iter().rev())
+            .fold(0, |acc, (&byte, table)| acc ^ crc32_entry(table, byte));
+    }
+    if let Some(one_byte) = tables.first() {
+        for &byte in tail {
+            crc = (crc >> 8) ^ crc32_entry(one_byte, crc as u8 ^ byte);
         }
     }
     !crc
@@ -547,45 +594,120 @@ pub fn open_frame<'a>(
 
 /// Writes `bytes` to `path` crash-safely: the bytes land in a temporary
 /// sibling file first (same directory, so the rename never crosses a
-/// filesystem) and replace `path` in one atomic `rename`. A writer killed
-/// at any instant leaves either the previous artifact intact or no
-/// artifact at all — never a torn container that would fail its CRC on the
-/// next load. The temporary name carries the process id, so concurrent
-/// savers from different processes cannot tear each other's staging file;
-/// last rename wins, each rename installs a complete container.
+/// filesystem), are synced to disk, and replace `path` in one atomic
+/// `rename`, after which the directory entry is synced too (on Unix). A
+/// writer killed at any instant, or a power loss, leaves either the
+/// previous artifact (none, on a first save) or the new one — never a torn
+/// container that would fail its CRC on the next load. The temporary name
+/// carries the process id, so concurrent savers from different processes
+/// cannot tear each other's staging file; last rename wins, each rename
+/// installs a complete container.
 pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> Result<(), SerdeError> {
+    use std::io::Write;
+
     let path = path.as_ref();
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp.{}", std::process::id()));
     let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes).map_err(|e| SerdeError::Io {
-        what: format!("writing {}: {e}", tmp.display()),
-    })?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            // Do not leave the staging file behind on failure.
-            std::fs::remove_file(&tmp).ok();
-            Err(SerdeError::Io {
-                what: format!(
+    // The data must be on disk before the rename is, or a power loss can
+    // persist the new name over bytes that never arrived.
+    let staged = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .map_err(|e| format!("writing {}: {e}", tmp.display()))
+        .and_then(|()| {
+            std::fs::rename(&tmp, path).map_err(|e| {
+                format!(
                     "renaming {} into place as {}: {e}",
                     tmp.display(),
                     path.display()
-                ),
+                )
             })
-        }
+        });
+    if let Err(what) = staged {
+        // Do not leave the staging file behind on failure.
+        std::fs::remove_file(&tmp).ok();
+        return Err(SerdeError::Io { what });
     }
+    sync_parent_dir(path)
+}
+
+/// Syncs the directory holding `path`, so a rename into it survives a power
+/// loss.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> Result<(), SerdeError> {
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)
+        .and_then(|dir| dir.sync_all())
+        .map_err(|e| SerdeError::Io {
+            what: format!("syncing directory {}: {e}", dir.display()),
+        })
+}
+
+/// Directories cannot be opened for syncing outside Unix.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> Result<(), SerdeError> {
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The bit-at-a-time CRC-32 that [`crc32`] replaced, kept as the
+    /// reference the table-driven kernel must match on every input.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    fn seeded_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.next_u32() as u8).collect()
+    }
 
     #[test]
     fn crc32_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference() {
+        // Every length up to 256 at every start offset within a 16-byte
+        // block: whole blocks, tails and both together, at every alignment.
+        let buffer = seeded_bytes(256 + 16, 22);
+        for offset in 0..16 {
+            for len in 0..=256 {
+                let bytes = &buffer[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+        // A suggestion answer, a 16-request batch answer and a `chronic`
+        // model container are about 1 KB, 32 KB and 70 KB.
+        for (len, seed) in [(1 << 10, 1), (32 << 10, 32), (70 << 10, 70)] {
+            let bytes = seeded_bytes(len, seed);
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "length {len}");
+        }
     }
 
     #[test]
