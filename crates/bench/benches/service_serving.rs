@@ -1,6 +1,7 @@
 //! Service-layer kernel benchmarks: save/load throughput of the `DSSD`
-//! container (`persistence`), and the dense matrix kernels under inference
-//! and the CRC-32 that seals every wire frame and container
+//! container (`persistence`), medication-use prediction for one patient
+//! and for a 16-patient batch (`prediction`), and the dense matrix kernels
+//! under inference and the CRC-32 that seals every wire frame and container
 //! (`tensor_kernels`).
 //!
 //! Serving cost end to end — suggestion, batched suggestion and
@@ -37,6 +38,24 @@ fn bench_save_load(c: &mut Criterion) {
     let _ = std::fs::remove_file(&path);
 }
 
+fn bench_prediction(c: &mut Criterion) {
+    let world = BenchWorld::new(120, 11);
+    let service = world.fitted_service(90, 13);
+    // Held-out patients: the ones a suggestion scores.
+    let features = world.cohort.features();
+    let one = features.select_rows(&[100]);
+    let batch = features.select_rows(&(100..116).collect::<Vec<_>>());
+    let mut group = c.benchmark_group("prediction");
+    group.sample_size(200);
+    group.bench_function("predict_scores_1", |b| {
+        b.iter(|| service.predict_scores(black_box(&one)).unwrap())
+    });
+    group.bench_function("predict_scores_16", |b| {
+        b.iter(|| service.predict_scores(black_box(&batch)).unwrap())
+    });
+    group.finish();
+}
+
 fn bench_tensor_kernels(c: &mut Criterion) {
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
@@ -51,6 +70,21 @@ fn bench_tensor_kernels(c: &mut Criterion) {
         b2.iter(|| a.matmul_into(&mut out, &b).unwrap())
     });
     group.bench_function("transpose_256", |b2| b2.iter(|| a.transpose()));
+    // The decoder's two layers for one patient over the 86-drug formulary
+    // at hidden width 16: `[h_i ⊙ h'_v, T_iv]` into the hidden layer, and
+    // the hidden layer into one logit per drug.
+    group.sample_size(2000);
+    for (name, (m, k, n)) in [
+        ("matmul_86x17x16", (86, 17, 16)),
+        ("matmul_86x16x1", (86, 16, 1)),
+    ] {
+        let lhs = Matrix::rand_uniform(m, k, -1.0, 1.0, &mut rng);
+        let rhs = Matrix::rand_uniform(k, n, -1.0, 1.0, &mut rng);
+        let mut out = Matrix::zeros(m, n);
+        group.bench_function(name, |b2| {
+            b2.iter(|| lhs.matmul_into(&mut out, black_box(&rhs)).unwrap())
+        });
+    }
     // About the sizes of a suggestion answer, a 16-request batch answer and
     // the `chronic` model container; divide ns/iter by the size for ns/byte.
     let bytes: Vec<u8> = (0..64 << 10).map(|_| rng.next_u32() as u8).collect();
@@ -66,5 +100,10 @@ fn bench_tensor_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_save_load, bench_tensor_kernels);
+criterion_group!(
+    benches,
+    bench_save_load,
+    bench_prediction,
+    bench_tensor_kernels
+);
 criterion_main!(benches);

@@ -97,10 +97,52 @@ impl TreatmentMatrix {
         &self.matrix
     }
 
+    /// The treatment row of an *unobserved* patient in each of `n_clusters`
+    /// K-means clusters, as a `n_clusters x drugs` matrix: row `c` is the
+    /// union of the treatments of cluster `c`'s patients (step 2) followed
+    /// by one pass of synergy propagation in DDI edge order (step 3). A new
+    /// patient's row depends only on its cluster, so serving builds this
+    /// table once per model and reads one row per patient. Patients whose
+    /// cluster is `n_clusters` or above contribute nothing.
+    pub(crate) fn cluster_rows(
+        &self,
+        n_clusters: usize,
+        clusters: &[usize],
+        ddi: &SignedGraph,
+    ) -> Matrix {
+        let n = self.matrix.cols();
+        let mut table = Matrix::zeros(n_clusters, n);
+        if n == 0 {
+            return table;
+        }
+        for (&c, patient) in clusters.iter().zip(self.matrix.data().chunks_exact(n)) {
+            if c >= n_clusters {
+                continue;
+            }
+            for (t, &p) in table.row_mut(c).iter_mut().zip(patient) {
+                if p > 0.5 {
+                    *t = 1.0;
+                }
+            }
+        }
+        let synergy = ddi.edges_of(Interaction::Synergistic);
+        for row in table.data_mut().chunks_exact_mut(n) {
+            for &(u, v) in &synergy {
+                if u < n && v < n {
+                    propagate(row, u, v);
+                    propagate(row, v, u);
+                }
+            }
+        }
+        table
+    }
+
     /// Treatment row derived for an *unobserved* patient: the union of the
     /// treatments of its cluster (step 2) followed by synergy propagation
-    /// (step 3).
-    pub fn for_new_patient(
+    /// (step 3). The per-patient formulation that [`Self::cluster_rows`]
+    /// replaced, kept as the reference its rows are checked against.
+    #[cfg(test)]
+    pub(crate) fn for_new_patient(
         &self,
         cluster_of_new: usize,
         clusters: &[usize],
@@ -128,6 +170,16 @@ impl TreatmentMatrix {
             }
         }
         row
+    }
+}
+
+/// Step 3 for one synergistic pair: drug `to` is treated once drug `from`
+/// is.
+fn propagate(row: &mut [f32], from: usize, to: usize) {
+    if row.get(from).is_some_and(|&t| t > 0.5) {
+        if let Some(t) = row.get_mut(to) {
+            *t = 1.0;
+        }
     }
 }
 
@@ -292,6 +344,17 @@ mod tests {
         let other = t.for_new_patient(1, &clusters, &ddi);
         assert_eq!(other[0], 0.0);
         assert_eq!(other[3], 1.0);
+        // The one-pass table holds both rows, and an empty third cluster
+        // treats nothing.
+        let table = t.cluster_rows(3, &clusters, &ddi);
+        assert_eq!(table.shape(), (3, 5));
+        assert_eq!(table.row(0), row.as_slice());
+        assert_eq!(table.row(1), other.as_slice());
+        assert_eq!(
+            table.row(2),
+            t.for_new_patient(2, &clusters, &ddi).as_slice()
+        );
+        assert!(table.row(2).iter().all(|&v| v == 0.0));
     }
 
     #[test]

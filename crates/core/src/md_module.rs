@@ -44,6 +44,10 @@ pub struct MdModule {
     kmeans: KMeans,
     clusters: Vec<usize>,
     treatment: TreatmentMatrix,
+    /// The treatment row of a new patient in each k-means cluster
+    /// (`k x n_drugs`), derived from `treatment`, `clusters` and
+    /// `ddi_graph` whenever the module is fitted or loaded, never persisted.
+    cluster_treatment: Matrix,
     drug_repr: Matrix,
     losses: Vec<f32>,
     counterfactual_match_rate: f64,
@@ -163,6 +167,7 @@ impl MdModule {
         let kmeans = fit_kmeans(train_features, n_clusters, 50, rng)?;
         let clusters = kmeans.assignments().to_vec();
         let treatment = TreatmentMatrix::build(train_graph, &clusters, ddi_graph)?;
+        let cluster_treatment = treatment.cluster_rows(kmeans.k(), &clusters, ddi_graph);
         let labels = Matrix::from_fn(
             m,
             n,
@@ -306,6 +311,7 @@ impl MdModule {
             kmeans,
             clusters,
             treatment,
+            cluster_treatment,
             drug_repr,
             losses,
             counterfactual_match_rate,
@@ -383,6 +389,15 @@ impl MdModule {
                 "a persisted cluster assignment exceeds the k-means cluster count".into(),
             ));
         }
+        let patient_features = params.get(patient_w).rows();
+        if kmeans.centroids().cols() != patient_features {
+            return Err(corrupt(format!(
+                "k-means centroids are {} features wide but the patient projection takes {} \
+                 features",
+                kmeans.centroids().cols(),
+                patient_features
+            )));
+        }
         let patient_hidden = params.get(patient_w).cols();
         if params.get(patient_b).shape() != (1, patient_hidden) {
             return Err(corrupt(
@@ -407,6 +422,8 @@ impl MdModule {
                 "drug representation width disagrees with the patient hidden width".into(),
             ));
         }
+        let treatment = TreatmentMatrix::from_matrix(treatment);
+        let cluster_treatment = treatment.cluster_rows(kmeans.k(), &clusters, &ddi_graph);
         let module = Self {
             params,
             patient_w,
@@ -418,7 +435,8 @@ impl MdModule {
             ddi_graph,
             kmeans,
             clusters,
-            treatment: TreatmentMatrix::from_matrix(treatment),
+            treatment,
+            cluster_treatment,
             drug_repr,
             losses,
             counterfactual_match_rate,
@@ -486,23 +504,29 @@ impl MdModule {
         Ok(out)
     }
 
-    /// Treatment row for a previously unseen patient, derived from its
-    /// K-means cluster and the synergy edges of the DDI graph.
-    pub fn treatment_for(&self, features_row: &[f32]) -> Vec<f32> {
-        let cluster = self.kmeans.predict_row(features_row);
-        self.treatment
-            .for_new_patient(cluster, &self.clusters, &self.ddi_graph)
+    /// Treatment row `T_i` for a previously unseen patient (one entry per
+    /// drug): the row of the patient's nearest K-means cluster in the table
+    /// built when the module was fitted or loaded. Each table row is the
+    /// union of the cluster's observed treatments followed by one pass of
+    /// synergy propagation over the DDI graph (Section IV-B1), so a request
+    /// pays for the cluster assignment and nothing else.
+    pub fn treatment_for(&self, features_row: &[f32]) -> &[f32] {
+        self.cluster_treatment
+            .row(self.kmeans.predict_row(features_row))
     }
 
     /// Predicts medication-use scores (probabilities) for unobserved
     /// patients, one row per patient and one column per drug.
     ///
-    /// This is the serving fast path: no [`Tape`], no per-op allocation —
-    /// the decoder input for each patient is assembled directly into a
-    /// scratch buffer that is reused across the whole batch, and the
-    /// decoder runs through [`Mlp::infer`]. Produces bit-identical scores
-    /// to the taped training-time forward pass, kept as a `#[cfg(test)]`
-    /// reference that a test compares against.
+    /// This is the serving fast path: no [`Tape`], no per-op allocation.
+    /// The patient projection (Eq. 9) runs once for the whole batch through
+    /// one fused kernel. Each patient then reads its treatment row from the
+    /// per-cluster table ([`MdModule::treatment_for`]), its decoder input is
+    /// assembled directly into a scratch buffer reused across the batch,
+    /// and the decoder runs through [`Mlp::infer`]. Every dense product
+    /// goes through the register-blocked [`Matrix::matmul_into`]. Produces
+    /// bit-identical scores to the taped training-time forward pass, kept
+    /// as a `#[cfg(test)]` reference that a test compares against.
     pub fn predict_scores(&self, features: &Matrix) -> Result<Matrix, CoreError> {
         if features.cols() != self.params.get(self.patient_w).rows() {
             return Err(CoreError::invalid_input(
@@ -519,17 +543,19 @@ impl MdModule {
             // Decoder input rows: `[h_i ⊙ h'_v, T_iv]` (Eq. 14).
             let mut input = pool.take(n_drugs, hidden + 1);
             let hp_row = hp.row(p);
-            for d in 0..n_drugs {
-                let hd_row = self.drug_repr.row(d);
-                let row = input.row_mut(d);
-                for c in 0..hidden {
-                    row[c] = hp_row[c] * hd_row[c];
+            let drug_rows = (0..n_drugs).map(|d| self.drug_repr.row(d));
+            let input_rows = input.data_mut().chunks_mut(hidden + 1);
+            for ((row, hd_row), &t) in input_rows.zip(drug_rows).zip(treat) {
+                if let Some((t_cell, product)) = row.split_last_mut() {
+                    for ((x, &h), &hd) in product.iter_mut().zip(hp_row).zip(hd_row) {
+                        *x = h * hd;
+                    }
+                    *t_cell = t;
                 }
-                row[hidden] = treat[d];
             }
             let logits = self.decoder.infer(&self.params, &input, &mut pool)?;
-            for d in 0..n_drugs {
-                scores.set(p, d, stable_sigmoid(logits.get(d, 0)));
+            for (score, &logit) in scores.row_mut(p).iter_mut().zip(logits.data()) {
+                *score = stable_sigmoid(logit);
             }
             pool.recycle(input);
             pool.recycle(logits);
@@ -563,7 +589,11 @@ impl MdModule {
         let mut scores = Matrix::zeros(features.rows(), n_drugs);
         let all_drugs: Vec<usize> = (0..n_drugs).collect();
         for p in 0..features.rows() {
-            let treat = self.treatment_for(features.row(p));
+            // The historical per-patient treatment row, not the table.
+            let cluster = self.kmeans.predict_row(features.row(p));
+            let treat = self
+                .treatment
+                .for_new_patient(cluster, &self.clusters, &self.ddi_graph);
             let mut tape = Tape::new();
             let mut binder = Binder::new();
             let hp_var = tape.constant(hp.select_rows(&vec![p; n_drugs]));
@@ -687,6 +717,10 @@ fn decode_pairs(
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
+    use crate::{DecisionService, ServiceBuilder};
+    use dssddi_data::{
+        generate_chronic_cohort, generate_ddi_graph, ChronicConfig, DdiConfig, DrugRegistry,
+    };
     use dssddi_graph::Interaction;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -936,6 +970,129 @@ mod tests {
             fast_bits, taped_bits,
             "serving fast path drifted from the taped reference"
         );
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Writes the module's section and reads it back, as a `DSSD` load does.
+    fn round_trip(module: &MdModule) -> Result<MdModule, SerdeError> {
+        let mut w = ByteWriter::new();
+        module.write_into(&mut w);
+        MdModule::read_from(&mut ByteReader::new(w.as_bytes()))
+    }
+
+    /// Every row of the cluster table against the per-patient reference
+    /// it replaced.
+    fn assert_table_matches_for_new_patient(module: &MdModule) {
+        let k = module.kmeans.k();
+        assert_eq!(
+            module.cluster_treatment.shape(),
+            (k, module.n_drugs()),
+            "one row per cluster, one column per drug"
+        );
+        for c in 0..k {
+            let reference =
+                module
+                    .treatment
+                    .for_new_patient(c, &module.clusters, &module.ddi_graph);
+            assert_eq!(
+                bits(module.cluster_treatment.row(c)),
+                bits(&reference),
+                "cluster {c} of {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn cluster_treatment_rows_are_bit_identical_to_for_new_patient() {
+        let (features, graph, drug_features, ddi) = toy();
+        let mut rng = StdRng::seed_from_u64(6);
+        let toy = MdModule::fit(
+            &features,
+            &graph,
+            &drug_features,
+            &ddi,
+            None,
+            &quick_config(),
+            &mut rng,
+        )
+        .unwrap();
+        assert_table_matches_for_new_patient(&toy);
+        assert_table_matches_for_new_patient(&round_trip(&toy).unwrap());
+
+        // A service on the 86-drug formulary, whose synergy edges chain, and
+        // the same service after its `DSSD` container is reloaded.
+        let registry = DrugRegistry::standard();
+        let ddi = generate_ddi_graph(&registry, &DdiConfig::default(), &mut rng).unwrap();
+        let config = ChronicConfig {
+            n_patients: 70,
+            ..Default::default()
+        };
+        let cohort = generate_chronic_cohort(&registry, &ddi, &config, &mut rng).unwrap();
+        let drug_features = Matrix::rand_uniform(registry.len(), 16, -0.1, 0.1, &mut rng);
+        let observed: Vec<usize> = (0..55).collect();
+        let service = ServiceBuilder::fast()
+            .hidden_dim(16)
+            .epochs(25, 30)
+            .fit_chronic(&cohort, &observed, &drug_features, &ddi, &mut rng)
+            .unwrap();
+        let fitted = service.engine().unwrap().md_module();
+        assert!(fitted.kmeans.k() > 2, "{} clusters", fitted.kmeans.k());
+        assert_table_matches_for_new_patient(fitted);
+        let reloaded =
+            DecisionService::load_with_embedded_registry_bytes(&service.to_container_bytes())
+                .unwrap();
+        let reloaded_md = reloaded.engine().unwrap().md_module();
+        assert_table_matches_for_new_patient(reloaded_md);
+        assert_eq!(
+            bits(reloaded_md.cluster_treatment.data()),
+            bits(fitted.cluster_treatment.data())
+        );
+    }
+
+    #[test]
+    fn a_loaded_model_with_kmeans_wider_than_the_features_is_refused() {
+        let (features, graph, drug_features, ddi) = toy();
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut module = MdModule::fit(
+            &features,
+            &graph,
+            &drug_features,
+            &ddi,
+            None,
+            &quick_config(),
+            &mut rng,
+        )
+        .unwrap();
+        let centroids = module.kmeans.centroids();
+        let (k, width) = centroids.shape();
+        assert_eq!(width, features.cols());
+        let wider = Matrix::from_fn(k, width + 1, |r, c| {
+            if c < width {
+                centroids.get(r, c)
+            } else {
+                0.5
+            }
+        });
+        module.kmeans = KMeans::from_parts(
+            wider,
+            module.kmeans.assignments().to_vec(),
+            module.kmeans.inertia(),
+        )
+        .unwrap();
+        match round_trip(&module) {
+            Err(SerdeError::Corrupt { what }) => {
+                assert!(
+                    what.contains("k-means centroids are 5 features wide")
+                        && what.contains("patient projection takes 4"),
+                    "{what}"
+                );
+            }
+            Err(other) => panic!("expected a Corrupt error, got {other}"),
+            Ok(_) => panic!("a model whose k-means is wider than its features loaded"),
+        }
     }
 
     #[test]

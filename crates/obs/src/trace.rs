@@ -18,7 +18,8 @@ pub const STAGE_COUNT: usize = 5;
 /// One stage of the serving pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Wire-frame decode on the gateway.
+    /// Opening a received wire frame (checksum, trace extension) and
+    /// decoding its body on the gateway.
     Decode,
     /// Admission decision (shed / pass / enqueue).
     Admit,

@@ -882,8 +882,9 @@ impl Router {
     /// with the request's wire trace threaded through: `trace` is the trace
     /// ID the client propagated (the gateway mints one when the client sent
     /// none, so untraced traffic still fills the exemplar ring) and
-    /// `decode_micros` is the time the transport spent reading and decoding
-    /// the request frame.
+    /// `decode_micros` is the time the transport spent opening the request
+    /// frame it had read (checksum and trace extension) and decoding its
+    /// body.
     ///
     /// This is the network server's entry point, and where the shard's
     /// latency sample is taken — exactly one per admitted request,

@@ -232,6 +232,15 @@ const MID_FRAME_STALL_POLLS: u32 = 40;
 /// slow-loris peers whose trickle keeps resetting that counter.
 const FRAME_DEADLINE: Duration = Duration::from_secs(10);
 
+/// Answers a frame that failed framing with a typed error before its
+/// connection is closed: after a framing failure the stream may no longer be
+/// frame-aligned, so continuing could misparse every later byte. The
+/// *gateway* stays up; only this connection ends.
+fn refuse_frame(stream: &mut TcpStream, error: WireError) {
+    let response = wire::error_response(&ServingError::Wire(error));
+    let _ = wire::write_frame(stream, &wire::encode_response(&response));
+}
+
 /// Serves one connection until it closes, fails, or the gateway shuts down.
 fn handle_connection(
     mut stream: TcpStream,
@@ -248,9 +257,9 @@ fn handle_connection(
     // fires mid-frame means the peer stalled and the connection is dropped.
     stream.set_read_timeout(Some(IDLE_POLL_INTERVAL)).ok();
     loop {
-        let (trace, payload) =
-            match wire::read_frame(&mut stream, MID_FRAME_STALL_POLLS, Some(frame_deadline)) {
-                Ok(traced) => traced,
+        let frame =
+            match wire::read_raw_frame(&mut stream, MID_FRAME_STALL_POLLS, Some(frame_deadline)) {
+                Ok(frame) => frame,
                 Err(WireError::IdleTimeout) => {
                     if shutdown.load(Ordering::SeqCst) {
                         return;
@@ -266,18 +275,24 @@ fn handle_connection(
                 }
                 Err(WireError::Io { .. }) => return,
                 Err(error) => {
-                    // Bad magic, version mismatch, truncation, CRC failure or an
-                    // oversized length: answer with a typed error, then close —
-                    // after a framing failure the stream may no longer be
-                    // frame-aligned, so continuing could misparse every later
-                    // byte. The *gateway* stays up; only this connection ends.
-                    let response = wire::error_response(&ServingError::Wire(error));
-                    let _ = wire::write_frame(&mut stream, &wire::encode_response(&response));
+                    // Bad magic, version mismatch, truncation or an oversized
+                    // length.
+                    refuse_frame(&mut stream, error);
                     return;
                 }
             };
+        // The decode stage starts once the frame's bytes are in, so it
+        // covers the checksum and the trace extension as well as the body.
         let decode_start = Instant::now();
-        let request = match wire::decode_request(&payload) {
+        let (trace, payload) = match wire::open_wire_frame_traced(&frame) {
+            Ok(opened) => opened,
+            Err(error) => {
+                // A CRC failure or a torn extension block.
+                refuse_frame(&mut stream, error);
+                return;
+            }
+        };
+        let request = match wire::decode_request(payload) {
             Ok(request) => request,
             Err(error) => {
                 // The frame itself validated (length + CRC), so the stream

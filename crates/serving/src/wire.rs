@@ -1348,7 +1348,8 @@ fn declared_payload_len(header: &[u8]) -> Result<usize, WireError> {
 /// Validates a complete frame (as produced by [`encode_request`] /
 /// [`encode_response`]) and returns its payload, discarding any trace ID.
 /// This is the non-streaming entry point used by tests and benchmarks;
-/// sockets go through [`read_frame`].
+/// sockets go through [`read_frame`], or [`read_raw_frame`] and then
+/// [`open_wire_frame_traced`].
 pub fn open_wire_frame(frame: &[u8]) -> Result<&[u8], WireError> {
     open_wire_frame_traced(frame).map(|(_, payload)| payload)
 }
@@ -1376,7 +1377,23 @@ pub fn write_frame(stream: &mut impl Write, frame: &[u8]) -> Result<(), WireErro
 }
 
 /// Reads one frame from a stream and returns its trace ID (`None` for an
-/// untraced frame) and its validated tagged message.
+/// untraced frame) and its validated tagged message: [`read_raw_frame`]
+/// followed by [`open_wire_frame_traced`], with the same errors.
+pub fn read_frame(
+    stream: &mut impl Read,
+    max_stalls: u32,
+    frame_deadline: Option<Duration>,
+) -> Result<(Option<u64>, Vec<u8>), WireError> {
+    let frame = read_raw_frame(stream, max_stalls, frame_deadline)?;
+    let (trace, payload) = open_wire_frame_traced(&frame)?;
+    Ok((trace, payload.to_vec()))
+}
+
+/// Reads the bytes of one whole frame (header, payload and CRC-32 trailer)
+/// from a stream without opening it. The header's magic, version and
+/// declared length are checked as it arrives; the checksum and the trace
+/// extension are left to [`open_wire_frame_traced`], so a server can time
+/// them with the rest of the request's decode.
 ///
 /// A clean end-of-stream *between* frames is [`WireError::ConnectionClosed`];
 /// end-of-stream *inside* a frame is a truncation error. The declared
@@ -1399,18 +1416,18 @@ pub fn write_frame(stream: &mut impl Write, frame: &[u8]) -> Result<(), WireErro
 /// trickling a byte per poll would never time out. `frame_deadline` bounds
 /// the whole frame instead: the clock starts at its first byte, and a frame
 /// still incomplete when it passes fails with [`WireError::Timeout`].
-pub fn read_frame(
+pub fn read_raw_frame(
     stream: &mut impl Read,
     max_stalls: u32,
     frame_deadline: Option<Duration>,
-) -> Result<(Option<u64>, Vec<u8>), WireError> {
+) -> Result<Vec<u8>, WireError> {
     let max_stalls = max_stalls.max(1);
     let mut stalls = 0u32;
     let mut deadline = None;
     let overdue =
         |deadline: Option<Instant>| deadline.is_some_and(|at: Instant| Instant::now() >= at);
     // The buffer holds the header until it is complete, then grows toward
-    // the whole frame as bytes arrive, so validation (length + CRC) is the
+    // the whole frame as bytes arrive, so opening it (length + CRC) is the
     // container code path.
     let mut frame = vec![0u8; FRAME_HEADER_LEN];
     let mut frame_len = FRAME_HEADER_LEN;
@@ -1464,8 +1481,7 @@ pub fn read_frame(
             }
         }
     }
-    let (trace, payload) = open_wire_frame_traced(&frame)?;
-    Ok((trace, payload.to_vec()))
+    Ok(frame)
 }
 
 /// Maps a routing/service error to the typed error frame the server sends

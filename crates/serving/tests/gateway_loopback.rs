@@ -21,7 +21,8 @@ use dssddi_serving::demo::{
     DEMO_SUPPORT_KEY,
 };
 use dssddi_serving::wire::{
-    decode_response, encode_request, encode_response, read_frame, WIRE_MAGIC, WIRE_VERSION,
+    decode_response, encode_request, encode_response, read_frame, WireError, WIRE_MAGIC,
+    WIRE_VERSION,
 };
 use dssddi_serving::{
     Client, ErrorCode, ModelCatalog, ModelKey, Request, Response, Router, Server, ServingError,
@@ -493,13 +494,31 @@ fn hostile_frames_get_typed_errors_and_the_server_stays_up() {
         other => panic!("expected oversize error frame, got {other:?}"),
     }
 
-    // 4. CRC-corrupt frame: typed Malformed error.
+    // 4. CRC-corrupt frame: typed Malformed error, then the connection
+    //    ends like after any other framing failure.
     let mut corrupt = encode_request(&Request::ListModels);
     let last = corrupt.len() - 5; // inside the payload, before the CRC
     corrupt[last] ^= 0xFF;
     match send_raw(addr, &corrupt) {
         Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
         other => panic!("expected CRC error frame, got {other:?}"),
+    }
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("arm read timeout");
+    stream.write_all(&corrupt).expect("write");
+    let (_, payload) = read_frame(&mut stream, 1, None).expect("error frame");
+    assert!(matches!(
+        decode_response(&payload),
+        Ok(Response::Error {
+            code: ErrorCode::Malformed,
+            ..
+        })
+    ));
+    match read_frame(&mut stream, 1, None) {
+        Err(WireError::ConnectionClosed | WireError::Io { .. }) => {}
+        other => panic!("expected the gateway to close after a CRC failure, got {other:?}"),
     }
 
     // 5. Valid frame, malformed body: typed error *and* the connection

@@ -12,17 +12,21 @@ use rand::Rng;
 
 use crate::TensorError;
 
-/// Row-block size of the dense matmul kernel: a block of output rows is
-/// finished against one `rhs` panel before moving on, so the panel is reused
-/// from cache `MATMUL_I_BLOCK` times.
-const MATMUL_I_BLOCK: usize = 32;
-
 /// Inner-dimension block size of the dense matmul kernel: `MATMUL_K_BLOCK`
 /// rows of `rhs` form the panel kept hot in L1/L2. Blocks are visited in
 /// ascending order, so every output element still accumulates its `k` terms
 /// in exactly the order of the textbook i-k-j loop — the blocking changes
 /// memory traffic, never floating-point results.
 const MATMUL_K_BLOCK: usize = 64;
+
+/// Output columns the dense matmul kernel accumulates together in one local
+/// `[f32; MATMUL_J_BLOCK]` across a `k` block (two SSE or one AVX register).
+const MATMUL_J_BLOCK: usize = 8;
+
+/// Two column blocks taken in one pass over a `k` block: their accumulators
+/// are independent, so each term's additions overlap instead of waiting on
+/// the previous term's, and the pass loads each `a_ik` once for both.
+const MATMUL_J_PAIR: usize = 2 * MATMUL_J_BLOCK;
 
 /// Tile side of the blocked transpose (a 32x32 f32 tile is 4 KiB, i.e. two
 /// tiles fit in L1 comfortably).
@@ -256,13 +260,20 @@ impl Matrix {
     ///
     /// `out` must already have shape `(self.rows, rhs.cols)`; the kernel
     /// fully overwrites it, so recycled scratch buffers need no prior
-    /// zeroing. The kernel is cache-blocked (panels of
-    /// `MATMUL_I_BLOCK` output rows against `MATMUL_K_BLOCK` `rhs` rows)
-    /// with a branch-free inner loop over contiguous slices that the
-    /// compiler can autovectorize. Because blocks are visited in ascending
-    /// order, every output element accumulates its `k` terms in plain
-    /// ascending order: results are deterministic and independent of the
-    /// block sizes.
+    /// zeroing.
+    ///
+    /// The kernel is register-blocked. Each output row is cleared, then
+    /// filled one panel of `MATMUL_K_BLOCK` `rhs` rows at a time. Within a
+    /// panel, every pair of 8-column blocks is loaded into a local
+    /// `[f32; 16]`, takes the panel's `k` terms there, and is stored once
+    /// per panel instead of once per term. A last 8-column block does the
+    /// same in a `[f32; 8]`, and the last `cols % 8` columns (all of them
+    /// for a single-column output layer) each in a scalar. A zero `a_ik`
+    /// skips its term, so one-hot and other row-sparse inputs cost only
+    /// their non-zeros. Panels are visited in ascending order, so every
+    /// output element still sums its `k` terms in plain ascending order,
+    /// starting from `0.0`: the textbook i-k-j loop's result, bit for bit,
+    /// whatever the block sizes.
     pub fn matmul_into(&self, out: &mut Matrix, rhs: &Matrix) -> Result<(), TensorError> {
         if self.cols != rhs.rows {
             return Err(TensorError::ShapeMismatch {
@@ -278,31 +289,24 @@ impl Matrix {
                 op: "matmul_into",
             });
         }
-        out.data.fill(0.0);
-        let n = rhs.cols;
-        for ii in (0..self.rows).step_by(MATMUL_I_BLOCK) {
-            let i_end = (ii + MATMUL_I_BLOCK).min(self.rows);
-            for kk in (0..self.cols).step_by(MATMUL_K_BLOCK) {
-                let k_end = (kk + MATMUL_K_BLOCK).min(self.cols);
-                for i in ii..i_end {
-                    let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-                    let out_row = &mut out.data[i * n..(i + 1) * n];
-                    for (k, &a_ik) in a_row[kk..k_end].iter().enumerate() {
-                        // One well-predicted branch per `k`, amortised over
-                        // the whole `j` loop: one-hot and other row-sparse
-                        // inputs (DDIGCN identity features, binary patient
-                        // features) skip the entire panel row, while the
-                        // inner loop below stays branch-free and
-                        // autovectorizable for dense inputs.
-                        if a_ik == 0.0 {
-                            continue;
-                        }
-                        let b_row = &rhs.data[(kk + k) * n..(kk + k + 1) * n];
-                        for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
-                            *o += a_ik * b_kj;
-                        }
-                    }
-                }
+        let (depth, n) = (self.cols, rhs.cols);
+        if depth == 0 || n == 0 {
+            out.data.fill(0.0);
+            return Ok(());
+        }
+        let out_rows = out.data.chunks_exact_mut(n);
+        for (a_row, out_row) in self.data.chunks_exact(depth).zip(out_rows) {
+            out_row.fill(0.0);
+            let panels = rhs.data.chunks(MATMUL_K_BLOCK * n);
+            for (a_panel, b_panel) in a_row.chunks(MATMUL_K_BLOCK).zip(panels) {
+                let (pairs, rest) = out_row.as_chunks_mut::<MATMUL_J_PAIR>();
+                add_panel(pairs, 0, a_panel, b_panel, n);
+                let first_block = (n - rest.len()) / MATMUL_J_BLOCK;
+                let (blocks, tail) = rest.as_chunks_mut::<MATMUL_J_BLOCK>();
+                add_panel(blocks, first_block, a_panel, b_panel, n);
+                let first_column = n - tail.len();
+                let columns = tail.as_chunks_mut::<1>().0;
+                add_panel(columns, first_column, a_panel, b_panel, n);
             }
         }
         Ok(())
@@ -544,6 +548,38 @@ impl Matrix {
     /// True when all entries are finite (no NaN / infinity).
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
+    }
+}
+
+/// Adds one panel's terms to `blocks`, consecutive `W`-column blocks of an
+/// output row that start at the row's block `first`: `a_panel` is the row's
+/// slice of the panel's `k` range, and `b_panel` those rows of `rhs`, `n`
+/// (at least 1) columns wide. Each block is loaded into a local `[f32; W]`
+/// that the compiler keeps in registers, takes its terms in ascending `k`
+/// order, and is stored once.
+fn add_panel<const W: usize>(
+    blocks: &mut [[f32; W]],
+    first: usize,
+    a_panel: &[f32],
+    b_panel: &[f32],
+    n: usize,
+) {
+    for (jb, block) in (first..).zip(blocks) {
+        let mut acc = *block;
+        for (&a_ik, b_row) in a_panel.iter().zip(b_panel.chunks_exact(n)) {
+            // One well-predicted branch per term: one-hot and other
+            // row-sparse inputs (DDIGCN identity features, binary patient
+            // features) skip it, while the update below stays branch-free.
+            if a_ik == 0.0 {
+                continue;
+            }
+            if let Some(b_block) = b_row.as_chunks::<W>().0.get(jb) {
+                for (s, &b_kj) in acc.iter_mut().zip(b_block) {
+                    *s += a_ik * b_kj;
+                }
+            }
+        }
+        *block = acc;
     }
 }
 
