@@ -1,8 +1,8 @@
-//! Service-layer kernel benchmarks: save/load throughput of the `DSSD`
-//! container (`persistence`), medication-use prediction for one patient
-//! and for a 16-patient batch (`prediction`), and the dense matrix kernels
-//! under inference and the CRC-32 that seals every wire frame and container
-//! (`tensor_kernels`).
+//! Service-layer kernel benchmarks: encoding and decoding a fitted service's
+//! `DSSD` container in memory (`persistence`), medication-use prediction for
+//! one patient and for a 16-patient batch (`prediction`), and the dense
+//! matrix kernels under inference and the CRC-32 that seals every wire frame
+//! and container (`tensor_kernels`).
 //!
 //! Serving cost end to end — suggestion, batched suggestion and
 //! prescription critique through a live gateway — is measured by the
@@ -12,30 +12,28 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use dssddi_bench::BenchWorld;
+use dssddi_core::DecisionService;
 use dssddi_tensor::serde::crc32;
 use dssddi_tensor::Matrix;
 
-fn bench_save_load(c: &mut Criterion) {
+/// The container codec alone, with no file or disk sync in the timing: the
+/// bytes `save` writes and a `ReloadModel` frame carries, and the load a
+/// gateway shard runs on them.
+fn bench_container_codec(c: &mut Criterion) {
     let world = BenchWorld::new(120, 11);
     let service = world.fitted_service(90, 13);
-    let dir = std::env::temp_dir().join("dssddi_bench_save_load");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("service.dssd");
-
+    let container = service.to_container_bytes();
     let mut group = c.benchmark_group("persistence");
-    group.sample_size(10);
-    group.bench_function("save_fitted_service", |b| {
-        b.iter(|| service.save(&path).unwrap())
+    group.sample_size(500);
+    group.bench_function("encode_fitted_service", |b| {
+        b.iter(|| black_box(&service).to_container_bytes())
     });
-    service.save(&path).unwrap();
-    let registry = world.registry.clone();
-    group.bench_function("load_fitted_service", |b| {
+    group.bench_function("decode_fitted_service", |b| {
         b.iter(|| {
-            dssddi_core::DecisionService::load(&path, registry.clone()).unwrap();
+            DecisionService::load_with_embedded_registry_bytes(black_box(&container)).unwrap()
         })
     });
     group.finish();
-    let _ = std::fs::remove_file(&path);
 }
 
 fn bench_prediction(c: &mut Criterion) {
@@ -85,8 +83,9 @@ fn bench_tensor_kernels(c: &mut Criterion) {
             b2.iter(|| lhs.matmul_into(&mut out, black_box(&rhs)).unwrap())
         });
     }
-    // About the sizes of a suggestion answer, a 16-request batch answer and
-    // the `chronic` model container; divide ns/iter by the size for ns/byte.
+    // About the sizes of a suggestion answer, a 16-request batch answer or
+    // the `chronic` model container, and twice that; divide ns/iter by the
+    // size for ns/byte.
     let bytes: Vec<u8> = (0..64 << 10).map(|_| rng.next_u32() as u8).collect();
     group.sample_size(200);
     for (name, len) in [
@@ -102,7 +101,7 @@ fn bench_tensor_kernels(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_save_load,
+    bench_container_codec,
     bench_prediction,
     bench_tensor_kernels
 );

@@ -81,12 +81,6 @@ impl TreatmentMatrix {
         Ok(Self { matrix: t })
     }
 
-    /// Reassembles a treatment matrix from its persisted `patients x drugs`
-    /// matrix (model persistence).
-    pub(crate) fn from_matrix(matrix: Matrix) -> Self {
-        Self { matrix }
-    }
-
     /// Treatment value for a patient–drug pair.
     pub fn get(&self, patient: usize, drug: usize) -> f32 {
         self.matrix.get(patient, drug)
@@ -101,9 +95,10 @@ impl TreatmentMatrix {
     /// K-means clusters, as a `n_clusters x drugs` matrix: row `c` is the
     /// union of the treatments of cluster `c`'s patients (step 2) followed
     /// by one pass of synergy propagation in DDI edge order (step 3). A new
-    /// patient's row depends only on its cluster, so serving builds this
-    /// table once per model and reads one row per patient. Patients whose
-    /// cluster is `n_clusters` or above contribute nothing.
+    /// patient's row depends only on its cluster, so fitting builds this
+    /// table once per model, the model container persists it, and serving
+    /// reads one row per patient. Patients whose cluster is `n_clusters` or
+    /// above contribute nothing.
     pub(crate) fn cluster_rows(
         &self,
         n_clusters: usize,

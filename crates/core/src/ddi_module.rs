@@ -195,7 +195,6 @@ impl BackboneNet {
 pub struct DdiModule {
     embeddings: Matrix,
     losses: Vec<f32>,
-    backbone: Backbone,
 }
 
 impl DdiModule {
@@ -280,19 +279,15 @@ impl DdiModule {
             }
         };
 
-        Ok(Self {
-            embeddings,
-            losses,
-            backbone: config.backbone,
-        })
+        Ok(Self { embeddings, losses })
     }
 
-    /// Serializes the trained module (embeddings, loss trace, backbone).
+    /// Serializes the trained module (embeddings and loss trace; the
+    /// backbone is in the configuration).
     pub(crate) fn write_into(&self, w: &mut ByteWriter) {
         persist::put_section(w, section::DDI_MODULE);
         w.put_matrix(&self.embeddings);
         w.put_f32_slice(&self.losses);
-        persist::write_backbone(w, self.backbone);
     }
 
     /// Reconstructs a trained module written by [`DdiModule::write_into`].
@@ -301,7 +296,6 @@ impl DdiModule {
         Ok(Self {
             embeddings: r.take_matrix("ddi_module.embeddings")?,
             losses: r.take_f32_vec("ddi_module.losses")?,
-            backbone: persist::read_backbone(r)?,
         })
     }
 
@@ -313,11 +307,6 @@ impl DdiModule {
     /// Per-epoch training loss trace.
     pub fn training_losses(&self) -> &[f32] {
         &self.losses
-    }
-
-    /// Backbone the module was trained with.
-    pub fn backbone(&self) -> Backbone {
-        self.backbone
     }
 
     /// Predicted interaction score for a drug pair (inner product of the
@@ -464,6 +453,5 @@ mod tests {
         let module = DdiModule::train(&toy_ddi(), &quick(Backbone::Gin), &mut rng).unwrap();
         assert!(module.interaction_score(0, 99).is_none());
         assert!(module.interaction_score(0, 1).is_some());
-        assert_eq!(module.backbone(), Backbone::Gin);
     }
 }

@@ -31,22 +31,17 @@ use crate::counterfactual::{CounterfactualIndex, TreatmentMatrix};
 use crate::persist::{self, section};
 use crate::CoreError;
 
-/// A fitted Medical Decision module.
+/// A fitted Medical Decision module: only what
+/// [`MdModule::predict_scores`] reads, plus the training trace.
 pub struct MdModule {
     params: ParamSet,
     patient_w: ParamId,
     patient_b: ParamId,
     decoder: Mlp,
-    config: MdModuleConfig,
-    drug_features: Matrix,
-    ddi_embeddings: Option<Matrix>,
-    ddi_graph: SignedGraph,
     kmeans: KMeans,
-    clusters: Vec<usize>,
-    treatment: TreatmentMatrix,
     /// The treatment row of a new patient in each k-means cluster
-    /// (`k x n_drugs`), derived from `treatment`, `clusters` and
-    /// `ddi_graph` whenever the module is fitted or loaded, never persisted.
+    /// (`k x n_drugs`), derived from the training treatment matrix and the
+    /// DDI graph when the module is fitted, and persisted in its place.
     cluster_treatment: Matrix,
     drug_repr: Matrix,
     losses: Vec<f32>,
@@ -135,7 +130,7 @@ impl MdModule {
                     "DDI embeddings must have shape (n_drugs, hidden_dim)",
                 ));
             }
-            Some(emb.clone())
+            Some(emb)
         } else {
             None
         };
@@ -165,9 +160,9 @@ impl MdModule {
         // Treatment matrix: K-means clusters + observed links + DDI synergy.
         let n_clusters = config.n_clusters.max(1).min(m);
         let kmeans = fit_kmeans(train_features, n_clusters, 50, rng)?;
-        let clusters = kmeans.assignments().to_vec();
-        let treatment = TreatmentMatrix::build(train_graph, &clusters, ddi_graph)?;
-        let cluster_treatment = treatment.cluster_rows(kmeans.k(), &clusters, ddi_graph);
+        let clusters = kmeans.assignments();
+        let treatment = TreatmentMatrix::build(train_graph, clusters, ddi_graph)?;
+        let cluster_treatment = treatment.cluster_rows(kmeans.k(), clusters, ddi_graph);
         let labels = Matrix::from_fn(
             m,
             n,
@@ -188,11 +183,11 @@ impl MdModule {
         let operators = bipartite_operators(train_graph)?;
         let betas = layer_betas(config.propagation_layers);
 
-        // The encoder re-feeds the same feature matrices every epoch; share
-        // them with the tapes through `Rc` so no epoch pays a full copy.
+        // The encoder re-feeds the same matrices every epoch; share them
+        // with the tapes through `Rc` so no epoch pays a full copy.
         let patient_features_rc = Rc::new(train_features.clone());
         let drug_features_rc = Rc::new(drug_features.clone());
-        let ddi_embeddings_rc = ddi_embeddings.as_ref().map(|m| Rc::new(m.clone()));
+        let ddi_embeddings_rc = ddi_embeddings.map(|m| Rc::new(m.clone()));
 
         let mut optimizer = Adam::new(config.learning_rate);
         let mut losses = Vec::with_capacity(config.epochs);
@@ -304,13 +299,7 @@ impl MdModule {
             patient_w,
             patient_b,
             decoder,
-            config: config.clone(),
-            drug_features: drug_features.clone(),
-            ddi_embeddings,
-            ddi_graph: ddi_graph.clone(),
             kmeans,
-            clusters,
-            treatment,
             cluster_treatment,
             drug_repr,
             losses,
@@ -327,22 +316,17 @@ impl MdModule {
     }
 
     /// Serializes the fitted module: the full parameter set, the decoder
-    /// structure, the treatment machinery (k-means, clusters, treatment
-    /// matrix) and the cached drug representations — everything
-    /// [`MdModule::predict_scores`] touches.
+    /// structure, the k-means model, the per-cluster treatment table and
+    /// the cached drug representations — everything
+    /// [`MdModule::predict_scores`] touches — plus the training trace.
     pub(crate) fn write_into(&self, w: &mut ByteWriter) {
         persist::put_section(w, section::MD_MODULE);
         w.put_param_set(&self.params);
         w.put_param_id(self.patient_w);
         w.put_param_id(self.patient_b);
         self.decoder.write_into(w);
-        persist::write_md_config(w, &self.config);
-        w.put_matrix(&self.drug_features);
-        w.put_opt_matrix(self.ddi_embeddings.as_ref());
-        persist::write_signed_graph(w, &self.ddi_graph);
         persist::write_kmeans(w, &self.kmeans);
-        w.put_usize_slice(&self.clusters);
-        w.put_matrix(self.treatment.matrix());
+        w.put_matrix(&self.cluster_treatment);
         w.put_matrix(&self.drug_repr);
         w.put_f32_slice(&self.losses);
         w.put_f64(self.counterfactual_match_rate);
@@ -350,44 +334,30 @@ impl MdModule {
 
     /// Reconstructs a fitted module written by [`MdModule::write_into`],
     /// validating the cross-field consistency the serving path relies on so
-    /// a decoded module can never panic inside `predict_scores`.
+    /// a decoded module can never panic inside `predict_scores`. The
+    /// treatment table is read as persisted, not derived again.
     pub(crate) fn read_from(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
         persist::expect_section(r, section::MD_MODULE, "md_module")?;
         let params = r.take_param_set("md_module.params")?;
         let patient_w = r.take_param_id(&params, "md_module.patient_w")?;
         let patient_b = r.take_param_id(&params, "md_module.patient_b")?;
         let decoder = Mlp::read_from(r, &params)?;
-        let config = persist::read_md_config(r)?;
-        let drug_features = r.take_matrix("md_module.drug_features")?;
-        let ddi_embeddings = r.take_opt_matrix("md_module.ddi_embeddings")?;
-        let ddi_graph = persist::read_signed_graph(r)?;
         let kmeans = persist::read_kmeans(r)?;
-        let clusters = r.take_usize_vec("md_module.clusters")?;
-        let treatment = r.take_matrix("md_module.treatment")?;
+        let cluster_treatment = r.take_matrix("md_module.cluster_treatment")?;
         let drug_repr = r.take_matrix("md_module.drug_repr")?;
         let losses = r.take_f32_vec("md_module.losses")?;
         let counterfactual_match_rate = r.take_f64("md_module.counterfactual_match_rate")?;
 
         let corrupt = |what: String| SerdeError::Corrupt { what };
-        let n_drugs = drug_repr.rows();
-        if treatment.cols() != n_drugs {
+        if cluster_treatment.shape() != (kmeans.k(), drug_repr.rows()) {
             return Err(corrupt(format!(
-                "treatment matrix covers {} drugs but {} drug representations were persisted",
-                treatment.cols(),
-                n_drugs
+                "treatment table is {}x{} but the model has {} k-means clusters and {} drug \
+                 representations",
+                cluster_treatment.rows(),
+                cluster_treatment.cols(),
+                kmeans.k(),
+                drug_repr.rows()
             )));
-        }
-        if treatment.rows() != clusters.len() {
-            return Err(corrupt(format!(
-                "treatment matrix has {} patient rows but {} cluster assignments",
-                treatment.rows(),
-                clusters.len()
-            )));
-        }
-        if clusters.iter().any(|&c| c >= kmeans.k()) {
-            return Err(corrupt(
-                "a persisted cluster assignment exceeds the k-means cluster count".into(),
-            ));
         }
         let patient_features = params.get(patient_w).rows();
         if kmeans.centroids().cols() != patient_features {
@@ -422,20 +392,12 @@ impl MdModule {
                 "drug representation width disagrees with the patient hidden width".into(),
             ));
         }
-        let treatment = TreatmentMatrix::from_matrix(treatment);
-        let cluster_treatment = treatment.cluster_rows(kmeans.k(), &clusters, &ddi_graph);
         let module = Self {
             params,
             patient_w,
             patient_b,
             decoder,
-            config,
-            drug_features,
-            ddi_embeddings,
-            ddi_graph,
             kmeans,
-            clusters,
-            treatment,
             cluster_treatment,
             drug_repr,
             losses,
@@ -459,11 +421,9 @@ impl MdModule {
             .map(|(id, m)| (self.params.name(id), m))
             .chain([
                 ("drug_repr", &self.drug_repr),
-                ("treatment", self.treatment.matrix()),
+                ("cluster_treatment", &self.cluster_treatment),
                 ("kmeans.centroids", self.kmeans.centroids()),
-                ("drug_features", &self.drug_features),
             ])
-            .chain(self.ddi_embeddings.iter().map(|m| ("ddi_embeddings", m)))
             .find(|(_, m)| !m.all_finite())
             .map(|(name, _)| name)
     }
@@ -506,10 +466,10 @@ impl MdModule {
 
     /// Treatment row `T_i` for a previously unseen patient (one entry per
     /// drug): the row of the patient's nearest K-means cluster in the table
-    /// built when the module was fitted or loaded. Each table row is the
-    /// union of the cluster's observed treatments followed by one pass of
-    /// synergy propagation over the DDI graph (Section IV-B1), so a request
-    /// pays for the cluster assignment and nothing else.
+    /// built when the module was fitted and persisted with it. Each table
+    /// row is the union of the cluster's observed treatments followed by one
+    /// pass of synergy propagation over the DDI graph (Section IV-B1), so a
+    /// request pays for the cluster assignment and nothing else.
     pub fn treatment_for(&self, features_row: &[f32]) -> &[f32] {
         self.cluster_treatment
             .row(self.kmeans.predict_row(features_row))
@@ -528,7 +488,7 @@ impl MdModule {
     /// bit-identical scores to the taped training-time forward pass, kept
     /// as a `#[cfg(test)]` reference that a test compares against.
     pub fn predict_scores(&self, features: &Matrix) -> Result<Matrix, CoreError> {
-        if features.cols() != self.params.get(self.patient_w).rows() {
+        if features.cols() != self.n_features() {
             return Err(CoreError::invalid_input(
                 "patient feature dimension differs from the fitted model",
             ));
@@ -565,10 +525,12 @@ impl MdModule {
 
     /// Reference scoring path running every forward pass through the full
     /// autodiff [`Tape`] — the pre-optimization implementation, kept only
-    /// so tests can assert the fast path is bit-identical.
+    /// so tests can assert the fast path is bit-identical. It reads the same
+    /// treatment table row, so it is the reference for the tape-free
+    /// projection and decoder; the table has its own reference test.
     #[cfg(test)]
     fn predict_scores_taped(&self, features: &Matrix) -> Result<Matrix, CoreError> {
-        if features.cols() != self.params.get(self.patient_w).rows() {
+        if features.cols() != self.n_features() {
             return Err(CoreError::invalid_input(
                 "patient feature dimension differs from the fitted model",
             ));
@@ -589,18 +551,14 @@ impl MdModule {
         let mut scores = Matrix::zeros(features.rows(), n_drugs);
         let all_drugs: Vec<usize> = (0..n_drugs).collect();
         for p in 0..features.rows() {
-            // The historical per-patient treatment row, not the table.
-            let cluster = self.kmeans.predict_row(features.row(p));
-            let treat = self
-                .treatment
-                .for_new_patient(cluster, &self.clusters, &self.ddi_graph);
+            let treat = self.treatment_for(features.row(p));
             let mut tape = Tape::new();
             let mut binder = Binder::new();
             let hp_var = tape.constant(hp.select_rows(&vec![p; n_drugs]));
             let hd_var = tape.constant(self.drug_repr.clone());
             let hd_sel = tape.select_rows(hd_var, &all_drugs)?;
             let prod = tape.mul(hp_var, hd_sel)?;
-            let t_col = tape.constant(Matrix::col_vector(&treat));
+            let t_col = tape.constant(Matrix::col_vector(treat));
             let cat = tape.concat_cols(prod, t_col)?;
             let logits = self
                 .decoder
@@ -619,19 +577,10 @@ impl MdModule {
         self.drug_repr.rows()
     }
 
-    /// The fitted configuration.
-    pub fn config(&self) -> &MdModuleConfig {
-        &self.config
-    }
-
-    /// Original drug features used by the encoder.
-    pub fn drug_features(&self) -> &Matrix {
-        &self.drug_features
-    }
-
-    /// The DDI relation embeddings shared from the DDI module, if enabled.
-    pub fn ddi_embeddings(&self) -> Option<&Matrix> {
-        self.ddi_embeddings.as_ref()
+    /// Length of the patient feature vectors the module scores: the input
+    /// width of the patient projection (Eq. 9).
+    pub fn n_features(&self) -> usize {
+        self.params.get(self.patient_w).rows()
     }
 }
 
@@ -669,10 +618,13 @@ fn encoder_forward(
 
     // Eq. 11-13: alternate propagation across the bipartite graph and
     // combine the per-layer drug representations with the β weights.
+    let (&beta_0, later_betas) = betas.split_first().ok_or_else(|| {
+        CoreError::invalid_config("layer combination needs the weight of layer 0")
+    })?;
     let mut cur_p = hp;
     let mut cur_d = hd;
-    let mut combined_d = tape.scale(hd, betas[0]);
-    for &beta in betas.iter().skip(1) {
+    let mut combined_d = tape.scale(hd, beta_0);
+    for &beta in later_betas {
         let next_p = tape.spmm(&operators.patient_from_drug, cur_d)?;
         let next_d = tape.spmm(&operators.drug_from_patient, cur_p)?;
         cur_p = next_p;
@@ -828,19 +780,29 @@ mod tests {
             &mut rng
         )
         .is_err());
-        // Correct shape -> trains.
+        // Correct shape -> trains, and the embeddings reach the drug
+        // representations: the same seeded fit without them differs.
         let good = Matrix::rand_uniform(6, 8, -0.1, 0.1, &mut rng);
-        let module = MdModule::fit(
-            &features,
-            &graph,
-            &drug_features,
-            &ddi,
-            Some(&good),
-            &config,
-            &mut rng,
-        )
-        .unwrap();
-        assert!(module.ddi_embeddings().is_some());
+        let seeded_fit = |config: &MdModuleConfig, embeddings| {
+            let mut rng = StdRng::seed_from_u64(11);
+            MdModule::fit(
+                &features,
+                &graph,
+                &drug_features,
+                &ddi,
+                embeddings,
+                config,
+                &mut rng,
+            )
+            .unwrap()
+        };
+        let with = seeded_fit(&config, Some(&good));
+        config.use_ddi_embeddings = false;
+        let without = seeded_fit(&config, None);
+        assert_ne!(
+            bits(with.drug_representations().data()),
+            bits(without.drug_representations().data())
+        );
     }
 
     #[test]
@@ -984,19 +946,23 @@ mod tests {
     }
 
     /// Every row of the cluster table against the per-patient reference
-    /// it replaced.
-    fn assert_table_matches_for_new_patient(module: &MdModule) {
+    /// it replaced, rebuilt from the training data and the module's k-means
+    /// assignments.
+    fn assert_table_matches_for_new_patient(
+        module: &MdModule,
+        train_graph: &BipartiteGraph,
+        ddi: &SignedGraph,
+    ) {
         let k = module.kmeans.k();
         assert_eq!(
             module.cluster_treatment.shape(),
             (k, module.n_drugs()),
             "one row per cluster, one column per drug"
         );
+        let clusters = module.kmeans.assignments();
+        let treatment = TreatmentMatrix::build(train_graph, clusters, ddi).unwrap();
         for c in 0..k {
-            let reference =
-                module
-                    .treatment
-                    .for_new_patient(c, &module.clusters, &module.ddi_graph);
+            let reference = treatment.for_new_patient(c, clusters, ddi);
             assert_eq!(
                 bits(module.cluster_treatment.row(c)),
                 bits(&reference),
@@ -1019,8 +985,8 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        assert_table_matches_for_new_patient(&toy);
-        assert_table_matches_for_new_patient(&round_trip(&toy).unwrap());
+        assert_table_matches_for_new_patient(&toy, &graph, &ddi);
+        assert_table_matches_for_new_patient(&round_trip(&toy).unwrap(), &graph, &ddi);
 
         // A service on the 86-drug formulary, whose synergy edges chain, and
         // the same service after its `DSSD` container is reloaded.
@@ -1033,6 +999,7 @@ mod tests {
         let cohort = generate_chronic_cohort(&registry, &ddi, &config, &mut rng).unwrap();
         let drug_features = Matrix::rand_uniform(registry.len(), 16, -0.1, 0.1, &mut rng);
         let observed: Vec<usize> = (0..55).collect();
+        let train_graph = cohort.bipartite_graph(&observed).unwrap();
         let service = ServiceBuilder::fast()
             .hidden_dim(16)
             .epochs(25, 30)
@@ -1040,12 +1007,12 @@ mod tests {
             .unwrap();
         let fitted = service.engine().unwrap().md_module();
         assert!(fitted.kmeans.k() > 2, "{} clusters", fitted.kmeans.k());
-        assert_table_matches_for_new_patient(fitted);
+        assert_table_matches_for_new_patient(fitted, &train_graph, &ddi);
         let reloaded =
             DecisionService::load_with_embedded_registry_bytes(&service.to_container_bytes())
                 .unwrap();
         let reloaded_md = reloaded.engine().unwrap().md_module();
-        assert_table_matches_for_new_patient(reloaded_md);
+        assert_table_matches_for_new_patient(reloaded_md, &train_graph, &ddi);
         assert_eq!(
             bits(reloaded_md.cluster_treatment.data()),
             bits(fitted.cluster_treatment.data())

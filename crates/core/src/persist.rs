@@ -57,7 +57,7 @@ fn backbone_tag(b: Backbone) -> u8 {
     }
 }
 
-pub(crate) fn read_backbone(r: &mut ByteReader<'_>) -> Result<Backbone, SerdeError> {
+fn read_backbone(r: &mut ByteReader<'_>) -> Result<Backbone, SerdeError> {
     match r.take_u8("config.backbone")? {
         0 => Ok(Backbone::Gin),
         1 => Ok(Backbone::Sgcn),
@@ -69,16 +69,12 @@ pub(crate) fn read_backbone(r: &mut ByteReader<'_>) -> Result<Backbone, SerdeErr
     }
 }
 
-pub(crate) fn write_backbone(w: &mut ByteWriter, b: Backbone) {
-    w.put_u8(backbone_tag(b));
-}
-
 fn write_ddi_config(w: &mut ByteWriter, c: &DdiModuleConfig) {
     w.put_usize(c.hidden_dim);
     w.put_usize(c.layers);
     w.put_usize(c.epochs);
     w.put_f32(c.learning_rate);
-    write_backbone(w, c.backbone);
+    w.put_u8(backbone_tag(c.backbone));
     match c.negative_edges {
         Some(n) => {
             w.put_bool(true);
@@ -103,7 +99,7 @@ fn read_ddi_config(r: &mut ByteReader<'_>) -> Result<DdiModuleConfig, SerdeError
     })
 }
 
-pub(crate) fn write_md_config(w: &mut ByteWriter, c: &MdModuleConfig) {
+fn write_md_config(w: &mut ByteWriter, c: &MdModuleConfig) {
     w.put_usize(c.hidden_dim);
     w.put_usize(c.propagation_layers);
     w.put_usize(c.epochs);
@@ -121,7 +117,7 @@ pub(crate) fn write_md_config(w: &mut ByteWriter, c: &MdModuleConfig) {
     w.put_usize(c.negatives_per_positive);
 }
 
-pub(crate) fn read_md_config(r: &mut ByteReader<'_>) -> Result<MdModuleConfig, SerdeError> {
+fn read_md_config(r: &mut ByteReader<'_>) -> Result<MdModuleConfig, SerdeError> {
     Ok(MdModuleConfig {
         hidden_dim: r.take_usize("md_config.hidden_dim")?,
         propagation_layers: r.take_usize("md_config.propagation_layers")?,

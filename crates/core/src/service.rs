@@ -509,10 +509,9 @@ impl ServiceBuilder {
         let registry = self.registry_for(ddi_graph)?;
         Ok(DecisionService::assemble(
             registry,
-            ServiceState::SupportOnly {
-                ddi: ddi_graph.clone(),
-                config: self.config,
-            },
+            ddi_graph.clone(),
+            self.config,
+            None,
         ))
     }
 
@@ -537,10 +536,9 @@ impl ServiceBuilder {
         )?;
         Ok(DecisionService::assemble(
             registry,
-            ServiceState::Fitted {
-                engine: Box::new(engine),
-                n_features: train_features.cols(),
-            },
+            ddi_graph.clone(),
+            self.config,
+            Some(Box::new(engine)),
         ))
     }
 
@@ -566,19 +564,25 @@ impl ServiceBuilder {
         )?;
         Ok(DecisionService::assemble(
             registry,
-            ServiceState::Fitted {
-                engine: Box::new(engine),
-                n_features: cohort.features().cols(),
-            },
+            ddi_graph.clone(),
+            self.config,
+            Some(Box::new(engine)),
         ))
     }
 }
 
 /// The doctor-facing decision service: typed suggestion and prescription
 /// critique over a fitted DSSDDI system and its drug registry.
+///
+/// The service is the one owner of the DDI graph and the configuration,
+/// fitted or not; the engine holds only its trained modules.
 pub struct DecisionService {
     registry: DrugRegistry,
-    state: ServiceState,
+    ddi_graph: SignedGraph,
+    config: DssddiConfig,
+    /// The trained engine, absent for [`ServiceBuilder::build_support`]
+    /// services (critique only).
+    engine: Option<Box<Dssddi>>,
     /// Cross-batch explanation memo. The DDI graph is immutable after fit,
     /// so cached community searches stay valid for the service's lifetime;
     /// the cache itself is size-bounded (LRU) so a long-lived service cannot
@@ -596,29 +600,20 @@ pub struct DecisionService {
 pub const DSSD_MAGIC: [u8; 4] = *b"DSSD";
 
 /// Current `DSSD` container format version.
-pub const DSSD_FORMAT_VERSION: u16 = 1;
+///
+/// Version 2 stores each part of a model once: the DDI graph and the
+/// configuration at the service level (version 1 repeated both inside a
+/// fitted engine), and in the MD module the per-cluster treatment table in
+/// place of the training treatment matrix it is derived from. A version 1
+/// container is refused with
+/// [`SerdeError::UnsupportedVersion`](dssddi_tensor::serde::SerdeError::UnsupportedVersion).
+pub const DSSD_FORMAT_VERSION: u16 = 2;
 
 /// Reads a container file, naming the path in the I/O error.
 fn read_container_file(path: &Path) -> Result<Vec<u8>, tserde::SerdeError> {
     std::fs::read(path).map_err(|e| tserde::SerdeError::Io {
         what: format!("reading {}: {e}", path.display()),
     })
-}
-
-/// What the service was built with. A fitted engine already owns the DDI
-/// graph and configuration, so the service stores its own copies only in
-/// support-only mode — there is exactly one copy either way.
-enum ServiceState {
-    /// Trained by one of the builder's `fit*` methods.
-    Fitted {
-        engine: Box<Dssddi>,
-        n_features: usize,
-    },
-    /// Built by [`ServiceBuilder::build_support`]: critique only.
-    SupportOnly {
-        ddi: SignedGraph,
-        config: DssddiConfig,
-    },
 }
 
 impl fmt::Debug for DecisionService {
@@ -632,16 +627,20 @@ impl fmt::Debug for DecisionService {
 }
 
 impl DecisionService {
-    /// Assembles a service around a state, attaching the service-owned
-    /// explanation cache.
-    fn assemble(registry: DrugRegistry, state: ServiceState) -> Self {
-        let explanation_index = ExplanationIndex::build(match &state {
-            ServiceState::Fitted { engine, .. } => engine.ddi_graph(),
-            ServiceState::SupportOnly { ddi, .. } => ddi,
-        });
+    /// Assembles a service, building the explanation index from the DDI
+    /// graph and attaching the service-owned explanation cache.
+    fn assemble(
+        registry: DrugRegistry,
+        ddi_graph: SignedGraph,
+        config: DssddiConfig,
+        engine: Option<Box<Dssddi>>,
+    ) -> Self {
+        let explanation_index = ExplanationIndex::build(&ddi_graph);
         Self {
             registry,
-            state,
+            ddi_graph,
+            config,
+            engine,
             explanations: Mutex::new(ExplanationCache::new()),
             explanation_index,
         }
@@ -673,6 +672,13 @@ impl DecisionService {
     /// [`DecisionService::save`] writes these bytes to disk, and
     /// replication ships them peer-to-peer. The inverse of
     /// [`DecisionService::load_with_embedded_registry_bytes`].
+    ///
+    /// The version 2 payload holds, once each: the registry's digest and
+    /// DID-ordered names, the signed DDI graph, the configuration, and a
+    /// flag followed, for a fitted service, by the engine (the DDI module's
+    /// embeddings when one was trained, then the MD module's parameters,
+    /// decoder, k-means model, per-cluster treatment table and drug
+    /// representations).
     pub fn to_container_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         persist::put_section(&mut w, section::SERVICE);
@@ -684,17 +690,11 @@ impl DecisionService {
         for name in names {
             w.put_str(name);
         }
-        match &self.state {
-            ServiceState::Fitted { engine, n_features } => {
-                w.put_u8(1);
-                w.put_usize(*n_features);
-                engine.write_into(&mut w);
-            }
-            ServiceState::SupportOnly { ddi, config } => {
-                w.put_u8(0);
-                persist::write_signed_graph(&mut w, ddi);
-                persist::write_config(&mut w, config);
-            }
+        persist::write_signed_graph(&mut w, &self.ddi_graph);
+        persist::write_config(&mut w, &self.config);
+        w.put_bool(self.engine.is_some());
+        if let Some(engine) = &self.engine {
+            engine.write_into(&mut w);
         }
         tserde::seal_frame(DSSD_MAGIC, DSSD_FORMAT_VERSION, w.as_bytes())
     }
@@ -781,41 +781,38 @@ impl DecisionService {
                  service was persisted with",
             ));
         }
-        let state = match r.take_u8("service.state_tag")? {
-            1 => {
-                let n_features = r.take_usize("service.n_features")?;
-                let engine = Dssddi::read_from(&mut r)?;
-                ServiceState::Fitted {
-                    engine: Box::new(engine),
-                    n_features,
-                }
-            }
-            0 => {
-                let ddi = persist::read_signed_graph(&mut r)?;
-                let config = persist::read_config(&mut r)?;
-                ServiceState::SupportOnly { ddi, config }
-            }
-            other => {
-                return Err(CoreError::persistence(format!(
-                    "unknown service state tag {other}"
-                )))
-            }
+        // The node count is untrusted: check it before the explanation
+        // index, or anything else, is sized by it.
+        let ddi_graph = persist::read_signed_graph(&mut r)?;
+        if ddi_graph.node_count() != registry.len() {
+            return Err(CoreError::persistence(format!(
+                "persisted DDI graph has {} nodes but the registry has {} drugs",
+                ddi_graph.node_count(),
+                registry.len()
+            )));
+        }
+        let config = persist::read_config(&mut r)?;
+        let engine = if r.take_bool("service.fitted")? {
+            Some(Box::new(Dssddi::read_from(&mut r)?))
+        } else {
+            None
         };
+        if let Some(md) = engine.as_ref().map(|e| e.md_module()) {
+            if md.n_drugs() != ddi_graph.node_count() {
+                return Err(CoreError::persistence(format!(
+                    "persisted MD module covers {} drugs but the DDI graph has {} nodes",
+                    md.n_drugs(),
+                    ddi_graph.node_count()
+                )));
+            }
+        }
         if !r.is_exhausted() {
             return Err(CoreError::persistence(format!(
                 "{} unexpected trailing bytes after the service state",
                 r.remaining()
             )));
         }
-        let service = Self::assemble(registry, state);
-        if service.registry.len() != service.ddi_graph().node_count() {
-            return Err(CoreError::persistence(format!(
-                "persisted DDI graph has {} nodes but the registry has {} drugs",
-                service.ddi_graph().node_count(),
-                service.registry.len()
-            )));
-        }
-        Ok(service)
+        Ok(Self::assemble(registry, ddi_graph, config, engine))
     }
 
     /// Cumulative `(hits, misses)` of the service-owned explanation cache —
@@ -848,57 +845,43 @@ impl DecisionService {
 
     /// The signed DDI graph the service critiques prescriptions against.
     pub fn ddi_graph(&self) -> &SignedGraph {
-        match &self.state {
-            ServiceState::Fitted { engine, .. } => engine.ddi_graph(),
-            ServiceState::SupportOnly { ddi, .. } => ddi,
-        }
+        &self.ddi_graph
     }
 
     /// The configuration the service was built with.
     pub fn config(&self) -> &DssddiConfig {
-        match &self.state {
-            ServiceState::Fitted { engine, .. } => engine.config(),
-            ServiceState::SupportOnly { config, .. } => config,
-        }
+        &self.config
     }
 
     /// The underlying fitted system, when the service was built by training
     /// (absent for [`ServiceBuilder::build_support`] services).
     pub fn engine(&self) -> Option<&Dssddi> {
-        match &self.state {
-            ServiceState::Fitted { engine, .. } => Some(engine.as_ref()),
-            ServiceState::SupportOnly { .. } => None,
-        }
+        self.engine.as_deref()
     }
 
     /// True when the service carries a trained model (suggestion works);
     /// false for support-only services (critique only).
     pub fn is_fitted(&self) -> bool {
-        matches!(&self.state, ServiceState::Fitted { .. })
+        self.engine.is_some()
     }
 
-    /// Length of the patient feature vectors the trained model expects, or
-    /// `None` for support-only services. Serving gateways surface this in
-    /// their model listings so remote callers can size requests without
-    /// holding the training data.
+    /// Length of the patient feature vectors the trained model expects (the
+    /// input width of its patient projection), or `None` for support-only
+    /// services. Serving gateways surface this in their model listings so
+    /// remote callers can size requests without holding the training data.
     pub fn n_features(&self) -> Option<usize> {
-        match &self.state {
-            ServiceState::Fitted { n_features, .. } => Some(*n_features),
-            ServiceState::SupportOnly { .. } => None,
-        }
+        self.engine().map(|e| e.md_module().n_features())
     }
 
-    fn fitted(&self, operation: &str) -> Result<(&Dssddi, usize), CoreError> {
-        match &self.state {
-            ServiceState::Fitted { engine, n_features } => Ok((engine.as_ref(), *n_features)),
-            ServiceState::SupportOnly { .. } => Err(CoreError::not_fitted(operation)),
-        }
+    fn fitted(&self, operation: &str) -> Result<&Dssddi, CoreError> {
+        self.engine()
+            .ok_or_else(|| CoreError::not_fitted(operation))
     }
 
     /// Raw medication-use scores (one row per patient, one column per drug)
     /// for externally assembled feature matrices.
     pub fn predict_scores(&self, features: &Matrix) -> Result<Matrix, CoreError> {
-        self.fitted("predict_scores")?.0.predict_scores(features)
+        self.fitted("predict_scores")?.predict_scores(features)
     }
 
     /// Checks that an attached knowledge base grades this service's
@@ -960,7 +943,8 @@ impl DecisionService {
             return Ok(Vec::new());
         }
         self.validate_kb(kb)?;
-        let (engine, n_features) = self.fitted("suggest_batch")?;
+        let engine = self.fitted("suggest_batch")?;
+        let n_features = engine.md_module().n_features();
         let n_drugs = self.ddi_graph().node_count();
         for (i, request) in requests.iter().enumerate() {
             if request.features.len() != n_features {

@@ -6,7 +6,7 @@
 //! inference time predicts medication-use scores for new patients and
 //! explains drug sets through the Medical Support module. Ranked, explained
 //! suggestions are served by [`crate::service::DecisionService`], which owns
-//! a fitted engine.
+//! the DDI graph, the configuration and the fitted engine.
 
 // Like the service layer, the engine's serving path returns typed errors
 // instead of panicking; see `service.rs` for the rationale. The panic-policy
@@ -25,12 +25,12 @@ use crate::md_module::MdModule;
 use crate::persist::{self, section};
 use crate::CoreError;
 
-/// The fitted decision support system.
+/// The fitted decision support system: its two trained modules. The DDI
+/// graph and the configuration it was fitted with belong to the
+/// [`crate::service::DecisionService`] that holds it.
 pub struct Dssddi {
     ddi_module: Option<DdiModule>,
     md_module: MdModule,
-    ddi_graph: SignedGraph,
-    config: DssddiConfig,
 }
 
 impl Dssddi {
@@ -112,8 +112,6 @@ impl Dssddi {
         Ok(Self {
             ddi_module,
             md_module,
-            ddi_graph: ddi_graph.clone(),
-            config: config.clone(),
         })
     }
 
@@ -167,8 +165,6 @@ impl Dssddi {
             None => w.put_bool(false),
         }
         self.md_module.write_into(w);
-        persist::write_signed_graph(w, &self.ddi_graph);
-        persist::write_config(w, &self.config);
     }
 
     /// Reconstructs a fitted system written by [`Dssddi::write_into`].
@@ -179,23 +175,9 @@ impl Dssddi {
         } else {
             None
         };
-        let md_module = MdModule::read_from(r)?;
-        let ddi_graph = persist::read_signed_graph(r)?;
-        let config = persist::read_config(r)?;
-        if md_module.n_drugs() != ddi_graph.node_count() {
-            return Err(SerdeError::Corrupt {
-                what: format!(
-                    "persisted MD module covers {} drugs but the DDI graph has {} nodes",
-                    md_module.n_drugs(),
-                    ddi_graph.node_count()
-                ),
-            });
-        }
         Ok(Self {
             ddi_module,
-            md_module,
-            ddi_graph,
-            config,
+            md_module: MdModule::read_from(r)?,
         })
     }
 
@@ -207,16 +189,6 @@ impl Dssddi {
     /// The trained Medical Decision module.
     pub fn md_module(&self) -> &MdModule {
         &self.md_module
-    }
-
-    /// The DDI graph the system explains suggestions with.
-    pub fn ddi_graph(&self) -> &SignedGraph {
-        &self.ddi_graph
-    }
-
-    /// The configuration the system was fitted with.
-    pub fn config(&self) -> &DssddiConfig {
-        &self.config
     }
 }
 
@@ -369,19 +341,31 @@ mod tests {
         let train_graph = cohort.bipartite_graph(&observed).unwrap();
         let override_embeddings =
             Matrix::rand_uniform(ddi.node_count(), config.md.hidden_dim, -0.1, 0.1, &mut rng);
-        let system = Dssddi::fit_with_relation_embeddings(
-            &train_features,
-            &train_graph,
-            &drug_features,
-            &ddi,
-            Some(&override_embeddings),
-            &config,
-            &mut rng,
-        )
-        .unwrap();
+        let seeded_fit = |config: &DssddiConfig, embeddings| {
+            let mut rng = StdRng::seed_from_u64(10);
+            Dssddi::fit_with_relation_embeddings(
+                &train_features,
+                &train_graph,
+                &drug_features,
+                &ddi,
+                embeddings,
+                config,
+                &mut rng,
+            )
+            .unwrap()
+        };
+        let system = seeded_fit(&config, Some(&override_embeddings));
         // The DDI module is skipped when an override is supplied.
         assert!(system.ddi_module().is_none());
-        assert!(system.md_module().ddi_embeddings().is_some());
+        // The override reaches the drug representations: the same seeded fit
+        // without relation embeddings differs.
+        let mut plain_config = config.clone();
+        plain_config.md.use_ddi_embeddings = false;
+        let plain = seeded_fit(&plain_config, None);
+        assert_ne!(
+            system.md_module().drug_representations().data(),
+            plain.md_module().drug_representations().data()
+        );
     }
 
     #[test]

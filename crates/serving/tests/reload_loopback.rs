@@ -21,7 +21,9 @@ use dssddi_core::{
     DSSD_FORMAT_VERSION, DSSD_MAGIC,
 };
 use dssddi_kb::{EvidenceLevel, KbFact, KnowledgeBase, Severity};
-use dssddi_serving::demo::{demo_catalog, demo_requests, DemoWorld, DEMO_FITTED_KEY, DEMO_SEED};
+use dssddi_serving::demo::{
+    demo_catalog, demo_requests, DemoWorld, DEMO_FITTED_KEY, DEMO_SEED, DEMO_SUPPORT_KEY,
+};
 use dssddi_serving::{
     Client, ErrorCode, ModelCatalog, ModelKey, Request, Response, Router, Server, ServingError,
     SyncArtifact, WireError,
@@ -66,6 +68,37 @@ fn retrained_service_bytes(world: &DemoWorld) -> Vec<u8> {
     std::fs::remove_file(&path).ok();
     bytes
 }
+
+/// Offsets in a `DSSD` payload of every signed DDI graph section over the
+/// 86-drug formulary: the `0xC1` section tag followed by the node count 86
+/// as a little-endian `u64`.
+fn graph_sections(payload: &[u8]) -> Vec<usize> {
+    let mut header = vec![0xC1];
+    header.extend_from_slice(&86u64.to_le_bytes());
+    payload
+        .windows(header.len())
+        .enumerate()
+        .filter(|(_, window)| *window == header.as_slice())
+        .map(|(at, _)| at)
+        .collect()
+}
+
+/// `container` resealed with its one DDI graph section declaring `nodes`
+/// nodes instead of 86.
+fn with_graph_node_count(container: &[u8], nodes: u64) -> Vec<u8> {
+    let (_, payload) =
+        open_frame(DSSD_MAGIC, &[DSSD_FORMAT_VERSION], container).expect("valid container");
+    let mut payload = payload.to_vec();
+    let sections = graph_sections(&payload);
+    assert_eq!(sections.len(), 1, "one graph section");
+    let at = sections[0] + 1;
+    payload[at..at + 8].copy_from_slice(&nodes.to_le_bytes());
+    seal_frame(DSSD_MAGIC, DSSD_FORMAT_VERSION, &payload)
+}
+
+/// Graph node counts a sender may put in a resealed container: one past the
+/// formulary, 2^32, and one whose per-node allocation overflows.
+const FOREIGN_NODE_COUNTS: [u64; 3] = [87, 1 << 32, u64::MAX / 2];
 
 #[test]
 fn kb_and_model_hot_reload_under_concurrent_traffic() {
@@ -223,6 +256,11 @@ fn foreign_or_damaged_reload_artifacts_are_typed_errors() {
     let key = ModelKey::new("chronic").expect("key");
     let dssd = catalog.service(&key).expect("model").to_container_bytes();
     let dskb = catalog.kb(&key).expect("kb").to_container_bytes();
+    let support_key = ModelKey::new(DEMO_SUPPORT_KEY).expect("key");
+    let support_dssd = catalog
+        .service(&support_key)
+        .expect("model")
+        .to_container_bytes();
     let (addr, handle) = spawn_server(catalog);
     let mut client = Client::connect(addr).expect("connect");
 
@@ -263,21 +301,39 @@ fn foreign_or_damaged_reload_artifacts_are_typed_errors() {
             other => panic!("expected Remote Persistence, got {other:?}"),
         }
     }
+    // A resealed container whose DDI graph declares a node count other than
+    // the formulary's: typed Persistence error, on either shard.
+    for (shard, container) in [(&key, &dssd), (&support_key, &support_dssd)] {
+        for nodes in FOREIGN_NODE_COUNTS {
+            match client.reload_model(shard, &with_graph_node_count(container, nodes)) {
+                Err(ServingError::Remote { code, message }) => {
+                    assert_eq!(code, ErrorCode::Persistence);
+                    assert!(
+                        message.contains(&format!("{nodes} nodes")),
+                        "got: {message}"
+                    );
+                }
+                other => panic!("expected Remote Persistence, got {other:?}"),
+            }
+        }
+    }
     // Unknown shard: typed UnknownModel error.
     match client.kb_info(&ModelKey::new("nope").expect("key")) {
         Err(ServingError::Remote { code, .. }) => assert_eq!(code, ErrorCode::UnknownModel),
         other => panic!("expected Remote UnknownModel, got {other:?}"),
     }
 
-    // After all the rejected reloads the shard still serves, on the KB it
+    // After all the rejected reloads both shards still serve, on the KB they
     // started with.
-    let report = client
-        .check_prescription(
-            &key,
-            &CheckPrescriptionRequest::new(vec![DrugId::new(61), DrugId::new(59)]),
-        )
-        .expect("shard still serves");
-    assert_eq!(report.kb_version, Some(1));
+    for shard in [&key, &support_key] {
+        let report = client
+            .check_prescription(
+                shard,
+                &CheckPrescriptionRequest::new(vec![DrugId::new(61), DrugId::new(59)]),
+            )
+            .expect("shard still serves");
+        assert_eq!(report.kb_version, Some(1));
+    }
     drop(world);
 
     client.shutdown().expect("clean shutdown");
@@ -335,6 +391,55 @@ fn a_model_with_a_nan_weight_is_refused_and_the_shard_keeps_serving() {
         other => panic!("expected a Persistence error frame, got {other:?}"),
     }
     assert_eq!(router.serve(&batch), before);
+}
+
+/// The graph's node count comes off the wire: a load must compare it with
+/// the registry before the explanation index, or anything else, allocates
+/// per node.
+#[test]
+fn a_graph_node_count_other_than_the_formulary_is_refused_before_it_sizes_anything() {
+    let (catalog, _world) = demo_catalog(DEMO_SEED).expect("demo catalog");
+    for shard in [DEMO_SUPPORT_KEY, DEMO_FITTED_KEY] {
+        let key = ModelKey::new(shard).expect("key");
+        let container = catalog.service(&key).expect("shard").to_container_bytes();
+        for nodes in FOREIGN_NODE_COUNTS {
+            let resealed = with_graph_node_count(&container, nodes);
+            match DecisionService::load_with_embedded_registry_bytes(&resealed) {
+                Err(CoreError::Persistence { what }) => assert!(
+                    what.contains(&format!("{nodes} nodes")) && what.contains("86 drugs"),
+                    "{shard} with {nodes} nodes: {what}"
+                ),
+                other => panic!("{shard} with {nodes} nodes: expected Persistence, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// The fitted container stores the DDI graph once, at the service level, as
+/// the support-only container does.
+#[test]
+fn the_fitted_container_holds_the_ddi_graph_section_once() {
+    let (catalog, world) = demo_catalog(DEMO_SEED).expect("demo catalog");
+    let payload_of = |shard: &str| {
+        let key = ModelKey::new(shard).expect("key");
+        let container = catalog.service(&key).expect("shard").to_container_bytes();
+        let (_, payload) =
+            open_frame(DSSD_MAGIC, &[DSSD_FORMAT_VERSION], &container).expect("valid container");
+        payload.to_vec()
+    };
+    let support = payload_of(DEMO_SUPPORT_KEY);
+    let fitted = payload_of(DEMO_FITTED_KEY);
+    // Tag, node count and edge count, then 17 bytes per signed edge.
+    let at = graph_sections(&support)[0];
+    let section = &support[at..at + 17 + 17 * world.ddi.edge_count()];
+    let copies = |payload: &[u8]| {
+        payload
+            .windows(section.len())
+            .filter(|window| *window == section)
+            .count()
+    };
+    assert_eq!(copies(&support), 1);
+    assert_eq!(copies(&fitted), 1, "the fitted container repeats the graph");
 }
 
 #[test]

@@ -359,17 +359,17 @@
 //!
 //! ## Persistence (`DSSD` files)
 //!
-//! A fitted [`DecisionService`](core::DecisionService) (or engine-level
-//! [`Dssddi`](core::Dssddi)) can be saved to a versioned, dependency-free
-//! binary container and reloaded in a fresh process —
-//! `save(path)` / `load(path, registry)`. The on-disk layout is 4 magic
-//! bytes `"DSSD"`, a little-endian `u16` format version (currently 1), a
-//! `u64` payload length, the payload, and a CRC-32 checksum of the payload
-//! (see [`tensor::serde`]). The payload records the registry's drug names
-//! (so typed [`DrugId`](core::DrugId)s survive reload and a wrong registry
-//! is refused), the configuration, and every trained parameter set
-//! (MDGCN weights, DDIGCN embeddings, treatment clusters). Loading is fully
-//! bounds-checked: truncated, corrupt or version-mismatched files return
+//! A fitted [`DecisionService`](core::DecisionService) can be saved to a
+//! versioned, dependency-free binary container and reloaded in a fresh
+//! process — `save(path)` / `load(path, registry)`. The on-disk layout is 4
+//! magic bytes `"DSSD"`, a little-endian `u16` format version (currently 2),
+//! a `u64` payload length, the payload, and a CRC-32 checksum of the payload
+//! (see [`tensor::serde`]). The payload records, once each, the registry's
+//! drug names (so typed [`DrugId`](core::DrugId)s survive reload and a wrong
+//! registry is refused), the DDI graph, the configuration, and every trained
+//! parameter set (MDGCN weights, DDIGCN embeddings, the per-cluster
+//! treatment table). Loading is fully bounds-checked: truncated, corrupt or
+//! version-mismatched files return
 //! [`CoreError::Persistence`](core::CoreError::Persistence), never panic.
 //! See `examples/save_load.rs` for the end-to-end round trip.
 //!

@@ -6,7 +6,9 @@
 
 use std::path::PathBuf;
 
+use dssddi::core::{DSSD_FORMAT_VERSION, DSSD_MAGIC};
 use dssddi::prelude::*;
+use dssddi::tensor::serde::{open_frame, seal_frame};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -211,15 +213,25 @@ fn corrupt_truncated_and_mismatched_files_error_without_panics() {
         Err(CoreError::Persistence { .. })
     ));
 
-    // A bumped format version is refused with a typed error.
+    // A bumped format version is refused with a typed error, and so is the
+    // current payload resealed as version 1, whose layout stored the DDI
+    // graph and the configuration twice.
     let mut wrong_version = bytes.clone();
     wrong_version[4] = 0xEE;
-    std::fs::write(&path, &wrong_version).unwrap();
-    match DecisionService::load(&path, DrugRegistry::standard()) {
-        Err(CoreError::Persistence { what }) => {
-            assert!(what.contains("version"), "uncontextual error: {what}")
+    let (_, payload) = open_frame(DSSD_MAGIC, &[DSSD_FORMAT_VERSION], &bytes).unwrap();
+    let as_version_1 = seal_frame(DSSD_MAGIC, 1, payload);
+    for (wrong_version, named) in [
+        (wrong_version, &["version"][..]),
+        (as_version_1, &["version 1", "version 2"][..]),
+    ] {
+        std::fs::write(&path, &wrong_version).unwrap();
+        match DecisionService::load(&path, DrugRegistry::standard()) {
+            Err(CoreError::Persistence { what }) => assert!(
+                named.iter().all(|n| what.contains(n)),
+                "uncontextual error: {what}"
+            ),
+            other => panic!("expected Persistence error, got {other:?}"),
         }
-        other => panic!("expected Persistence error, got {other:?}"),
     }
 
     // A missing file is an I/O persistence error, not a panic.
