@@ -200,9 +200,9 @@ impl FindingCode {
                  \n\
                  Every `*_into` kernel in crates/tensor and crates/gnn takes its\n\
                  output buffer as the first non-`self` parameter (matmul_into,\n\
-                 fused_linear_into, concat3_into, ...). Mixed conventions at call\n\
-                 sites that pass several `&mut Matrix` scratch buffers are how\n\
-                 outputs and inputs get swapped silently.\n\
+                 fused_linear_into, matmul_dense_into, ...). Mixed conventions\n\
+                 at call sites that pass several `&mut Matrix` scratch buffers\n\
+                 are how outputs and inputs get swapped silently.\n\
                  \n\
                  Fix: reorder the parameters (and all call sites) so the output\n\
                  comes first."

@@ -46,7 +46,9 @@ impl Backbone {
 #[derive(Debug, Clone)]
 pub struct DdiModuleConfig {
     /// Output embedding dimension (64 in the paper). Must be even for the
-    /// SGCN and SiGAT backbones, whose outputs are sign-wise concatenations.
+    /// SGCN and SiGAT backbones, whose outputs are sign-wise concatenations,
+    /// and equal to [`MdModuleConfig::hidden_dim`] while
+    /// [`MdModuleConfig::use_ddi_embeddings`] is on.
     pub hidden_dim: usize,
     /// Number of graph convolution layers (3 in the paper).
     pub layers: usize,

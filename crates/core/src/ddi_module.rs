@@ -7,6 +7,11 @@
 //! edge labels +1 (synergy), −1 (antagonism) and 0 (explicitly sampled
 //! non-interactions) — Eq. 6. The learned drug relation embeddings are
 //! shared with the Medical Decision module.
+//!
+//! The module is a training step: [`crate::system::Dssddi::fit`] trains it,
+//! hands its embeddings to [`crate::md_module::MdModule::fit`], which adds
+//! them into the drug representations, and drops it. Prediction never reads
+//! it, so neither the fitted engine nor a `DSSD` container holds it.
 
 use std::rc::Rc;
 
@@ -14,11 +19,9 @@ use rand::Rng;
 
 use dssddi_gnn::{GinConv, SgcnLayer, SigatLayer, SignedGraphContext, SneaLayer};
 use dssddi_graph::SignedGraph;
-use dssddi_tensor::serde::{ByteReader, ByteWriter, SerdeError};
-use dssddi_tensor::{init, Adam, Binder, Matrix, Optimizer, ParamSet, ScratchPool, Tape, Var};
+use dssddi_tensor::{init, Adam, Binder, Matrix, Optimizer, ParamSet, Tape, Var};
 
 use crate::config::{Backbone, DdiModuleConfig};
-use crate::persist::{self, section};
 use crate::CoreError;
 
 /// The GNN stack of a particular backbone.
@@ -162,33 +165,6 @@ impl BackboneNet {
             }
         }
     }
-
-    /// Tape-free forward pass for backbones whose layers have a scratch-
-    /// buffer inference kernel (currently SGCN, the paper's best backbone).
-    /// Returns `None` when the backbone still needs the taped path; the
-    /// produced embeddings are bit-identical to [`BackboneNet::forward`].
-    fn try_infer(
-        &self,
-        params: &ParamSet,
-        ctx: &SignedGraphContext,
-        x: &Matrix,
-    ) -> Option<Result<Matrix, CoreError>> {
-        let BackboneNet::Sgcn(convs) = self else {
-            return None;
-        };
-        let mut pool = ScratchPool::new();
-        let run = (|| {
-            let mut balanced = x.clone();
-            let mut unbalanced = x.clone();
-            for conv in convs {
-                let (b, u) = conv.infer(params, ctx, &balanced, &unbalanced, &mut pool)?;
-                pool.recycle(std::mem::replace(&mut balanced, b));
-                pool.recycle(std::mem::replace(&mut unbalanced, u));
-            }
-            SgcnLayer::combine_inference(&balanced, &unbalanced)
-        })();
-        Some(run.map_err(CoreError::from))
-    }
 }
 
 /// A trained DDI module holding the learned drug relation embeddings.
@@ -265,38 +241,15 @@ impl DdiModule {
             losses.push(tape.value(loss).get(0, 0));
         }
 
-        // Final forward pass to extract the learned embeddings — tape-free
-        // when the backbone supports it (the result is bit-identical, see
-        // the layer equivalence tests in `dssddi-gnn`).
-        let embeddings = match net.try_infer(&params, &ctx, &one_hot) {
-            Some(result) => result?,
-            None => {
-                let mut tape = Tape::new();
-                let mut binder = Binder::new();
-                let x = tape.constant_shared(Rc::clone(&one_hot));
-                let z = net.forward(&mut tape, &params, &mut binder, &ctx, x)?;
-                tape.value(z).clone()
-            }
-        };
+        // One more pass of the same taped forward extracts the learned
+        // embeddings; it runs once per fit, so it needs no tape-free twin.
+        let mut tape = Tape::new();
+        let mut binder = Binder::new();
+        let x = tape.constant_shared(one_hot);
+        let z = net.forward(&mut tape, &params, &mut binder, &ctx, x)?;
+        let embeddings = tape.value(z).clone();
 
         Ok(Self { embeddings, losses })
-    }
-
-    /// Serializes the trained module (embeddings and loss trace; the
-    /// backbone is in the configuration).
-    pub(crate) fn write_into(&self, w: &mut ByteWriter) {
-        persist::put_section(w, section::DDI_MODULE);
-        w.put_matrix(&self.embeddings);
-        w.put_f32_slice(&self.losses);
-    }
-
-    /// Reconstructs a trained module written by [`DdiModule::write_into`].
-    pub(crate) fn read_from(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
-        persist::expect_section(r, section::DDI_MODULE, "ddi_module")?;
-        Ok(Self {
-            embeddings: r.take_matrix("ddi_module.embeddings")?,
-            losses: r.take_f32_vec("ddi_module.losses")?,
-        })
     }
 
     /// The learned drug relation embeddings (`n_drugs x hidden_dim`).
@@ -407,37 +360,6 @@ mod tests {
             ..quick(Backbone::Gin)
         };
         assert!(DdiModule::train(&toy_ddi(), &ok, &mut rng).is_ok());
-    }
-
-    #[test]
-    fn sgcn_tape_free_extraction_matches_taped_forward_bitwise() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let graph = toy_ddi();
-        let ctx = SignedGraphContext::new(&graph).unwrap();
-        let mut params = ParamSet::new();
-        let net = BackboneNet::build(Backbone::Sgcn, 10, 8, 2, &mut params, &mut rng).unwrap();
-        let one_hot = init::one_hot_ids(10);
-
-        let mut tape = Tape::new();
-        let mut binder = Binder::new();
-        let x = tape.constant(one_hot.clone());
-        let taped = net
-            .forward(&mut tape, &params, &mut binder, &ctx, x)
-            .unwrap();
-        let tape_free = net.try_infer(&params, &ctx, &one_hot).unwrap().unwrap();
-        let taped_bits: Vec<u32> = tape
-            .value(taped)
-            .data()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let free_bits: Vec<u32> = tape_free.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(taped_bits, free_bits);
-
-        // Backbones without an inference kernel fall back to the taped path.
-        let mut params = ParamSet::new();
-        let gin = BackboneNet::build(Backbone::Gin, 10, 8, 2, &mut params, &mut rng).unwrap();
-        assert!(gin.try_infer(&params, &ctx, &one_hot).is_none());
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //!
 //! * [`ddi_module`] — the Drug-Drug Interaction module: DDIGCN learns drug
 //!   relation embeddings from the signed DDI graph by edge regression
-//!   (Section IV-A), with GIN / SGCN / SiGAT / SNEA backbones.
+//!   (Section IV-A), with GIN / SGCN / SiGAT / SNEA backbones. It is a
+//!   training step: fitting adds its embeddings into the MD module's drug
+//!   representations, and the fitted engine does not keep it.
 //! * [`md_module`] — the Medical Decision module: counterfactual link
 //!   construction over the patient–drug bipartite graph (Section IV-B1) and
 //!   MDGCN, a LightGCN-style encoder with a personalised patient branch and
@@ -12,9 +14,9 @@
 //! * [`ms_module`] — the Medical Support module: closest-truss-community
 //!   explanation subgraphs and the Suggestion Satisfaction measure
 //!   (Section IV-C, Eq. 19).
-//! * [`system`] — the end-to-end [`Dssddi`] engine: fit on observed
-//!   patients, predict medication-use scores for new patients, and explain
-//!   drug sets.
+//! * [`system`] — the end-to-end [`Dssddi`] engine: train DDIGCN on the DDI
+//!   graph and MDGCN on observed patients, keep the MD module, predict
+//!   medication-use scores for new patients, and explain drug sets.
 //! * [`service`] — the doctor-facing [`DecisionService`]: typed suggestion
 //!   and prescription-critique requests over a fitted engine.
 

@@ -22,7 +22,6 @@ pub(crate) mod section {
     pub const CONFIG: u8 = 0xC0;
     pub const SIGNED_GRAPH: u8 = 0xC1;
     pub const KMEANS: u8 = 0xC2;
-    pub const DDI_MODULE: u8 = 0xC3;
     pub const MD_MODULE: u8 = 0xC4;
     pub const ENGINE: u8 = 0xC5;
     pub const SERVICE: u8 = 0xC6;

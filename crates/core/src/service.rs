@@ -468,6 +468,14 @@ impl ServiceBuilder {
         if c.md.hidden_dim == 0 {
             return Err(CoreError::invalid_config("md.hidden_dim must be positive"));
         }
+        if c.md.use_ddi_embeddings && c.ddi.hidden_dim != c.md.hidden_dim {
+            return Err(CoreError::invalid_config(format!(
+                "ddi.hidden_dim = {} must equal md.hidden_dim = {} while \
+                 md.use_ddi_embeddings is on (DDIGCN's embeddings are added into the MD \
+                 module's drug representations)",
+                c.ddi.hidden_dim, c.md.hidden_dim
+            )));
+        }
         if c.md.propagation_layers == 0 {
             return Err(CoreError::invalid_config(
                 "md.propagation_layers must be at least 1",
@@ -601,13 +609,15 @@ pub const DSSD_MAGIC: [u8; 4] = *b"DSSD";
 
 /// Current `DSSD` container format version.
 ///
-/// Version 2 stores each part of a model once: the DDI graph and the
-/// configuration at the service level (version 1 repeated both inside a
-/// fitted engine), and in the MD module the per-cluster treatment table in
-/// place of the training treatment matrix it is derived from. A version 1
-/// container is refused with
+/// Version 3 stores only what prediction and explanation read: the DDI
+/// graph and the configuration once, at the service level, and a fitted
+/// engine as its MD module alone, with the per-cluster treatment table in
+/// place of the training treatment matrix it is derived from. Version 2 also
+/// stored the trained DDI module (its embeddings, which the MD module's drug
+/// representations already hold, and its loss trace), and version 1 repeated
+/// the graph and the configuration inside the engine. Both are refused with
 /// [`SerdeError::UnsupportedVersion`](dssddi_tensor::serde::SerdeError::UnsupportedVersion).
-pub const DSSD_FORMAT_VERSION: u16 = 2;
+pub const DSSD_FORMAT_VERSION: u16 = 3;
 
 /// Reads a container file, naming the path in the I/O error.
 fn read_container_file(path: &Path) -> Result<Vec<u8>, tserde::SerdeError> {
@@ -673,12 +683,11 @@ impl DecisionService {
     /// replication ships them peer-to-peer. The inverse of
     /// [`DecisionService::load_with_embedded_registry_bytes`].
     ///
-    /// The version 2 payload holds, once each: the registry's digest and
+    /// The version 3 payload holds, once each: the registry's digest and
     /// DID-ordered names, the signed DDI graph, the configuration, and a
-    /// flag followed, for a fitted service, by the engine (the DDI module's
-    /// embeddings when one was trained, then the MD module's parameters,
-    /// decoder, k-means model, per-cluster treatment table and drug
-    /// representations).
+    /// flag followed, for a fitted service, by the engine: its section tag,
+    /// then the MD module's parameters, decoder, k-means model, per-cluster
+    /// treatment table and drug representations.
     pub fn to_container_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         persist::put_section(&mut w, section::SERVICE);
@@ -1297,16 +1306,28 @@ mod tests {
             ServiceBuilder::fast().alpha(1.5).validate(),
             Err(CoreError::InvalidConfig { .. })
         ));
-        let mut config = DssddiConfig::fast();
-        config.md.learning_rate = -0.5;
-        match ServiceBuilder::new().config(config).validate() {
-            Err(CoreError::InvalidConfig { what }) => {
-                assert!(
-                    what.contains("-0.5"),
-                    "message should name the value: {what}"
-                )
+        let mut negative_rate = DssddiConfig::fast();
+        negative_rate.md.learning_rate = -0.5;
+        // DDIGCN's embeddings are added into MD-width drug representations,
+        // so its width must be the MD module's, not merely even for SGCN.
+        let mut mismatched_widths = DssddiConfig::fast();
+        mismatched_widths.ddi.backbone = Backbone::Sgcn;
+        mismatched_widths.ddi.hidden_dim = 16;
+        mismatched_widths.md.hidden_dim = 15;
+        for (config, named) in [
+            (negative_rate, &["-0.5"][..]),
+            (
+                mismatched_widths,
+                &["ddi.hidden_dim = 16", "md.hidden_dim = 15"][..],
+            ),
+        ] {
+            match ServiceBuilder::new().config(config).validate() {
+                Err(CoreError::InvalidConfig { what }) => assert!(
+                    named.iter().all(|n| what.contains(n)),
+                    "message should name the values: {what}"
+                ),
+                other => panic!("expected InvalidConfig, got {other:?}"),
             }
-            other => panic!("expected InvalidConfig, got {other:?}"),
         }
     }
 

@@ -4,7 +4,9 @@
 //! graph, shares the learned drug relation embeddings with MDGCN, trains
 //! MDGCN on the observed patients with counterfactual augmentation, and at
 //! inference time predicts medication-use scores for new patients and
-//! explains drug sets through the Medical Support module. Ranked, explained
+//! explains drug sets through the Medical Support module. DDIGCN is a
+//! training step: MDGCN adds its embeddings into the drug representations,
+//! and the fitted system keeps only the MD module. Ranked, explained
 //! suggestions are served by [`crate::service::DecisionService`], which owns
 //! the DDI graph, the configuration and the fitted engine.
 
@@ -25,11 +27,12 @@ use crate::md_module::MdModule;
 use crate::persist::{self, section};
 use crate::CoreError;
 
-/// The fitted decision support system: its two trained modules. The DDI
-/// graph and the configuration it was fitted with belong to the
-/// [`crate::service::DecisionService`] that holds it.
+/// The fitted decision support system: its trained Medical Decision module.
+/// DDIGCN is a training step whose embeddings the MD module absorbs at fit
+/// time, so it is not kept. The DDI graph and the configuration the system
+/// was fitted with belong to the [`crate::service::DecisionService`] that
+/// holds it.
 pub struct Dssddi {
-    ddi_module: Option<DdiModule>,
     md_module: MdModule,
 }
 
@@ -86,17 +89,16 @@ impl Dssddi {
             DrugFeatureSource::OneHot => Matrix::identity(n_drugs),
         };
 
-        // Train the DDI module unless the ablation removes it entirely.
-        let (ddi_module, relation_embeddings) = if !config.md.use_ddi_embeddings {
-            (None, None)
+        // Train the DDI module unless the ablation removes it entirely. Its
+        // embeddings are all the MD module takes from it, so it is dropped
+        // here.
+        let relation_embeddings = if !config.md.use_ddi_embeddings {
+            None
         } else if let Some(embeddings) = relation_embeddings_override {
-            (None, Some(embeddings.clone()))
+            Some(embeddings.clone())
         } else {
-            let mut ddi_config = config.ddi.clone();
-            ddi_config.hidden_dim = config.md.hidden_dim;
-            let module = DdiModule::train(ddi_graph, &ddi_config, rng)?;
-            let embeddings = module.embeddings().clone();
-            (Some(module), Some(embeddings))
+            let trained = DdiModule::train(ddi_graph, &config.ddi, rng)?;
+            Some(trained.embeddings().clone())
         };
 
         let md_module = MdModule::fit(
@@ -109,10 +111,7 @@ impl Dssddi {
             rng,
         )?;
 
-        Ok(Self {
-            ddi_module,
-            md_module,
-        })
+        Ok(Self { md_module })
     }
 
     /// Fits the system on a subset (the observed patients) of a generated
@@ -154,36 +153,19 @@ impl Dssddi {
         self.md_module.predict_scores(features)
     }
 
-    /// Serializes the fitted system into a payload.
+    /// Serializes the fitted system into a payload: the engine section tag
+    /// followed by the MD module.
     pub(crate) fn write_into(&self, w: &mut ByteWriter) {
         persist::put_section(w, section::ENGINE);
-        match &self.ddi_module {
-            Some(module) => {
-                w.put_bool(true);
-                module.write_into(w);
-            }
-            None => w.put_bool(false),
-        }
         self.md_module.write_into(w);
     }
 
     /// Reconstructs a fitted system written by [`Dssddi::write_into`].
     pub(crate) fn read_from(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
         persist::expect_section(r, section::ENGINE, "engine")?;
-        let ddi_module = if r.take_bool("engine.has_ddi_module")? {
-            Some(DdiModule::read_from(r)?)
-        } else {
-            None
-        };
         Ok(Self {
-            ddi_module,
             md_module: MdModule::read_from(r)?,
         })
-    }
-
-    /// The trained DDI module, when the configuration uses one.
-    pub fn ddi_module(&self) -> Option<&DdiModule> {
-        self.ddi_module.as_ref()
     }
 
     /// The trained Medical Decision module.
@@ -251,8 +233,6 @@ mod tests {
             .config(tiny_config())
             .fit_chronic(&cohort, &observed, &drug_features, &ddi, &mut rng)
             .unwrap();
-        let system = service.engine().unwrap();
-        assert!(system.ddi_module().is_some());
 
         let test_patients: Vec<usize> = (60..80).collect();
         let suggestions = service
@@ -323,8 +303,6 @@ mod tests {
             .config(config)
             .fit_chronic(&cohort, &observed, &drug_features, &ddi, &mut rng)
             .unwrap();
-        let system = service.engine().unwrap();
-        assert!(system.ddi_module().is_none());
         let suggestions = service
             .suggest_batch_with_kb(&requests(&cohort, &[50, 51], 2), None)
             .unwrap();
@@ -355,8 +333,6 @@ mod tests {
             .unwrap()
         };
         let system = seeded_fit(&config, Some(&override_embeddings));
-        // The DDI module is skipped when an override is supplied.
-        assert!(system.ddi_module().is_none());
         // The override reaches the drug representations: the same seeded fit
         // without relation embeddings differs.
         let mut plain_config = config.clone();
@@ -366,6 +342,62 @@ mod tests {
             system.md_module().drug_representations().data(),
             plain.md_module().drug_representations().data()
         );
+    }
+
+    #[test]
+    fn a_fitted_engine_holds_no_ddi_embeddings() {
+        let (cohort, ddi, drug_features) = small_world(60, 12);
+        let observed: Vec<usize> = (0..45).collect();
+        let config = tiny_config();
+        let train_features = cohort.features().select_rows(&observed);
+        let train_graph = cohort.bipartite_graph(&observed).unwrap();
+        let seed = 13;
+
+        // `fit` trains DDIGCN first on its RNG, so training it here and then
+        // passing its embeddings on the same, advanced RNG reproduces `fit`.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ddi_module = DdiModule::train(&ddi, &config.ddi, &mut rng).unwrap();
+        let embeddings = ddi_module.embeddings();
+        let reproduced = Dssddi::fit_with_relation_embeddings(
+            &train_features,
+            &train_graph,
+            &drug_features,
+            &ddi,
+            Some(embeddings),
+            &config,
+            &mut rng,
+        )
+        .unwrap();
+        let fitted = Dssddi::fit(
+            &train_features,
+            &train_graph,
+            &drug_features,
+            &ddi,
+            &config,
+            &mut StdRng::seed_from_u64(seed),
+        )
+        .unwrap();
+        let bits = |system: &Dssddi| -> Vec<u32> {
+            let repr = system.md_module().drug_representations();
+            repr.data().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&reproduced), bits(&fitted));
+
+        // The drug representations are all the fit keeps of DDIGCN: the
+        // engine's bytes do not hold its embeddings.
+        let mut w = ByteWriter::new();
+        fitted.write_into(&mut w);
+        let needle: Vec<u8> = embeddings
+            .data()
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let copies = w
+            .as_bytes()
+            .windows(needle.len())
+            .filter(|window| *window == needle.as_slice())
+            .count();
+        assert_eq!(copies, 0, "the fitted engine stores the DDI embeddings");
     }
 
     #[test]

@@ -1,44 +1,39 @@
-//! Tape-free inference for the GNN building blocks.
+//! Tape-free inference for the serving path.
 //!
 //! Training needs the autodiff [`Tape`](dssddi_tensor::Tape): every
 //! operation allocates a node, clones activations and remembers enough to
 //! run backwards. Serving needs none of that — a suggestion request only
-//! ever runs forwards. The methods in this module re-express the forward
-//! passes of [`Mlp`], [`GcnLayer`] and [`SgcnLayer`] directly over the
-//! fused kernels of `dssddi_tensor`, writing every intermediate into a
-//! caller-provided [`ScratchPool`] so a serving loop performs no steady-
-//! state allocation at all.
+//! ever runs forwards, through the MD module's decoder. [`Mlp::infer`]
+//! re-expresses the decoder's forward pass directly over the fused kernels
+//! of `dssddi_tensor`, writing every intermediate into a caller-provided
+//! [`ScratchPool`] so a serving loop performs no steady-state allocation at
+//! all. It is the one tape-free path: everything that runs once per fit,
+//! such as DDIGCN's embedding extraction, uses the taped forward pass.
 //!
 //! ## Bit-identical by construction
 //!
-//! The tape-free paths are not merely "numerically close" to the taped
-//! ones; they produce the same bits. Each taped op is replaced by a kernel
-//! with the identical floating-point evaluation order:
+//! The tape-free path is not merely "numerically close" to the taped one;
+//! it produces the same bits. Each taped op is replaced by a kernel with the
+//! identical floating-point evaluation order:
 //!
 //! * `Tape::matmul` and [`fused_linear_into`] share the same blocked,
 //!   `k`-ascending accumulation (both call `Matrix::matmul_into`),
 //! * the fused bias-plus-activation pass performs the same single addition
 //!   as `Tape::add_broadcast_row` followed by the same scalar activation
-//!   function,
-//! * `Tape::spmm` and `CsrMatrix::matmul_dense_into` share one CSR kernel,
-//! * concatenation copies values verbatim.
+//!   function.
 //!
 //! The equivalence tests in `tests/infer_equivalence.rs` assert exact
-//! equality between `forward` and `infer` on randomized shapes, weights
-//! and activations.
+//! equality between [`Mlp::forward`] and [`Mlp::infer`] on randomized
+//! shapes, depths, weights and activations.
 
 use dssddi_tensor::{
-    fused_linear_into, ActivationKind, CsrMatrix, Matrix, ParamSet, ScratchPool, TensorError,
+    fused_linear_into, ActivationKind, Matrix, ParamSet, ScratchPool, TensorError,
 };
 
-use crate::context::SignedGraphContext;
-use crate::gcn::GcnLayer;
 use crate::mlp::{Activation, Mlp};
-use crate::sgcn::SgcnLayer;
 
-/// The scalar activation a tape-level [`Activation`] evaluates — shared by
-/// every tape-free layer so the mapping exists in exactly one place.
-pub fn activation_kind(activation: Activation) -> ActivationKind {
+/// The scalar kernel activation that evaluates a tape-level [`Activation`].
+fn activation_kind(activation: Activation) -> ActivationKind {
     match activation {
         Activation::Relu => ActivationKind::Relu,
         // The taped path applies leaky ReLU with slope 0.01 (see
@@ -47,22 +42,6 @@ pub fn activation_kind(activation: Activation) -> ActivationKind {
         Activation::Tanh => ActivationKind::Tanh,
         Activation::Sigmoid => ActivationKind::Sigmoid,
         Activation::Identity => ActivationKind::Identity,
-    }
-}
-
-/// Writes `[a | b | c]` into `out` row by row (shapes are the caller's
-/// responsibility; this is the tape-free counterpart of two chained
-/// `Tape::concat_cols` calls). Like every `*_into` kernel, it takes its
-/// output buffer as the first argument and fully overwrites it.
-fn concat3_into(out: &mut Matrix, a: &Matrix, b: &Matrix, c: &Matrix) {
-    debug_assert_eq!(out.rows(), a.rows());
-    debug_assert_eq!(out.cols(), a.cols() + b.cols() + c.cols());
-    let (da, db) = (a.cols(), b.cols());
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        row[..da].copy_from_slice(a.row(r));
-        row[da..da + db].copy_from_slice(b.row(r));
-        row[da + db..].copy_from_slice(c.row(r));
     }
 }
 
@@ -102,94 +81,5 @@ impl Mlp {
         // Construction asserts `dims.len() >= 2`, so at least one layer ran;
         // an (impossible) zero-layer MLP is the identity.
         Ok(cur.unwrap_or_else(|| x.clone()))
-    }
-}
-
-impl GcnLayer {
-    /// Tape-free `act(Â x W + b)`, bit-identical to [`GcnLayer::forward`].
-    pub fn infer(
-        &self,
-        params: &ParamSet,
-        adjacency: &CsrMatrix,
-        x: &Matrix,
-        pool: &mut ScratchPool,
-    ) -> Result<Matrix, TensorError> {
-        let mut propagated = pool.take(adjacency.rows(), x.cols());
-        adjacency.matmul_dense_into(&mut propagated, x)?;
-        let mut out = pool.take(propagated.rows(), self.out_dim);
-        fused_linear_into(
-            &mut out,
-            &propagated,
-            params.get(self.w),
-            params.get(self.b),
-            activation_kind(self.activation),
-        )?;
-        pool.recycle(propagated);
-        Ok(out)
-    }
-}
-
-impl SgcnLayer {
-    /// Tape-free layer application, returning the updated
-    /// `(balanced, unbalanced)` representations — bit-identical to
-    /// [`SgcnLayer::forward`].
-    pub fn infer(
-        &self,
-        params: &ParamSet,
-        ctx: &SignedGraphContext,
-        h_balanced: &Matrix,
-        h_unbalanced: &Matrix,
-        pool: &mut ScratchPool,
-    ) -> Result<(Matrix, Matrix), TensorError> {
-        let n = h_balanced.rows();
-        let d = h_balanced.cols();
-
-        // Balanced update: synergy neighbours' balanced + antagonism
-        // neighbours' unbalanced + own balanced state (Eq. 2).
-        let mut pos_agg = pool.take(n, d);
-        ctx.positive_mean_adjacency
-            .matmul_dense_into(&mut pos_agg, h_balanced)?;
-        let mut neg_agg = pool.take(n, d);
-        ctx.negative_mean_adjacency
-            .matmul_dense_into(&mut neg_agg, h_unbalanced)?;
-        let mut cat = pool.take(n, 3 * d);
-        concat3_into(&mut cat, &pos_agg, &neg_agg, h_balanced);
-        let mut new_balanced = pool.take(n, self.out_dim);
-        fused_linear_into(
-            &mut new_balanced,
-            &cat,
-            params.get(self.w_balanced),
-            params.get(self.b_balanced),
-            ActivationKind::Tanh,
-        )?;
-
-        // Unbalanced update (Eq. 3), reusing the aggregation buffers.
-        ctx.positive_mean_adjacency
-            .matmul_dense_into(&mut pos_agg, h_unbalanced)?;
-        ctx.negative_mean_adjacency
-            .matmul_dense_into(&mut neg_agg, h_balanced)?;
-        concat3_into(&mut cat, &pos_agg, &neg_agg, h_unbalanced);
-        let mut new_unbalanced = pool.take(n, self.out_dim);
-        fused_linear_into(
-            &mut new_unbalanced,
-            &cat,
-            params.get(self.w_unbalanced),
-            params.get(self.b_unbalanced),
-            ActivationKind::Tanh,
-        )?;
-
-        pool.recycle(pos_agg);
-        pool.recycle(neg_agg);
-        pool.recycle(cat);
-        Ok((new_balanced, new_unbalanced))
-    }
-
-    /// Tape-free counterpart of [`SgcnLayer::combine`] (Eq. 4):
-    /// `z = [h_B, h_U]`.
-    pub fn combine_inference(
-        balanced: &Matrix,
-        unbalanced: &Matrix,
-    ) -> Result<Matrix, TensorError> {
-        balanced.concat_cols(unbalanced)
     }
 }

@@ -11,8 +11,8 @@
 //!   the LightGCN baseline,
 //! * [`gcn`] — a generic GCN layer used by the GCMC / Bipar-GCN baselines,
 //! * [`sampling`] — 1:1 negative sampling over patient–drug links,
-//! * [`infer`] — tape-free inference over scratch buffers for the serving
-//!   path (bit-identical to the taped forward passes).
+//! * [`infer`] — the one tape-free path, the decoder's `Mlp::infer` over
+//!   scratch buffers for serving (bit-identical to the taped forward pass).
 
 #![warn(missing_docs)]
 
@@ -30,7 +30,6 @@ pub use attention::{SigatLayer, SneaLayer};
 pub use context::SignedGraphContext;
 pub use gcn::GcnLayer;
 pub use gin::GinConv;
-pub use infer::activation_kind;
 pub use lightgcn::{bipartite_adjacency, lightgcn_propagate, paper_layer_weights};
 pub use mlp::{apply_activation, Activation, Mlp};
 pub use sampling::{sample_link_batch, LinkBatch};

@@ -1,15 +1,14 @@
-//! The tape-free inference path must be *bit-identical* to the taped
-//! forward passes: the serving fast path (`dssddi_core`) relies on it, and
-//! any drift would silently change clinical suggestions between training-
-//! time evaluation and deployment.
+//! The one tape-free inference path, the decoder's [`Mlp::infer`], must be
+//! *bit-identical* to the taped [`Mlp::forward`]: the serving fast path
+//! (`dssddi_core`) relies on it, and any drift would silently change
+//! clinical suggestions between training-time evaluation and deployment.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dssddi_gnn::{Activation, GcnLayer, Mlp, SgcnLayer, SignedGraphContext};
-use dssddi_graph::{Interaction, SignedGraph};
-use dssddi_tensor::{Binder, CsrMatrix, Matrix, ParamSet, ScratchPool, Tape};
+use dssddi_gnn::{Activation, Mlp};
+use dssddi_tensor::{Binder, Matrix, ParamSet, ScratchPool, Tape};
 
 const ACTIVATIONS: [Activation; 5] = [
     Activation::Relu,
@@ -65,84 +64,6 @@ proptest! {
             tape.value(taped).data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             tape_free.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    /// `GcnLayer::infer` equals `GcnLayer::forward` bit-for-bit.
-    #[test]
-    fn gcn_infer_matches_taped_forward_bitwise(
-        seed in 0u64..1_000_000,
-        n_nodes in 2usize..12,
-        d_in in 1usize..10,
-        d_out in 1usize..10,
-        act in 0usize..5,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let edges: Vec<(usize, usize)> = (0..n_nodes - 1).map(|i| (i, i + 1)).collect();
-        let adj = std::rc::Rc::new(
-            CsrMatrix::normalized_adjacency(n_nodes, &edges, true).unwrap(),
-        );
-        let mut params = ParamSet::new();
-        let layer = GcnLayer::new("g", d_in, d_out, ACTIVATIONS[act], &mut params, &mut rng);
-        let x = Matrix::rand_uniform(n_nodes, d_in, -1.5, 1.5, &mut rng);
-
-        let mut tape = Tape::new();
-        let mut binder = Binder::new();
-        let xv = tape.constant(x.clone());
-        let taped = layer
-            .forward(&mut tape, &params, &mut binder, &adj, xv)
-            .unwrap();
-
-        let mut pool = ScratchPool::new();
-        let tape_free = layer.infer(&params, &adj, &x, &mut pool).unwrap();
-
-        prop_assert_eq!(
-            tape.value(taped).data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            tape_free.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    /// `SgcnLayer::infer` (and the combined `z`) equals the taped layer
-    /// bit-for-bit on random signed graphs.
-    #[test]
-    fn sgcn_infer_matches_taped_forward_bitwise(
-        seed in 0u64..1_000_000,
-        n_nodes in 3usize..10,
-        d_in in 1usize..8,
-        d_out in 1usize..8,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut graph = SignedGraph::new(n_nodes);
-        for u in 0..n_nodes - 1 {
-            let sign = if (seed as usize + u).is_multiple_of(2) {
-                Interaction::Synergistic
-            } else {
-                Interaction::Antagonistic
-            };
-            graph.add_interaction(u, u + 1, sign).unwrap();
-        }
-        let ctx = SignedGraphContext::new(&graph).unwrap();
-        let mut params = ParamSet::new();
-        let layer = SgcnLayer::new("s", d_in, d_out, &mut params, &mut rng);
-        let h = Matrix::rand_uniform(n_nodes, d_in, -1.0, 1.0, &mut rng);
-
-        let mut tape = Tape::new();
-        let mut binder = Binder::new();
-        let hv = tape.constant(h.clone());
-        let (tb, tu) = layer
-            .forward(&mut tape, &params, &mut binder, &ctx, hv, hv)
-            .unwrap();
-        let tz = SgcnLayer::combine(&mut tape, tb, tu).unwrap();
-
-        let mut pool = ScratchPool::new();
-        let (fb, fu) = layer.infer(&params, &ctx, &h, &h, &mut pool).unwrap();
-        let fz = SgcnLayer::combine_inference(&fb, &fu).unwrap();
-
-        for (taped, tape_free) in [(tb, &fb), (tu, &fu), (tz, &fz)] {
-            prop_assert_eq!(
-                tape.value(taped).data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                tape_free.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
     }
 }
 

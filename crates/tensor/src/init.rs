@@ -11,19 +11,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matr
     Matrix::rand_uniform(fan_in, fan_out, -a, a, rng)
 }
 
-/// Glorot/Xavier normal initialisation: entries drawn from
-/// `N(0, 2 / (fan_in + fan_out))`.
-pub fn xavier_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
-    let std = (2.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    Matrix::rand_normal(fan_in, fan_out, 0.0, std, rng)
-}
-
-/// He/Kaiming uniform initialisation, suited to ReLU activations.
-pub fn kaiming_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
-    let a = (6.0 / fan_in.max(1) as f32).sqrt();
-    Matrix::rand_uniform(fan_in, fan_out, -a, a, rng)
-}
-
 /// Zero initialisation for biases.
 pub fn zeros(rows: usize, cols: usize) -> Matrix {
     Matrix::zeros(rows, cols)
@@ -48,23 +35,6 @@ mod tests {
         let bound = (6.0f32 / 96.0).sqrt();
         assert!(w.max() <= bound && w.min() >= -bound);
         assert_eq!(w.shape(), (64, 32));
-    }
-
-    #[test]
-    fn xavier_normal_has_reasonable_spread() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let w = xavier_normal(100, 100, &mut rng);
-        let mean = w.mean();
-        assert!(mean.abs() < 0.05, "mean too far from zero: {mean}");
-        assert!(w.all_finite());
-    }
-
-    #[test]
-    fn kaiming_uniform_is_bounded_by_fan_in() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let w = kaiming_uniform(50, 10, &mut rng);
-        let bound = (6.0f32 / 50.0).sqrt();
-        assert!(w.max() <= bound && w.min() >= -bound);
     }
 
     #[test]

@@ -133,17 +133,6 @@ impl Matrix {
         Self::from_fn(rows, cols, |_, _| rng.gen_range(lo..hi))
     }
 
-    /// Creates a matrix with entries drawn from a standard normal
-    /// distribution (Box–Muller transform; no external distribution crate).
-    pub fn rand_normal(rows: usize, cols: usize, mean: f32, std: f32, rng: &mut impl Rng) -> Self {
-        Self::from_fn(rows, cols, |_, _| {
-            let u1: f32 = rng.gen_range(1e-7f32..1.0);
-            let u2: f32 = rng.gen_range(0.0f32..1.0);
-            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
-            mean + std * z
-        })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -475,24 +464,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Vertically concatenates `self` and `rhs` (same number of columns).
-    pub fn concat_rows(&self, rhs: &Matrix) -> Result<Matrix, TensorError> {
-        if self.cols != rhs.cols {
-            return Err(TensorError::ShapeMismatch {
-                expected: (rhs.rows, self.cols),
-                found: rhs.shape(),
-                op: "concat_rows",
-            });
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&rhs.data);
-        Ok(Matrix {
-            rows: self.rows + rhs.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
     /// Dot product between two rows of (possibly different) matrices.
     pub fn row_dot(&self, r: usize, other: &Matrix, o: usize) -> f32 {
         self.row(r)
@@ -675,10 +646,7 @@ mod tests {
         assert_eq!(c.shape(), (2, 5));
         assert_eq!(c.get(0, 0), 1.0);
         assert_eq!(c.get(0, 4), 0.0);
-        let d = a.concat_rows(&Matrix::zeros(1, 2)).unwrap();
-        assert_eq!(d.shape(), (3, 2));
         assert!(a.concat_cols(&Matrix::zeros(3, 1)).is_err());
-        assert!(a.concat_rows(&Matrix::zeros(1, 3)).is_err());
     }
 
     #[test]
@@ -710,8 +678,6 @@ mod tests {
         let a = Matrix::rand_uniform(3, 3, -1.0, 1.0, &mut r1);
         let b = Matrix::rand_uniform(3, 3, -1.0, 1.0, &mut r2);
         assert_eq!(a, b);
-        let c = Matrix::rand_normal(5, 5, 0.0, 1.0, &mut r1);
-        assert!(c.all_finite());
     }
 
     #[test]

@@ -261,17 +261,6 @@ impl ByteWriter {
         }
     }
 
-    /// Writes an optional [`Matrix`] behind a presence byte.
-    pub fn put_opt_matrix(&mut self, m: Option<&Matrix>) {
-        match m {
-            Some(m) => {
-                self.put_bool(true);
-                self.put_matrix(m);
-            }
-            None => self.put_bool(false),
-        }
-    }
-
     /// Writes a [`ParamSet`]: every parameter's registration name and value,
     /// in registration order (so [`ParamId`]s stay valid after reload).
     pub fn put_param_set(&mut self, params: &ParamSet) {
@@ -449,15 +438,6 @@ impl<'a> ByteReader<'a> {
         Matrix::from_vec(rows, cols, data).map_err(|_| SerdeError::Corrupt {
             what: format!("{what}: matrix data does not match shape {rows}x{cols}"),
         })
-    }
-
-    /// Reads an optional [`Matrix`] written by [`ByteWriter::put_opt_matrix`].
-    pub fn take_opt_matrix(&mut self, what: &'static str) -> Result<Option<Matrix>, SerdeError> {
-        if self.take_bool(what)? {
-            Ok(Some(self.take_matrix(what)?))
-        } else {
-            Ok(None)
-        }
     }
 
     /// Reads a [`ParamSet`] written by [`ByteWriter::put_param_set`].
@@ -758,16 +738,12 @@ mod tests {
 
         let mut w = ByteWriter::new();
         w.put_matrix(&m);
-        w.put_opt_matrix(None);
-        w.put_opt_matrix(Some(&m));
         w.put_param_set(&params);
         w.put_param_id(b_id);
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.take_matrix("m").unwrap(), m);
-        assert_eq!(r.take_opt_matrix("none").unwrap(), None);
-        assert_eq!(r.take_opt_matrix("some").unwrap(), Some(m.clone()));
         let restored = r.take_param_set("params").unwrap();
         assert_eq!(restored.len(), 2);
         assert_eq!(restored.name(w_id), "layer.w");

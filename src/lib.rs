@@ -362,14 +362,15 @@
 //! A fitted [`DecisionService`](core::DecisionService) can be saved to a
 //! versioned, dependency-free binary container and reloaded in a fresh
 //! process — `save(path)` / `load(path, registry)`. The on-disk layout is 4
-//! magic bytes `"DSSD"`, a little-endian `u16` format version (currently 2),
+//! magic bytes `"DSSD"`, a little-endian `u16` format version (currently 3),
 //! a `u64` payload length, the payload, and a CRC-32 checksum of the payload
 //! (see [`tensor::serde`]). The payload records, once each, the registry's
 //! drug names (so typed [`DrugId`](core::DrugId)s survive reload and a wrong
-//! registry is refused), the DDI graph, the configuration, and every trained
-//! parameter set (MDGCN weights, DDIGCN embeddings, the per-cluster
-//! treatment table). Loading is fully bounds-checked: truncated, corrupt or
-//! version-mismatched files return
+//! registry is refused), the DDI graph, the configuration, and the fitted
+//! MD module (MDGCN weights, the drug representations, which hold the DDIGCN
+//! embeddings added at fit time, and the per-cluster treatment table).
+//! DDIGCN itself is a training step and is not stored. Loading is fully
+//! bounds-checked: truncated, corrupt or version-mismatched files return
 //! [`CoreError::Persistence`](core::CoreError::Persistence), never panic.
 //! See `examples/save_load.rs` for the end-to-end round trip.
 //!
@@ -383,7 +384,7 @@
 //! ## Serving performance
 //!
 //! Inference never touches the autodiff tape: `suggest_batch_with_kb` runs
-//! through a dedicated tape-free path (`Mlp::infer` and friends in
+//! through a dedicated tape-free path (the decoder's `Mlp::infer` in
 //! [`gnn::infer`]) built on fused, cache-blocked kernels in [`tensor`] that
 //! write into a reusable [`ScratchPool`](tensor::ScratchPool) — no per-op
 //! allocation in steady state, and **bit-identical** outputs to the taped
