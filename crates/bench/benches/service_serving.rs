@@ -1,8 +1,9 @@
 //! Service-layer kernel benchmarks: encoding and decoding a fitted service's
 //! `DSSD` container in memory (`persistence`), medication-use prediction for
-//! one patient and for a 16-patient batch (`prediction`), and the dense
-//! matrix kernels under inference and the CRC-32 that seals every wire frame
-//! and container (`tensor_kernels`).
+//! one patient and for a 16-patient batch (`prediction`), the explanation
+//! memo's hit and its insert into a full memo (`explanation_memo`), and the
+//! dense matrix kernels under inference and the CRC-32 that seals every wire
+//! frame and container (`tensor_kernels`).
 //!
 //! Serving cost end to end — suggestion, batched suggestion and
 //! prescription critique through a live gateway — is measured by the
@@ -12,7 +13,10 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use dssddi_bench::BenchWorld;
-use dssddi_core::DecisionService;
+use dssddi_core::{
+    DecisionService, ExplanationCache, ExplanationIndex, MsModuleConfig,
+    DEFAULT_EXPLANATION_CACHE_CAPACITY,
+};
 use dssddi_tensor::serde::crc32;
 use dssddi_tensor::Matrix;
 
@@ -50,6 +54,61 @@ fn bench_prediction(c: &mut Criterion) {
     });
     group.bench_function("predict_scores_16", |b| {
         b.iter(|| service.predict_scores(black_box(&batch)).unwrap())
+    });
+    group.finish();
+}
+
+/// The memo as a suggestion meets it, on the demo-sized graph: a hit
+/// rebuilds a cached explanation, and a miss into a full memo evicts the
+/// least recently used set and stores a new one. Both start from the
+/// canonical key, as a suggestion does. The sets are seeded random sets of
+/// 1–5 drugs, more distinct ones than the memo holds, so that every insert
+/// in the cycle below meets a full memo that lacks its set.
+fn bench_explanation_memo(c: &mut Criterion) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let world = BenchWorld::new(120, 11);
+    let index = ExplanationIndex::build(&world.ddi);
+    let config = MsModuleConfig::default();
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut keys: Vec<Vec<usize>> = Vec::new();
+    while keys.len() < DEFAULT_EXPLANATION_CACHE_CAPACITY + 64 {
+        let size = rng.gen_range(1..=5);
+        let drugs: Vec<usize> = (0..size)
+            .map(|_| rng.gen_range(0..world.ddi.node_count()))
+            .collect();
+        let key = ExplanationCache::canonical_key(&drugs);
+        if !keys.contains(&key) {
+            keys.push(key);
+        }
+    }
+    let explained: Vec<_> = keys
+        .iter()
+        .map(|key| (key, index.explain(&world.ddi, key, &config).unwrap()))
+        .collect();
+    let mut group = c.benchmark_group("explanation_memo");
+    let mut memo = ExplanationCache::new();
+    for (key, explanation) in &explained {
+        memo.insert(key, explanation);
+    }
+    let mut next = explained.iter().cycle();
+    group.sample_size(2000);
+    group.bench_function("miss_at_capacity", |b| {
+        b.iter(|| {
+            let (drugs, explanation) = next.next().unwrap();
+            let key = ExplanationCache::canonical_key(black_box(drugs));
+            memo.insert(&key, explanation);
+        })
+    });
+    assert_eq!(memo.len(), DEFAULT_EXPLANATION_CACHE_CAPACITY);
+    let cached: Vec<&Vec<usize>> = keys.iter().filter(|k| memo.lookup(k).is_some()).collect();
+    let mut next = cached.iter().cycle();
+    group.sample_size(20_000);
+    group.bench_function("hit", |b| {
+        b.iter(|| {
+            let key = ExplanationCache::canonical_key(black_box(next.next().unwrap()));
+            memo.lookup(&key).unwrap()
+        })
     });
     group.finish();
 }
@@ -103,6 +162,7 @@ criterion_group!(
     benches,
     bench_container_codec,
     bench_prediction,
+    bench_explanation_memo,
     bench_tensor_kernels
 );
 criterion_main!(benches);

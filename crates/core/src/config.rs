@@ -138,7 +138,7 @@ impl Default for MdModuleConfig {
 }
 
 /// Configuration of the Medical Support module.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MsModuleConfig {
     /// Balance α between internal synergy and external antagonism in the
     /// Suggestion Satisfaction measure (Eq. 19).

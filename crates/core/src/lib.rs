@@ -13,7 +13,8 @@
 //!   an MLP decoder conditioned on the treatment variable (Eq. 9–18).
 //! * [`ms_module`] — the Medical Support module: closest-truss-community
 //!   explanation subgraphs and the Suggestion Satisfaction measure
-//!   (Section IV-C, Eq. 19).
+//!   (Section IV-C, Eq. 19), served through one [`ExplanationEngine`] per
+//!   DDI graph and MS configuration.
 //! * [`system`] — the end-to-end [`Dssddi`] engine: train DDIGCN on the DDI
 //!   graph and MDGCN on observed patients, keep the MD module, predict
 //!   medication-use scores for new patients, and explain drug sets.
@@ -36,8 +37,8 @@ pub use counterfactual::{CounterfactualLinks, TreatmentMatrix};
 pub use ddi_module::DdiModule;
 pub use md_module::MdModule;
 pub use ms_module::{
-    suggestion_satisfaction, Explanation, ExplanationCache, ExplanationIndex, SignedEdge,
-    DEFAULT_EXPLANATION_CACHE_CAPACITY,
+    suggestion_satisfaction, Explanation, ExplanationCache, ExplanationEngine, ExplanationIndex,
+    SignedEdge, DEFAULT_EXPLANATION_CACHE_CAPACITY,
 };
 pub use service::{
     CheckPrescriptionRequest, DecisionService, DrugId, InteractionReport, PairInteraction,

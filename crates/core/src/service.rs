@@ -57,7 +57,8 @@
 
 use std::fmt;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -69,7 +70,7 @@ use dssddi_tensor::serde::{self as tserde, ByteReader, ByteWriter};
 use dssddi_tensor::Matrix;
 
 use crate::config::{Backbone, DssddiConfig};
-use crate::ms_module::{Explanation, ExplanationCache, ExplanationIndex};
+use crate::ms_module::{Explanation, ExplanationEngine};
 use crate::persist::{self, section};
 use crate::system::Dssddi;
 use crate::CoreError;
@@ -582,26 +583,29 @@ impl ServiceBuilder {
 /// The doctor-facing decision service: typed suggestion and prescription
 /// critique over a fitted DSSDDI system and its drug registry.
 ///
-/// The service is the one owner of the DDI graph and the configuration,
-/// fitted or not; the engine holds only its trained modules.
+/// The service owns the registry, the configuration and, when fitted, the
+/// trained engine, which holds only its trained modules. The DDI graph
+/// lives in the service's [`ExplanationEngine`], with the MS configuration,
+/// the explanation index and the memo. The engine sits behind an `Arc`, so
+/// services over an equal graph and MS configuration can share it
+/// ([`DecisionService::adopt_explanation_engine`]), whichever model ranks
+/// their drugs. The service is `Sync`: one instance serves concurrent
+/// request handlers through `&self`.
 pub struct DecisionService {
     registry: DrugRegistry,
-    ddi_graph: SignedGraph,
     config: DssddiConfig,
     /// The trained engine, absent for [`ServiceBuilder::build_support`]
     /// services (critique only).
     engine: Option<Box<Dssddi>>,
-    /// Cross-batch explanation memo. The DDI graph is immutable after fit,
-    /// so cached community searches stay valid for the service's lifetime;
-    /// the cache itself is size-bounded (LRU) so a long-lived service cannot
-    /// grow it without bound. A `Mutex` (rather than `RefCell`) keeps the
-    /// serving API `&self` while leaving the service `Sync`, so one fitted
-    /// service can sit behind concurrent request handlers.
-    explanations: Mutex<ExplanationCache>,
-    /// Structural graph + full-graph truss decomposition, computed once at
-    /// assembly: every cold explanation starts from these instead of
-    /// re-deriving them (the graph is immutable after fit).
-    explanation_index: ExplanationIndex,
+    /// The DDI graph, its explanation index and the memo, possibly shared
+    /// with other services. Its MS configuration equals `config.ms`.
+    explainer: Arc<ExplanationEngine>,
+    /// This service's suggestion explanations the memo answered and those
+    /// that ran a community search. Kept per service, not in the shared
+    /// memo, so they count this service's lookups alone and start at zero
+    /// when a reload installs a new service, even one that keeps the memo.
+    explanation_hits: AtomicUsize,
+    explanation_misses: AtomicUsize,
 }
 
 /// Magic bytes opening every `DSSD` service container.
@@ -637,32 +641,45 @@ impl fmt::Debug for DecisionService {
 }
 
 impl DecisionService {
-    /// Assembles a service, building the explanation index from the DDI
-    /// graph and attaching the service-owned explanation cache.
+    /// Assembles a service around a fresh explanation engine for its DDI
+    /// graph and MS configuration.
     fn assemble(
         registry: DrugRegistry,
         ddi_graph: SignedGraph,
         config: DssddiConfig,
         engine: Option<Box<Dssddi>>,
     ) -> Self {
-        let explanation_index = ExplanationIndex::build(&ddi_graph);
+        let explainer = Arc::new(ExplanationEngine::new(ddi_graph, config.ms.clone()));
         Self {
             registry,
-            ddi_graph,
             config,
             engine,
-            explanations: Mutex::new(ExplanationCache::new()),
-            explanation_index,
+            explainer,
+            explanation_hits: AtomicUsize::new(0),
+            explanation_misses: AtomicUsize::new(0),
         }
     }
 
-    /// Locks the explanation cache, recovering from a poisoned lock: the
-    /// cache holds only memoized results, so state left by a panicking
-    /// thread is still a valid cache.
-    fn lock_explanations(&self) -> std::sync::MutexGuard<'_, ExplanationCache> {
-        self.explanations
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// Serves explanations from `other`'s [`ExplanationEngine`], memo
+    /// included, when the two engines explain alike
+    /// ([`ExplanationEngine::explains_like`]: an equal DDI graph and MS
+    /// configuration), and returns whether this service now shares it.
+    /// Responses do not change, since every explanation is the same either
+    /// way. A serving catalog calls this as it inserts or reloads a shard,
+    /// so shards and successive models over one graph share one index and
+    /// one warm memo.
+    pub fn adopt_explanation_engine(&mut self, other: &DecisionService) -> bool {
+        let alike = self.explainer.explains_like(&other.explainer);
+        if alike {
+            self.explainer = Arc::clone(&other.explainer);
+        }
+        alike
+    }
+
+    /// The explanation engine this service explains through, shared with
+    /// every service that adopted it.
+    pub fn explanation_engine(&self) -> &Arc<ExplanationEngine> {
+        &self.explainer
     }
 
     /// Saves the service to a `DSSD` container file: the registry identity,
@@ -699,7 +716,7 @@ impl DecisionService {
         for name in names {
             w.put_str(name);
         }
-        persist::write_signed_graph(&mut w, &self.ddi_graph);
+        persist::write_signed_graph(&mut w, self.ddi_graph());
         persist::write_config(&mut w, &self.config);
         w.put_bool(self.engine.is_some());
         if let Some(engine) = &self.engine {
@@ -824,12 +841,16 @@ impl DecisionService {
         Ok(Self::assemble(registry, ddi_graph, config, engine))
     }
 
-    /// Cumulative `(hits, misses)` of the service-owned explanation cache —
-    /// a serving-side observability hook for how often community searches
-    /// are being collapsed across batches.
+    /// Cumulative `(hits, misses)` of this service's suggestion
+    /// explanations in the memo — a serving-side observability hook for how
+    /// often community searches are collapsed. Counted per service: a
+    /// service that adopted a shared engine starts from zero, and another
+    /// service's lookups in the same memo do not count here.
     pub fn explanation_cache_stats(&self) -> (usize, usize) {
-        let cache = self.lock_explanations();
-        (cache.hits(), cache.misses())
+        (
+            self.explanation_hits.load(Ordering::Relaxed),
+            self.explanation_misses.load(Ordering::Relaxed),
+        )
     }
 
     /// Resolves a free-form drug reference (name, `"48"`, `"DID 48"`).
@@ -854,7 +875,7 @@ impl DecisionService {
 
     /// The signed DDI graph the service critiques prescriptions against.
     pub fn ddi_graph(&self) -> &SignedGraph {
-        &self.ddi_graph
+        self.explainer.graph()
     }
 
     /// The configuration the service was built with.
@@ -934,12 +955,15 @@ impl DecisionService {
     /// is amortised: the patients' feature vectors are stacked into one
     /// matrix and pushed through the tape-free inference path in a single
     /// pass, and explanations are memoized per distinct suggested drug set
-    /// in the service-owned, size-bounded cache — with homogeneous cohorts
-    /// most patients share a handful of communities, and because the DDI
-    /// graph is immutable after fit the memo keeps paying off across
-    /// batches, not just within one. Responses come back in request order,
-    /// each identical to serving its request alone: patients are scored
-    /// independently.
+    /// in the size-bounded memo of the service's [`ExplanationEngine`] —
+    /// with homogeneous cohorts most patients share a handful of
+    /// communities, and because an explanation depends only on the DDI
+    /// graph and the MS configuration the memo keeps paying off across
+    /// batches and across models that share the engine. The memo is locked
+    /// for a lookup or an insert only, never during a community search, so
+    /// cold explanations overlap across connection threads. Responses come
+    /// back in request order, each identical to serving its request alone:
+    /// patients are scored independently.
     pub fn suggest_batch_with_kb(
         &self,
         requests: &[SuggestRequest],
@@ -999,28 +1023,13 @@ impl DecisionService {
         for (row, request) in requests.iter().enumerate() {
             let ranked = self.ranked_candidates(scores.row(row), request, kb)?;
             let suggested: Vec<usize> = ranked.iter().map(|d| d.id.index()).collect();
-            // The lock is held only for the memo lookup/insert, never for
-            // the community search itself — cold explanations are the most
-            // expensive part of serving and must overlap across the
-            // connection threads that share this service. Two threads may
-            // race on the same drug set and search it twice; the search is
-            // deterministic, so either insert wins harmlessly.
-            // (The lookup is bound to a variable so its guard drops before
-            // the miss path re-locks to insert.)
-            let cached = self.lock_explanations().lookup(&suggested);
-            let explanation = match cached {
-                Some(hit) => hit,
-                None => {
-                    let key = ExplanationCache::canonical_key(&suggested);
-                    let computed = self.explanation_index.explain(
-                        self.ddi_graph(),
-                        &key,
-                        &self.config().ms,
-                    )?;
-                    self.lock_explanations().insert(&key, computed.clone());
-                    computed
-                }
+            let (explanation, hit) = self.explainer.explain_memoized(&suggested)?;
+            let counter = if hit {
+                &self.explanation_hits
+            } else {
+                &self.explanation_misses
             };
+            counter.fetch_add(1, Ordering::Relaxed);
             let suggestion_satisfaction = explanation.suggestion_satisfaction;
             responses.push(SuggestResponse {
                 patient: request.patient,
@@ -1173,16 +1182,10 @@ impl DecisionService {
                 }
             }
         }
-        // The explanation is of the drug set: the Steiner tree's root and
-        // the direction of each path it expands follow the query's order,
-        // so the search runs on the canonical (sorted) key, the one
-        // `suggest` explains too.
+        // The explanation is of the drug set, explained on the canonical
+        // key that `suggest` explains too, without the memo.
         let indices: Vec<usize> = drugs.iter().map(|d| d.id.index()).collect();
-        let explanation = self.explanation_index.explain(
-            self.ddi_graph(),
-            &ExplanationCache::canonical_key(&indices),
-            &self.config().ms,
-        )?;
+        let explanation = self.explainer.explain(&indices)?;
         let suggestion_satisfaction = explanation.suggestion_satisfaction;
         Ok(InteractionReport {
             patient: request.patient,
@@ -1550,6 +1553,82 @@ mod tests {
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.suggestion_satisfaction, b.suggestion_satisfaction);
         }
+    }
+
+    #[test]
+    fn services_share_an_explanation_engine_only_over_an_equal_graph_and_ms_configuration() {
+        let registry = DrugRegistry::standard();
+        let mut rng = StdRng::seed_from_u64(3);
+        let ddi = generate_ddi_graph(&registry, &DdiConfig::default(), &mut rng).unwrap();
+        let build = |graph: &SignedGraph, tune: &dyn Fn(&mut DssddiConfig)| {
+            let mut config = ServiceBuilder::fast().peek_config().clone();
+            tune(&mut config);
+            ServiceBuilder::fast()
+                .config(config)
+                .build_support(graph)
+                .unwrap()
+        };
+        let first = build(&ddi, &|_| {});
+        let mut same = build(&ddi, &|_| {});
+        assert!(same.adopt_explanation_engine(&first));
+        assert!(Arc::ptr_eq(
+            same.explanation_engine(),
+            first.explanation_engine()
+        ));
+        // Sharing changes no answer and no byte.
+        let fresh = build(&ddi, &|_| {});
+        let check = CheckPrescriptionRequest::new(vec![DrugId::new(61), DrugId::new(59)]);
+        assert_eq!(
+            same.check_prescription_with_kb(&check, None).unwrap(),
+            fresh.check_prescription_with_kb(&check, None).unwrap()
+        );
+        assert_eq!(same.to_container_bytes(), fresh.to_container_bytes());
+
+        // Another α, another CTC parameter or one flipped sign: no sharing.
+        let (u, v, _) = ddi
+            .interactions()
+            .find(|&(_, _, sign)| sign == Interaction::Synergistic)
+            .unwrap();
+        let mut flipped = ddi.clone();
+        flipped
+            .add_interaction(u, v, Interaction::Antagonistic)
+            .unwrap();
+        for mut other in [
+            build(&ddi, &|c| c.ms.alpha = 0.25),
+            build(&ddi, &|c| c.ms.ctc.expansion_size += 1),
+            build(&flipped, &|_| {}),
+        ] {
+            assert!(!other.adopt_explanation_engine(&first));
+            assert!(!Arc::ptr_eq(
+                other.explanation_engine(),
+                first.explanation_engine()
+            ));
+        }
+    }
+
+    #[test]
+    fn explanation_counts_are_per_service_over_a_shared_memo() {
+        let (first, cohort, held_out) = fitted_service(19);
+        let (mut second, _, _) = fitted_service(19);
+        assert!(second.adopt_explanation_engine(&first));
+        let requests: Vec<SuggestRequest> = held_out[..6]
+            .iter()
+            .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
+            .collect();
+        let served = first.suggest_batch_with_kb(&requests, None).unwrap();
+        let (hits, misses) = first.explanation_cache_stats();
+        assert_eq!(hits + misses, requests.len());
+        let memo_len = first.explanation_engine().memo_len();
+        assert_eq!(memo_len, misses);
+        // The adopting service finds every set in the shared memo; the
+        // counts of the service that filled it do not move.
+        assert_eq!(
+            second.suggest_batch_with_kb(&requests, None).unwrap(),
+            served
+        );
+        assert_eq!(second.explanation_cache_stats(), (requests.len(), 0));
+        assert_eq!(first.explanation_cache_stats(), (hits, misses));
+        assert_eq!(second.explanation_engine().memo_len(), memo_len);
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl Community {
 }
 
 /// Configuration of the CTC search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtcConfig {
     /// Target size for the expanded candidate subgraph `G'₀`
     /// (`n₀` in Algorithm 1).

@@ -36,7 +36,7 @@ impl Interaction {
 }
 
 /// An undirected graph whose edges carry an [`Interaction`] sign.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SignedGraph {
     n: usize,
     edges: BTreeMap<(usize, usize), Interaction>,

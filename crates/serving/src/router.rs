@@ -27,6 +27,15 @@
 //! (registry digest) as the shard it replaces — a gateway that silently
 //! swapped formularies under a live key would resolve the same DIDs to
 //! different drugs.
+//!
+//! An explanation depends only on the DDI graph and the MS configuration,
+//! not on the model that ranked the drugs. So shards over an equal graph
+//! and configuration share one [`ExplanationEngine`](dssddi_core::ExplanationEngine)
+//! (index and memo), and a replacement model over the same graph and
+//! configuration keeps its shard's engine: the memo stays warm across the
+//! reload. A replacement with another graph or another α gets a fresh
+//! engine and an empty memo. The shard's explanation hit and miss counts
+//! are those of its current service, so they restart on every model swap.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -147,9 +156,13 @@ pub struct ModelStats {
     /// Errors broken down by wire [`ErrorCode`], in code order; codes with
     /// no occurrence are omitted.
     pub errors_by_code: Vec<(ErrorCode, u64)>,
-    /// Cumulative explanation-cache hits of the shard's service.
+    /// Suggestion explanations the memo answered for the shard's current
+    /// service. Counted per service, so the count restarts when a model
+    /// swap installs a new one, even when the new service keeps the
+    /// shard's memo, and it leaves out other shards sharing that memo.
     pub cache_hits: u64,
-    /// Cumulative explanation-cache misses of the shard's service.
+    /// Suggestion explanations that ran a community search for the shard's
+    /// current service (counted as `cache_hits` is).
     pub cache_misses: u64,
     /// Median routed-call latency in milliseconds, estimated from the
     /// shard's log-bucket histogram (`dssddi_model_latency_micros`) over
@@ -276,7 +289,8 @@ fn relock<T>(result: Result<T, std::sync::PoisonError<T>>) -> T {
 //   1. ModelEntry.artifacts          hot-swap slot; readers clone it and let
 //                                    go, swaps compare versions and install
 //                                    under one write guard
-//   2. DecisionService.explanations  explanation memo, leaf on the request path
+//   2. ExplanationEngine.memo        explanation memo, shared by every service
+//                                    over one graph; leaf on the request path
 //   3. ModelEntry.bucket             rate-limit check entering admission
 //   4. GlobalQueue.state             global queue slots, innermost lock
 //   5. Router.traces                 slow-request exemplar ring; taken with
@@ -407,11 +421,13 @@ impl ModelCatalog {
     }
 
     /// Registers a service under a key with an explicit knowledge base,
-    /// which must grade the service's formulary.
+    /// which must grade the service's formulary. A service over the DDI
+    /// graph and MS configuration of a registered shard adopts that shard's
+    /// explanation engine, so the two share one index and one memo.
     pub fn insert_with_kb(
         &mut self,
         key: ModelKey,
-        service: DecisionService,
+        mut service: DecisionService,
         kb: KnowledgeBase,
     ) -> Result<(), ServingError> {
         if self.models.contains_key(&key) {
@@ -420,6 +436,11 @@ impl ModelCatalog {
             });
         }
         check_digest(&key, service.registry().digest(), kb.registry_digest())?;
+        for entry in self.models.values() {
+            if service.adopt_explanation_engine(&entry.artifacts().service) {
+                break;
+            }
+        }
         let entry = ModelEntry {
             artifacts: RwLock::new(Artifacts {
                 service: Arc::new(service),
@@ -477,12 +498,16 @@ impl ModelCatalog {
     ///   returning `false`.
     ///
     /// The container is decoded first, before the key is looked up and
-    /// outside the slot's lock, so readers never wait on a decode. The
-    /// replacement must describe the shard's formulary (registry digest);
-    /// its paired artifact and the shard's serving counters carry over. Versions are compared and the artifact installed
-    /// under one write guard, so a concurrent install cannot slip in
-    /// between. Requests in flight finish on the artifact they started
-    /// with, new requests route to the replacement.
+    /// outside the slot's lock, so readers never wait on a decode. A model
+    /// over the shard's DDI graph and MS configuration then adopts the
+    /// shard's explanation engine, still outside the write guard; adoption
+    /// holds against any service with an equal graph and configuration, so
+    /// a racing install cannot make it wrong. The replacement must describe
+    /// the shard's formulary (registry digest); its paired artifact and the
+    /// shard's serving counters carry over. Versions are compared and the
+    /// artifact installed under one write guard, so a concurrent install
+    /// cannot slip in between. Requests in flight finish on the artifact
+    /// they started with, new requests route to the replacement.
     pub fn install(
         &self,
         key: &ModelKey,
@@ -492,8 +517,10 @@ impl ModelCatalog {
     ) -> Result<bool, ServingError> {
         match artifact {
             SyncArtifact::Model => {
-                let service = DecisionService::load_with_embedded_registry_bytes(container)?;
-                let mut slot = relock(self.entry(key)?.artifacts.write());
+                let mut service = DecisionService::load_with_embedded_registry_bytes(container)?;
+                let entry = self.entry(key)?;
+                service.adopt_explanation_engine(&entry.artifacts().service);
+                let mut slot = relock(entry.artifacts.write());
                 check_digest(
                     key,
                     slot.service.registry().digest(),

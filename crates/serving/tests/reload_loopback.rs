@@ -17,8 +17,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dssddi_core::{
-    CheckPrescriptionRequest, CoreError, DecisionService, DrugId, ServiceBuilder,
-    DSSD_FORMAT_VERSION, DSSD_MAGIC,
+    CheckPrescriptionRequest, CoreError, DecisionService, DrugId, ServiceBuilder, SuggestFilters,
+    SuggestRequest, DSSD_FORMAT_VERSION, DSSD_MAGIC,
 };
 use dssddi_kb::{EvidenceLevel, KbFact, KnowledgeBase, Severity};
 use dssddi_serving::demo::{
@@ -47,9 +47,14 @@ fn spawn_server(
 /// Trains a second fitted service over the same demo world (same formulary,
 /// different training seed) — the "re-trained model" a reload ships.
 fn retrained_service_bytes(world: &DemoWorld) -> Vec<u8> {
+    retrained_with(world, ServiceBuilder::fast())
+}
+
+/// [`retrained_service_bytes`], configured from `builder`.
+fn retrained_with(world: &DemoWorld, builder: ServiceBuilder) -> Vec<u8> {
     let observed: Vec<usize> = (0..55).collect();
     let mut rng = StdRng::seed_from_u64(DEMO_SEED ^ 0xdead);
-    let retrained = ServiceBuilder::fast()
+    let retrained = builder
         .hidden_dim(16)
         .epochs(25, 30)
         .fit_chronic(
@@ -471,6 +476,192 @@ fn in_process_replace_validates_keys_and_formularies() {
         .install(&key, SyncArtifact::Kb, &kb, None)
         .expect("swap kb"));
     assert_eq!(catalog.kb(&key).expect("kb").version(), 1);
+}
+
+/// A suggestion whose drug set any model must pick: every drug but three
+/// is excluded.
+fn pinned_suggestion(world: &DemoWorld) -> SuggestRequest {
+    let keep = [59, 60, 61];
+    let exclude = (0..world.registry.len())
+        .filter(|d| !keep.contains(d))
+        .map(DrugId::new)
+        .collect();
+    let mut request = demo_requests(world, 1, 3).remove(0);
+    request.filters = SuggestFilters {
+        exclude,
+        ..SuggestFilters::none()
+    };
+    request
+}
+
+/// The `(cache_hits, cache_misses)` a shard's `Stats` entry reports.
+fn cache_counts(router: &Router, key: &ModelKey) -> (u64, u64) {
+    match router.serve(&Request::Stats) {
+        Response::Stats(report) => {
+            let (_, stats) = report
+                .models
+                .iter()
+                .find(|(k, _)| k == key)
+                .expect("shard stats");
+            (stats.cache_hits, stats.cache_misses)
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+}
+
+/// Serves the pinned suggestion, reloads the fitted shard with `container`,
+/// serves it again, and returns both answers.
+fn suggest_around_a_reload(
+    router: &Router,
+    world: &DemoWorld,
+    container: &[u8],
+) -> (Response, Response) {
+    let key = ModelKey::new(DEMO_FITTED_KEY).expect("key");
+    let suggest = Request::Suggest {
+        model: key.clone(),
+        request: pinned_suggestion(world),
+    };
+    let before = router.serve(&suggest);
+    assert!(matches!(before, Response::Suggest(_)), "{before:?}");
+    assert_eq!(cache_counts(router, &key), (0, 1), "a cold memo misses");
+    let reloaded = router.serve(&Request::ReloadModel {
+        model: key.clone(),
+        container: container.to_vec(),
+    });
+    assert!(
+        matches!(reloaded, Response::ModelReloaded(_)),
+        "{reloaded:?}"
+    );
+    assert_eq!(
+        cache_counts(router, &key),
+        (0, 0),
+        "the counts are the new service's"
+    );
+    (before, router.serve(&suggest))
+}
+
+/// What `container` answers to the pinned suggestion when loaded alone.
+fn served_cold(container: &[u8], world: &DemoWorld) -> Response {
+    let service = DecisionService::load_with_embedded_registry_bytes(container).expect("load");
+    Response::Suggest(
+        service
+            .suggest_with_kb(&pinned_suggestion(world), None)
+            .expect("suggest"),
+    )
+}
+
+#[test]
+fn a_model_reloaded_over_the_same_graph_keeps_the_explanation_memo() {
+    let (catalog, world) = demo_catalog(DEMO_SEED).expect("demo catalog");
+    let key = ModelKey::new(DEMO_FITTED_KEY).expect("key");
+    let engine = Arc::clone(catalog.service(&key).expect("shard").explanation_engine());
+    let router = Router::new(catalog);
+    let retrained = retrained_service_bytes(&world);
+    let (before, after) = suggest_around_a_reload(&router, &world, &retrained);
+    assert_eq!(
+        cache_counts(&router, &key),
+        (1, 0),
+        "the repeated suggestion must be answered from the kept memo"
+    );
+    let service = router.catalog().service(&key).expect("shard");
+    assert!(Arc::ptr_eq(service.explanation_engine(), &engine));
+    // The kept memo answers exactly what the new model explains cold.
+    assert_eq!(after, served_cold(&retrained, &world));
+    let explanation = |response: &Response| match response {
+        Response::Suggest(answer) => answer.explanation.clone(),
+        other => panic!("expected Suggest, got {other:?}"),
+    };
+    assert_eq!(explanation(&after), explanation(&before));
+}
+
+#[test]
+fn a_model_reloaded_with_another_alpha_gets_a_fresh_engine() {
+    let (catalog, world) = demo_catalog(DEMO_SEED).expect("demo catalog");
+    let key = ModelKey::new(DEMO_FITTED_KEY).expect("key");
+    let engine = Arc::clone(catalog.service(&key).expect("shard").explanation_engine());
+    let router = Router::new(catalog);
+    let retrained = retrained_with(&world, ServiceBuilder::fast().alpha(0.3));
+    let (before, after) = suggest_around_a_reload(&router, &world, &retrained);
+    assert_eq!(
+        cache_counts(&router, &key),
+        (0, 1),
+        "another α must not be answered from the old memo"
+    );
+    let service = router.catalog().service(&key).expect("shard");
+    assert!(!Arc::ptr_eq(service.explanation_engine(), &engine));
+    assert_eq!(after, served_cold(&retrained, &world));
+    let ss = |response: &Response| match response {
+        Response::Suggest(answer) => answer.suggestion_satisfaction,
+        other => panic!("expected Suggest, got {other:?}"),
+    };
+    assert_ne!(ss(&after), ss(&before), "α moved the SS of the same set");
+}
+
+#[test]
+fn shards_over_one_graph_share_one_explanation_engine() {
+    let (catalog, _world) = demo_catalog(DEMO_SEED).expect("demo catalog");
+    let keys = [DEMO_FITTED_KEY, DEMO_SUPPORT_KEY].map(|k| ModelKey::new(k).expect("key"));
+    let [fitted, support] = keys
+        .clone()
+        .map(|key| catalog.service(&key).expect("shard"));
+    assert!(Arc::ptr_eq(
+        fitted.explanation_engine(),
+        support.explanation_engine()
+    ));
+    // The same holds for shards a gateway loads from their containers.
+    let mut loaded = ModelCatalog::new();
+    for (key, service) in keys.iter().zip([&fitted, &support]) {
+        let container = service.to_container_bytes();
+        let service = DecisionService::load_with_embedded_registry_bytes(&container).expect("load");
+        loaded.insert(key.clone(), service).expect("insert");
+    }
+    let [fitted, support] = keys.map(|key| loaded.service(&key).expect("shard"));
+    assert!(Arc::ptr_eq(
+        fitted.explanation_engine(),
+        support.explanation_engine()
+    ));
+}
+
+#[test]
+fn a_replica_pull_keeps_the_engine_as_an_operator_reload_does() {
+    let (catalog, world) = demo_catalog(DEMO_SEED).expect("demo catalog");
+    let key = ModelKey::new(DEMO_FITTED_KEY).expect("key");
+    let engine = |catalog: &ModelCatalog| {
+        Arc::clone(catalog.service(&key).expect("shard").explanation_engine())
+    };
+    let original = engine(&catalog);
+    let suggest = |catalog: &ModelCatalog| {
+        let service = catalog.service(&key).expect("shard");
+        service
+            .suggest_with_kb(&pinned_suggestion(&world), None)
+            .expect("suggest");
+        service.explanation_cache_stats()
+    };
+    assert_eq!(suggest(&catalog), (0, 1));
+    let retrained = retrained_service_bytes(&world);
+    assert!(catalog
+        .install(&key, SyncArtifact::Model, &retrained, Some(5))
+        .expect("pull"));
+    assert!(Arc::ptr_eq(&engine(&catalog), &original));
+    assert_eq!(suggest(&catalog), (1, 0), "the pulled model keeps the memo");
+    // Another α: a stale pull changes nothing, a newer one a fresh engine.
+    let other_alpha = retrained_with(&world, ServiceBuilder::fast().alpha(0.3));
+    assert!(!catalog
+        .install(&key, SyncArtifact::Model, &other_alpha, Some(5))
+        .expect("stale pull"));
+    assert!(Arc::ptr_eq(&engine(&catalog), &original));
+    assert!(catalog
+        .install(&key, SyncArtifact::Model, &other_alpha, Some(6))
+        .expect("pull"));
+    let fresh = engine(&catalog);
+    assert!(!Arc::ptr_eq(&fresh, &original));
+    assert_eq!(fresh.memo_len(), 0);
+    // A pulled model over the α it now serves keeps that engine.
+    let again = retrained_with(&world, ServiceBuilder::fast().alpha(0.3));
+    assert!(catalog
+        .install(&key, SyncArtifact::Model, &again, Some(7))
+        .expect("pull"));
+    assert!(Arc::ptr_eq(&engine(&catalog), &fresh));
 }
 
 #[test]

@@ -374,12 +374,16 @@
 //! [`CoreError::Persistence`](core::CoreError::Persistence), never panic.
 //! See `examples/save_load.rs` for the end-to-end round trip.
 //!
-//! Serving also memoizes explanation subgraphs in a service-owned,
-//! size-bounded LRU cache (default
+//! Serving also memoizes explanation subgraphs in a size-bounded LRU memo
+//! (default
 //! [`DEFAULT_EXPLANATION_CACHE_CAPACITY`](core::DEFAULT_EXPLANATION_CACHE_CAPACITY)
-//! = 1024 drug sets), shared across `suggest_batch_with_kb` calls — the DDI
-//! graph is immutable after fit, so cached community searches stay valid
-//! for the service's lifetime while memory use stays flat.
+//! = 1024 drug sets, each packed into one allocation of a few hundred bytes),
+//! shared across `suggest_batch_with_kb` calls. An explanation depends only
+//! on the DDI graph and the MS configuration, so the memo lives in an
+//! [`ExplanationEngine`](core::ExplanationEngine) that every service over
+//! an equal graph and configuration can share: a gateway's shards over one
+//! graph share one index and one memo, and a retrained model reloaded over
+//! an unchanged graph keeps the memo warm.
 //!
 //! ## Serving performance
 //!
