@@ -263,6 +263,10 @@ impl LightGcnRecommender {
             .collect();
         let mut optimizer = Adam::new(config.learning_rate);
 
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`betas` holds `layers + 1 >= 1` weights"
+        )]
         let propagate = |tape: &mut Tape, p0: Var, d0: Var| -> Result<(Var, Var), CoreError> {
             let mut cur_p = p0;
             let mut cur_d = d0;

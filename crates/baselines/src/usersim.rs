@@ -231,6 +231,10 @@ impl PopulationIter {
 impl Iterator for PopulationIter {
     type Item = SimPatient;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`Condition::index` is below the number of prototypes, one per condition"
+    )]
     fn next(&mut self) -> Option<SimPatient> {
         let id = self.next_id;
         self.next_id += 1;

@@ -1,6 +1,7 @@
 //! Benchmarks of the causal-augmentation machinery of the Medical Decision
 //! module: treatment matrix construction (Section IV-B1) and the
 //! counterfactual nearest-neighbour search (Eq. 7).
+#![allow(clippy::unwrap_used)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

@@ -1,6 +1,7 @@
 //! Macro benchmarks shaped like the evaluation artifacts: data generation
 //! (Fig. 2/3), test-set scoring and metric computation (Tables I/II/IV) and
 //! Suggestion Satisfaction scoring (Table III, Fig. 8).
+#![allow(clippy::unwrap_used)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

@@ -1,5 +1,6 @@
 //! Benchmarks of one training epoch of DDIGCN (per backbone) and MDGCN —
 //! the model cost behind Tables I, II and IV.
+#![allow(clippy::unwrap_used)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

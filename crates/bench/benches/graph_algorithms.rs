@@ -15,6 +15,7 @@
 //! decomposition time memo hits after their first iteration. Each has a
 //! `_cold` twin that runs every iteration on a fresh clone of a decomposition
 //! no query has touched, which times the Dijkstra runs a first query pays.
+#![allow(clippy::unwrap_used)]
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;

@@ -9,6 +9,7 @@
 //! prescription critique through a live gateway — is measured by the
 //! open-loop benchmark, `bash perfbench/run.sh`, over the workloads in
 //! `BENCHMARK.json`, not here.
+#![allow(clippy::unwrap_used, clippy::indexing_slicing)]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

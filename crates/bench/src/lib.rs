@@ -37,8 +37,16 @@ impl BenchWorld {
     pub fn new(n_patients: usize, seed: u64) -> Self {
         let registry = DrugRegistry::standard();
         let mut rng = StdRng::seed_from_u64(seed);
+        #[expect(
+            clippy::expect_used,
+            reason = "a bench fixture stops on a failed build step"
+        )]
         let ddi =
             generate_ddi_graph(&registry, &DdiConfig::default(), &mut rng).expect("DDI generation");
+        #[expect(
+            clippy::expect_used,
+            reason = "a bench fixture stops on a failed build step"
+        )]
         let cohort = generate_chronic_cohort(
             &registry,
             &ddi,
@@ -61,6 +69,7 @@ impl BenchWorld {
     /// Fits a small but realistic [`DecisionService`] on the first
     /// `n_observed` patients of the world — the fixture of the persistence
     /// bench.
+    #[expect(clippy::expect_used, reason = "a bench fixture stops on a failed fit")]
     pub fn fitted_service(&self, n_observed: usize, seed: u64) -> DecisionService {
         let observed: Vec<usize> = (0..n_observed.min(self.cohort.n_patients())).collect();
         let mut rng = StdRng::seed_from_u64(seed);

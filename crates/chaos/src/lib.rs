@@ -808,7 +808,6 @@ fn sever(a: &TcpStream, b: &TcpStream, dead: &AtomicBool) {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
 

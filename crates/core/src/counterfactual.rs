@@ -29,6 +29,10 @@ impl TreatmentMatrix {
     ///    `j` has `T_iv = 1`,
     /// 3. `T_iu = 1` whenever `T_iv = 1` and drugs `u`, `v` interact
     ///    synergistically in the DDI graph.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`clusters` has one entry per patient (checked above), each below `n_clusters`, its maximum plus one; rows of `cluster_drugs` span the drugs"
+    )]
     pub fn build(
         graph: &BipartiteGraph,
         clusters: &[usize],
@@ -220,6 +224,10 @@ impl CounterfactualIndex {
     /// pairs: the nearest pair `(j, u)` (by summed feature distance, subject
     /// to the γ thresholds) whose treatment is opposite, whose observed
     /// outcome then serves as the counterfactual target.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the neighbour lists are built over the same patients and drugs the pairs index"
+    )]
     pub fn find_links(
         &self,
         pairs_patients: &[usize],
@@ -282,7 +290,6 @@ fn nearest_within(features: &Matrix, threshold: f32, max_candidates: usize) -> V
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
     use dssddi_ml::fit_kmeans;

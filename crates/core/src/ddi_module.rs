@@ -274,7 +274,6 @@ impl DdiModule {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
     use dssddi_graph::Interaction;

@@ -30,6 +30,7 @@ pub mod md_module;
 pub mod ms_module;
 mod persist;
 pub mod service;
+pub mod sync;
 pub mod system;
 
 pub use config::{Backbone, DdiModuleConfig, DssddiConfig, MdModuleConfig, MsModuleConfig};

@@ -666,7 +666,6 @@ fn decode_pairs(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
     use crate::{DecisionService, ServiceBuilder};

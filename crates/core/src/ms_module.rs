@@ -17,6 +17,7 @@ use dssddi_graph::{
 };
 
 use crate::config::MsModuleConfig;
+use crate::sync;
 use crate::CoreError;
 
 /// An interaction edge annotated with its sign, for display to the doctor.
@@ -562,18 +563,14 @@ impl ExplanationEngine {
         self.lock_memo().len()
     }
 
-    /// Locks the memo, recovering from a poisoned lock: the memo holds only
-    /// memoized results, so whatever a panicking thread left is still a
-    /// valid memo.
-    fn lock_memo(&self) -> MutexGuard<'_, ExplanationCache> {
-        self.memo
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// Locks the memo. It holds only memoized results, so whatever a
+    /// panicking thread left is still a valid memo.
+    fn lock_memo(&self) -> sync::Guard<MutexGuard<'_, ExplanationCache>> {
+        sync::lock(&self.memo)
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
 

@@ -250,7 +250,6 @@ pub(crate) fn read_kmeans(r: &mut ByteReader<'_>) -> Result<KMeans, SerdeError> 
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
 

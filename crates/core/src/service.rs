@@ -1200,7 +1200,6 @@ impl DecisionService {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
     use dssddi_data::{

@@ -175,7 +175,6 @@ impl Dssddi {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
     use crate::config::{Backbone, DssddiConfig};

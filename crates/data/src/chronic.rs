@@ -135,8 +135,9 @@ impl ChronicCohort {
             .filter(|&p| {
                 let drugs = self.drugs_of(p);
                 drugs.iter().enumerate().any(|(i, &u)| {
-                    drugs[i + 1..]
+                    drugs
                         .iter()
+                        .skip(i + 1)
                         .any(|&v| ddi.interaction(u, v) == Some(Interaction::Antagonistic))
                 })
             })

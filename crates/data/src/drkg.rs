@@ -233,7 +233,15 @@ pub fn train_transe(
             // Gradient of ||h + r - t||_2 w.r.t. h is (h + r - t)/dist.
             let lr = config.learning_rate;
             for d in 0..dim {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`pos.1` and `neg.1` hold `dim` entries"
+                )]
                 let gp = pos.1[d] / pos.0.max(1e-6);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`pos.1` and `neg.1` hold `dim` entries"
+                )]
                 let gn = neg.1[d] / neg.0.max(1e-6);
                 // Positive triple: decrease distance.
                 entity.add_at(h, d, -lr * gp);
@@ -280,6 +288,7 @@ fn normalize_rows(m: &mut Matrix) {
 }
 
 /// Returns `(||h + r - t||, h + r - t)` for gradient computation.
+#[expect(clippy::indexing_slicing, reason = "`diff` holds `dim` entries")]
 fn l2_parts(entity: &Matrix, relation: &Matrix, h: usize, r: usize, t: usize) -> (f32, Vec<f32>) {
     let dim = entity.cols();
     let mut diff = vec![0.0f32; dim];

@@ -140,6 +140,10 @@ struct Condition {
 }
 
 /// Generates a synthetic MIMIC-III-like data set.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "each patient's conditions are indices into `conditions`"
+)]
 pub fn generate_mimic_dataset(
     config: &MimicConfig,
     rng: &mut impl Rng,

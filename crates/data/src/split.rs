@@ -51,16 +51,15 @@ pub fn split_patients(
             what: "cannot split zero patients",
         });
     }
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(rng);
+    let mut train: Vec<usize> = (0..n).collect();
+    train.shuffle(rng);
     let total = (a + b + c) as f64;
     let n_train = ((a as f64 / total) * n as f64).round() as usize;
     let n_val = ((b as f64 / total) * n as f64).round() as usize;
     let n_train = n_train.min(n);
     let n_val = n_val.min(n - n_train);
-    let train = idx[..n_train].to_vec();
-    let val = idx[n_train..n_train + n_val].to_vec();
-    let test = idx[n_train + n_val..].to_vec();
+    let test = train.split_off(n_train + n_val);
+    let val = train.split_off(n_train);
     Ok(Split { train, val, test })
 }
 

@@ -8,7 +8,7 @@
 //! are mutually dissimilar. This binary reports the same quantities as
 //! summary statistics and coarse text heatmaps.
 
-use dssddi_baselines::{LightGcnRecommender, Recommender};
+use dssddi_baselines::LightGcnRecommender;
 use dssddi_core::Backbone;
 use dssddi_experiments::{run_dssddi_variant, ChronicWorld, RunOptions};
 use dssddi_tensor::Matrix;
@@ -16,6 +16,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn mean_offdiagonal_cosine(reprs: &Matrix) -> f64 {
+    #[expect(
+        clippy::expect_used,
+        reason = "a research binary stops on a failed step"
+    )]
     let sim = reprs.cosine_similarity_matrix(reprs).expect("similarity");
     let n = sim.rows();
     let mut total = 0.0f64;
@@ -32,6 +36,10 @@ fn mean_offdiagonal_cosine(reprs: &Matrix) -> f64 {
 }
 
 fn coarse_heatmap(reprs: &Matrix, cells: usize) -> Vec<String> {
+    #[expect(
+        clippy::expect_used,
+        reason = "a research binary stops on a failed step"
+    )]
     let sim = reprs.cosine_similarity_matrix(reprs).expect("similarity");
     let n = sim.rows();
     let step = (n / cells).max(1);
@@ -62,6 +70,10 @@ fn coarse_heatmap(reprs: &Matrix, cells: usize) -> Vec<String> {
     rows
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "a research binary stops on a failed step"
+)]
 fn main() {
     let opts = RunOptions::from_args();
     println!(
@@ -93,9 +105,6 @@ fn main() {
         &mut rng,
     )
     .expect("LightGCN");
-    let _ = lightgcn
-        .predict_scores(&world.test_features())
-        .expect("scores");
 
     // 100 sampled test patients (or all of them if fewer).
     let sample: Vec<usize> = world.split.test.iter().copied().take(100).collect();

@@ -9,6 +9,11 @@ use dssddi_experiments::{
 };
 use dssddi_ml::top_k_indices;
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "test patients index the cohort, the test split is non-empty, and a research binary stops on a failed step"
+)]
 fn main() {
     let opts = RunOptions::from_args();
     println!("Fig. 8 — medication-suggestion case study for a cardiovascular patient\n");

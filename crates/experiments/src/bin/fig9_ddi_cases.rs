@@ -15,6 +15,10 @@ use dssddi_tensor::Matrix;
 /// 1-based rank of a drug in a score row (1 = highest score).
 fn rank_of(scores: &Matrix, row: usize, drug: usize) -> usize {
     let r = scores.row(row);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`drug` indexes the formulary, the row's width"
+    )]
     let better = r.iter().filter(|&&s| s > r[drug]).count();
     better + 1
 }
@@ -35,6 +39,10 @@ fn main() {
         eprintln!("fig9: {error}");
         std::process::exit(1);
     });
+    #[expect(
+        clippy::expect_used,
+        reason = "a research binary stops on a failed step"
+    )]
     let without_ddi = {
         let mut config = opts.dssddi_config();
         config.md.use_ddi_embeddings = false;
@@ -119,6 +127,7 @@ fn report_case(
             );
         }
         Some(r) => {
+            #[expect(clippy::indexing_slicing, reason = "`r` is a row of the test split")]
             let patient = world.split.test[r];
             println!(
                 "   Patient #{patient} takes {}",

@@ -52,6 +52,10 @@ fn run() -> Result<(), String> {
     let test_y = mimic.labels().select_rows(&split.test);
     let train_pairs: Vec<(usize, usize)> = (0..split.train.len())
         .flat_map(|row| {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`row` ranges over the training split"
+            )]
             let patient = split.train[row];
             mimic
                 .drugs_of(patient)

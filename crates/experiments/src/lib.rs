@@ -8,9 +8,13 @@
 //!
 //! * `--patients <N>` — cohort size (default 1200; the paper uses 4157),
 //! * `--seed <S>` — random seed (default 7),
-//! * `--full` — paper-scale configuration (4157 patients, 400/1000 epochs,
-//!   hidden size 64); without it a reduced configuration is used so every
-//!   experiment finishes in minutes on a laptop.
+//! * `--full` — paper-scale configuration (4157 patients unless `--patients`
+//!   says otherwise, 400/1000 epochs, hidden size 64); without it a reduced
+//!   configuration is used so every experiment finishes in minutes on a
+//!   laptop.
+//!
+//! Any other argument, a missing value or one that does not parse stops the
+//! binary with exit code 2.
 
 #![warn(missing_docs)]
 
@@ -81,31 +85,40 @@ impl Default for RunOptions {
     }
 }
 
+/// What an experiment binary prints after a bad argument.
+const USAGE: &str = "options: --patients N (default 1200) --seed S (default 7) \
+                     --full (paper scale: 4157 patients unless --patients says otherwise)";
+
 impl RunOptions {
-    /// Parses `--patients`, `--seed` and `--full` from the process arguments.
+    /// Parses `--patients`, `--seed` and `--full` from the process
+    /// arguments. On a bad argument it prints the error and the usage to
+    /// stderr and exits with code 2, so no experiment runs at a scale it was
+    /// not asked for.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|error| {
+            eprintln!("{error}\n{USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses the arguments after the program name. An unknown flag, a
+    /// missing value or one that does not parse is an error naming it.
+    /// `--full` selects the paper's 4157 patients unless `--patients` names
+    /// a size, in either order.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut opts = Self::default();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--patients" if i + 1 < args.len() => {
-                    opts.n_patients = args[i + 1].parse().unwrap_or(opts.n_patients);
-                    i += 1;
-                }
-                "--seed" if i + 1 < args.len() => {
-                    opts.seed = args[i + 1].parse().unwrap_or(opts.seed);
-                    i += 1;
-                }
-                "--full" => {
-                    opts.full = true;
-                    opts.n_patients = 4157;
-                }
-                _ => {}
+        let mut patients = None;
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--patients" => patients = Some(flag_value(&flag, args.next())?),
+                "--seed" => opts.seed = flag_value(&flag, args.next())?,
+                "--full" => opts.full = true,
+                _ => return Err(format!("unknown argument {flag:?}")),
             }
-            i += 1;
         }
-        opts
+        opts.n_patients = patients.unwrap_or(if opts.full { 4157 } else { opts.n_patients });
+        Ok(opts)
     }
 
     /// The DSSDDI configuration matching the requested scale.
@@ -121,6 +134,14 @@ impl RunOptions {
             config
         }
     }
+}
+
+/// Parses the value that follows `flag` on the command line.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
 }
 
 /// The generated chronic-disease evaluation world.
@@ -530,6 +551,39 @@ mod tests {
             seed: 3,
             full: false,
         }
+    }
+
+    fn parse(args: &[&str]) -> Result<RunOptions, String> {
+        RunOptions::parse(args.iter().map(|arg| arg.to_string()))
+    }
+
+    #[test]
+    fn bad_arguments_are_errors_that_name_them() {
+        for (args, named) in [
+            (&["--patients", "abc"][..], "\"abc\""),
+            (&["--patient", "200"][..], "\"--patient\""),
+            (&["--patients"][..], "--patients needs a value"),
+            (&["--seed", "-1"][..], "--seed: cannot parse \"-1\""),
+        ] {
+            let error = parse(args).unwrap_err();
+            assert!(error.contains(named), "{args:?}: {error}");
+        }
+    }
+
+    #[test]
+    fn patients_wins_over_full_in_either_order() {
+        for args in [
+            ["--full", "--patients", "200"],
+            ["--patients", "200", "--full"],
+        ] {
+            let opts = parse(&args).unwrap();
+            assert_eq!((opts.n_patients, opts.full), (200, true), "{args:?}");
+            let paper = format!("{:?}", DssddiConfig::paper());
+            assert_eq!(format!("{:?}", opts.dssddi_config()), paper);
+        }
+        let opts = parse(&["--full", "--seed", "3"]).unwrap();
+        assert_eq!((opts.n_patients, opts.seed), (4157, 3));
+        assert_eq!(parse(&[]).unwrap().n_patients, 1200);
     }
 
     #[test]

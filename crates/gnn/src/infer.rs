@@ -66,6 +66,10 @@ impl Mlp {
                 self.hidden_activation
             };
             let input = cur.as_ref().unwrap_or(x);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`dims` holds one more entry than `layers`, and `i` enumerates `layers`"
+            )]
             let mut out = pool.take(input.rows(), self.dims[i + 1]);
             fused_linear_into(
                 &mut out,

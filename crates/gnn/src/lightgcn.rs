@@ -44,6 +44,10 @@ pub fn lightgcn_propagate(
             what: "betas must have one weight per layer plus the input layer",
         });
     }
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`betas` holds `layers + 1 >= 1` weights, checked above"
+    )]
     let mut combined = tape.scale(x, betas[0]);
     let mut h = x;
     for (t, &beta) in betas.iter().enumerate().skip(1) {

@@ -76,10 +76,18 @@ impl Mlp {
         );
         let mut layers = Vec::with_capacity(dims.len() - 1);
         for i in 0..dims.len() - 1 {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`i + 1 < dims.len()` by the loop bound"
+            )]
             let w = params.add(
                 format!("{name}.w{i}"),
                 init::xavier_uniform(dims[i], dims[i + 1], rng),
             );
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`i + 1 < dims.len()` by the loop bound"
+            )]
             let b = params.add(format!("{name}.b{i}"), init::zeros(1, dims[i + 1]));
             layers.push((w, b));
         }
@@ -92,6 +100,10 @@ impl Mlp {
     }
 
     /// Input dimension.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every constructor keeps at least two dims"
+    )]
     pub fn input_dim(&self) -> usize {
         self.dims[0]
     }
@@ -138,6 +150,10 @@ impl Mlp {
             });
         }
         for (i, &(wid, bid)) in layers.iter().enumerate() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`dims` holds `n_layers + 1` entries, checked above, and `i` enumerates the layers"
+            )]
             let (expect_in, expect_out) = (dims[i], dims[i + 1]);
             if params.get(wid).shape() != (expect_in, expect_out)
                 || params.get(bid).shape() != (1, expect_out)

@@ -58,6 +58,10 @@ impl BipartiteGraph {
     }
 
     /// Adds a patient–drug link (duplicates are ignored).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "both endpoints are checked against the side sizes above"
+    )]
     pub fn add_edge(&mut self, left: usize, right: usize) -> Result<(), GraphError> {
         if left >= self.n_left {
             return Err(GraphError::NodeOutOfRange {
@@ -77,31 +81,52 @@ impl BipartiteGraph {
     }
 
     /// True when the patient takes the drug.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`left` is checked against the patient count first"
+    )]
     pub fn has_edge(&self, left: usize, right: usize) -> bool {
         left < self.n_left && self.left_adj[left].contains(&right)
     }
 
     /// Drugs taken by a patient, in ascending drug index order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a patient index below the patient count is the caller's bound"
+    )]
     pub fn drugs_of(&self, left: usize) -> Vec<usize> {
         self.left_adj[left].iter().copied().collect()
     }
 
     /// Patients taking a drug, in ascending patient index order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a drug index below the drug count is the caller's bound"
+    )]
     pub fn patients_of(&self, right: usize) -> Vec<usize> {
         self.right_adj[right].iter().copied().collect()
     }
 
     /// Degree of a patient node.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a patient index below the patient count is the caller's bound"
+    )]
     pub fn left_degree(&self, left: usize) -> usize {
         self.left_adj[left].len()
     }
 
     /// Degree of a drug node.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a drug index below the drug count is the caller's bound"
+    )]
     pub fn right_degree(&self, right: usize) -> usize {
         self.right_adj[right].len()
     }
 
     /// All `(patient, drug)` links in deterministic order.
+    #[expect(clippy::indexing_slicing, reason = "`l` ranges over the patient count")]
     pub fn edges(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::with_capacity(self.edge_count());
         for l in 0..self.n_left {
@@ -113,6 +138,10 @@ impl BipartiteGraph {
     }
 
     /// Dense 0/1 medication-use matrix `Y` with one row per patient.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`edges` yields only in-range pairs, and `y` is patients by drugs"
+    )]
     pub fn to_label_matrix(&self) -> Vec<Vec<f32>> {
         let mut y = vec![vec![0.0; self.n_right]; self.n_left];
         for (l, r) in self.edges() {

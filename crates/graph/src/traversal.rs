@@ -16,6 +16,10 @@ pub struct BfsResult {
 }
 
 /// Breadth-first search from `source`, optionally restricted to a node set.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`source < n` is checked above, and neighbours of a graph node are graph nodes"
+)]
 pub fn bfs(graph: &UnGraph, source: usize, within: Option<&BTreeSet<usize>>) -> BfsResult {
     let n = graph.node_count();
     let mut dist = vec![usize::MAX; n];
@@ -45,6 +49,10 @@ pub fn bfs(graph: &UnGraph, source: usize, within: Option<&BTreeSet<usize>>) -> 
 
 /// Reconstructs the path from the BFS/Dijkstra source to `target` using the
 /// parent array; returns `None` when `target` is unreachable.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a parent array holds `usize::MAX` or node ids within its own length, and `target` is a node"
+)]
 pub fn reconstruct_path(parent: &[usize], source: usize, target: usize) -> Option<Vec<usize>> {
     if source == target {
         return Some(vec![source]);
@@ -81,6 +89,10 @@ pub fn component_of(
 }
 
 /// All connected components over the non-isolated nodes of the graph.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`seen` spans the node count, and non-isolated nodes and their components are graph nodes"
+)]
 pub fn connected_components(graph: &UnGraph) -> Vec<BTreeSet<usize>> {
     let mut seen = vec![false; graph.node_count()];
     let mut components = Vec::new();
@@ -114,6 +126,10 @@ pub fn all_connected(graph: &UnGraph, targets: &[usize], within: &BTreeSet<usize
 
 /// Hop diameter of the subgraph induced on `nodes` (0 for empty or singleton
 /// sets, `usize::MAX` if the induced subgraph is disconnected).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`nodes` holds node ids of the graph, and `dist` spans the node count"
+)]
 pub fn diameter(graph: &UnGraph, nodes: &BTreeSet<usize>) -> usize {
     let mut best = 0usize;
     for &v in nodes {

@@ -54,6 +54,10 @@ impl UnGraph {
 
     /// Adds an undirected edge. Self-loops are rejected; duplicate edges are
     /// ignored (simple graph).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "both endpoints are checked against the node count above"
+    )]
     pub fn add_edge(&mut self, u: usize, v: usize) -> Result<(), GraphError> {
         let n = self.node_count();
         if u >= n || v >= n {
@@ -71,6 +75,10 @@ impl UnGraph {
     }
 
     /// Removes an edge if present; returns whether it existed.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids below the node count are the caller's bound, as for every adjacency query"
+    )]
     pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
         let a = self.adj[u].remove(&v);
         let b = self.adj[v].remove(&u);
@@ -79,6 +87,10 @@ impl UnGraph {
 
     /// Removes a node by detaching all its incident edges (the node index
     /// remains valid but isolated).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids below the node count are the caller's bound"
+    )]
     pub fn detach_node(&mut self, v: usize) {
         let neighbours: Vec<usize> = self.adj[v].iter().copied().collect();
         for u in neighbours {
@@ -87,21 +99,34 @@ impl UnGraph {
     }
 
     /// True when the edge `{u, v}` exists.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`u` is checked against the node count first"
+    )]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         u < self.node_count() && self.adj[u].contains(&v)
     }
 
     /// Neighbours of `v` in ascending order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids below the node count are the caller's bound"
+    )]
     pub fn neighbors(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
         self.adj[v].iter().copied()
     }
 
     /// Degree of `v`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids below the node count are the caller's bound"
+    )]
     pub fn degree(&self, v: usize) -> usize {
         self.adj[v].len()
     }
 
     /// All edges as normalised `(min, max)` pairs in ascending order.
+    #[expect(clippy::indexing_slicing, reason = "`u` ranges over the node count")]
     pub fn edges(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::with_capacity(self.edge_count());
         for u in 0..self.node_count() {
@@ -122,6 +147,10 @@ impl UnGraph {
     }
 
     /// Number of triangles containing the edge `{u, v}` (its *support*).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`has_edge` above proved both endpoints are nodes"
+    )]
     pub fn edge_support(&self, u: usize, v: usize) -> usize {
         if !self.has_edge(u, v) {
             return 0;
@@ -130,12 +159,20 @@ impl UnGraph {
     }
 
     /// Common neighbours of `u` and `v`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids below the node count are the caller's bound"
+    )]
     pub fn common_neighbors(&self, u: usize, v: usize) -> Vec<usize> {
         self.adj[u].intersection(&self.adj[v]).copied().collect()
     }
 
     /// Induced subgraph on `nodes` (other nodes become isolated; indices are
     /// preserved so drug IDs stay meaningful).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`nodes` holds node ids of this graph, the caller's bound"
+    )]
     pub fn induced_subgraph(&self, nodes: &BTreeSet<usize>) -> UnGraph {
         let mut g = UnGraph::new(self.node_count());
         for &u in nodes {

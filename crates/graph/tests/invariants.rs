@@ -1,6 +1,7 @@
 //! Property-based invariants for the graph algorithms used by the Medical
 //! Support module: truss decomposition, Steiner trees and the closest truss
 //! community search.
+#![allow(clippy::expect_used, clippy::indexing_slicing)]
 
 use std::collections::BTreeSet;
 

@@ -247,6 +247,10 @@ impl KnowledgeBase {
 
     /// The KB's summary (version, fact counts per severity, formulary
     /// identity).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`Severity::to_u8` is below 4, one counter per severity"
+    )]
     pub fn info(&self) -> KbInfo {
         let mut facts_by_severity = [0usize; 4];
         for fact in self.facts.values() {
@@ -333,11 +337,23 @@ impl KnowledgeBase {
                         query: cell.trim().to_string(),
                     })
             };
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "rows with fewer than 4 cells are rejected above"
+            )]
             let a = resolve(cells[0])?;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "rows with fewer than 4 cells are rejected above"
+            )]
             let b = resolve(cells[1])?;
             if a == b {
                 return Err(KbError::SelfInteraction { line, drug: a });
             }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "rows with fewer than 4 cells are rejected above"
+            )]
             let severity = Severity::parse(cells[2]).ok_or_else(|| KbError::Parse {
                 line,
                 what: format!(
@@ -346,6 +362,10 @@ impl KnowledgeBase {
                     cells[2].trim()
                 ),
             })?;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "rows with fewer than 4 cells are rejected above"
+            )]
             let evidence = EvidenceLevel::parse(cells[3]).ok_or_else(|| KbError::Parse {
                 line,
                 what: format!(
@@ -564,7 +584,6 @@ impl KnowledgeBase {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
     use dssddi_data::{generate_ddi_graph, DdiConfig};

@@ -5,7 +5,7 @@
 
 // Tests and examples may panic freely; the workspace-level panic-policy
 // denies target library and binary code.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use dssddi_data::DrugRegistry;
 use dssddi_kb::{EvidenceLevel, KbError, KbFact, KnowledgeBase, Severity};

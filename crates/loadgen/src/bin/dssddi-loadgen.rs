@@ -101,6 +101,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 
     let mut i = 0;
     while i < argv.len() {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`i < argv.len()` by the loop condition"
+        )]
         let arg = argv[i].as_str();
         let mut value = |name: &str| -> Result<String, String> {
             i += 1;

@@ -327,6 +327,10 @@ impl LoadgenReport {
             self.fault_requests
         ));
         for kind in OpKind::ALL {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`OpKind::index` is below `OpKind::ALL.len()`, the tally's length"
+            )]
             let t = &self.by_kind[kind.index()];
             if t.frames > 0 {
                 out.push_str(&format!(
@@ -550,6 +554,10 @@ fn worker_run(
         let latency = start.elapsed().saturating_sub(next);
         tally.frames += 1;
         tally.requests += n_requests;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`OpKind::index` is below `OpKind::ALL.len()`, the tally's length"
+        )]
         let per_kind = &mut tally.by_kind[kind.index()];
         per_kind.frames += 1;
         // Attribute the exchange to the endpoint the client ended up on —
@@ -600,6 +608,10 @@ fn worker_run(
     Ok(tally)
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "shard lists and samplers index `plan.plans`, there is one cursor per pool, and a request list holds at least one request"
+)]
 fn issue(
     client: &mut Client,
     plan: &SharedPlan,
@@ -766,6 +778,10 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
     }
 
     // Synthetic patient pools, one per distinct feature width.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`fitted` lists indices into `plans`"
+    )]
     let mut widths: Vec<usize> = fitted.iter().filter_map(|&i| plans[i].n_features).collect();
     widths.sort_unstable();
     widths.dedup();
@@ -911,7 +927,6 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
 

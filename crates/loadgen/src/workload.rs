@@ -103,6 +103,10 @@ impl WorkloadMix {
     }
 
     /// The weight of one kind.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`OpKind::index` is below 4, the number of weights"
+    )]
     pub fn weight(&self, kind: OpKind) -> f64 {
         self.weights[kind.index()]
     }
@@ -111,6 +115,10 @@ impl WorkloadMix {
     /// gateway cannot serve that kind (no fitted shard for suggestions, no
     /// formulary-compatible shard for reloads), so the offered request
     /// *rate* is preserved even though the composition degrades.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`OpKind::index` is below 4, the number of weights"
+    )]
     pub fn fold_into_check(&mut self, kind: OpKind) {
         let w = self.weights[kind.index()];
         self.weights[kind.index()] = 0.0;
@@ -118,6 +126,10 @@ impl WorkloadMix {
     }
 
     /// Samples one kind, weight-proportionally.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`OpKind::index` is below 4, the number of weights"
+    )]
     pub fn sample(&self, rng: &mut StdRng) -> OpKind {
         let total: f64 = self.weights.iter().sum();
         let mut u = rng.gen::<f64>() * total;
@@ -197,7 +209,6 @@ impl Zipf {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
     use rand::SeedableRng;

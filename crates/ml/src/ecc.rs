@@ -101,6 +101,11 @@ impl EnsembleClassifierChain {
     }
 
     /// Predicts per-label scores for every row of `x`, averaged over chains.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "each chain has one classifier per position and appends one column per label; both score matrices have one shape"
+    )]
     pub fn predict_scores(&self, x: &Matrix) -> Matrix {
         let mut scores = Matrix::zeros(x.rows(), self.n_labels);
         for chain in &self.chains {

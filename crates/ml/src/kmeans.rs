@@ -97,6 +97,10 @@ impl KMeans {
 }
 
 /// Fits k-means with k-means++ initialisation and Lloyd iterations.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`i < n`, and every assignment is a centroid index below `k`"
+)]
 pub fn fit_kmeans(
     x: &Matrix,
     k: usize,

@@ -64,6 +64,10 @@ impl LogisticRegression {
                     .sum::<f32>()
                     + bias;
                 let p = stable_sigmoid(z);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`y` has one label per row, checked above"
+                )]
                 let err = p - y[i];
                 for (w, &xv) in weights.iter_mut().zip(row.iter()) {
                     *w -= config.learning_rate * (err * xv + config.l2 * *w);

@@ -24,6 +24,10 @@ fn score_order(a: f32, b: f32) -> Ordering {
 /// decision service's suggestions.
 ///
 /// `k` larger than the row is truncated to the row length.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`idx` holds the indices of `scores`"
+)]
 pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..scores.len()).collect();
     idx.sort_by(|&a, &b| score_order(scores[a], scores[b]));

@@ -59,6 +59,10 @@ impl LinearSvm {
         let mut bias = 0.0f32;
         for _ in 0..config.epochs {
             for i in 0..n {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`y` has one label per row, checked above"
+                )]
                 let target = if y[i] > 0.5 { 1.0 } else { -1.0 };
                 let row = x.row(i);
                 let margin: f32 = target

@@ -144,7 +144,6 @@ fn read_request_line(stream: &mut TcpStream) -> Option<String> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
 

@@ -18,7 +18,7 @@
 
 // Tests and examples may panic freely; the workspace-level panic-policy
 // denies target library and binary code.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;

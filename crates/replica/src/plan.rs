@@ -99,7 +99,6 @@ pub fn merged(local: &[KeyVersions], peer: &[KeyVersions]) -> Vec<KeyVersions> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
 

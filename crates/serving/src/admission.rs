@@ -27,6 +27,8 @@
 
 use std::time::{Duration, Instant};
 
+use dssddi_core::sync;
+
 use crate::router::ModelKey;
 use crate::ServingError;
 
@@ -192,12 +194,6 @@ pub(crate) struct GlobalQueue {
     queue_wait: Duration,
 }
 
-/// Recovers a poisoned queue lock: the guarded counters are valid whatever
-/// state a panicking thread left them in.
-fn requeue<T>(result: Result<T, std::sync::PoisonError<T>>) -> T {
-    result.unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 impl GlobalQueue {
     pub(crate) fn new(max_in_flight: usize, max_queue_depth: usize, queue_wait: Duration) -> Self {
         Self {
@@ -216,7 +212,7 @@ impl GlobalQueue {
     /// when all slots are busy. Returns the queue depth observed on entry
     /// (for the high-water mark) or `Err(())` when the call must be shed.
     pub(crate) fn acquire(&self) -> Result<usize, ()> {
-        let mut state = requeue(self.state.lock());
+        let mut state = sync::lock(&self.state);
         if state.in_flight < self.max_in_flight {
             state.in_flight += 1;
             return Ok(state.waiting);
@@ -233,10 +229,7 @@ impl GlobalQueue {
                 state.waiting -= 1;
                 return Err(());
             }
-            let (next, timeout) = self
-                .freed
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let (next, timeout) = state.wait_timeout(&self.freed, remaining);
             state = next;
             if state.in_flight < self.max_in_flight {
                 state.waiting -= 1;
@@ -252,7 +245,7 @@ impl GlobalQueue {
 
     /// Releases one execution slot and wakes one queued caller.
     pub(crate) fn release(&self) {
-        let mut state = requeue(self.state.lock());
+        let mut state = sync::lock(&self.state);
         state.in_flight = state.in_flight.saturating_sub(1);
         drop(state);
         self.freed.notify_one();
@@ -260,7 +253,6 @@ impl GlobalQueue {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
 

@@ -113,7 +113,6 @@ pub fn demo_requests(world: &DemoWorld, n: usize, k: usize) -> Vec<SuggestReques
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
 

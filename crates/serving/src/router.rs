@@ -43,7 +43,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use dssddi_core::DecisionService;
+use dssddi_core::{sync, DecisionService};
 use dssddi_kb::{KbError, KbInfo, KnowledgeBase};
 use dssddi_obs::trace::{next_trace_id, SpanRecorder, Stage, TraceExemplar, TraceRing};
 use dssddi_obs::MetricsRegistry;
@@ -271,30 +271,20 @@ pub struct StatsReport {
     pub replica: Option<ReplicaStats>,
 }
 
-/// Recovers a lock from poisoning: every guarded structure here (swap
-/// slots, token buckets, the exemplar ring) is valid whatever state a
-/// panicking thread left it in, so serving continues.
-fn relock<T>(result: Result<T, std::sync::PoisonError<T>>) -> T {
-    result.unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-// LOCK ORDER: the canonical nesting order for every lock on the serving
-// path, outermost first. A lock may only be acquired while holding locks
-// that appear EARLIER in this list. `dssddi-analyze` re-derives the
-// acquisition graph from source and enforces this block: LOCK005 flags an
-// edge against the order, LOCK003 a lock missing from the list, LOCK004 a
-// stale entry. (The `GlobalQueue.freed` condvar is exempt: waiting on it
-// atomically releases `GlobalQueue.state`.)
+// Every serving lock is a leaf: a thread holds at most one at a time and
+// takes it only through `dssddi_core::sync`, which recovers a poisoned lock
+// (each guarded value stays valid whatever state a panicking thread left it
+// in) and, in debug builds, panics on a nested acquisition. The five:
 //
-//   1. ModelEntry.artifacts          hot-swap slot; readers clone it and let
-//                                    go, swaps compare versions and install
-//                                    under one write guard
-//   2. ExplanationEngine.memo        explanation memo, shared by every service
-//                                    over one graph; leaf on the request path
-//   3. ModelEntry.bucket             rate-limit check entering admission
-//   4. GlobalQueue.state             global queue slots, innermost lock
-//   5. Router.traces                 slow-request exemplar ring; taken with
-//                                    no other serving lock held
+//   ModelEntry.artifacts        hot-swap slot; readers clone it and let go,
+//                               installs compare versions and swap under
+//                               one write guard
+//   ExplanationEngine.memo      explanation memo, shared by every service
+//                               over one graph; it holds memoized results only
+//   ModelEntry.bucket           per-model token bucket, checked on admission
+//   GlobalQueue.state           global queue counters; waiting on its condvar
+//                               releases the lock
+//   Router.traces               slow-request exemplar ring
 //
 /// What one hot swap replaces: a shard's service, its paired knowledge
 /// base and its model version, read and swapped together so a version
@@ -328,7 +318,7 @@ impl ModelEntry {
     /// The shard's current artifacts (requests in flight keep the `Arc`s
     /// they cloned across a concurrent swap).
     fn artifacts(&self) -> Artifacts {
-        relock(self.artifacts.read()).clone()
+        sync::read(&self.artifacts).clone()
     }
 
     fn info(&self, key: &ModelKey) -> ModelInfo {
@@ -520,7 +510,7 @@ impl ModelCatalog {
                 let mut service = DecisionService::load_with_embedded_registry_bytes(container)?;
                 let entry = self.entry(key)?;
                 service.adopt_explanation_engine(&entry.artifacts().service);
-                let mut slot = relock(entry.artifacts.write());
+                let mut slot = sync::write(&entry.artifacts);
                 check_digest(
                     key,
                     slot.service.registry().digest(),
@@ -535,7 +525,7 @@ impl ModelCatalog {
             }
             SyncArtifact::Kb => {
                 let kb = KnowledgeBase::from_container_bytes(container)?;
-                let mut slot = relock(self.entry(key)?.artifacts.write());
+                let mut slot = sync::write(&self.entry(key)?.artifacts);
                 check_digest(key, slot.service.registry().digest(), kb.registry_digest())?;
                 let newer = pulled.is_none() || kb.version() > slot.kb.version();
                 if newer {
@@ -696,7 +686,7 @@ impl Router {
                 what: what.to_string(),
             })
         };
-        if let Some(bucket) = relock(entry.bucket.lock()).as_mut() {
+        if let Some(bucket) = sync::lock(&entry.bucket).as_mut() {
             if !bucket.try_acquire_at(n_requests as f64, self.origin_nanos()) {
                 span.record(Stage::Admit, elapsed_micros(admit_start));
                 metrics.shed_rate.add(n_requests);
@@ -875,7 +865,7 @@ impl Router {
     /// what a wire `TraceDump` answers with. `limit` of zero returns the
     /// whole exemplar ring.
     pub fn trace_exemplars(&self, limit: usize) -> Vec<TraceExemplar> {
-        relock(self.traces.lock()).snapshot(limit)
+        sync::lock(&self.traces).snapshot(limit)
     }
 
     /// Records one latency sample against the shard a data-plane request
@@ -952,7 +942,7 @@ impl Router {
         }
         if let Some((model, op)) = Self::data_plane(request) {
             let exemplar = span.into_exemplar(model.to_string(), op.to_string(), total);
-            relock(self.traces.lock()).offer(exemplar);
+            sync::lock(&self.traces).offer(exemplar);
         }
         frame
     }
@@ -984,7 +974,6 @@ fn elapsed_micros(start: Instant) -> u64 {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
 

@@ -1495,7 +1495,6 @@ pub fn error_response(error: &ServingError) -> Response {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
 

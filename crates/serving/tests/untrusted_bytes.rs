@@ -10,7 +10,12 @@
 
 // Tests and examples may panic freely; the workspace-level panic-policy
 // denies target library and binary code.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic
+)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;

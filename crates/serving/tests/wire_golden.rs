@@ -5,7 +5,7 @@
 //! or reordered a field together; these frames would not. Each one must be
 //! reproduced byte for byte by the encoder and decode back to its message,
 //! so a change to any tag, field order, length prefix or CRC shows up here.
-#![allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)] // tests may panic freely
 
 use std::collections::BTreeSet;
 

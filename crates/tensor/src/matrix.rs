@@ -178,6 +178,10 @@ impl Matrix {
     /// # Panics
     /// Panics if the indices are out of bounds (programmer error).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r < rows` and `c < cols` are the documented precondition (see `# Panics`), so `r * cols + c < rows * cols = data.len()`"
+    )]
     pub fn get(&self, r: usize, c: usize) -> f32 {
         debug_assert!(
             r < self.rows && c < self.cols,
@@ -188,6 +192,10 @@ impl Matrix {
 
     /// Sets the entry at `(r, c)`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r < rows` and `c < cols` are the documented precondition, so `r * cols + c < data.len()`"
+    )]
     pub fn set(&mut self, r: usize, c: usize, value: f32) {
         debug_assert!(
             r < self.rows && c < self.cols,
@@ -198,6 +206,10 @@ impl Matrix {
 
     /// Adds `value` to the entry at `(r, c)`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r < rows` and `c < cols` are the documented precondition, so `r * cols + c < data.len()`"
+    )]
     pub fn add_at(&mut self, r: usize, c: usize, value: f32) {
         debug_assert!(
             r < self.rows && c < self.cols,
@@ -208,12 +220,20 @@ impl Matrix {
 
     /// Immutable view of row `r`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r < rows` is the documented precondition, so `(r + 1) * cols <= data.len()`"
+    )]
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutable view of row `r`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r < rows` is the documented precondition, so `(r + 1) * cols <= data.len()`"
+    )]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -303,6 +323,10 @@ impl Matrix {
 
     /// Transpose (cache-blocked: both the source rows and the destination
     /// rows of a `TRANSPOSE_BLOCK`-squared tile stay resident while it is moved).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r < rows` and `c < cols` by the tile bounds, and `out` is `cols x rows`"
+    )]
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for rr in (0..self.rows).step_by(TRANSPOSE_BLOCK) {
@@ -448,6 +472,10 @@ impl Matrix {
     }
 
     /// Horizontally concatenates `self` and `rhs` (same number of rows).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`out` has `self.cols + rhs.cols` columns, so both halves of each row exist"
+    )]
     pub fn concat_cols(&self, rhs: &Matrix) -> Result<Matrix, TensorError> {
         if self.rows != rhs.rows {
             return Err(TensorError::ShapeMismatch {

@@ -287,6 +287,10 @@ impl Tape {
 
     /// Softmax over edge logits grouped by segment (typically the edge's
     /// destination node), producing normalised attention coefficients.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every segment id is at most the maximum, so below `n_seg`; `e` enumerates `segments`, which `exps` matches in length"
+    )]
     pub fn segment_softmax(
         &mut self,
         logits: Var,
@@ -402,6 +406,10 @@ impl Tape {
     /// Returns `(input_node_index, contribution)` pairs; the backward driver
     /// accumulates them. `grad` is the upstream gradient and `out` the value
     /// produced in the forward pass.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`a_cols` is at most the concatenated row's width; segment ids are below `n_seg`, their maximum plus one"
+    )]
     pub(crate) fn backward_contributions(
         &self,
         op: &Op,

@@ -119,6 +119,10 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i < grad.len()`, and the value and both moments have the gradient's shape"
+    )]
     fn step(
         &mut self,
         params: &mut ParamSet,

@@ -43,16 +43,28 @@ impl ParamSet {
     }
 
     /// Current value of a parameter.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `ParamId` is only issued by `ParamSet::add`, so it indexes a registered parameter"
+    )]
     pub fn get(&self, id: ParamId) -> &Matrix {
         &self.values[id.0]
     }
 
     /// Mutable access to a parameter (used by optimizers).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `ParamId` is only issued by `ParamSet::add`, so it indexes a registered parameter"
+    )]
     pub fn get_mut(&mut self, id: ParamId) -> &mut Matrix {
         &mut self.values[id.0]
     }
 
     /// Name a parameter was registered under.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `ParamId` is only issued by `ParamSet::add`, so it indexes a registered name"
+    )]
     pub fn name(&self, id: ParamId) -> &str {
         &self.names[id.0]
     }

@@ -29,6 +29,10 @@ impl CsrMatrix {
     ///
     /// Duplicate `(row, col)` entries are summed. Entries outside the
     /// declared shape produce an error.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every triplet is checked against the shape above, so `r + 1 <= rows` indexes `row_ptr` of length `rows + 1`"
+    )]
     pub fn from_triplets(
         rows: usize,
         cols: usize,
@@ -90,6 +94,10 @@ impl CsrMatrix {
     }
 
     /// Iterator over the stored entries of row `r` as `(col, value)` pairs.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r < rows` is the caller's bound; `row_ptr` has `rows + 1` monotone offsets into `col_idx` and `values`"
+    )]
     pub fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
         let start = self.row_ptr[r];
         let end = self.row_ptr[r + 1];
@@ -204,6 +212,10 @@ impl CsrMatrix {
     /// over an undirected edge list (each pair added in both directions),
     /// optionally with self-loops — the propagation operator used by
     /// LightGCN-style layers (Eq. 11–12 of the paper).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every endpoint is checked against `n` above and `i < n`, so each indexes `deg` of length `n`"
+    )]
     pub fn normalized_adjacency(
         n: usize,
         edges: &[(usize, usize)],
@@ -243,6 +255,10 @@ impl CsrMatrix {
     /// Builds the row-normalised (mean aggregation) adjacency `D^{-1} A`
     /// over an undirected edge list, used by the GIN-style neighbour mean in
     /// Eq. (1) of the paper.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every endpoint is checked against `n` above, so each indexes `deg` of length `n`"
+    )]
     pub fn mean_adjacency(n: usize, edges: &[(usize, usize)]) -> Result<Self, TensorError> {
         let mut deg = vec![0usize; n];
         let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(edges.len() * 2);

@@ -77,17 +77,29 @@ impl Tape {
     }
 
     /// Value held by a variable.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `Var` is only issued by this tape's `push`, so it indexes a recorded node"
+    )]
     pub fn value(&self, v: Var) -> &Matrix {
         &self.nodes[v.0].value
     }
 
     /// Value held by a node index (internal).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node indices come from `Var`s and op inputs this tape recorded"
+    )]
     pub(crate) fn node_value(&self, i: usize) -> &Matrix {
         &self.nodes[i].value
     }
 
     /// Gradient accumulated for a variable by the last [`Tape::backward`]
     /// call, if any.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `Var` is only issued by this tape's `push`, so it indexes a recorded node"
+    )]
     pub fn grad(&self, v: Var) -> Option<&Matrix> {
         self.nodes[v.0].grad.as_ref()
     }
@@ -108,6 +120,10 @@ impl Tape {
         Var(self.nodes.len() - 1)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "an op's inputs are `Var`s recorded on this tape before it"
+    )]
     fn op_requires_grad(&self, op: &Op) -> bool {
         self.op_inputs(op)
             .iter()
@@ -147,6 +163,10 @@ impl Tape {
     /// Runs reverse-mode differentiation from `loss`, which must hold a
     /// `1 x 1` value. Gradients of all contributing nodes become available
     /// through [`Tape::grad`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`loss` is a `Var` of this tape, and every op input was recorded before the node that uses it"
+    )]
     pub fn backward(&mut self, loss: Var) -> Result<(), TensorError> {
         let loss_shape = self.nodes[loss.0].value.shape();
         if loss_shape != (1, 1) {

@@ -4,6 +4,7 @@
 //! differences on randomly generated inputs: if the tape computes
 //! `dL/dx`, then perturbing `x[i]` by ±ε must change the loss by
 //! approximately `dL/dx[i] · 2ε`.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use std::rc::Rc;
 

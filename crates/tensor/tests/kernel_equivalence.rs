@@ -1,6 +1,7 @@
 //! The blocked/fused kernels must agree with their straightforward
 //! textbook formulations — exactly, not approximately: the serving path's
 //! bit-identity guarantee is built on these kernels.
+#![allow(clippy::indexing_slicing)]
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -168,6 +169,8 @@ proptest! {
         prop_assert_eq!(bits(&t.transpose()), bits(&a));
     }
 
+    /// The fused layer matches the unfused sequence, into an output it must
+    /// overwrite.
     #[test]
     fn fused_linear_matches_matmul_bias_activation_bitwise(
         seed in 0u64..1_000_000,
@@ -188,7 +191,7 @@ proptest! {
         let w = Matrix::rand_uniform(d_in, d_out, -1.0, 1.0, &mut rng);
         let bias = Matrix::rand_uniform(1, d_out, -0.5, 0.5, &mut rng);
 
-        let mut fused = Matrix::zeros(n, d_out);
+        let mut fused = Matrix::full(n, d_out, f32::NAN);
         fused_linear_into(&mut fused, &x, &w, &bias, act).unwrap();
 
         let mut unfused = x.matmul(&w).unwrap();
@@ -201,7 +204,8 @@ proptest! {
     }
 
     /// The (potentially row-parallel) CSR product matches a dense reference
-    /// regardless of where the parallel threshold lands.
+    /// regardless of where the parallel threshold lands, into an output it
+    /// must overwrite.
     #[test]
     fn csr_matmul_dense_matches_dense_reference(
         seed in 0u64..1_000_000,
@@ -222,7 +226,8 @@ proptest! {
             .collect();
         let csr = CsrMatrix::from_triplets(n_rows, n_cols, &triplets).unwrap();
         let x = Matrix::rand_uniform(n_cols, dense_cols, -1.0, 1.0, &mut rng);
-        let sparse = csr.matmul_dense(&x).unwrap();
+        let mut sparse = Matrix::full(n_rows, dense_cols, f32::NAN);
+        csr.matmul_dense_into(&mut sparse, &x).unwrap();
         let dense = csr.to_dense().matmul(&x).unwrap();
         for (a, b) in sparse.data().iter().zip(dense.data().iter()) {
             prop_assert!((a - b).abs() <= 1e-5, "{a} vs {b}");

@@ -1,6 +1,7 @@
 //! Property-based round-trip coverage of the frame serializer: random
 //! matrices and parameter sets must survive save→load bit-exactly, and
 //! corrupted or truncated bytes must yield typed errors — never panics.
+#![allow(clippy::expect_used)]
 
 use dssddi_tensor::serde::{crc32, open_frame, seal_frame, ByteReader, ByteWriter, SerdeError};
 use dssddi_tensor::{Matrix, ParamSet};

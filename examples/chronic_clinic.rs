@@ -5,6 +5,7 @@
 //! gap is small.
 //!
 //! Run with: `cargo run --release --example chronic_clinic`
+#![allow(clippy::expect_used)]
 
 use dssddi::prelude::*;
 use rand::rngs::StdRng;

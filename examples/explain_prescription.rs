@@ -5,6 +5,7 @@
 //! support-only service built by `ServiceBuilder::build_support`.
 //!
 //! Run with: `cargo run --release --example explain_prescription`
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use dssddi::prelude::*;
 use rand::rngs::StdRng;

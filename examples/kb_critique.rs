@@ -6,6 +6,7 @@
 //! support-only).
 //!
 //! Run with: `cargo run --release --example kb_critique`
+#![allow(clippy::expect_used)]
 
 use dssddi::kb::{KbChange, KnowledgeBase};
 use dssddi::prelude::*;

@@ -10,6 +10,7 @@
 //! model can be served by the `dssddi-serve` gateway like the chronic one.
 //!
 //! Run with: `cargo run --release --example mimic_validation`
+#![allow(clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 
 use dssddi::core::config::DrugFeatureSource;
 use dssddi::prelude::*;

@@ -3,6 +3,7 @@
 //! suggestion requests plus a prescription check for a few held-out patients.
 //!
 //! Run with: `cargo run --release --example quickstart`
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use dssddi::prelude::*;
 use rand::rngs::StdRng;

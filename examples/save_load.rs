@@ -3,6 +3,7 @@
 //! file), and verify the reloaded service produces identical suggestions.
 //!
 //! Run with: `cargo run --release --example save_load`
+#![allow(clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 
 use dssddi::prelude::*;
 use rand::rngs::StdRng;

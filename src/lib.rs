@@ -426,26 +426,29 @@
 //! research training pipelines (`cargo bench -p dssddi-bench`). CI
 //! smoke-runs each of them once with `cargo bench -p dssddi-bench -- --test`.
 //!
-//! ## Static analysis
+//! ## Static checks
 //!
-//! The workspace ships its own analysis gate, [`analysis`]
-//! (`dssddi-analyze`), run by CI on every push:
+//! The compiler and the test suites hold the workspace's invariants:
 //!
-//! ```text
-//! cargo run --release -p dssddi-analyze --bin dssddi-analyze -- --deny-new --deny-stale
-//! ```
-//!
-//! It walks the workspace sources with a dependency-free lexer and
-//! enforces three invariant families no compiler checks: the canonical lock
-//! nesting order of the serving path (`LOCK00x` — acquisition-graph cycles,
-//! read→write upgrades, drift against the `LOCK ORDER:` block in
-//! `crates/serving/src/router.rs`), the panic policy (`PANIC00x` —
-//! `unwrap`/`expect`/`panic!`/indexing outside tests, ratcheted per file in
-//! `analysis/baseline.toml`), and the scratch-pool kernel convention
-//! (`KERNEL00x` — `*_into` kernels take their output first and declare
-//! `fully overwrites`). `dssddi-analyze --list` enumerates the codes;
-//! `--explain CODE` prints the rationale and the fix; `--update-baseline`
-//! tightens the ratchet after cleanups.
+//! - **Panic policy.** The serving path answers with typed errors and never
+//!   panics. `[workspace.lints.clippy]` denies `unwrap_used`, `expect_used`,
+//!   `indexing_slicing`, `panic`, `unreachable`, `todo` and `unimplemented`,
+//!   and every crate outside `vendor/` inherits that table, so
+//!   `cargo clippy --workspace --all-targets -- -D warnings` fails on a new
+//!   site. A site whose bound is proven locally carries
+//!   `#[expect(clippy::indexing_slicing, reason = "...")]` on the narrowest
+//!   `let` or item around it, its `reason` stating the bound; clippy also
+//!   fails on an expectation whose site is gone, so the marks can only be
+//!   removed, never left stale. Unit tests may panic (`clippy.toml`);
+//!   integration tests, benches and examples opt out with file-level allows.
+//! - **Leaf locks.** A thread holds at most one serving lock at a time, so
+//!   no two can deadlock. Every serving lock is taken through
+//!   [`core::sync`], which recovers a poisoned lock and, in debug builds,
+//!   panics on a nested acquisition; the debug test suites run every site.
+//! - **Kernel contract.** Each `*_into` kernel takes its output buffer first
+//!   and fully overwrites it. `crates/tensor/tests/kernel_equivalence.rs`
+//!   checks the contract by behaviour: the matmul, fused-linear and CSR
+//!   kernels write into NaN-filled outputs and must match their references.
 //!
 //! The wire registry is checked by the compiler instead: `DSWR` message
 //! tags, error codes and sync artifacts are `#[repr(u8)]` enums
@@ -457,7 +460,6 @@
 
 #![warn(missing_docs)]
 
-pub use dssddi_analyze as analysis;
 pub use dssddi_baselines as baselines;
 pub use dssddi_chaos as chaos;
 pub use dssddi_core as core;

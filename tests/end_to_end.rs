@@ -2,6 +2,7 @@
 //! data generation through training, suggestion, explanation and evaluation,
 //! through the typed [`DecisionService`] API and the engine-level
 //! [`Dssddi`] it wraps.
+#![allow(clippy::unwrap_used)]
 
 use dssddi::core::{ExplanationIndex, MsModuleConfig};
 use dssddi::prelude::*;

@@ -3,6 +3,7 @@
 //! suggestion rankings and explanations for the same requests — while
 //! corrupt, truncated or version-mismatched files produce typed
 //! [`CoreError`]s, never panics.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::PathBuf;
 

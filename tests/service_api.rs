@@ -1,6 +1,7 @@
 //! Integration tests for the typed service API surface as seen through the
 //! `dssddi` facade prelude: builder validation, identifier round-trips,
 //! filter semantics and prescription critique.
+#![allow(clippy::unwrap_used)]
 
 use dssddi::prelude::*;
 use rand::rngs::StdRng;
