@@ -19,8 +19,8 @@ fn bench_counterfactual(c: &mut Criterion) {
     let features = world.cohort.features().select_rows(&observed);
     let graph = world.cohort.bipartite_graph(&observed).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    let kmeans = fit_kmeans(&features, 16, 30, &mut rng).unwrap();
-    let treatment = TreatmentMatrix::build(&graph, kmeans.assignments(), &world.ddi).unwrap();
+    let (_, clusters) = fit_kmeans(&features, 16, 30, &mut rng).unwrap();
+    let treatment = TreatmentMatrix::build(&graph, &clusters, &world.ddi).unwrap();
     let labels = Matrix::from_fn(graph.left_count(), graph.right_count(), |p, d| {
         if graph.has_edge(p, d) {
             1.0
@@ -41,7 +41,7 @@ fn bench_counterfactual(c: &mut Criterion) {
         })
     });
     group.bench_function("treatment_matrix_300x86", |b| {
-        b.iter(|| TreatmentMatrix::build(&graph, kmeans.assignments(), &world.ddi).unwrap())
+        b.iter(|| TreatmentMatrix::build(&graph, &clusters, &world.ddi).unwrap())
     });
     group.bench_function("counterfactual_index_build", |b| {
         b.iter(|| CounterfactualIndex::build(&features, &world.drug_features, 2.0, 2.0, 16))

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dssddi_bench::BenchWorld;
-use dssddi_core::{Backbone, DdiModule, DdiModuleConfig, MdModule, MdModuleConfig};
+use dssddi_core::{train_relation_embeddings, Backbone, DdiModuleConfig, MdModule, MdModuleConfig};
 
 fn bench_ddigcn(c: &mut Criterion) {
     let world = BenchWorld::new(50, 2);
@@ -24,7 +24,7 @@ fn bench_ddigcn(c: &mut Criterion) {
         group.bench_function(format!("five_epochs_{}", backbone.name()), |b| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(3);
-                DdiModule::train(&world.ddi, &config, &mut rng).unwrap()
+                train_relation_embeddings(&world.ddi, &config, &mut rng).unwrap()
             })
         });
     }

@@ -397,12 +397,12 @@ mod tests {
     fn treatment_works_with_kmeans_clusters() {
         let (graph, _, ddi, patient_features, _) = setup();
         let mut rng = StdRng::seed_from_u64(0);
-        let km = fit_kmeans(&patient_features, 2, 20, &mut rng).unwrap();
-        let t = TreatmentMatrix::build(&graph, km.assignments(), &ddi).unwrap();
+        let (_, clusters) = fit_kmeans(&patient_features, 2, 20, &mut rng).unwrap();
+        let t = TreatmentMatrix::build(&graph, &clusters, &ddi).unwrap();
         assert_eq!(t.matrix().shape(), (4, 5));
         // Patients 0 and 1 are close, so they land in the same cluster and
         // share treatments.
-        assert_eq!(km.assignments()[0], km.assignments()[1]);
+        assert_eq!(clusters[0], clusters[1]);
         assert_eq!(t.get(1, 0), 1.0);
     }
 }

@@ -8,10 +8,12 @@
 //! non-interactions) — Eq. 6. The learned drug relation embeddings are
 //! shared with the Medical Decision module.
 //!
-//! The module is a training step: [`crate::system::Dssddi::fit`] trains it,
-//! hands its embeddings to [`crate::md_module::MdModule::fit`], which adds
-//! them into the drug representations, and drops it. Prediction never reads
-//! it, so neither the fitted engine nor a `DSSD` container holds it.
+//! The module is a training step, so it is one function,
+//! [`train_relation_embeddings`]: [`crate::system::fit_dssddi`] calls it and
+//! hands the embeddings to [`crate::md_module::MdModule::fit`], which adds
+//! them into the drug representations. Prediction never reads them, so
+//! neither a fitted [`crate::md_module::MdModule`] nor a `DSSD` container
+//! holds them.
 
 use std::rc::Rc;
 
@@ -167,110 +169,79 @@ impl BackboneNet {
     }
 }
 
-/// A trained DDI module holding the learned drug relation embeddings.
-pub struct DdiModule {
-    embeddings: Matrix,
-    losses: Vec<f32>,
-}
+/// Trains DDIGCN on a signed DDI graph and returns the learned drug
+/// relation embeddings (`n_drugs x hidden_dim`). Explicit no-interaction
+/// edges are sampled automatically when the graph does not already contain
+/// them (Section IV-A1).
+pub fn train_relation_embeddings(
+    graph: &SignedGraph,
+    config: &DdiModuleConfig,
+    rng: &mut impl Rng,
+) -> Result<Matrix, CoreError> {
+    let n = graph.node_count();
+    if n == 0 {
+        return Err(CoreError::invalid_input("DDI graph has no drugs"));
+    }
+    // Ensure the training edge set contains explicit non-interactions.
+    let mut graph = graph.clone();
+    let real = graph.synergistic_count() + graph.antagonistic_count();
+    let explicit_none = graph.edge_count() - real;
+    let wanted_none = config.negative_edges.unwrap_or(real);
+    if explicit_none < wanted_none {
+        graph.sample_no_interaction_edges(wanted_none - explicit_none, rng);
+    }
+    let ctx = SignedGraphContext::new(&graph)?;
+    if ctx.labelled_edges.is_empty() {
+        return Err(CoreError::invalid_input(
+            "DDI graph has no edges to regress on",
+        ));
+    }
 
-impl DdiModule {
-    /// Trains DDIGCN on a signed DDI graph. Explicit no-interaction edges
-    /// are sampled automatically when the graph does not already contain
-    /// them (Section IV-A1).
-    pub fn train(
-        graph: &SignedGraph,
-        config: &DdiModuleConfig,
-        rng: &mut impl Rng,
-    ) -> Result<Self, CoreError> {
-        let n = graph.node_count();
-        if n == 0 {
-            return Err(CoreError::invalid_input("DDI graph has no drugs"));
-        }
-        // Ensure the training edge set contains explicit non-interactions.
-        let mut graph = graph.clone();
-        let real = graph.synergistic_count() + graph.antagonistic_count();
-        let explicit_none = graph.edge_count() - real;
-        let wanted_none = config.negative_edges.unwrap_or(real);
-        if explicit_none < wanted_none {
-            graph.sample_no_interaction_edges(wanted_none - explicit_none, rng);
-        }
-        let ctx = SignedGraphContext::new(&graph)?;
-        if ctx.labelled_edges.is_empty() {
-            return Err(CoreError::invalid_input(
-                "DDI graph has no edges to regress on",
-            ));
-        }
+    let mut params = ParamSet::new();
+    let net = BackboneNet::build(
+        config.backbone,
+        n,
+        config.hidden_dim,
+        config.layers,
+        &mut params,
+        rng,
+    )?;
 
-        let mut params = ParamSet::new();
-        let net = BackboneNet::build(
-            config.backbone,
-            n,
-            config.hidden_dim,
-            config.layers,
-            &mut params,
-            rng,
-        )?;
+    let edge_u: Vec<usize> = ctx.labelled_edges.iter().map(|&(u, _, _)| u).collect();
+    let edge_v: Vec<usize> = ctx.labelled_edges.iter().map(|&(_, v, _)| v).collect();
+    let labels = Matrix::from_vec(
+        ctx.labelled_edges.len(),
+        1,
+        ctx.labelled_edges.iter().map(|&(_, _, l)| l).collect(),
+    )?;
 
-        let edge_u: Vec<usize> = ctx.labelled_edges.iter().map(|&(u, _, _)| u).collect();
-        let edge_v: Vec<usize> = ctx.labelled_edges.iter().map(|&(_, v, _)| v).collect();
-        let labels = Matrix::from_vec(
-            ctx.labelled_edges.len(),
-            1,
-            ctx.labelled_edges.iter().map(|&(_, _, l)| l).collect(),
-        )?;
-
-        let mut optimizer = Adam::new(config.learning_rate);
-        let mut losses = Vec::with_capacity(config.epochs);
-        // The one-hot identity features are built exactly once and shared
-        // with every epoch's tape (an `n x n` matrix used to be cloned per
-        // epoch and again for the final extraction pass).
-        let one_hot = Rc::new(init::one_hot_ids(n));
-        for _ in 0..config.epochs {
-            let mut tape = Tape::new();
-            let mut binder = Binder::new();
-            let x = tape.constant_shared(Rc::clone(&one_hot));
-            let z = net.forward(&mut tape, &params, &mut binder, &ctx, x)?;
-            let zu = tape.select_rows(z, &edge_u)?;
-            let zv = tape.select_rows(z, &edge_v)?;
-            let prod = tape.mul(zu, zv)?;
-            let scores = tape.sum_cols(prod);
-            let loss = tape.mse_loss(scores, &labels)?;
-            tape.backward(loss)?;
-            let grads = binder.grads(&tape, &params);
-            optimizer.step(&mut params, &grads)?;
-            losses.push(tape.value(loss).get(0, 0));
-        }
-
-        // One more pass of the same taped forward extracts the learned
-        // embeddings; it runs once per fit, so it needs no tape-free twin.
+    let mut optimizer = Adam::new(config.learning_rate);
+    // The one-hot identity features are built exactly once and shared
+    // with every epoch's tape (an `n x n` matrix used to be cloned per
+    // epoch and again for the final extraction pass).
+    let one_hot = Rc::new(init::one_hot_ids(n));
+    for _ in 0..config.epochs {
         let mut tape = Tape::new();
         let mut binder = Binder::new();
-        let x = tape.constant_shared(one_hot);
+        let x = tape.constant_shared(Rc::clone(&one_hot));
         let z = net.forward(&mut tape, &params, &mut binder, &ctx, x)?;
-        let embeddings = tape.value(z).clone();
-
-        Ok(Self { embeddings, losses })
+        let zu = tape.select_rows(z, &edge_u)?;
+        let zv = tape.select_rows(z, &edge_v)?;
+        let prod = tape.mul(zu, zv)?;
+        let scores = tape.sum_cols(prod);
+        let loss = tape.mse_loss(scores, &labels)?;
+        tape.backward(loss)?;
+        let grads = binder.grads(&tape, &params);
+        optimizer.step(&mut params, &grads)?;
     }
 
-    /// The learned drug relation embeddings (`n_drugs x hidden_dim`).
-    pub fn embeddings(&self) -> &Matrix {
-        &self.embeddings
-    }
-
-    /// Per-epoch training loss trace.
-    pub fn training_losses(&self) -> &[f32] {
-        &self.losses
-    }
-
-    /// Predicted interaction score for a drug pair (inner product of the
-    /// learned embeddings, Eq. 5): positive values lean synergistic,
-    /// negative values antagonistic.
-    pub fn interaction_score(&self, u: usize, v: usize) -> Option<f32> {
-        if u >= self.embeddings.rows() || v >= self.embeddings.rows() {
-            return None;
-        }
-        Some(self.embeddings.row_dot(u, &self.embeddings, v))
-    }
+    // One more pass of the same taped forward extracts the learned
+    // embeddings; it runs once per fit, so it needs no tape-free twin.
+    let mut tape = Tape::new();
+    let mut binder = Binder::new();
+    let x = tape.constant_shared(one_hot);
+    let z = net.forward(&mut tape, &params, &mut binder, &ctx, x)?;
+    Ok(tape.value(z).clone())
 }
 
 #[cfg(test)]
@@ -303,33 +274,52 @@ mod tests {
         }
     }
 
+    /// Mean squared error of the embeddings' inner products (Eq. 5)
+    /// against the signs of the graph's edges (Eq. 6).
+    fn edge_loss(graph: &SignedGraph, z: &Matrix) -> f32 {
+        let errors: Vec<f32> = graph
+            .interactions()
+            .map(|(u, v, interaction)| {
+                let label = match interaction {
+                    Interaction::Synergistic => 1.0,
+                    Interaction::Antagonistic => -1.0,
+                    Interaction::None => 0.0,
+                };
+                (z.row_dot(u, z, v) - label).powi(2)
+            })
+            .collect();
+        errors.iter().sum::<f32>() / errors.len() as f32
+    }
+
     #[test]
     fn training_reduces_loss_for_every_backbone() {
         for backbone in Backbone::ALL {
-            let mut rng = StdRng::seed_from_u64(0);
-            let module = DdiModule::train(&toy_ddi(), &quick(backbone), &mut rng).unwrap();
-            let losses = module.training_losses();
-            let first = losses[..10.min(losses.len())].iter().sum::<f32>() / 10.0;
-            let last = losses[losses.len().saturating_sub(10)..]
-                .iter()
-                .sum::<f32>()
-                / 10.0;
+            let train = |config: &DdiModuleConfig| {
+                let mut rng = StdRng::seed_from_u64(0);
+                train_relation_embeddings(&toy_ddi(), config, &mut rng).unwrap()
+            };
+            let z = train(&quick(backbone));
+            let one_epoch = train(&DdiModuleConfig {
+                epochs: 1,
+                ..quick(backbone)
+            });
+            let (first, last) = (edge_loss(&toy_ddi(), &one_epoch), edge_loss(&toy_ddi(), &z));
             assert!(
                 last < first,
                 "{}: loss did not decrease ({first} -> {last})",
                 backbone.name()
             );
-            assert_eq!(module.embeddings().shape(), (10, 8));
-            assert!(module.embeddings().all_finite());
+            assert_eq!(z.shape(), (10, 8));
+            assert!(z.all_finite());
         }
     }
 
     #[test]
     fn synergistic_pairs_score_above_antagonistic_pairs() {
         let mut rng = StdRng::seed_from_u64(1);
-        let module = DdiModule::train(&toy_ddi(), &quick(Backbone::Sgcn), &mut rng).unwrap();
-        let syn = module.interaction_score(0, 1).unwrap();
-        let ant = module.interaction_score(0, 5).unwrap();
+        let z = train_relation_embeddings(&toy_ddi(), &quick(Backbone::Sgcn), &mut rng).unwrap();
+        let syn = z.row_dot(0, &z, 1);
+        let ant = z.row_dot(0, &z, 5);
         assert!(
             syn > ant,
             "synergy score {syn} should exceed antagonism score {ant}"
@@ -344,13 +334,13 @@ mod tests {
             backbone: Backbone::Sgcn,
             ..quick(Backbone::Sgcn)
         };
-        assert!(DdiModule::train(&toy_ddi(), &bad, &mut rng).is_err());
+        assert!(train_relation_embeddings(&toy_ddi(), &bad, &mut rng).is_err());
         let bad2 = DdiModuleConfig {
             hidden_dim: 7,
             backbone: Backbone::Sigat,
             ..quick(Backbone::Sigat)
         };
-        assert!(DdiModule::train(&toy_ddi(), &bad2, &mut rng).is_err());
+        assert!(train_relation_embeddings(&toy_ddi(), &bad2, &mut rng).is_err());
         // GIN accepts odd dimensions.
         let ok = DdiModuleConfig {
             hidden_dim: 7,
@@ -358,21 +348,13 @@ mod tests {
             backbone: Backbone::Gin,
             ..quick(Backbone::Gin)
         };
-        assert!(DdiModule::train(&toy_ddi(), &ok, &mut rng).is_ok());
+        assert!(train_relation_embeddings(&toy_ddi(), &ok, &mut rng).is_ok());
     }
 
     #[test]
     fn empty_graph_is_rejected() {
         let mut rng = StdRng::seed_from_u64(3);
         let empty = SignedGraph::new(0);
-        assert!(DdiModule::train(&empty, &quick(Backbone::Gin), &mut rng).is_err());
-    }
-
-    #[test]
-    fn interaction_score_bounds_check() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let module = DdiModule::train(&toy_ddi(), &quick(Backbone::Gin), &mut rng).unwrap();
-        assert!(module.interaction_score(0, 99).is_none());
-        assert!(module.interaction_score(0, 1).is_some());
+        assert!(train_relation_embeddings(&empty, &quick(Backbone::Gin), &mut rng).is_err());
     }
 }

@@ -5,8 +5,9 @@
 //! * [`ddi_module`] — the Drug-Drug Interaction module: DDIGCN learns drug
 //!   relation embeddings from the signed DDI graph by edge regression
 //!   (Section IV-A), with GIN / SGCN / SiGAT / SNEA backbones. It is a
-//!   training step: fitting adds its embeddings into the MD module's drug
-//!   representations, and the fitted engine does not keep it.
+//!   training step, [`train_relation_embeddings`]: fitting adds its
+//!   embeddings into the MD module's drug representations, and the fitted
+//!   model does not keep them.
 //! * [`md_module`] — the Medical Decision module: counterfactual link
 //!   construction over the patient–drug bipartite graph (Section IV-B1) and
 //!   MDGCN, a LightGCN-style encoder with a personalised patient branch and
@@ -15,11 +16,12 @@
 //!   explanation subgraphs and the Suggestion Satisfaction measure
 //!   (Section IV-C, Eq. 19), served through one [`ExplanationEngine`] per
 //!   DDI graph and MS configuration.
-//! * [`system`] — the end-to-end [`Dssddi`] engine: train DDIGCN on the DDI
-//!   graph and MDGCN on observed patients, keep the MD module, predict
-//!   medication-use scores for new patients, and explain drug sets.
+//! * [`system`] — [`fit_dssddi`], the end-to-end training of Fig. 4: DDIGCN
+//!   on the DDI graph, then MDGCN on observed patients. It returns the
+//!   fitted system, which is the MD module alone.
 //! * [`service`] — the doctor-facing [`DecisionService`]: typed suggestion
-//!   and prescription-critique requests over a fitted engine.
+//!   and prescription-critique requests over a fitted MD module, explained
+//!   through the MS module.
 
 #![warn(missing_docs)]
 
@@ -35,7 +37,7 @@ pub mod system;
 
 pub use config::{Backbone, DdiModuleConfig, DssddiConfig, MdModuleConfig, MsModuleConfig};
 pub use counterfactual::{CounterfactualLinks, TreatmentMatrix};
-pub use ddi_module::DdiModule;
+pub use ddi_module::train_relation_embeddings;
 pub use md_module::MdModule;
 pub use ms_module::{
     suggestion_satisfaction, Explanation, ExplanationCache, ExplanationEngine, ExplanationIndex,
@@ -46,7 +48,7 @@ pub use service::{
     PatientId, ScoredDrug, ServiceBuilder, SuggestFilters, SuggestRequest, SuggestResponse,
     DSSD_FORMAT_VERSION, DSSD_MAGIC,
 };
-pub use system::Dssddi;
+pub use system::fit_dssddi;
 
 // The clinical knowledge-base types travel with the request/response types
 // they annotate (`CheckPrescriptionRequest.policy`, `PairInteraction.severity`),

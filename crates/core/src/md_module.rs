@@ -32,7 +32,7 @@ use crate::persist::{self, section};
 use crate::CoreError;
 
 /// A fitted Medical Decision module: only what
-/// [`MdModule::predict_scores`] reads, plus the training trace.
+/// [`MdModule::predict_scores`] reads.
 pub struct MdModule {
     params: ParamSet,
     patient_w: ParamId,
@@ -44,8 +44,6 @@ pub struct MdModule {
     /// DDI graph when the module is fitted, and persisted in its place.
     cluster_treatment: Matrix,
     drug_repr: Matrix,
-    losses: Vec<f32>,
-    counterfactual_match_rate: f64,
 }
 
 /// The two bipartite propagation operators: patients→drugs and drugs→patients.
@@ -135,7 +133,10 @@ impl MdModule {
             None
         };
 
-        // Parameters.
+        // Parameters. The drug projection only trains `drug_repr`, so it is
+        // registered last and dropped after training, leaving the ids of the
+        // parameters prediction reads unchanged. Its initial value is drawn
+        // where it always was in the RNG stream, so training is unchanged.
         let mut params = ParamSet::new();
         let h = config.hidden_dim;
         let patient_w = params.add(
@@ -143,11 +144,7 @@ impl MdModule {
             init::xavier_uniform(train_features.cols(), h, rng),
         );
         let patient_b = params.add("md.patient_b", init::zeros(1, h));
-        let drug_w = params.add(
-            "md.drug_w",
-            init::xavier_uniform(drug_features.cols(), h, rng),
-        );
-        let drug_b = params.add("md.drug_b", init::zeros(1, h));
+        let drug_w_init = init::xavier_uniform(drug_features.cols(), h, rng);
         let decoder = Mlp::new(
             "md.decoder",
             &[h + 1, h, 1],
@@ -156,13 +153,14 @@ impl MdModule {
             &mut params,
             rng,
         );
+        let drug_w = params.add("md.drug_w", drug_w_init);
+        let drug_b = params.add("md.drug_b", init::zeros(1, h));
 
         // Treatment matrix: K-means clusters + observed links + DDI synergy.
         let n_clusters = config.n_clusters.max(1).min(m);
-        let kmeans = fit_kmeans(train_features, n_clusters, 50, rng)?;
-        let clusters = kmeans.assignments();
-        let treatment = TreatmentMatrix::build(train_graph, clusters, ddi_graph)?;
-        let cluster_treatment = treatment.cluster_rows(kmeans.k(), clusters, ddi_graph);
+        let (kmeans, clusters) = fit_kmeans(train_features, n_clusters, 50, rng)?;
+        let treatment = TreatmentMatrix::build(train_graph, &clusters, ddi_graph)?;
+        let cluster_treatment = treatment.cluster_rows(kmeans.k(), &clusters, ddi_graph);
         let labels = Matrix::from_fn(
             m,
             n,
@@ -190,9 +188,6 @@ impl MdModule {
         let ddi_embeddings_rc = ddi_embeddings.map(|m| Rc::new(m.clone()));
 
         let mut optimizer = Adam::new(config.learning_rate);
-        let mut losses = Vec::with_capacity(config.epochs);
-        let mut matched = 0usize;
-        let mut total_cf = 0usize;
 
         for _ in 0..config.epochs {
             let batch = sample_link_batch(train_graph, config.negatives_per_positive, rng);
@@ -208,10 +203,6 @@ impl MdModule {
             let counterfactual = cf_index
                 .as_ref()
                 .map(|idx| idx.find_links(&batch.patients, &batch.drugs, &treatment, &labels));
-            if let Some(cf) = &counterfactual {
-                matched += cf.matched;
-                total_cf += cf.treatments.len();
-            }
 
             let mut tape = Tape::new();
             let mut binder = Binder::new();
@@ -267,7 +258,6 @@ impl MdModule {
             tape.backward(loss)?;
             let grads = binder.grads(&tape, &params);
             optimizer.step(&mut params, &grads)?;
-            losses.push(tape.value(loss).get(0, 0));
         }
 
         // Cache the final drug representations for inference.
@@ -288,22 +278,21 @@ impl MdModule {
             ddi_embeddings_rc.as_ref(),
         )?;
         let drug_repr = tape.value(hd).clone();
-        let counterfactual_match_rate = if total_cf == 0 {
-            0.0
-        } else {
-            matched as f64 / total_cf as f64
-        };
 
+        // Keep every parameter registered before the drug projection; each
+        // keeps its position, so its `ParamId` stays valid.
+        let mut kept = ParamSet::new();
+        for (id, value) in params.iter().take_while(|&(id, _)| id != drug_w) {
+            kept.add(params.name(id), value.clone());
+        }
         let module = Self {
-            params,
+            params: kept,
             patient_w,
             patient_b,
             decoder,
             kmeans,
             cluster_treatment,
             drug_repr,
-            losses,
-            counterfactual_match_rate,
         };
         // A model loading would refuse must not leave training either.
         if let Some(name) = module.non_finite_part() {
@@ -315,10 +304,10 @@ impl MdModule {
         Ok(module)
     }
 
-    /// Serializes the fitted module: the full parameter set, the decoder
-    /// structure, the k-means model, the per-cluster treatment table and
-    /// the cached drug representations — everything
-    /// [`MdModule::predict_scores`] touches — plus the training trace.
+    /// Serializes the fitted module: the parameter set (the patient
+    /// projection and the decoder), the decoder structure, the k-means
+    /// centroids, the per-cluster treatment table and the cached drug
+    /// representations — everything [`MdModule::predict_scores`] touches.
     pub(crate) fn write_into(&self, w: &mut ByteWriter) {
         persist::put_section(w, section::MD_MODULE);
         w.put_param_set(&self.params);
@@ -328,8 +317,6 @@ impl MdModule {
         persist::write_kmeans(w, &self.kmeans);
         w.put_matrix(&self.cluster_treatment);
         w.put_matrix(&self.drug_repr);
-        w.put_f32_slice(&self.losses);
-        w.put_f64(self.counterfactual_match_rate);
     }
 
     /// Reconstructs a fitted module written by [`MdModule::write_into`],
@@ -345,8 +332,6 @@ impl MdModule {
         let kmeans = persist::read_kmeans(r)?;
         let cluster_treatment = r.take_matrix("md_module.cluster_treatment")?;
         let drug_repr = r.take_matrix("md_module.drug_repr")?;
-        let losses = r.take_f32_vec("md_module.losses")?;
-        let counterfactual_match_rate = r.take_f64("md_module.counterfactual_match_rate")?;
 
         let corrupt = |what: String| SerdeError::Corrupt { what };
         if cluster_treatment.shape() != (kmeans.k(), drug_repr.rows()) {
@@ -400,8 +385,6 @@ impl MdModule {
             kmeans,
             cluster_treatment,
             drug_repr,
-            losses,
-            counterfactual_match_rate,
         };
         if let Some(name) = module.non_finite_part() {
             return Err(corrupt(format!(
@@ -413,8 +396,7 @@ impl MdModule {
 
     /// The name of the first value prediction reads that holds a NaN or
     /// infinity, if any. Such a weight would rank drugs on NaN scores, so
-    /// neither training nor loading may hand the module out. The training
-    /// losses are only a trace that prediction never reads.
+    /// neither training nor loading may hand the module out.
     fn non_finite_part(&self) -> Option<&str> {
         self.params
             .iter()
@@ -426,17 +408,6 @@ impl MdModule {
             ])
             .find(|(_, m)| !m.all_finite())
             .map(|(name, _)| name)
-    }
-
-    /// Per-epoch training loss trace.
-    pub fn training_losses(&self) -> &[f32] {
-        &self.losses
-    }
-
-    /// Fraction of counterfactual searches that found an opposite-treatment
-    /// neighbour within the γ thresholds.
-    pub fn counterfactual_match_rate(&self) -> f64 {
-        self.counterfactual_match_rate
     }
 
     /// The final drug representations `h'_v` (+ DDI embeddings if enabled).
@@ -725,22 +696,44 @@ mod tests {
         }
     }
 
+    /// Mean cross-entropy of the predicted scores of the training patients
+    /// against their observed medication use.
+    fn prediction_loss(module: &MdModule, features: &Matrix, graph: &BipartiteGraph) -> f32 {
+        let scores = module.predict_scores(features).unwrap();
+        let mut total = 0.0;
+        for p in 0..scores.rows() {
+            for d in 0..scores.cols() {
+                let s = scores.get(p, d).clamp(1e-6, 1.0 - 1e-6);
+                total -= if graph.has_edge(p, d) { s } else { 1.0 - s }.ln();
+            }
+        }
+        total / scores.len() as f32
+    }
+
     #[test]
     fn training_reduces_loss_and_learns_group_preferences() {
         let (features, graph, drug_features, ddi) = toy();
-        let mut rng = StdRng::seed_from_u64(0);
-        let module = MdModule::fit(
-            &features,
-            &graph,
-            &drug_features,
-            &ddi,
-            None,
-            &quick_config(),
-            &mut rng,
-        )
-        .unwrap();
-        let losses = module.training_losses();
-        assert!(losses.last().unwrap() < losses.first().unwrap());
+        let fit = |config: &MdModuleConfig| {
+            let mut rng = StdRng::seed_from_u64(0);
+            MdModule::fit(
+                &features,
+                &graph,
+                &drug_features,
+                &ddi,
+                None,
+                config,
+                &mut rng,
+            )
+            .unwrap()
+        };
+        let module = fit(&quick_config());
+        let one_epoch = fit(&MdModuleConfig {
+            epochs: 1,
+            ..quick_config()
+        });
+        let trained = prediction_loss(&module, &features, &graph);
+        let untrained = prediction_loss(&one_epoch, &features, &graph);
+        assert!(trained < untrained, "{untrained} -> {trained}");
 
         // A new patient with group-0 features should rank drugs 0/1 above 4/5.
         let new_patient = Matrix::from_vec(1, 4, vec![1.0, 1.0, 0.0, 0.0]).unwrap();
@@ -945,10 +938,11 @@ mod tests {
     }
 
     /// Every row of the cluster table against the per-patient reference
-    /// it replaced, rebuilt from the training data and the module's k-means
-    /// assignments.
+    /// it replaced, rebuilt from the training data and the clusters the
+    /// module's k-means assigns the training patients to.
     fn assert_table_matches_for_new_patient(
         module: &MdModule,
+        train_features: &Matrix,
         train_graph: &BipartiteGraph,
         ddi: &SignedGraph,
     ) {
@@ -958,10 +952,10 @@ mod tests {
             (k, module.n_drugs()),
             "one row per cluster, one column per drug"
         );
-        let clusters = module.kmeans.assignments();
-        let treatment = TreatmentMatrix::build(train_graph, clusters, ddi).unwrap();
+        let clusters = module.kmeans.predict(train_features);
+        let treatment = TreatmentMatrix::build(train_graph, &clusters, ddi).unwrap();
         for c in 0..k {
-            let reference = treatment.for_new_patient(c, clusters, ddi);
+            let reference = treatment.for_new_patient(c, &clusters, ddi);
             assert_eq!(
                 bits(module.cluster_treatment.row(c)),
                 bits(&reference),
@@ -984,8 +978,27 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        assert_table_matches_for_new_patient(&toy, &graph, &ddi);
-        assert_table_matches_for_new_patient(&round_trip(&toy).unwrap(), &graph, &ddi);
+        assert_table_matches_for_new_patient(&toy, &features, &graph, &ddi);
+        let reloaded_toy = round_trip(&toy).unwrap();
+        assert_table_matches_for_new_patient(&reloaded_toy, &features, &graph, &ddi);
+        // A fitted module keeps the patient projection and the decoder, and
+        // not the drug projection that only trained the drug representations.
+        let names: Vec<&str> = reloaded_toy
+            .params
+            .iter()
+            .map(|(id, _)| reloaded_toy.params.name(id))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "md.patient_w",
+                "md.patient_b",
+                "md.decoder.w0",
+                "md.decoder.b0",
+                "md.decoder.w1",
+                "md.decoder.b1"
+            ]
+        );
 
         // A service on the 86-drug formulary, whose synergy edges chain, and
         // the same service after its `DSSD` container is reloaded.
@@ -998,20 +1011,22 @@ mod tests {
         let cohort = generate_chronic_cohort(&registry, &ddi, &config, &mut rng).unwrap();
         let drug_features = Matrix::rand_uniform(registry.len(), 16, -0.1, 0.1, &mut rng);
         let observed: Vec<usize> = (0..55).collect();
+        let train_features = cohort.features().select_rows(&observed);
         let train_graph = cohort.bipartite_graph(&observed).unwrap();
         let service = ServiceBuilder::fast()
             .hidden_dim(16)
             .epochs(25, 30)
             .fit_chronic(&cohort, &observed, &drug_features, &ddi, &mut rng)
             .unwrap();
-        let fitted = service.engine().unwrap().md_module();
+        let fitted = service.md_module().unwrap();
         assert!(fitted.kmeans.k() > 2, "{} clusters", fitted.kmeans.k());
-        assert_table_matches_for_new_patient(fitted, &train_graph, &ddi);
-        let reloaded =
-            DecisionService::load_with_embedded_registry_bytes(&service.to_container_bytes())
-                .unwrap();
-        let reloaded_md = reloaded.engine().unwrap().md_module();
-        assert_table_matches_for_new_patient(reloaded_md, &train_graph, &ddi);
+        assert_table_matches_for_new_patient(fitted, &train_features, &train_graph, &ddi);
+        let container = service.to_container_bytes();
+        let drug_w: &[u8] = b"md.drug_w";
+        assert!(!container.windows(drug_w.len()).any(|w| w == drug_w));
+        let reloaded = DecisionService::load_with_embedded_registry_bytes(&container).unwrap();
+        let reloaded_md = reloaded.md_module().unwrap();
+        assert_table_matches_for_new_patient(reloaded_md, &train_features, &train_graph, &ddi);
         assert_eq!(
             bits(reloaded_md.cluster_treatment.data()),
             bits(fitted.cluster_treatment.data())
@@ -1042,12 +1057,7 @@ mod tests {
                 0.5
             }
         });
-        module.kmeans = KMeans::from_parts(
-            wider,
-            module.kmeans.assignments().to_vec(),
-            module.kmeans.inertia(),
-        )
-        .unwrap();
+        module.kmeans = KMeans::from_centroids(wider).unwrap();
         match round_trip(&module) {
             Err(SerdeError::Corrupt { what }) => {
                 assert!(
@@ -1062,33 +1072,28 @@ mod tests {
     }
 
     #[test]
-    fn counterfactual_training_matches_some_pairs() {
+    fn counterfactual_loss_reaches_the_drug_representations() {
         let (features, graph, drug_features, ddi) = toy();
-        let mut rng = StdRng::seed_from_u64(5);
-        let module = MdModule::fit(
-            &features,
-            &graph,
-            &drug_features,
-            &ddi,
-            None,
-            &quick_config(),
-            &mut rng,
-        )
-        .unwrap();
-        assert!(module.counterfactual_match_rate() > 0.0);
-        // Disabling counterfactuals trains too and reports a zero match rate.
-        let mut cfg = quick_config();
-        cfg.use_counterfactual = false;
-        let module2 = MdModule::fit(
-            &features,
-            &graph,
-            &drug_features,
-            &ddi,
-            None,
-            &cfg,
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(module2.counterfactual_match_rate(), 0.0);
+        let seeded_fit = |use_counterfactual| {
+            let mut rng = StdRng::seed_from_u64(5);
+            let config = MdModuleConfig {
+                use_counterfactual,
+                ..quick_config()
+            };
+            MdModule::fit(
+                &features,
+                &graph,
+                &drug_features,
+                &ddi,
+                None,
+                &config,
+                &mut rng,
+            )
+            .unwrap()
+        };
+        assert_ne!(
+            bits(seeded_fit(true).drug_representations().data()),
+            bits(seeded_fit(false).drug_representations().data())
+        );
     }
 }

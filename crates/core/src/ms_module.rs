@@ -9,7 +9,7 @@
 //! the antagonistic interactions pointing at non-suggested drugs.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use dssddi_graph::{
     closest_truss_community_with, truss_decomposition, Community, Interaction, SignedGraph,
@@ -493,12 +493,15 @@ impl ExplanationIndex {
 /// model that ranked the drugs. So services over an equal graph and MS
 /// configuration share one engine behind an `Arc`
 /// ([`ExplanationEngine::explains_like`] decides), and a retrained model
-/// swapped in over an unchanged graph keeps the memo warm.
+/// swapped in over an unchanged graph keeps the memo warm. The index is
+/// built by the engine's first explanation, so an engine that a reload
+/// creates and then drops for a shared one never builds it.
 #[derive(Debug)]
 pub struct ExplanationEngine {
     graph: SignedGraph,
     config: MsModuleConfig,
-    index: ExplanationIndex,
+    /// Built on first use, never while the memo lock is held.
+    index: OnceLock<ExplanationIndex>,
     /// Suggested sets already explained. A leaf lock, held for one lookup
     /// or one insert and never during a community search, so cold
     /// explanations overlap across the threads that share the engine.
@@ -506,15 +509,15 @@ pub struct ExplanationEngine {
 }
 
 impl ExplanationEngine {
-    /// Builds the engine for a DDI graph and MS configuration: the index
-    /// (one structural projection and one truss decomposition) and an
-    /// empty memo of [`DEFAULT_EXPLANATION_CACHE_CAPACITY`] sets.
+    /// Creates the engine for a DDI graph and MS configuration, with an
+    /// empty memo of [`DEFAULT_EXPLANATION_CACHE_CAPACITY`] sets. The index
+    /// (one structural projection and one truss decomposition) waits for
+    /// the first explanation.
     pub fn new(graph: SignedGraph, config: MsModuleConfig) -> Self {
-        let index = ExplanationIndex::build(&graph);
         Self {
             graph,
             config,
-            index,
+            index: OnceLock::new(),
             memo: Mutex::new(ExplanationCache::new()),
         }
     }
@@ -538,7 +541,7 @@ impl ExplanationEngine {
     /// and the explanation is of the set.
     pub fn explain(&self, drugs: &[usize]) -> Result<Explanation, CoreError> {
         let key = ExplanationCache::canonical_key(drugs);
-        self.index.explain(&self.graph, &key, &self.config)
+        self.index().explain(&self.graph, &key, &self.config)
     }
 
     /// Explains a suggested drug set through the memo, and says whether the
@@ -553,9 +556,16 @@ impl ExplanationEngine {
         }
         // Two threads may race on the same set and search it twice; the
         // search is deterministic, so either insert wins harmlessly.
-        let computed = self.index.explain(&self.graph, &key, &self.config)?;
+        let computed = self.index().explain(&self.graph, &key, &self.config)?;
         self.lock_memo().insert(&key, &computed);
         Ok((computed, false))
+    }
+
+    /// The explanation index, built by the first call. Concurrent first
+    /// calls wait for one build.
+    fn index(&self) -> &ExplanationIndex {
+        self.index
+            .get_or_init(|| ExplanationIndex::build(&self.graph))
     }
 
     /// Number of drug sets the memo holds.
@@ -849,6 +859,14 @@ mod tests {
             assert!(reversed > 1000);
             assert!(engine.memo_len() <= DEFAULT_EXPLANATION_CACHE_CAPACITY);
         }
+    }
+
+    #[test]
+    fn the_index_is_built_by_the_first_explanation() {
+        let engine = ExplanationEngine::new(ddi(), MsModuleConfig::default());
+        assert!(engine.index.get().is_none(), "a new engine built its index");
+        engine.explain_memoized(&[0, 1]).unwrap();
+        assert!(engine.index.get().is_some());
     }
 
     /// An explanation of {0, 1, 2} over the test graph, for hand edits.

@@ -23,7 +23,6 @@ pub(crate) mod section {
     pub const SIGNED_GRAPH: u8 = 0xC1;
     pub const KMEANS: u8 = 0xC2;
     pub const MD_MODULE: u8 = 0xC4;
-    pub const ENGINE: u8 = 0xC5;
     pub const SERVICE: u8 = 0xC6;
 }
 
@@ -229,22 +228,18 @@ pub(crate) fn read_signed_graph(r: &mut ByteReader<'_>) -> Result<SignedGraph, S
     Ok(g)
 }
 
-/// Writes a fitted [`KMeans`] model.
+/// Writes a fitted [`KMeans`] model: its centroids.
 pub(crate) fn write_kmeans(w: &mut ByteWriter, km: &KMeans) {
     put_section(w, section::KMEANS);
     w.put_matrix(km.centroids());
-    w.put_usize_slice(km.assignments());
-    w.put_f32(km.inertia());
 }
 
 /// Reads a fitted [`KMeans`] model, re-validating it through
-/// [`KMeans::from_parts`].
+/// [`KMeans::from_centroids`].
 pub(crate) fn read_kmeans(r: &mut ByteReader<'_>) -> Result<KMeans, SerdeError> {
     expect_section(r, section::KMEANS, "kmeans")?;
     let centroids = r.take_matrix("kmeans.centroids")?;
-    let assignments = r.take_usize_vec("kmeans.assignments")?;
-    let inertia = r.take_f32("kmeans.inertia")?;
-    KMeans::from_parts(centroids, assignments, inertia).map_err(|e| SerdeError::Corrupt {
+    KMeans::from_centroids(centroids).map_err(|e| SerdeError::Corrupt {
         what: format!("persisted k-means model is inconsistent: {e}"),
     })
 }

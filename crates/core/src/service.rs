@@ -1,9 +1,10 @@
 //! The clinical decision service: a typed request/response API over the
 //! DSSDDI system.
 //!
-//! The research-style [`Dssddi`] facade works in raw `usize` drug indices and
-//! positional [`Matrix`] arguments. Deployed prescription-critiquing systems
-//! are organised differently: a doctor-facing service accepts *typed clinical
+//! The research-style training function [`fit_dssddi`] and the
+//! [`MdModule`] it returns work in raw `usize` drug indices and positional
+//! [`Matrix`] arguments. Deployed prescription-critiquing systems are
+//! organised differently: a doctor-facing service accepts *typed clinical
 //! requests* and returns *structured, explanation-carrying responses*. This
 //! module provides that layer:
 //!
@@ -70,9 +71,10 @@ use dssddi_tensor::serde::{self as tserde, ByteReader, ByteWriter};
 use dssddi_tensor::Matrix;
 
 use crate::config::{Backbone, DssddiConfig};
+use crate::md_module::MdModule;
 use crate::ms_module::{Explanation, ExplanationEngine};
 use crate::persist::{self, section};
-use crate::system::Dssddi;
+use crate::system::fit_dssddi;
 use crate::CoreError;
 
 /// A typed drug identifier (the paper's DID): an index into the service's
@@ -535,11 +537,12 @@ impl ServiceBuilder {
     ) -> Result<DecisionService, CoreError> {
         self.validate()?;
         let registry = self.registry_for(ddi_graph)?;
-        let engine = Dssddi::fit(
+        let md_module = fit_dssddi(
             train_features,
             train_graph,
             drug_features,
             ddi_graph,
+            None,
             &self.config,
             rng,
         )?;
@@ -547,7 +550,7 @@ impl ServiceBuilder {
             registry,
             ddi_graph.clone(),
             self.config,
-            Some(Box::new(engine)),
+            Some(md_module),
         ))
     }
 
@@ -561,22 +564,18 @@ impl ServiceBuilder {
         ddi_graph: &SignedGraph,
         rng: &mut impl Rng,
     ) -> Result<DecisionService, CoreError> {
-        self.validate()?;
-        let registry = self.registry_for(ddi_graph)?;
-        let engine = Dssddi::fit_chronic_inner(
-            cohort,
-            observed_patients,
-            drug_features,
-            ddi_graph,
-            &self.config,
-            rng,
-        )?;
-        Ok(DecisionService::assemble(
-            registry,
-            ddi_graph.clone(),
-            self.config,
-            Some(Box::new(engine)),
-        ))
+        if let Some(&bad) = observed_patients
+            .iter()
+            .find(|&&p| p >= cohort.n_patients())
+        {
+            return Err(CoreError::invalid_input(format!(
+                "observed patient index {bad} is out of range for a cohort of {} patients",
+                cohort.n_patients()
+            )));
+        }
+        let train_features = cohort.features().select_rows(observed_patients);
+        let train_graph = cohort.bipartite_graph(observed_patients)?;
+        self.fit(&train_features, &train_graph, drug_features, ddi_graph, rng)
     }
 }
 
@@ -584,9 +583,9 @@ impl ServiceBuilder {
 /// critique over a fitted DSSDDI system and its drug registry.
 ///
 /// The service owns the registry, the configuration and, when fitted, the
-/// trained engine, which holds only its trained modules. The DDI graph
-/// lives in the service's [`ExplanationEngine`], with the MS configuration,
-/// the explanation index and the memo. The engine sits behind an `Arc`, so
+/// trained [`MdModule`]. The DDI graph lives in the service's
+/// [`ExplanationEngine`], with the MS configuration, the explanation index
+/// and the memo. The engine sits behind an `Arc`, so
 /// services over an equal graph and MS configuration can share it
 /// ([`DecisionService::adopt_explanation_engine`]), whichever model ranks
 /// their drugs. The service is `Sync`: one instance serves concurrent
@@ -594,9 +593,9 @@ impl ServiceBuilder {
 pub struct DecisionService {
     registry: DrugRegistry,
     config: DssddiConfig,
-    /// The trained engine, absent for [`ServiceBuilder::build_support`]
-    /// services (critique only).
-    engine: Option<Box<Dssddi>>,
+    /// The trained Medical Decision module, absent for
+    /// [`ServiceBuilder::build_support`] services (critique only).
+    md_module: Option<MdModule>,
     /// The DDI graph, its explanation index and the memo, possibly shared
     /// with other services. Its MS configuration equals `config.ms`.
     explainer: Arc<ExplanationEngine>,
@@ -613,15 +612,19 @@ pub const DSSD_MAGIC: [u8; 4] = *b"DSSD";
 
 /// Current `DSSD` container format version.
 ///
-/// Version 3 stores only what prediction and explanation read: the DDI
+/// Version 4 stores exactly what prediction and explanation read: the DDI
 /// graph and the configuration once, at the service level, and a fitted
-/// engine as its MD module alone, with the per-cluster treatment table in
-/// place of the training treatment matrix it is derived from. Version 2 also
-/// stored the trained DDI module (its embeddings, which the MD module's drug
-/// representations already hold, and its loss trace), and version 1 repeated
-/// the graph and the configuration inside the engine. Both are refused with
+/// model as its MD module's patient projection, decoder, k-means centroids,
+/// per-cluster treatment table and drug representations. Version 3 also
+/// stored training state that prediction never reads: an engine section
+/// tag, the k-means training assignments and inertia, the MD loss trace,
+/// the counterfactual match rate and the drug projection (`md.drug_w`,
+/// `md.drug_b`). Version 2 also stored the trained DDI module (its
+/// embeddings, which the MD module's drug representations already hold,
+/// and its loss trace), and version 1 repeated the graph and the
+/// configuration inside the engine. All three are refused with
 /// [`SerdeError::UnsupportedVersion`](dssddi_tensor::serde::SerdeError::UnsupportedVersion).
-pub const DSSD_FORMAT_VERSION: u16 = 3;
+pub const DSSD_FORMAT_VERSION: u16 = 4;
 
 /// Reads a container file, naming the path in the I/O error.
 fn read_container_file(path: &Path) -> Result<Vec<u8>, tserde::SerdeError> {
@@ -635,7 +638,7 @@ impl fmt::Debug for DecisionService {
         f.debug_struct("DecisionService")
             .field("drugs", &self.registry.len())
             .field("ddi_edges", &self.ddi_graph().edge_count())
-            .field("fitted", &self.engine().is_some())
+            .field("fitted", &self.is_fitted())
             .finish_non_exhaustive()
     }
 }
@@ -647,13 +650,13 @@ impl DecisionService {
         registry: DrugRegistry,
         ddi_graph: SignedGraph,
         config: DssddiConfig,
-        engine: Option<Box<Dssddi>>,
+        md_module: Option<MdModule>,
     ) -> Self {
         let explainer = Arc::new(ExplanationEngine::new(ddi_graph, config.ms.clone()));
         Self {
             registry,
             config,
-            engine,
+            md_module,
             explainer,
             explanation_hits: AtomicUsize::new(0),
             explanation_misses: AtomicUsize::new(0),
@@ -700,11 +703,12 @@ impl DecisionService {
     /// replication ships them peer-to-peer. The inverse of
     /// [`DecisionService::load_with_embedded_registry_bytes`].
     ///
-    /// The version 3 payload holds, once each: the registry's digest and
+    /// The version 4 payload holds, once each: the registry's digest and
     /// DID-ordered names, the signed DDI graph, the configuration, and a
-    /// flag followed, for a fitted service, by the engine: its section tag,
-    /// then the MD module's parameters, decoder, k-means model, per-cluster
-    /// treatment table and drug representations.
+    /// flag followed, for a fitted service, by the MD module: its section
+    /// tag, its parameters (the patient projection and the decoder's four),
+    /// the decoder's structure, the k-means centroids, the per-cluster
+    /// treatment table and the drug representations.
     pub fn to_container_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         persist::put_section(&mut w, section::SERVICE);
@@ -718,9 +722,9 @@ impl DecisionService {
         }
         persist::write_signed_graph(&mut w, self.ddi_graph());
         persist::write_config(&mut w, &self.config);
-        w.put_bool(self.engine.is_some());
-        if let Some(engine) = &self.engine {
-            engine.write_into(&mut w);
+        w.put_bool(self.md_module.is_some());
+        if let Some(md) = &self.md_module {
+            md.write_into(&mut w);
         }
         tserde::seal_frame(DSSD_MAGIC, DSSD_FORMAT_VERSION, w.as_bytes())
     }
@@ -818,12 +822,12 @@ impl DecisionService {
             )));
         }
         let config = persist::read_config(&mut r)?;
-        let engine = if r.take_bool("service.fitted")? {
-            Some(Box::new(Dssddi::read_from(&mut r)?))
+        let md_module = if r.take_bool("service.fitted")? {
+            Some(MdModule::read_from(&mut r)?)
         } else {
             None
         };
-        if let Some(md) = engine.as_ref().map(|e| e.md_module()) {
+        if let Some(md) = &md_module {
             if md.n_drugs() != ddi_graph.node_count() {
                 return Err(CoreError::persistence(format!(
                     "persisted MD module covers {} drugs but the DDI graph has {} nodes",
@@ -838,7 +842,7 @@ impl DecisionService {
                 r.remaining()
             )));
         }
-        Ok(Self::assemble(registry, ddi_graph, config, engine))
+        Ok(Self::assemble(registry, ddi_graph, config, md_module))
     }
 
     /// Cumulative `(hits, misses)` of this service's suggestion
@@ -883,16 +887,16 @@ impl DecisionService {
         &self.config
     }
 
-    /// The underlying fitted system, when the service was built by training
-    /// (absent for [`ServiceBuilder::build_support`] services).
-    pub fn engine(&self) -> Option<&Dssddi> {
-        self.engine.as_deref()
+    /// The trained Medical Decision module, when the service was built by
+    /// training (absent for [`ServiceBuilder::build_support`] services).
+    pub fn md_module(&self) -> Option<&MdModule> {
+        self.md_module.as_ref()
     }
 
     /// True when the service carries a trained model (suggestion works);
     /// false for support-only services (critique only).
     pub fn is_fitted(&self) -> bool {
-        self.engine.is_some()
+        self.md_module.is_some()
     }
 
     /// Length of the patient feature vectors the trained model expects (the
@@ -900,11 +904,11 @@ impl DecisionService {
     /// services. Serving gateways surface this in their model listings so
     /// remote callers can size requests without holding the training data.
     pub fn n_features(&self) -> Option<usize> {
-        self.engine().map(|e| e.md_module().n_features())
+        self.md_module().map(MdModule::n_features)
     }
 
-    fn fitted(&self, operation: &str) -> Result<&Dssddi, CoreError> {
-        self.engine()
+    fn fitted(&self, operation: &str) -> Result<&MdModule, CoreError> {
+        self.md_module()
             .ok_or_else(|| CoreError::not_fitted(operation))
     }
 
@@ -976,8 +980,8 @@ impl DecisionService {
             return Ok(Vec::new());
         }
         self.validate_kb(kb)?;
-        let engine = self.fitted("suggest_batch")?;
-        let n_features = engine.md_module().n_features();
+        let md = self.fitted("suggest_batch")?;
+        let n_features = md.n_features();
         let n_drugs = self.ddi_graph().node_count();
         for (i, request) in requests.iter().enumerate() {
             if request.features.len() != n_features {
@@ -1018,7 +1022,7 @@ impl DecisionService {
             .flat_map(|r| r.features.iter().copied())
             .collect();
         let features = Matrix::from_vec(requests.len(), n_features, stacked)?;
-        let scores = engine.predict_scores(&features)?;
+        let scores = md.predict_scores(&features)?;
         let mut responses = Vec::with_capacity(requests.len());
         for (row, request) in requests.iter().enumerate() {
             let ranked = self.ranked_candidates(scores.row(row), request, kb)?;

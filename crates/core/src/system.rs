@@ -1,188 +1,92 @@
 //! The end-to-end decision support system (Fig. 4 of the paper).
 //!
-//! [`Dssddi`] wires the three modules together: it trains DDIGCN on the DDI
-//! graph, shares the learned drug relation embeddings with MDGCN, trains
-//! MDGCN on the observed patients with counterfactual augmentation, and at
-//! inference time predicts medication-use scores for new patients and
-//! explains drug sets through the Medical Support module. DDIGCN is a
-//! training step: MDGCN adds its embeddings into the drug representations,
-//! and the fitted system keeps only the MD module. Ranked, explained
-//! suggestions are served by [`crate::service::DecisionService`], which owns
-//! the DDI graph, the configuration and the fitted engine.
-
-// Like the service layer, the engine's serving path returns typed errors
-// instead of panicking; see `service.rs` for the rationale. The panic-policy
-// denies are inherited from `[workspace.lints]`.
+//! [`fit_dssddi`] trains the system: DDIGCN on the DDI graph, whose drug
+//! relation embeddings it shares with MDGCN, then MDGCN on the observed
+//! patients with counterfactual augmentation. DDIGCN is a training step:
+//! MDGCN adds its embeddings into the drug representations, so the fitted
+//! system is the MD module alone. A [`crate::service::DecisionService`]
+//! holds it with the DDI graph and the configuration, predicts
+//! medication-use scores for new patients through it, and explains drug
+//! sets through the Medical Support module.
 
 use rand::Rng;
 
-use dssddi_data::ChronicCohort;
 use dssddi_graph::{BipartiteGraph, SignedGraph};
-use dssddi_tensor::serde::{ByteReader, ByteWriter, SerdeError};
 use dssddi_tensor::Matrix;
 
 use crate::config::{DrugFeatureSource, DssddiConfig};
-use crate::ddi_module::DdiModule;
+use crate::ddi_module::train_relation_embeddings;
 use crate::md_module::MdModule;
-use crate::persist::{self, section};
 use crate::CoreError;
 
-/// The fitted decision support system: its trained Medical Decision module.
-/// DDIGCN is a training step whose embeddings the MD module absorbs at fit
-/// time, so it is not kept. The DDI graph and the configuration the system
-/// was fitted with belong to the [`crate::service::DecisionService`] that
-/// holds it.
-pub struct Dssddi {
-    md_module: MdModule,
-}
-
-impl Dssddi {
-    /// Fits the full system.
-    ///
-    /// * `train_features` — features of the observed (training) patients,
-    /// * `train_graph` — their medication use,
-    /// * `drug_features` — original drug features (typically KG pre-trained
-    ///   embeddings); replaced by one-hot identities when the configuration
-    ///   selects [`DrugFeatureSource::OneHot`],
-    /// * `ddi_graph` — the signed drug-drug interaction graph.
-    pub fn fit(
-        train_features: &Matrix,
-        train_graph: &BipartiteGraph,
-        drug_features: &Matrix,
-        ddi_graph: &SignedGraph,
-        config: &DssddiConfig,
-        rng: &mut impl Rng,
-    ) -> Result<Self, CoreError> {
-        Self::fit_with_relation_embeddings(
-            train_features,
-            train_graph,
-            drug_features,
-            ddi_graph,
-            None,
-            config,
-            rng,
-        )
+/// Fits the full system and returns its trained Medical Decision module.
+///
+/// * `train_features` — features of the observed (training) patients,
+/// * `train_graph` — their medication use,
+/// * `drug_features` — original drug features (typically KG pre-trained
+///   embeddings); replaced by one-hot identities when the configuration
+///   selects [`DrugFeatureSource::OneHot`],
+/// * `ddi_graph` — the signed drug-drug interaction graph,
+/// * `relation_embeddings` — drug relation embeddings to add to the drug
+///   representations instead of DDIGCN's (the Table II ablation: one-hot,
+///   KG or none); `None` trains DDIGCN. Either is ignored when
+///   [`crate::config::MdModuleConfig::use_ddi_embeddings`] is off.
+pub fn fit_dssddi(
+    train_features: &Matrix,
+    train_graph: &BipartiteGraph,
+    drug_features: &Matrix,
+    ddi_graph: &SignedGraph,
+    relation_embeddings: Option<&Matrix>,
+    config: &DssddiConfig,
+    rng: &mut impl Rng,
+) -> Result<MdModule, CoreError> {
+    let n_drugs = train_graph.right_count();
+    if ddi_graph.node_count() != n_drugs {
+        return Err(CoreError::invalid_input(
+            "DDI graph and medication-use graph disagree on the number of drugs",
+        ));
     }
 
-    /// Like [`Dssddi::fit`], but allows overriding the drug relation
-    /// embeddings added to the final drug representations — used by the
-    /// Table II ablation (one-hot / KG / none instead of DDIGCN).
-    pub fn fit_with_relation_embeddings(
-        train_features: &Matrix,
-        train_graph: &BipartiteGraph,
-        drug_features: &Matrix,
-        ddi_graph: &SignedGraph,
-        relation_embeddings_override: Option<&Matrix>,
-        config: &DssddiConfig,
-        rng: &mut impl Rng,
-    ) -> Result<Self, CoreError> {
-        let n_drugs = train_graph.right_count();
-        if ddi_graph.node_count() != n_drugs {
-            return Err(CoreError::invalid_input(
-                "DDI graph and medication-use graph disagree on the number of drugs",
-            ));
+    // Resolve the original drug features for the MD encoder.
+    let resolved_drug_features = match config.md.drug_features {
+        DrugFeatureSource::KnowledgeGraph => drug_features.clone(),
+        DrugFeatureSource::OneHot => Matrix::identity(n_drugs),
+    };
+
+    // Train the DDI module unless the ablation removes it or overrides its
+    // embeddings.
+    let trained;
+    let relation_embeddings = match relation_embeddings {
+        _ if !config.md.use_ddi_embeddings => None,
+        Some(embeddings) => Some(embeddings),
+        None => {
+            trained = train_relation_embeddings(ddi_graph, &config.ddi, rng)?;
+            Some(&trained)
         }
+    };
 
-        // Resolve the original drug features for the MD encoder.
-        let resolved_drug_features = match config.md.drug_features {
-            DrugFeatureSource::KnowledgeGraph => drug_features.clone(),
-            DrugFeatureSource::OneHot => Matrix::identity(n_drugs),
-        };
-
-        // Train the DDI module unless the ablation removes it entirely. Its
-        // embeddings are all the MD module takes from it, so it is dropped
-        // here.
-        let relation_embeddings = if !config.md.use_ddi_embeddings {
-            None
-        } else if let Some(embeddings) = relation_embeddings_override {
-            Some(embeddings.clone())
-        } else {
-            let trained = DdiModule::train(ddi_graph, &config.ddi, rng)?;
-            Some(trained.embeddings().clone())
-        };
-
-        let md_module = MdModule::fit(
-            train_features,
-            train_graph,
-            &resolved_drug_features,
-            ddi_graph,
-            relation_embeddings.as_ref(),
-            &config.md,
-            rng,
-        )?;
-
-        Ok(Self { md_module })
-    }
-
-    /// Fits the system on a subset (the observed patients) of a generated
-    /// chronic cohort; the implementation behind
-    /// [`crate::service::ServiceBuilder::fit_chronic`].
-    pub(crate) fn fit_chronic_inner(
-        cohort: &ChronicCohort,
-        observed_patients: &[usize],
-        drug_features: &Matrix,
-        ddi_graph: &SignedGraph,
-        config: &DssddiConfig,
-        rng: &mut impl Rng,
-    ) -> Result<Self, CoreError> {
-        if let Some(&bad) = observed_patients
-            .iter()
-            .find(|&&p| p >= cohort.n_patients())
-        {
-            return Err(CoreError::invalid_input(format!(
-                "observed patient index {bad} is out of range for a cohort of {} patients",
-                cohort.n_patients()
-            )));
-        }
-        let train_features = cohort.features().select_rows(observed_patients);
-        let train_graph = cohort.bipartite_graph(observed_patients)?;
-        Self::fit(
-            &train_features,
-            &train_graph,
-            drug_features,
-            ddi_graph,
-            config,
-            rng,
-        )
-    }
-
-    /// Predicted medication-use scores for unobserved patients
-    /// (one row per patient, one column per drug). Runs the tape-free
-    /// inference fast path (see [`MdModule::predict_scores`]).
-    pub fn predict_scores(&self, features: &Matrix) -> Result<Matrix, CoreError> {
-        self.md_module.predict_scores(features)
-    }
-
-    /// Serializes the fitted system into a payload: the engine section tag
-    /// followed by the MD module.
-    pub(crate) fn write_into(&self, w: &mut ByteWriter) {
-        persist::put_section(w, section::ENGINE);
-        self.md_module.write_into(w);
-    }
-
-    /// Reconstructs a fitted system written by [`Dssddi::write_into`].
-    pub(crate) fn read_from(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
-        persist::expect_section(r, section::ENGINE, "engine")?;
-        Ok(Self {
-            md_module: MdModule::read_from(r)?,
-        })
-    }
-
-    /// The trained Medical Decision module.
-    pub fn md_module(&self) -> &MdModule {
-        &self.md_module
-    }
+    MdModule::fit(
+        train_features,
+        train_graph,
+        &resolved_drug_features,
+        ddi_graph,
+        relation_embeddings,
+        &config.md,
+        rng,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Backbone, DssddiConfig};
+    use crate::config::Backbone;
     use crate::service::{PatientId, ServiceBuilder, SuggestRequest};
     use dssddi_data::{
-        generate_chronic_cohort, generate_ddi_graph, ChronicConfig, DdiConfig, DrugRegistry,
+        generate_chronic_cohort, generate_ddi_graph, ChronicCohort, ChronicConfig, DdiConfig,
+        DrugRegistry,
     };
     use dssddi_ml::{ndcg_at_k, recall_at_k};
+    use dssddi_tensor::serde::ByteWriter;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -281,8 +185,8 @@ mod tests {
         let wrong_ddi = SignedGraph::new(10);
         let observed: Vec<usize> = (0..30).collect();
         let mut rng = StdRng::seed_from_u64(5);
-        // A registry sized to the DDI graph gets past the builder, so the
-        // engine's own drug-count check is the one that rejects the fit.
+        // A registry sized to the DDI graph gets past the builder, so
+        // `fit_dssddi`'s own drug-count check is the one that rejects it.
         let registry = DrugRegistry::from_names((0..10).map(|d| format!("drug {d}"))).unwrap();
         assert!(ServiceBuilder::new()
             .config(tiny_config())
@@ -320,7 +224,7 @@ mod tests {
             Matrix::rand_uniform(ddi.node_count(), config.md.hidden_dim, -0.1, 0.1, &mut rng);
         let seeded_fit = |config: &DssddiConfig, embeddings| {
             let mut rng = StdRng::seed_from_u64(10);
-            Dssddi::fit_with_relation_embeddings(
+            fit_dssddi(
                 &train_features,
                 &train_graph,
                 &drug_features,
@@ -338,8 +242,8 @@ mod tests {
         plain_config.md.use_ddi_embeddings = false;
         let plain = seeded_fit(&plain_config, None);
         assert_ne!(
-            system.md_module().drug_representations().data(),
-            plain.md_module().drug_representations().data()
+            system.drug_representations().data(),
+            plain.drug_representations().data()
         );
     }
 
@@ -352,38 +256,39 @@ mod tests {
         let train_graph = cohort.bipartite_graph(&observed).unwrap();
         let seed = 13;
 
-        // `fit` trains DDIGCN first on its RNG, so training it here and then
-        // passing its embeddings on the same, advanced RNG reproduces `fit`.
+        // The fit trains DDIGCN first on its RNG, so training it here and
+        // then passing its embeddings on the same, advanced RNG reproduces
+        // the fit.
         let mut rng = StdRng::seed_from_u64(seed);
-        let ddi_module = DdiModule::train(&ddi, &config.ddi, &mut rng).unwrap();
-        let embeddings = ddi_module.embeddings();
-        let reproduced = Dssddi::fit_with_relation_embeddings(
+        let embeddings = train_relation_embeddings(&ddi, &config.ddi, &mut rng).unwrap();
+        let reproduced = fit_dssddi(
             &train_features,
             &train_graph,
             &drug_features,
             &ddi,
-            Some(embeddings),
+            Some(&embeddings),
             &config,
             &mut rng,
         )
         .unwrap();
-        let fitted = Dssddi::fit(
+        let fitted = fit_dssddi(
             &train_features,
             &train_graph,
             &drug_features,
             &ddi,
+            None,
             &config,
             &mut StdRng::seed_from_u64(seed),
         )
         .unwrap();
-        let bits = |system: &Dssddi| -> Vec<u32> {
-            let repr = system.md_module().drug_representations();
+        let bits = |module: &MdModule| -> Vec<u32> {
+            let repr = module.drug_representations();
             repr.data().iter().map(|v| v.to_bits()).collect()
         };
         assert_eq!(bits(&reproduced), bits(&fitted));
 
         // The drug representations are all the fit keeps of DDIGCN: the
-        // engine's bytes do not hold its embeddings.
+        // fitted module's bytes do not hold its embeddings.
         let mut w = ByteWriter::new();
         fitted.write_into(&mut w);
         let needle: Vec<u8> = embeddings
@@ -396,7 +301,7 @@ mod tests {
             .windows(needle.len())
             .filter(|window| *window == needle.as_slice())
             .count();
-        assert_eq!(copies, 0, "the fitted engine stores the DDI embeddings");
+        assert_eq!(copies, 0, "the fitted module stores the DDI embeddings");
     }
 
     #[test]

@@ -110,9 +110,8 @@ fn main() {
     let sample: Vec<usize> = world.split.test.iter().copied().take(100).collect();
     let sample_features = world.cohort.features().select_rows(&sample);
 
-    let engine = dssddi.engine().expect("fitted service");
-    let dssddi_patients = engine
-        .md_module()
+    let md_module = dssddi.md_module().expect("fitted service");
+    let dssddi_patients = md_module
         .patient_representations(&sample_features)
         .expect("DSSDDI patient representations");
     let lightgcn_patients = lightgcn
@@ -137,7 +136,7 @@ fn main() {
         println!("      {row}");
     }
 
-    let dssddi_drugs = engine.md_module().drug_representations();
+    let dssddi_drugs = md_module.drug_representations();
     let lightgcn_drugs = lightgcn.drug_representations();
     println!("\n(b) Drug representations (86 drugs) — mean pairwise cosine similarity");
     println!(

@@ -7,7 +7,7 @@ use dssddi_baselines::{
     BiparGcnRecommender, CauseRecRecommender, EccRecommender, GcmcRecommender, LightGcnRecommender,
     Recommender, SafeDrugRecommender, SvmRecommender, UserSim,
 };
-use dssddi_core::{config::DrugFeatureSource, Backbone, Dssddi};
+use dssddi_core::{config::DrugFeatureSource, fit_dssddi, Backbone};
 use dssddi_experiments::{print_metric_table, MethodScores, RunOptions};
 use dssddi_graph::BipartiteGraph;
 use dssddi_tensor::Matrix;
@@ -165,11 +165,12 @@ fn run() -> Result<(), String> {
     config.ddi.backbone = Backbone::Gin;
     config.md.drug_features = DrugFeatureSource::OneHot;
     let placeholder_drug_features = Matrix::identity(mimic.n_drugs());
-    let system = Dssddi::fit(
+    let system = fit_dssddi(
         &train_x,
         &train_graph,
         &placeholder_drug_features,
         mimic.ddi(),
+        None,
         &config,
         &mut rng,
     )

@@ -26,7 +26,7 @@ use dssddi_baselines::{
     Recommender, SafeDrugRecommender, SvmRecommender, UserSim,
 };
 use dssddi_core::{
-    Backbone, DecisionService, Dssddi, DssddiConfig, ExplanationIndex, MsModuleConfig,
+    fit_dssddi, Backbone, DecisionService, DssddiConfig, ExplanationIndex, MsModuleConfig,
     ServiceBuilder,
 };
 use dssddi_data::{
@@ -433,7 +433,7 @@ fn run_override_variant(
     let mut rng = StdRng::seed_from_u64(opts.seed + 4);
     let train_features = world.train_features();
     let train_graph = world.train_graph()?;
-    let system = Dssddi::fit_with_relation_embeddings(
+    let system = fit_dssddi(
         &train_features,
         &train_graph,
         &world.drug_features,

@@ -12,57 +12,30 @@ use dssddi_tensor::Matrix;
 
 use crate::MlError;
 
-/// A fitted k-means model.
+/// A fitted k-means model: its centroids, all that assigning a new sample
+/// reads.
 #[derive(Debug, Clone)]
 pub struct KMeans {
     centroids: Matrix,
-    assignments: Vec<usize>,
-    inertia: f32,
 }
 
 impl KMeans {
-    /// Reassembles a fitted model from its parts (model persistence).
+    /// Reassembles a fitted model from its centroids (model persistence).
     ///
-    /// Validates that at least one centroid exists and that every assignment
-    /// refers to an existing centroid, so a model restored from a corrupt
-    /// file cannot panic later in [`KMeans::predict_row`].
-    pub fn from_parts(
-        centroids: Matrix,
-        assignments: Vec<usize>,
-        inertia: f32,
-    ) -> Result<Self, MlError> {
+    /// Validates that at least one centroid exists, so a model restored
+    /// from a corrupt file always assigns a sample to a centroid.
+    pub fn from_centroids(centroids: Matrix) -> Result<Self, MlError> {
         if centroids.rows() == 0 {
             return Err(MlError::EmptyInput {
                 what: "k-means needs at least one centroid",
             });
         }
-        if let Some(&bad) = assignments.iter().find(|&&a| a >= centroids.rows()) {
-            return Err(MlError::DimensionMismatch {
-                expected: centroids.rows(),
-                found: bad,
-                what: "cluster assignment out of centroid range",
-            });
-        }
-        Ok(Self {
-            centroids,
-            assignments,
-            inertia,
-        })
+        Ok(Self { centroids })
     }
 
     /// Cluster centroids (one row per cluster).
     pub fn centroids(&self) -> &Matrix {
         &self.centroids
-    }
-
-    /// Cluster index of every training row.
-    pub fn assignments(&self) -> &[usize] {
-        &self.assignments
-    }
-
-    /// Sum of squared distances of samples to their closest centroid.
-    pub fn inertia(&self) -> f32 {
-        self.inertia
     }
 
     /// Number of clusters.
@@ -96,7 +69,8 @@ impl KMeans {
     }
 }
 
-/// Fits k-means with k-means++ initialisation and Lloyd iterations.
+/// Fits k-means with k-means++ initialisation and Lloyd iterations, and
+/// returns the model with the cluster index of every row of `x`.
 #[expect(
     clippy::indexing_slicing,
     reason = "`i < n`, and every assignment is a centroid index below `k`"
@@ -106,7 +80,7 @@ pub fn fit_kmeans(
     k: usize,
     max_iterations: usize,
     rng: &mut impl Rng,
-) -> Result<KMeans, MlError> {
+) -> Result<(KMeans, Vec<usize>), MlError> {
     let n = x.rows();
     if k == 0 {
         return Err(MlError::InvalidArgument {
@@ -205,11 +179,7 @@ pub fn fit_kmeans(
             break;
         }
     }
-    Ok(KMeans {
-        centroids,
-        assignments,
-        inertia,
-    })
+    Ok((KMeans { centroids }, assignments))
 }
 
 #[cfg(test)]
@@ -229,37 +199,55 @@ mod tests {
         })
     }
 
+    /// Squared distance of a sample to a centroid.
+    fn dist(x: &Matrix, i: usize, km: &KMeans, c: usize) -> f32 {
+        x.row(i)
+            .iter()
+            .zip(km.centroids().row(c))
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum()
+    }
+
+    /// Sum of squared distances of the samples to their assigned centroids.
+    fn inertia(x: &Matrix, km: &KMeans, assignments: &[usize]) -> f32 {
+        assignments
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| dist(x, i, km, c))
+            .sum()
+    }
+
     #[test]
     fn recovers_separated_clusters() {
         let x = blobs(30, 0);
         let mut rng = StdRng::seed_from_u64(1);
-        let km = fit_kmeans(&x, 3, 50, &mut rng).unwrap();
+        let (km, assignments) = fit_kmeans(&x, 3, 50, &mut rng).unwrap();
         assert_eq!(km.k(), 3);
         // All points of a blob must share an assignment.
         for blob in 0..3 {
-            let first = km.assignments()[blob * 30];
+            let first = assignments[blob * 30];
             for i in 0..30 {
-                assert_eq!(km.assignments()[blob * 30 + i], first, "blob {blob} split");
+                assert_eq!(assignments[blob * 30 + i], first, "blob {blob} split");
             }
         }
-        assert!(km.inertia() < 200.0);
+        assert!(inertia(&x, &km, &assignments) < 200.0);
     }
 
     #[test]
     fn predict_matches_training_assignments() {
         let x = blobs(20, 2);
         let mut rng = StdRng::seed_from_u64(3);
-        let km = fit_kmeans(&x, 3, 50, &mut rng).unwrap();
-        let pred = km.predict(&x);
-        assert_eq!(pred, km.assignments());
+        let (km, assignments) = fit_kmeans(&x, 3, 50, &mut rng).unwrap();
+        assert_eq!(km.predict(&x), assignments);
     }
 
     #[test]
     fn k_larger_than_samples_is_clamped() {
         let x = Matrix::from_vec(2, 2, vec![0.0, 0.0, 5.0, 5.0]).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let km = fit_kmeans(&x, 10, 10, &mut rng).unwrap();
+        let (km, assignments) = fit_kmeans(&x, 10, 10, &mut rng).unwrap();
         assert_eq!(km.k(), 2);
+        assert_eq!(assignments.len(), 2);
     }
 
     #[test]
@@ -273,26 +261,20 @@ mod tests {
     fn identical_points_converge_without_panic() {
         let x = Matrix::ones(10, 3);
         let mut rng = StdRng::seed_from_u64(6);
-        let km = fit_kmeans(&x, 3, 20, &mut rng).unwrap();
-        assert!(km.inertia() < 1e-6);
+        let (km, assignments) = fit_kmeans(&x, 3, 20, &mut rng).unwrap();
+        assert!(inertia(&x, &km, &assignments) < 1e-6);
     }
 
     #[test]
-    fn from_parts_round_trips_and_validates() {
+    fn from_centroids_round_trips_and_validates() {
         let x = blobs(10, 9);
         let mut rng = StdRng::seed_from_u64(10);
-        let km = fit_kmeans(&x, 3, 30, &mut rng).unwrap();
-        let rebuilt = KMeans::from_parts(
-            km.centroids().clone(),
-            km.assignments().to_vec(),
-            km.inertia(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.predict(&x), km.predict(&x));
+        let (km, assignments) = fit_kmeans(&x, 3, 30, &mut rng).unwrap();
+        let rebuilt = KMeans::from_centroids(km.centroids().clone()).unwrap();
+        assert_eq!(rebuilt.predict(&x), assignments);
         assert_eq!(rebuilt.k(), km.k());
 
-        assert!(KMeans::from_parts(Matrix::zeros(0, 2), vec![], 0.0).is_err());
-        assert!(KMeans::from_parts(Matrix::zeros(2, 2), vec![0, 5], 0.0).is_err());
+        assert!(KMeans::from_centroids(Matrix::zeros(0, 2)).is_err());
     }
 
     #[test]
@@ -301,23 +283,11 @@ mod tests {
         // any other centroid.
         let x = blobs(15, 7);
         let mut rng = StdRng::seed_from_u64(8);
-        let km = fit_kmeans(&x, 3, 50, &mut rng).unwrap();
-        for i in 0..x.rows() {
-            let assigned = km.assignments()[i];
-            let d_assigned: f32 = x
-                .row(i)
-                .iter()
-                .zip(km.centroids().row(assigned))
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
+        let (km, assignments) = fit_kmeans(&x, 3, 50, &mut rng).unwrap();
+        for (i, &assigned) in assignments.iter().enumerate() {
+            let d_assigned = dist(&x, i, &km, assigned);
             for c in 0..km.k() {
-                let d: f32 = x
-                    .row(i)
-                    .iter()
-                    .zip(km.centroids().row(c))
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum();
-                assert!(d_assigned <= d + 1e-4);
+                assert!(d_assigned <= dist(&x, i, &km, c) + 1e-4);
             }
         }
     }

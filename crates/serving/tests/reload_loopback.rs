@@ -359,11 +359,7 @@ fn a_model_with_a_nan_weight_is_refused_and_the_shard_keeps_serving() {
     let key = ModelKey::new(DEMO_FITTED_KEY).expect("key");
     let service = catalog.service(&key).expect("fitted shard");
     let container = service.to_container_bytes();
-    let repr = service
-        .engine()
-        .expect("fitted")
-        .md_module()
-        .drug_representations();
+    let repr = service.md_module().expect("fitted").drug_representations();
     let pattern: Vec<u8> = repr.data().iter().flat_map(|v| v.to_le_bytes()).collect();
     let (_, payload) =
         open_frame(DSSD_MAGIC, &[DSSD_FORMAT_VERSION], &container).expect("valid container");

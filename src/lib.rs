@@ -362,15 +362,18 @@
 //! A fitted [`DecisionService`](core::DecisionService) can be saved to a
 //! versioned, dependency-free binary container and reloaded in a fresh
 //! process — `save(path)` / `load(path, registry)`. The on-disk layout is 4
-//! magic bytes `"DSSD"`, a little-endian `u16` format version (currently 3),
+//! magic bytes `"DSSD"`, a little-endian `u16` format version (currently 4),
 //! a `u64` payload length, the payload, and a CRC-32 checksum of the payload
 //! (see [`tensor::serde`]). The payload records, once each, the registry's
 //! drug names (so typed [`DrugId`](core::DrugId)s survive reload and a wrong
 //! registry is refused), the DDI graph, the configuration, and the fitted
-//! MD module (MDGCN weights, the drug representations, which hold the DDIGCN
-//! embeddings added at fit time, and the per-cluster treatment table).
-//! DDIGCN itself is a training step and is not stored. Loading is fully
-//! bounds-checked: truncated, corrupt or version-mismatched files return
+//! MD module: exactly what prediction reads (the patient projection and the
+//! decoder, the k-means centroids, the per-cluster treatment table, and the
+//! drug representations, which hold the DDIGCN embeddings added at fit
+//! time). Training state is not stored: not DDIGCN, which is a training
+//! step, nor the drug projection, the k-means training assignments or any
+//! loss trace. Loading is fully bounds-checked: truncated, corrupt or
+//! version-mismatched files (versions 1–3 included) return
 //! [`CoreError::Persistence`](core::CoreError::Persistence), never panic.
 //! See `examples/save_load.rs` for the end-to-end round trip.
 //!
@@ -482,7 +485,7 @@ pub mod prelude {
     };
     pub use dssddi_chaos::{ChaosProxy, FaultPlan};
     pub use dssddi_core::{
-        Backbone, CheckPrescriptionRequest, CoreError, DecisionService, DrugId, Dssddi,
+        fit_dssddi, Backbone, CheckPrescriptionRequest, CoreError, DecisionService, DrugId,
         DssddiConfig, Explanation, InteractionReport, MdModuleConfig, MsModuleConfig,
         PairInteraction, PatientId, ScoredDrug, ServiceBuilder, SuggestFilters, SuggestRequest,
         SuggestResponse,

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full DSSDDI pipeline from synthetic
 //! data generation through training, suggestion, explanation and evaluation,
-//! through the typed [`DecisionService`] API and the engine-level
-//! [`Dssddi`] it wraps.
+//! through the typed [`DecisionService`] API and the research-level
+//! [`fit_dssddi`] training function behind it.
 #![allow(clippy::unwrap_used)]
 
 use dssddi::core::{ExplanationIndex, MsModuleConfig};
@@ -318,11 +318,12 @@ fn mimic_like_pipeline_with_gin_backbone() {
     config.ddi.backbone = Backbone::Gin;
     config.md.drug_features = dssddi::core::config::DrugFeatureSource::OneHot;
     let placeholder = Matrix::identity(mimic.n_drugs());
-    let system = Dssddi::fit(
+    let system = fit_dssddi(
         &train_x,
         &train_graph,
         &placeholder,
         mimic.ddi(),
+        None,
         &config,
         &mut rng,
     )

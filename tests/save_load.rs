@@ -216,17 +216,20 @@ fn corrupt_truncated_and_mismatched_files_error_without_panics() {
 
     // A bumped format version is refused with a typed error, and so is the
     // current payload resealed as version 1, whose layout stored the DDI
-    // graph and the configuration twice, or as version 2, whose engine also
-    // stored the trained DDI module.
+    // graph and the configuration twice, as version 2, whose engine also
+    // stored the trained DDI module, or as version 3, whose MD module also
+    // stored its training state.
     let mut wrong_version = bytes.clone();
     wrong_version[4] = 0xEE;
     let (_, payload) = open_frame(DSSD_MAGIC, &[DSSD_FORMAT_VERSION], &bytes).unwrap();
     let as_version_1 = seal_frame(DSSD_MAGIC, 1, payload);
     let as_version_2 = seal_frame(DSSD_MAGIC, 2, payload);
+    let as_version_3 = seal_frame(DSSD_MAGIC, 3, payload);
     for (wrong_version, named) in [
         (wrong_version, &["version"][..]),
-        (as_version_1, &["version 1", "version 3"][..]),
-        (as_version_2, &["version 2", "version 3"][..]),
+        (as_version_1, &["version 1", "version 4"][..]),
+        (as_version_2, &["version 2", "version 4"][..]),
+        (as_version_3, &["version 3", "version 4"][..]),
     ] {
         std::fs::write(&path, &wrong_version).unwrap();
         match DecisionService::load(&path, DrugRegistry::standard()) {
