@@ -19,7 +19,7 @@ use rand::Rng;
 use dssddi_core::CoreError;
 use dssddi_gnn::{sample_link_batch, Activation, GcnLayer, Mlp};
 use dssddi_graph::BipartiteGraph;
-use dssddi_tensor::{init, Adam, Binder, CsrMatrix, Matrix, Optimizer, ParamSet, Tape, Var};
+use dssddi_tensor::{init, Adam, Binder, CsrMatrix, Matrix, ParamSet, Tape, Var};
 
 use crate::Recommender;
 

@@ -14,7 +14,7 @@ use rand::Rng;
 use dssddi_core::CoreError;
 use dssddi_gnn::{Activation, Mlp};
 use dssddi_graph::{Interaction, SignedGraph};
-use dssddi_tensor::{Adam, Binder, Matrix, Optimizer, ParamSet, Tape};
+use dssddi_tensor::{Adam, Binder, Matrix, ParamSet, Tape};
 
 use crate::Recommender;
 

@@ -21,7 +21,7 @@ use rand::Rng;
 
 use dssddi_gnn::{GinConv, SgcnLayer, SigatLayer, SignedGraphContext, SneaLayer};
 use dssddi_graph::SignedGraph;
-use dssddi_tensor::{init, Adam, Binder, Matrix, Optimizer, ParamSet, Tape, Var};
+use dssddi_tensor::{init, Adam, Binder, Matrix, ParamSet, Tape, Var};
 
 use crate::config::{Backbone, DdiModuleConfig};
 use crate::CoreError;

@@ -23,7 +23,7 @@ use dssddi_ml::KMeans;
 use dssddi_tensor::serde::{ByteReader, ByteWriter, SerdeError};
 use dssddi_tensor::{
     fused_linear_into, init, stable_sigmoid, ActivationKind, Adam, Binder, CsrMatrix, Matrix,
-    Optimizer, ParamId, ParamSet, ScratchPool, Tape, Var,
+    ParamId, ParamSet, ScratchPool, Tape, Var,
 };
 
 use crate::config::MdModuleConfig;

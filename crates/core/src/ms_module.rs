@@ -152,9 +152,10 @@ const ID_MASK: u32 = (1 << SIGN_SHIFT) - 1;
 /// | 2 per edge | each signed edge, in order: `u`, then `v` with the sign in its top two bits |
 ///
 /// A hit rebuilds the [`Explanation`]. Its `suggested` is the key, which it
-/// already equals, because the memo's callers explain the canonical key.
-/// Its `community.edges` are the signed edges' pairs. That rebuild is exact
-/// by construction: [`SignedGraph::structural_graph`] keeps exactly the
+/// already equals, because [`ExplanationIndex::explain`] returns the
+/// canonical key of the drugs it explains as `suggested`. Its
+/// `community.edges` are the signed edges' pairs. That rebuild is exact by
+/// construction: [`SignedGraph::structural_graph`] keeps exactly the
 /// graph's synergistic and antagonistic edges, and
 /// [`ExplanationIndex::explain`] keeps every community edge, in order, each
 /// with its sign. An explanation that breaks this, whose `suggested` is not
@@ -165,8 +166,6 @@ pub struct ExplanationCache {
     entries: HashMap<Box<[usize]>, PackedExplanation>,
     capacity: usize,
     clock: u64,
-    hits: usize,
-    misses: usize,
 }
 
 #[derive(Debug)]
@@ -194,8 +193,6 @@ impl ExplanationCache {
             entries: HashMap::new(),
             capacity: capacity.max(1),
             clock: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -209,29 +206,26 @@ impl ExplanationCache {
     }
 
     /// The cached explanation under a canonical key
-    /// ([`ExplanationCache::canonical_key`]), if present (counts a hit and
-    /// refreshes the entry's recency). Separated from
-    /// [`ExplanationCache::insert`] so concurrent serving threads can run
-    /// the expensive community search *outside* the cache lock: lock →
-    /// `lookup`, miss → search unlocked, lock → `insert`.
+    /// ([`ExplanationCache::canonical_key`]), if present (refreshes the
+    /// entry's recency). Separated from [`ExplanationCache::insert`] so
+    /// concurrent serving threads can run the expensive community search
+    /// *outside* the cache lock: lock → `lookup`, miss → search unlocked,
+    /// lock → `insert`.
     pub fn lookup(&mut self, key: &[usize]) -> Option<Explanation> {
         self.clock += 1;
         let cached = self.entries.get_mut(key)?;
         cached.last_used = self.clock;
-        let explanation = unpack(key, &cached.words)?;
-        self.hits += 1;
-        Some(explanation)
+        unpack(key, &cached.words)
     }
 
     /// Records a freshly computed explanation under its canonical key,
-    /// counting a miss and evicting the least-recently-used entry when at
-    /// capacity. An explanation the packed layout cannot hold exactly (see
+    /// evicting the least-recently-used entry when at capacity. An
+    /// explanation the packed layout cannot hold exactly (see
     /// [`ExplanationCache`]) is not recorded. If two threads raced on the
     /// same key, the later insert harmlessly overwrites the earlier with an
     /// identical explanation (community search is deterministic for a fixed
     /// graph and key).
     pub fn insert(&mut self, key: &[usize], explanation: &Explanation) {
-        self.misses += 1;
         self.clock += 1;
         let Some(words) = pack(key, explanation) else {
             return;
@@ -256,16 +250,6 @@ impl ExplanationCache {
                 last_used: self.clock,
             },
         );
-    }
-
-    /// How many lookups were answered from the cache.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// How many lookups required a fresh community search.
-    pub fn misses(&self) -> usize {
-        self.misses
     }
 
     /// Number of drug sets currently cached (never exceeds the capacity).
@@ -412,28 +396,22 @@ impl ExplanationIndex {
     /// closest truss community around them in the DDI graph, annotates its
     /// edges with interaction signs, and computes Suggestion Satisfaction.
     /// `ddi` must be the graph the index was built from.
+    ///
+    /// The explanation is of the set: any order or repeats of the same
+    /// drugs give the same explanation, whose `suggested` is the
+    /// [canonical key](ExplanationCache::canonical_key). An empty set or a
+    /// drug outside the graph is the graph search's typed error.
     pub fn explain(
         &self,
         ddi: &SignedGraph,
         suggested: &[usize],
         config: &MsModuleConfig,
     ) -> Result<Explanation, CoreError> {
-        if suggested.is_empty() {
-            return Err(CoreError::invalid_input(
-                "cannot explain an empty suggestion",
-            ));
-        }
-        for &d in suggested {
-            if d >= ddi.node_count() {
-                return Err(CoreError::invalid_input(
-                    "suggested drug ID outside the DDI graph",
-                ));
-            }
-        }
+        let suggested = ExplanationCache::canonical_key(suggested);
         let community = closest_truss_community_with(
             &self.structural,
             &self.decomposition,
-            suggested,
+            &suggested,
             &config.ctc,
         )?;
 
@@ -446,7 +424,7 @@ impl ExplanationIndex {
             })
             .collect();
 
-        let is_suggested = |d: usize| suggested.contains(&d);
+        let is_suggested = |d: usize| suggested.binary_search(&d).is_ok();
         let mut internal_synergy = 0usize;
         let mut internal_antagonism = 0usize;
         let mut external_antagonism = 0usize;
@@ -459,14 +437,8 @@ impl ExplanationIndex {
                 _ => {}
             }
         }
-        let k = {
-            let mut unique: Vec<usize> = suggested.to_vec();
-            unique.sort_unstable();
-            unique.dedup();
-            unique.len()
-        };
         let ss = suggestion_satisfaction(
-            k,
+            suggested.len(),
             community.node_count(),
             internal_synergy,
             internal_antagonism,
@@ -474,7 +446,7 @@ impl ExplanationIndex {
             config.alpha,
         );
         Ok(Explanation {
-            suggested: suggested.to_vec(),
+            suggested,
             community,
             edges,
             internal_synergy,
@@ -536,12 +508,9 @@ impl ExplanationEngine {
     }
 
     /// Explains a drug set without the memo — what a prescription critique
-    /// runs. The search runs on the canonical key: the Steiner tree's root
-    /// and the direction of each path it expands follow the query's order,
-    /// and the explanation is of the set.
+    /// runs.
     pub fn explain(&self, drugs: &[usize]) -> Result<Explanation, CoreError> {
-        let key = ExplanationCache::canonical_key(drugs);
-        self.index().explain(&self.graph, &key, &self.config)
+        self.index().explain(&self.graph, drugs, &self.config)
     }
 
     /// Explains a suggested drug set through the memo, and says whether the
@@ -556,7 +525,7 @@ impl ExplanationEngine {
         }
         // Two threads may race on the same set and search it twice; the
         // search is deterministic, so either insert wins harmlessly.
-        let computed = self.index().explain(&self.graph, &key, &self.config)?;
+        let computed = self.index().explain(&self.graph, suggested, &self.config)?;
         self.lock_memo().insert(&key, &computed);
         Ok((computed, false))
     }
@@ -593,15 +562,17 @@ mod tests {
         ExplanationIndex::build(g).explain(g, drugs, cfg)
     }
 
-    /// `lookup`, and on a miss a search under the canonical key and an
-    /// `insert` — the memo protocol the engine runs around its memo lock.
-    fn cached(cache: &mut ExplanationCache, g: &SignedGraph, drugs: &[usize]) -> Explanation {
+    /// `lookup`, and on a miss a search and an `insert` under the
+    /// canonical key — the memo protocol the engine runs around its memo
+    /// lock. Says whether the lookup hit.
+    fn cached(cache: &mut ExplanationCache, g: &SignedGraph, drugs: &[usize]) -> bool {
         let key = ExplanationCache::canonical_key(drugs);
-        cache.lookup(&key).unwrap_or_else(|| {
-            let explanation = explain(g, &key, &MsModuleConfig::default()).unwrap();
-            cache.insert(&key, &explanation);
-            explanation
-        })
+        if cache.lookup(&key).is_some() {
+            return true;
+        }
+        let explanation = explain(g, drugs, &MsModuleConfig::default()).unwrap();
+        cache.insert(&key, &explanation);
+        false
     }
 
     /// A DDI graph with a synergistic triangle {0,1,2}, antagonism from the
@@ -691,22 +662,20 @@ mod tests {
     fn explanation_cache_deduplicates_equivalent_suggestions() {
         let g = ddi();
         let cfg = MsModuleConfig::default();
-        let mut cache = ExplanationCache::new();
-        let a = cached(&mut cache, &g, &[0, 1, 2]);
+        let engine = ExplanationEngine::new(g.clone(), cfg.clone());
+        let (a, hit) = engine.explain_memoized(&[0, 1, 2]).unwrap();
+        assert!(!hit);
         // Same set in a different order, and with a duplicate: both hits.
-        let b = cached(&mut cache, &g, &[2, 0, 1]);
-        let c = cached(&mut cache, &g, &[1, 0, 2, 2]);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(a.suggestion_satisfaction, b.suggestion_satisfaction);
-        assert_eq!(a.internal_synergy, c.internal_synergy);
+        let (b, b_hit) = engine.explain_memoized(&[2, 0, 1]).unwrap();
+        let (c, c_hit) = engine.explain_memoized(&[1, 0, 2, 2]).unwrap();
+        assert!(b_hit && c_hit);
+        assert_eq!(engine.memo_len(), 1);
+        assert_eq!((&a, &a), (&b, &c));
         // A genuinely different set misses.
-        cached(&mut cache, &g, &[3, 4]);
-        assert_eq!(cache.misses(), 2);
+        assert!(!engine.explain_memoized(&[3, 4]).unwrap().1);
+        assert_eq!(engine.memo_len(), 2);
         // Cached results agree with the uncached path.
-        let direct = explain(&g, &[0, 1, 2], &cfg).unwrap();
-        assert_eq!(a.suggestion_satisfaction, direct.suggestion_satisfaction);
-        assert_eq!(a.edges.len(), direct.edges.len());
+        assert_eq!(a, explain(&g, &[0, 1, 2], &cfg).unwrap());
     }
 
     #[test]
@@ -714,20 +683,21 @@ mod tests {
         let g = ddi();
         let mut cache = ExplanationCache::with_capacity(2);
         assert_eq!(cache.capacity(), 2);
-        cached(&mut cache, &g, &[0, 1]);
-        cached(&mut cache, &g, &[3, 4]);
+        assert!(!cached(&mut cache, &g, &[0, 1]));
+        assert!(!cached(&mut cache, &g, &[3, 4]));
         assert_eq!(cache.len(), 2);
         // Touch {0,1} so {3,4} becomes the least recently used entry...
-        cached(&mut cache, &g, &[0, 1]);
-        assert_eq!(cache.hits(), 1);
+        assert!(cached(&mut cache, &g, &[0, 1]));
         // ...then insert a third set: the cache must stay at capacity.
-        cached(&mut cache, &g, &[5, 6]);
+        assert!(!cached(&mut cache, &g, &[5, 6]));
         assert_eq!(cache.len(), 2);
         // {0,1} survived the eviction, {3,4} did not.
-        cached(&mut cache, &g, &[0, 1]);
-        assert_eq!(cache.hits(), 2);
-        cached(&mut cache, &g, &[3, 4]);
-        assert_eq!(cache.misses(), 4, "evicted set must be recomputed");
+        assert!(cache.lookup(&[0, 1]).is_some());
+        assert!(
+            cache.lookup(&[3, 4]).is_none(),
+            "evicted set must be recomputed"
+        );
+        assert!(cache.lookup(&[5, 6]).is_some());
         // A zero capacity is clamped so the cache still functions.
         assert_eq!(ExplanationCache::with_capacity(0).capacity(), 1);
     }
@@ -862,6 +832,30 @@ mod tests {
     }
 
     #[test]
+    fn the_index_explains_the_set_whatever_the_order_or_repeats() {
+        for (g, seed) in sample_graphs().into_iter().zip([31, 32]) {
+            let index = ExplanationIndex::build(&g);
+            let cfg = MsModuleConfig::default();
+            let engine = ExplanationEngine::new(g.clone(), cfg.clone());
+            let mut unsorted = 0;
+            for drugs in sampled_sets(g.node_count(), 500, seed) {
+                let mut sorted = drugs.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                unsorted += usize::from(drugs != sorted);
+                let got = index.explain(&g, &drugs, &cfg).unwrap();
+                assert!(got.suggested.is_sorted_by(|a, b| a < b), "{drugs:?}");
+                let want = engine.explain(&sorted).unwrap();
+                assert_identical(&got, &want, &format!("{drugs:?}"));
+            }
+            assert!(
+                unsorted > 250,
+                "only {unsorted} of 500 sets were out of order"
+            );
+        }
+    }
+
+    #[test]
     fn the_index_is_built_by_the_first_explanation() {
         let engine = ExplanationEngine::new(ddi(), MsModuleConfig::default());
         assert!(engine.index.get().is_none(), "a new engine built its index");
@@ -903,7 +897,6 @@ mod tests {
             let mut cache = ExplanationCache::new();
             cache.insert(&key, &explanation);
             assert_eq!(cache.len(), 0, "{explanation:?} was cached");
-            assert_eq!(cache.misses(), 1);
             assert!(cache.lookup(&key).is_none());
         }
         // The unedited explanation is cached, and a non-canonical key is not.
@@ -928,6 +921,5 @@ mod tests {
         cache.insert(&key, &explanation);
         let hit = cache.lookup(&key).expect("cached");
         assert_identical(&hit, &explanation, "hand-built");
-        assert_eq!(cache.hits(), 1);
     }
 }

@@ -1186,8 +1186,8 @@ impl DecisionService {
                 }
             }
         }
-        // The explanation is of the drug set, explained on the canonical
-        // key that `suggest` explains too, without the memo.
+        // The explanation is of the drug set, as for `suggest`, but without
+        // the memo.
         let indices: Vec<usize> = drugs.iter().map(|d| d.id.index()).collect();
         let explanation = self.explainer.explain(&indices)?;
         let suggestion_satisfaction = explanation.suggestion_satisfaction;

@@ -10,7 +10,6 @@
 //! antagonistic co-prescriptions (Fig. 9, case 4) — so that the relative
 //! behaviour of the recommenders is preserved.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 use dssddi_graph::{BipartiteGraph, Interaction, SignedGraph};
@@ -126,22 +125,6 @@ impl ChronicCohort {
     pub fn mean_drugs_per_patient(&self) -> f64 {
         let total: f32 = self.labels.data().iter().sum();
         total as f64 / self.n_patients().max(1) as f64
-    }
-
-    /// Number of patients whose prescriptions contain at least one
-    /// antagonistic pair according to `ddi`.
-    pub fn patients_with_antagonistic_prescriptions(&self, ddi: &SignedGraph) -> usize {
-        (0..self.n_patients())
-            .filter(|&p| {
-                let drugs = self.drugs_of(p);
-                drugs.iter().enumerate().any(|(i, &u)| {
-                    drugs
-                        .iter()
-                        .skip(i + 1)
-                        .any(|&v| ddi.interaction(u, v) == Some(Interaction::Antagonistic))
-                })
-            })
-            .count()
     }
 }
 
@@ -479,14 +462,6 @@ pub fn generate_chronic_cohort(
     })
 }
 
-/// Convenience: shuffled patient indices for sampling case-study patients.
-pub fn sample_patients(n_patients: usize, count: usize, rng: &mut impl Rng) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..n_patients).collect();
-    idx.shuffle(rng);
-    idx.truncate(count);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,7 +574,16 @@ mod tests {
     #[test]
     fn antagonistic_prescriptions_are_rare_but_present() {
         let (_, ddi, cohort) = small_cohort(600, 5);
-        let with_conflicts = cohort.patients_with_antagonistic_prescriptions(&ddi);
+        let with_conflicts = (0..cohort.n_patients())
+            .filter(|&p| {
+                let drugs = cohort.drugs_of(p);
+                drugs.iter().enumerate().any(|(i, &u)| {
+                    drugs[i + 1..]
+                        .iter()
+                        .any(|&v| ddi.interaction(u, v) == Some(Interaction::Antagonistic))
+                })
+            })
+            .count();
         let rate = with_conflicts as f64 / cohort.n_patients() as f64;
         assert!(rate < 0.35, "too many antagonistic prescriptions: {rate}");
     }
@@ -632,15 +616,5 @@ mod tests {
         assert_eq!(g.left_count(), 3);
         assert_eq!(g.right_count(), 86);
         assert_eq!(g.drugs_of(0), cohort.drugs_of(5));
-    }
-
-    #[test]
-    fn sample_patients_returns_unique_indices() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let s = sample_patients(100, 10, &mut rng);
-        assert_eq!(s.len(), 10);
-        let set: std::collections::BTreeSet<usize> = s.iter().copied().collect();
-        assert_eq!(set.len(), 10);
-        assert!(s.iter().all(|&i| i < 100));
     }
 }

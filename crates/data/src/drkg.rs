@@ -166,16 +166,6 @@ impl TransEModel {
         self.entity.row(e)
     }
 
-    /// Embedding matrix of all entities.
-    pub fn entities(&self) -> &Matrix {
-        &self.entity
-    }
-
-    /// Embedding matrix of all relations.
-    pub fn relations(&self) -> &Matrix {
-        &self.relation
-    }
-
     /// TransE plausibility score of a triple (negative L2 distance; larger
     /// means more plausible).
     pub fn score(&self, (h, r, t): Triple) -> f32 {

@@ -221,7 +221,7 @@ pub fn apply_activation(tape: &mut Tape, x: Var, activation: Activation) -> Var 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dssddi_tensor::{Adam, Matrix, Optimizer};
+    use dssddi_tensor::{Adam, Matrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

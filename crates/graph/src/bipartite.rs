@@ -98,15 +98,6 @@ impl BipartiteGraph {
         self.left_adj[left].iter().copied().collect()
     }
 
-    /// Patients taking a drug, in ascending patient index order.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a drug index below the drug count is the caller's bound"
-    )]
-    pub fn patients_of(&self, right: usize) -> Vec<usize> {
-        self.right_adj[right].iter().copied().collect()
-    }
-
     /// Degree of a patient node.
     #[expect(
         clippy::indexing_slicing,
@@ -136,28 +127,6 @@ impl BipartiteGraph {
         }
         out
     }
-
-    /// Dense 0/1 medication-use matrix `Y` with one row per patient.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`edges` yields only in-range pairs, and `y` is patients by drugs"
-    )]
-    pub fn to_label_matrix(&self) -> Vec<Vec<f32>> {
-        let mut y = vec![vec![0.0; self.n_right]; self.n_left];
-        for (l, r) in self.edges() {
-            y[l][r] = 1.0;
-        }
-        y
-    }
-
-    /// Average number of drugs per patient (0.0 when there are no patients).
-    pub fn mean_left_degree(&self) -> f32 {
-        if self.n_left == 0 {
-            0.0
-        } else {
-            self.edge_count() as f32 / self.n_left as f32
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,10 +151,8 @@ mod tests {
     fn adjacency_queries() {
         let g = small();
         assert_eq!(g.drugs_of(0), vec![0, 2]);
-        assert_eq!(g.patients_of(2), vec![0, 1]);
         assert_eq!(g.left_degree(0), 2);
         assert_eq!(g.right_degree(1), 0);
-        assert!((g.mean_left_degree() - 4.0 / 3.0).abs() < 1e-6);
     }
 
     #[test]
@@ -201,17 +168,6 @@ mod tests {
         assert!(g.add_edge(2, 0).is_err());
         assert!(g.add_edge(0, 5).is_err());
         assert!(BipartiteGraph::from_pairs(1, 1, &[(0, 3)]).is_err());
-    }
-
-    #[test]
-    fn label_matrix_matches_edges() {
-        let g = small();
-        let y = g.to_label_matrix();
-        assert_eq!(y.len(), 3);
-        assert_eq!(y[0][2], 1.0);
-        assert_eq!(y[1][0], 0.0);
-        let total: f32 = y.iter().flatten().sum();
-        assert_eq!(total, 4.0);
     }
 
     #[test]

@@ -31,9 +31,12 @@
 //!
 //! # Ordering invariants
 //!
-//! The search returns the same community, edge order, trussness and
-//! diameter as the node-set implementation it replaced, which the tests
-//! keep as an oracle. Three facts make that hold:
+//! The search answers for the query set: it runs on the query's distinct
+//! nodes in ascending order (the canonical sequence), so the caller's order
+//! and repeats cannot change the answer. On that canonical sequence it
+//! returns the same community, edge order, trussness and diameter as the
+//! node-set implementation it replaced, which the tests keep as an oracle
+//! and feed the canonical sequence. Three facts make that hold:
 //!
 //! * Truss numbers and the p-truss fixpoint do not depend on the order in
 //!   which edges are peeled, so queue peeling and incremental supports reach
@@ -104,6 +107,12 @@ impl Default for CtcConfig {
 
 /// Runs the closest-truss-community search of Algorithm 1.
 ///
+/// The community is of the query *set*: the search runs on its distinct
+/// nodes in ascending order, so every order and repetition of the same
+/// nodes gives the same community. An empty query is a
+/// [`GraphError::EmptyQuery`], and a node outside the graph a
+/// [`GraphError::NodeOutOfRange`] naming the smallest such node.
+///
 /// Query nodes that are isolated in `graph` are kept in the result (the MS
 /// module still has to display them) but cannot contribute interactions.
 pub fn closest_truss_community(
@@ -119,7 +128,8 @@ pub fn closest_truss_community(
 /// [`closest_truss_community`] with a caller-provided truss decomposition of
 /// `graph` (line 1 of Algorithm 1 hoisted out). Serving layers whose graph
 /// is immutable decompose once and amortise it over every explanation; the
-/// result is identical to recomputing per call.
+/// result is identical to recomputing per call, and like it answers for
+/// the query set whatever order or repeats the caller passes.
 ///
 /// A decomposition with a different node or edge count than `graph` is a
 /// [`GraphError::DecompositionMismatch`].
@@ -1407,8 +1417,17 @@ mod tests {
         g
     }
 
-    /// Asserts that the decomposition, the Steiner tree and the community
-    /// of every query equal the oracle's.
+    /// The canonical sequence of a query: its distinct nodes, ascending.
+    fn canonical(query: &[usize]) -> Vec<usize> {
+        let mut set = query.to_vec();
+        set.sort_unstable();
+        set.dedup();
+        set
+    }
+
+    /// Asserts that the decomposition equals the oracle's, and that the
+    /// Steiner tree and the community of every query equal the oracle's
+    /// answers for the query's canonical sequence.
     fn assert_matches_oracle(g: &UnGraph, queries: &[Vec<usize>], config: &CtcConfig) {
         let (new, old) = (truss_decomposition(g), oracle::truss_decomposition(g));
         assert_eq!(
@@ -1419,15 +1438,34 @@ mod tests {
         want.sort_unstable();
         assert_eq!(new.iter().collect::<Vec<_>>(), want);
         for query in queries {
+            let sequence = canonical(query);
             let tree = steiner_tree(g, query, &new).map(|t| (t.nodes, t.edges));
-            let want_tree = oracle::steiner_tree(g, query, &old).map(|t| (t.nodes, t.edges));
+            let want_tree = oracle::steiner_tree(g, &sequence, &old).map(|t| (t.nodes, t.edges));
             assert_eq!(tree, want_tree, "Steiner tree of {query:?}");
             assert_eq!(
                 closest_truss_community_with(g, &new, query, config),
-                oracle::closest_truss_community_with(g, &old, query, config),
+                oracle::closest_truss_community_with(g, &old, &sequence, config),
                 "community of {query:?} under {config:?}"
             );
         }
+    }
+
+    /// Every ordering of `items`, one per choice of first item and ordering
+    /// of the rest, so `n!` of them even when items repeat.
+    fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
+        if items.len() <= 1 {
+            return vec![items.to_vec()];
+        }
+        (0..items.len())
+            .flat_map(|i| {
+                let mut rest = items.to_vec();
+                let first = rest.remove(i);
+                permutations(&rest).into_iter().map(move |mut order| {
+                    order.insert(0, first);
+                    order
+                })
+            })
+            .collect()
     }
 
     /// Queries from raw draws: a node id modulo `n + 2`, so that some fall
@@ -1557,6 +1595,38 @@ mod tests {
         ) {
             let g = clustered_graph(86, 340, seed);
             assert_matches_oracle(&g, &queries_from(&draws, 86), &CtcConfig::default());
+        }
+
+        /// Every ordering of a query with a repeated node gets the Steiner
+        /// tree and the community of its ascending distinct set, and two
+        /// nodes outside the graph are refused naming the smaller.
+        #[test]
+        fn searches_answer_for_the_query_set(
+            n in 2usize..=120,
+            mean_degree in 0usize..=16,
+            seed in any::<u64>(),
+            picks in proptest::collection::vec(any::<usize>(), 1..5),
+            repeat in any::<usize>(),
+            beyond in (0usize..4, 1usize..4),
+        ) {
+            let g = clustered_graph(n, n * mean_degree / 2, seed);
+            let d = truss_decomposition(&g);
+            let mut query: Vec<usize> = picks.iter().map(|&p| p % n).collect();
+            query.push(query[repeat % query.len()]);
+            let want = answer(&g, &d, &canonical(&query));
+            assert!(want.0.is_ok() && want.1.is_ok(), "{query:?}: {want:?}");
+            let orders = permutations(&query);
+            assert_eq!(orders.len(), (1..=query.len()).product::<usize>());
+            for order in orders {
+                assert_eq!(answer(&g, &d, &order), want, "order {order:?}");
+            }
+            let (low, high) = (n + beyond.0, n + beyond.0 + beyond.1);
+            let refused = Err(GraphError::NodeOutOfRange { node: low, nodes: n });
+            for outside in [vec![high, query[0], low], vec![low, high], vec![high, low, high]] {
+                let (tree, community) = answer(&g, &d, &outside);
+                assert_eq!(tree.map(|_| ()), refused, "{outside:?}");
+                assert_eq!(community.map(|_| ()), refused, "{outside:?}");
+            }
         }
     }
 }

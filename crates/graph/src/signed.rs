@@ -117,15 +117,6 @@ impl SignedGraph {
             .collect()
     }
 
-    /// Neighbours of `v` with any synergistic or antagonistic interaction
-    /// (explicit "no interaction" edges are not neighbours in the GNN sense).
-    pub fn interacting_neighbors(&self, v: usize) -> Vec<usize> {
-        self.interactions()
-            .filter(|&(a, b, i)| i != Interaction::None && (a == v || b == v))
-            .map(|(a, b, _)| if a == v { b } else { a })
-            .collect()
-    }
-
     /// The unsigned structural view containing only synergistic and
     /// antagonistic edges — the graph the Medical Support module queries.
     pub fn structural_graph(&self) -> UnGraph {
@@ -164,14 +155,6 @@ impl SignedGraph {
             self.edges.insert((u, v), Interaction::None);
         }
         take
-    }
-
-    /// Count of drugs that participate in at least one synergistic or
-    /// antagonistic interaction.
-    pub fn interacting_drug_count(&self) -> usize {
-        (0..self.n)
-            .filter(|&v| !self.interacting_neighbors(v).is_empty())
-            .count()
     }
 }
 
@@ -220,8 +203,6 @@ mod tests {
         let g = small_ddi();
         assert_eq!(g.neighbors_of(2, Interaction::Antagonistic), vec![0, 1, 3]);
         assert_eq!(g.neighbors_of(0, Interaction::Synergistic), vec![1]);
-        assert_eq!(g.interacting_neighbors(4), Vec::<usize>::new());
-        assert_eq!(g.interacting_drug_count(), 4);
     }
 
     #[test]

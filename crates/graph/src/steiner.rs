@@ -62,10 +62,13 @@ pub(crate) fn steiner_weight(max_truss: usize, truss: usize) -> f64 {
     1.0 + (k_max - t).max(0.0) / (k_max + 1.0)
 }
 
-/// The distinct query nodes in first-seen order, once `decomposition` is
-/// known to fit `graph` and every node to be in range.
+/// The query as a set: its distinct nodes in ascending order, once
+/// `decomposition` is known to fit `graph` and every node to be in range.
 ///
-/// A decomposition fits when it has the graph's node and edge counts; the
+/// Every search checks and orders its query here and nowhere else, so it
+/// answers for the set whatever order or repeats the caller passed, and a
+/// node outside the graph is reported as the smallest such node. A
+/// decomposition fits when it has the graph's node and edge counts; the
 /// search reads only the decomposition's adjacency after this check.
 pub(crate) fn distinct_query(
     graph: &UnGraph,
@@ -81,25 +84,28 @@ pub(crate) fn distinct_query(
             decomposition_edges: decomposition.len(),
         });
     }
-    let mut unique: Vec<usize> = Vec::with_capacity(query.len());
-    for &q in query {
-        if q >= nodes {
-            return Err(GraphError::NodeOutOfRange { node: q, nodes });
-        }
-        if !unique.contains(&q) {
-            unique.push(q);
-        }
+    let mut set = query.to_vec();
+    set.sort_unstable();
+    set.dedup();
+    if let Some(&node) = set.iter().find(|&&q| q >= nodes) {
+        return Err(GraphError::NodeOutOfRange { node, nodes });
     }
-    if unique.is_empty() {
+    if set.is_empty() {
         return Err(GraphError::EmptyQuery);
     }
-    Ok(unique)
+    Ok(set)
 }
 
 /// Computes an approximate minimum Steiner tree connecting `query` in
 /// `graph`, using Mehlhorn's construction: build the complete distance graph
 /// over the query nodes, take its minimum spanning tree, expand each MST
 /// edge into the underlying shortest path, and prune non-query leaves.
+///
+/// The tree is of the query *set*: the construction runs on its distinct
+/// nodes in ascending order (Prim's root is the smallest), so every order
+/// and repetition of the same nodes gives the same tree. An empty query is
+/// a [`GraphError::EmptyQuery`], and a node outside the graph a
+/// [`GraphError::NodeOutOfRange`] naming the smallest such node.
 ///
 /// Query nodes in different connected components yield a forest containing
 /// each reachable part (no error), because the MS module must still explain
@@ -120,8 +126,8 @@ pub fn steiner_tree(
     })
 }
 
-/// [`steiner_tree`] over checked, distinct query nodes: the tree's nodes
-/// and normalised edges, both ascending.
+/// [`steiner_tree`] over a checked query set (ascending, distinct): the
+/// tree's nodes and normalised edges, both ascending.
 pub(crate) fn tree(
     decomposition: &TrussDecomposition,
     query: &[usize],
@@ -251,7 +257,7 @@ pub(crate) fn shortest_paths(decomposition: &TrussDecomposition, source: usize) 
 }
 
 /// Mehlhorn's final clean-up: removes every non-query leaf, round after
-/// round, until none is left. `nodes` and `edges` are ascending.
+/// round, until none is left. `nodes`, `edges` and `query` are ascending.
 fn prune_leaves(nodes: &mut Vec<usize>, edges: &mut Vec<(usize, usize)>, query: &[usize]) {
     loop {
         let mut degree = vec![0usize; nodes.len()];
@@ -269,7 +275,7 @@ fn prune_leaves(nodes: &mut Vec<usize>, edges: &mut Vec<(usize, usize)>, query: 
         let leaves: Vec<usize> = nodes
             .iter()
             .zip(&degree)
-            .filter(|&(v, &d)| d == 1 && !query.contains(v))
+            .filter(|&(v, &d)| d == 1 && query.binary_search(v).is_err())
             .map(|(&v, _)| v)
             .collect();
         if leaves.is_empty() {

@@ -166,8 +166,9 @@ impl AdmissionConfig {
             .map(|&(_, quota)| quota)
     }
 
-    /// True when every limit is disabled (the default): the router then
-    /// skips admission entirely.
+    /// True when every limit is disabled (the default), so admission lets
+    /// every frame through. The router still runs its admission step for
+    /// each frame; only `dssddi-serve`'s startup message reads this.
     pub fn is_unlimited(&self) -> bool {
         self.max_in_flight.is_none() && self.default_rate.is_none() && self.rates.is_empty() && {
             self.quotas.is_empty()

@@ -12,7 +12,7 @@
 //! ## Quick tour
 //!
 //! ```
-//! use dssddi_tensor::{Adam, Binder, Matrix, Optimizer, ParamSet, Tape};
+//! use dssddi_tensor::{Adam, Binder, Matrix, ParamSet, Tape};
 //! use rand::SeedableRng;
 //!
 //! // A one-layer logistic regression trained with Adam.
@@ -54,7 +54,7 @@ mod tape;
 pub use kernels::{fused_linear_into, ActivationKind};
 pub use matrix::Matrix;
 pub use ops::stable_sigmoid;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use params::{clip_grad_norm, Binder, ParamId, ParamSet};
 pub use scratch::ScratchPool;
 pub use sparse::CsrMatrix;

@@ -16,8 +16,7 @@
 //!   [`fused_linear_into`](crate::fused_linear_into),
 //!   `CsrMatrix::matmul_dense_into`) fully overwrites its output, so no
 //!   caller pays a redundant zeroing pass; code that fills a buffer by hand
-//!   must write every element. Use [`ScratchPool::take_zeroed`] when a
-//!   cleared buffer is genuinely needed.
+//!   must write every element.
 //! * Whoever `take`s a buffer `recycle`s it once done with it; after
 //!   warm-up a steady-state serving loop performs no allocation.
 //! * The pool is deliberately not thread-safe: each serving worker owns its
@@ -56,13 +55,6 @@ impl ScratchPool {
         Matrix::from_parts(rows, cols, buf)
     }
 
-    /// Like [`ScratchPool::take`], but the returned matrix is zero-filled.
-    pub fn take_zeroed(&mut self, rows: usize, cols: usize) -> Matrix {
-        let mut m = self.take(rows, cols);
-        m.data_mut().fill(0.0);
-        m
-    }
-
     /// Returns a matrix's backing storage to the pool for later reuse.
     pub fn recycle(&mut self, m: Matrix) {
         self.free.push(m.into_vec());
@@ -79,19 +71,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn take_returns_matrices_of_the_right_shape_and_take_zeroed_clears() {
+    fn take_returns_matrices_of_the_right_shape() {
         let mut pool = ScratchPool::new();
-        let mut m = pool.take(3, 4);
+        let m = pool.take(3, 4);
         assert_eq!(m.shape(), (3, 4));
-        // Dirty the buffer, recycle it, and take a zeroed one: cleared even
-        // though the allocation is reused.
-        m.set(2, 3, 7.0);
         pool.recycle(m);
         assert_eq!(pool.idle_buffers(), 1);
-        let z = pool.take_zeroed(2, 5);
+        let again = pool.take(2, 5);
         assert_eq!(pool.idle_buffers(), 0);
-        assert_eq!(z.shape(), (2, 5));
-        assert!(z.data().iter().all(|&x| x == 0.0));
+        assert_eq!(again.shape(), (2, 5));
     }
 
     #[test]

@@ -400,8 +400,8 @@
 //! tape-free scores match it bit for bit. Scratch-pool rules: whoever
 //! `take`s a buffer `recycle`s it when done; a taken buffer has
 //! *unspecified contents* and must be fully overwritten (every `*_into`
-//! kernel does — use `take_zeroed` otherwise); buffers never cross threads
-//! — each prediction pass owns its own pool.
+//! kernel does); buffers never cross threads — each prediction pass owns
+//! its own pool.
 //!
 //! A batch is served on the thread that asked for it: in the gateway, the
 //! connection thread that decoded its frame, so one admitted frame runs on
